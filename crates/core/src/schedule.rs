@@ -816,11 +816,26 @@ impl Scheduler {
                 .extend(s.qdop.iter().zip(&s.pnet).map(|(&q, &t)| q + t));
             let key = &s.sort_key;
             let pid = &s.pid;
-            s.members.sort_unstable_by(|&a, &b| {
+            // `key` descending, `JobId` tie-break: a strict total
+            // order, so the result is the same unique sequence any
+            // comparison sort yields. At most `DENSE_PREFIX_MAX`
+            // members, already nearly in order (see above): insertion
+            // sort is linear here where the general sort is not.
+            let before = |a: u32, b: u32| {
                 key[b as usize]
                     .total_cmp(&key[a as usize])
                     .then_with(|| pid[a as usize].cmp(&pid[b as usize]))
-            });
+                    .is_lt()
+            };
+            for i in 1..s.members.len() {
+                let m = s.members[i];
+                let mut at = i;
+                while at > 0 && before(m, s.members[at - 1]) {
+                    s.members[at] = s.members[at - 1];
+                    at -= 1;
+                }
+                s.members[at] = m;
+            }
         }
         s.bounds.clear();
         s.bounds.push(0);

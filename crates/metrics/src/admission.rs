@@ -6,7 +6,8 @@
 //! interval, or *reject* it outright when the cluster cannot host it
 //! profitably. This module keeps the books for those decisions so the
 //! acceptance matrix can assert they balance — every offered job is
-//! eventually admitted or rejected, and nothing admitted is lost.
+//! eventually admitted, rejected or withdrawn, and nothing admitted is
+//! lost.
 
 use crate::Hist;
 
@@ -14,10 +15,11 @@ use crate::Hist;
 ///
 /// A job is *offered* each time the admission layer looks at it — once
 /// on arrival and once per re-offer after a deferral. Exactly one of
-/// `admitted`/`rejected` is bumped per job over its lifetime, while
-/// `deferred` counts deferral *events* (a single job may defer several
-/// times before being admitted). `forced` is the subset of admissions
-/// taken by the starvation guard after the deferral budget ran out.
+/// `admitted`/`rejected`/`withdrawn` is bumped per job over its
+/// lifetime, while `deferred` counts deferral *events* (a single job
+/// may defer several times before being admitted). `forced` is the
+/// subset of admissions taken by the starvation guard after the
+/// deferral budget ran out.
 ///
 /// # Examples
 ///
@@ -45,6 +47,10 @@ pub struct AdmissionStats {
     /// Admissions forced by the starvation guard after the job
     /// exhausted its deferral budget. Always `<= admitted`.
     pub forced: u64,
+    /// Offers that died undecided: the job went terminal while still
+    /// queued (deferred, or not yet arrived) — e.g. killed by a
+    /// fault-plan abort — so it was neither admitted nor rejected.
+    pub withdrawn: u64,
     /// Seconds from first offer (arrival) to admission, per admitted
     /// job. Zero for jobs admitted on their first offer.
     pub queue_wait: Hist,
@@ -58,6 +64,7 @@ impl AdmissionStats {
             deferred: 0,
             rejected: 0,
             forced: 0,
+            withdrawn: 0,
             queue_wait: Hist::new(),
         }
     }
@@ -85,6 +92,11 @@ impl AdmissionStats {
         self.rejected += 1;
     }
 
+    /// Records an offer that died before any terminal decision.
+    pub fn withdraw(&mut self) {
+        self.withdrawn += 1;
+    }
+
     /// Jobs that received a terminal admission decision.
     pub fn decided(&self) -> u64 {
         self.admitted + self.rejected
@@ -96,6 +108,7 @@ impl AdmissionStats {
         self.deferred += other.deferred;
         self.rejected += other.rejected;
         self.forced += other.forced;
+        self.withdrawn += other.withdrawn;
         self.queue_wait.merge(&other.queue_wait);
     }
 }
@@ -117,6 +130,7 @@ mod tests {
         assert_eq!(a.deferred, 0);
         assert_eq!(a.rejected, 0);
         assert_eq!(a.forced, 0);
+        assert_eq!(a.withdrawn, 0);
         assert_eq!(a.decided(), 0);
         assert!(a.queue_wait.is_empty());
     }
@@ -154,6 +168,16 @@ mod tests {
     }
 
     #[test]
+    fn withdrawn_offers_are_not_decisions() {
+        let mut a = AdmissionStats::new();
+        a.defer();
+        a.withdraw();
+        a.admit(5.0);
+        assert_eq!(a.withdrawn, 1);
+        assert_eq!(a.decided(), 1);
+    }
+
+    #[test]
     fn merge_adds_counts_and_distributions() {
         let mut a = AdmissionStats::new();
         a.admit(10.0);
@@ -161,7 +185,9 @@ mod tests {
         b.admit(30.0);
         b.reject();
         b.defer();
+        b.withdraw();
         a.merge(&b);
+        assert_eq!(a.withdrawn, 1);
         assert_eq!(a.admitted, 2);
         assert_eq!(a.rejected, 1);
         assert_eq!(a.deferred, 1);

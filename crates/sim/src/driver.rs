@@ -25,6 +25,7 @@ use crate::events::LaneQueue;
 use crate::fault::FaultKind;
 use crate::fluid::TaskKey;
 use crate::groupmem::{self, FitOutcome, JobFootprint, MemoryParams};
+use crate::idset::IdSet;
 use crate::noise::Straggler;
 use crate::report::{
     GroupingSnapshot, JobOutcome, PredictionSample, ReschedCounters, ReschedReason, RunReport,
@@ -133,6 +134,22 @@ pub struct Driver {
     mem: MemoryParams,
     jobs: Vec<JobSim>,
     groups: Vec<Option<GroupSim>>,
+    /// Index definition: ids of jobs with `arrival <= now` that are not
+    /// terminal, ascending. Every job scan on the event, admission,
+    /// notification, reschedule and sampling paths walks this instead
+    /// of `jobs` — same members, same order, O(active). Entered by
+    /// arrival *time* ([`Self::advance_now`]), left in
+    /// [`Self::set_terminal`].
+    arrived_live: IdSet,
+    /// Job ids sorted by `(arrival, id)`; `arrival_cursor` is the first
+    /// one whose arrival `now` has not reached yet.
+    arrival_order: Vec<usize>,
+    arrival_cursor: usize,
+    /// Index definition: ids of group slots created and not yet
+    /// dissolved, ascending ([`Self::alive_groups`] walks this instead
+    /// of `groups`). A slot whose `GroupSim` is temporarily `take()`n
+    /// out stays in the index.
+    alive: IdSet,
     free_machines: u32,
     now: f64,
     events: LaneQueue<(Time, u64, EventKind)>,
@@ -256,6 +273,10 @@ impl Driver {
             cfg,
             jobs: Vec::new(),
             groups: Vec::new(),
+            arrived_live: IdSet::new(),
+            arrival_order: Vec::new(),
+            arrival_cursor: 0,
+            alive: IdSet::new(),
             now: 0.0,
             event_seq: 0,
             bootstrapped: false,
@@ -422,6 +443,14 @@ impl Driver {
             d.jobs.push(JobSim::new(i, spec, at));
             d.push_event(at, EventKind::Arrival(i));
         }
+        d.arrival_order = (0..d.jobs.len()).collect();
+        d.arrival_order.sort_by(|&a, &b| {
+            d.jobs[a]
+                .arrival
+                .total_cmp(&d.jobs[b].arrival)
+                .then(a.cmp(&b))
+        });
+        d.advance_now(0.0);
         for s in &d.cfg.comp_shifts {
             d.jobs[s.job].comp_shift = Some((s.at_iteration, s.factor));
         }
@@ -453,7 +482,37 @@ impl Driver {
         self.events.push(lane, (Time(at), self.event_seq, kind));
     }
 
+    /// Moves the clock forward to `t` (never backward) and enters every
+    /// job whose arrival time it reached into `arrived_live`. Membership
+    /// goes by arrival *time*, not by the `Arrival` event: in a burst,
+    /// admission must already count same-instant jobs whose event has
+    /// not fired yet.
+    fn advance_now(&mut self, t: f64) {
+        self.now = self.now.max(t);
+        while let Some(&j) = self.arrival_order.get(self.arrival_cursor) {
+            if self.jobs[j].arrival > self.now {
+                break;
+            }
+            // A fault-plan abort can kill a job before it arrives.
+            if self.jobs[j].is_live() {
+                self.arrived_live.insert(j);
+            }
+            self.arrival_cursor += 1;
+        }
+    }
+
+    /// Debug cross-check, run after every event: each index equals the
+    /// brute-force scan it replaces (full walks on purpose).
+    fn indices_match_scans(&self) -> bool {
+        let arrived_live = (0..self.jobs.len())
+            .filter(|&j| self.jobs[j].arrival <= self.now && self.jobs[j].is_live());
+        let alive = (0..self.groups.len()).filter(|&g| self.groups[g].is_some());
+        self.arrived_live.iter().eq(arrived_live) && self.alive.iter().eq(alive)
+    }
+
     fn live_jobs(&self) -> usize {
+        // Debug cross-check of the dead-job counter (a full walk on
+        // purpose: not-yet-arrived jobs are live too).
         debug_assert_eq!(
             self.jobs.len() - self.dead_jobs,
             self.jobs.iter().filter(|j| j.is_live()).count(),
@@ -476,8 +535,16 @@ impl Driver {
         self.jobs[j].migrate_origin = None;
         if self.jobs[j].is_live() {
             self.dead_jobs += 1;
+            // Absent (a no-op) when the job has not arrived yet.
+            self.arrived_live.remove(j);
             if self.jobs[j].group.is_some() {
                 self.active_scheduled -= 1;
+            }
+            // An offer that dies still queued (deferred, or not yet
+            // arrived) was never decided: book it, or the admission
+            // books come up short.
+            if self.admission.is_some() && !self.jobs[j].admitted && !self.jobs[j].rejected {
+                self.admission_stats.withdraw();
             }
         }
         self.jobs[j].state = state;
@@ -508,6 +575,7 @@ impl Driver {
             }
             if t > self.cfg.max_sim_seconds {
                 if std::env::var_os("HARMONY_SIM_DEBUG").is_some() {
+                    // Full walk: runs once, on the runaway cut-off.
                     for (i, job) in self.jobs.iter().enumerate() {
                         if job.is_live() {
                             eprintln!(
@@ -534,7 +602,8 @@ impl Driver {
                         self.free_machines, self.bootstrapped
                     );
                 }
-                // Runaway config: abandon remaining work as failed.
+                // Runaway config: abandon remaining work as failed. A
+                // full walk: jobs that never arrived fail too.
                 for j in 0..self.jobs.len() {
                     if self.jobs[j].is_live() {
                         self.set_terminal(j, SimJobState::Failed, t);
@@ -542,7 +611,7 @@ impl Driver {
                 }
                 break;
             }
-            self.now = self.now.max(t);
+            self.advance_now(t);
             match kind {
                 EventKind::Arrival(j) => self.on_arrival(j),
                 EventKind::Wake { group, gen } => {
@@ -609,6 +678,10 @@ impl Driver {
                 guard += 1;
                 assert!(guard < 1000, "deferred-notification livelock");
             }
+            debug_assert!(
+                self.indices_match_scans(),
+                "live-job / alive-group index out of sync with its scan"
+            );
             // Deadlock guardrail: live jobs but no pending events.
             if self.events.is_empty() && self.live_jobs() > 0 {
                 stall_breaker += 1;
@@ -638,7 +711,9 @@ impl Driver {
             SchedulerKind::Harmony | SchedulerKind::Oracle => {
                 self.reschedule_because(ReschedReason::Unstall);
                 // Anything still waiting (e.g. never profiled because no
-                // group existed) re-enters profiling.
+                // group existed) re-enters profiling. A full walk: the
+                // last-resort path runs at most 64 times a run and must
+                // not depend on the indices it may be rescuing.
                 let waiting: Vec<usize> = (0..self.jobs.len())
                     .filter(|&j| self.jobs[j].state == SimJobState::Waiting)
                     .collect();
@@ -708,6 +783,7 @@ impl Driver {
         match decision {
             AdmissionDecision::Admit => {
                 self.admission_stats.admit(wait);
+                self.jobs[j].admitted = true;
                 true
             }
             AdmissionDecision::Defer if deferrals >= self.cfg.admission_max_deferrals => {
@@ -715,6 +791,7 @@ impl Driver {
                 // once the deferral budget is spent, bounding queue
                 // wait at roughly `max_deferrals × reoffer_secs`.
                 self.admission_stats.admit_forced(wait);
+                self.jobs[j].admitted = true;
                 true
             }
             AdmissionDecision::Defer => {
@@ -737,19 +814,18 @@ impl Driver {
 
     /// Live jobs already admitted but not running — the scheduler's
     /// backlog as admission sees it, excluding the candidate itself
-    /// (which is still `Waiting` while its offer is decided). The
-    /// arrival-time filter matters: the driver pre-creates every job of
-    /// the trace in `Waiting`, but jobs whose arrival lies in the
-    /// future are not backlog.
+    /// (which is still `Waiting` while its offer is decided). Walking
+    /// `arrived_live` is the arrival-time filter: the driver pre-creates
+    /// every job of the trace in `Waiting`, but jobs whose arrival lies
+    /// in the future are not backlog — while same-instant jobs whose
+    /// `Arrival` event has not fired yet are.
     fn admission_backlog(&self, cand: usize) -> usize {
-        self.jobs
+        self.arrived_live
             .iter()
-            .enumerate()
-            .filter(|&(i, job)| {
+            .filter(|&i| {
                 i != cand
-                    && job.arrival <= self.now
                     && matches!(
-                        job.state,
+                        self.jobs[i].state,
                         SimJobState::Waiting | SimJobState::Profiled | SimJobState::Paused
                     )
             })
@@ -772,11 +848,11 @@ impl Driver {
         let t0 = Instant::now();
         let mut ss = std::mem::take(&mut self.sched_scratch);
         ss.admission_profiles.clear();
-        for (i, job) in self.jobs.iter().enumerate() {
-            if i == j || !job.is_live() || !job.profile.is_warm() {
-                continue;
+        for i in self.arrived_live.iter() {
+            // Warm implies arrived: a profile warms only by iterating.
+            if i != j && self.jobs[i].profile.is_warm() {
+                ss.admission_profiles.push(self.jobs[i].profile.clone());
             }
-            ss.admission_profiles.push(job.profile.clone());
         }
         let spec = &self.jobs[j].spec;
         let mut cand =
@@ -866,6 +942,7 @@ impl Driver {
         g.predicted_iteration = predicted_iteration;
         g.predicted_util = predicted_util;
         self.groups.push(Some(g));
+        self.alive.insert(id);
         self.group_iter_stats.push(std::collections::HashMap::new());
         id
     }
@@ -1088,6 +1165,7 @@ impl Driver {
             grp.last_advance = self.now;
         }
         let mut grp = self.groups[g].take().expect("alive group");
+        self.alive.remove(g);
         self.finalize_prediction_of(&mut grp);
         self.free_machines += grp.machines;
         let mf = f64::from(grp.machines);
@@ -1129,12 +1207,11 @@ impl Driver {
 
     /// Ids of alive groups, without materializing a vector. Callers
     /// that mutate the group table while iterating snapshot the ids
-    /// into [`Self::scratch_groups`] first.
+    /// into [`Self::scratch_groups`] first. A slot whose `GroupSim` is
+    /// temporarily taken out (e.g. during [`Self::advance_group`]) is
+    /// skipped, as the slot scan this replaced did.
     fn alive_groups(&self) -> impl Iterator<Item = usize> + '_ {
-        self.groups
-            .iter()
-            .enumerate()
-            .filter_map(|(g, s)| s.as_ref().map(|_| g))
+        self.alive.iter().filter(|&g| self.groups[g].is_some())
     }
 
     // ----------------------------------------------------------------
@@ -2187,10 +2264,14 @@ impl Driver {
     fn inject_job_abort(&mut self, victim_seed: u64) {
         // Prefer jobs actively placed in a group; fall back to any
         // live job.
-        let mut candidates: Vec<usize> = (0..self.jobs.len())
-            .filter(|&j| self.jobs[j].is_live() && self.jobs[j].group.is_some())
+        let mut candidates: Vec<usize> = self
+            .arrived_live
+            .iter()
+            .filter(|&j| self.jobs[j].group.is_some())
             .collect();
         if candidates.is_empty() {
+            // A full walk: the fallback may pick a job that has not
+            // arrived yet, and the victim choice is part of the bytes.
             candidates = (0..self.jobs.len())
                 .filter(|&j| self.jobs[j].is_live())
                 .collect();
@@ -2279,6 +2360,7 @@ impl Driver {
         self.cpu_tl.record(self.now, (cpu / total).min(1.0));
         self.net_tl.record(self.now, (net / total).min(1.0));
         let active = if self.cfg.fast_event_path {
+            // Debug cross-check of the counter (a full walk on purpose).
             debug_assert_eq!(
                 self.active_scheduled,
                 self.jobs
@@ -2289,9 +2371,9 @@ impl Driver {
             );
             self.active_scheduled
         } else {
-            self.jobs
+            self.arrived_live
                 .iter()
-                .filter(|j| j.group.is_some() && j.is_live())
+                .filter(|&j| self.jobs[j].group.is_some())
                 .count()
         };
         if active > 0 {
@@ -2331,8 +2413,9 @@ impl Driver {
     fn profile_store(&mut self) -> ProfileStore {
         let inject = self.cfg.error_injection;
         let mut store = ProfileStore::new();
-        for (idx, job) in self.jobs.iter().enumerate() {
-            if job.is_live() && job.profile.is_warm() {
+        for idx in self.arrived_live.iter() {
+            let job = &self.jobs[idx];
+            if job.profile.is_warm() {
                 let mut p = job.profile.clone();
                 if inject > 0.0 {
                     // Persistent per-job error (Figure 13a simulates a
@@ -2393,11 +2476,21 @@ impl Driver {
         }
     }
 
+    /// Arrived live jobs in state `s`, ascending.
+    fn in_state(&self, s: SimJobState) -> impl Iterator<Item = usize> + '_ {
+        // Terminal jobs have left the index, and a `Waiting` query
+        // would miss the jobs still to arrive.
+        debug_assert!(!matches!(
+            s,
+            SimJobState::Waiting | SimJobState::Finished | SimJobState::Failed
+        ));
+        self.arrived_live
+            .iter()
+            .filter(move |&j| self.jobs[j].state == s)
+    }
+
     fn jobs_in_state(&self, s: SimJobState) -> Vec<JobId> {
-        (0..self.jobs.len())
-            .filter(|&j| self.jobs[j].state == s)
-            .map(|j| JobId::new(j as u64))
-            .collect()
+        self.in_state(s).map(|j| JobId::new(j as u64)).collect()
     }
 
     /// Whether the equivalence-relaxed coalesced machinery (windows,
@@ -2414,9 +2507,14 @@ impl Driver {
     }
 
     fn waiting_count(&self) -> usize {
-        self.jobs
+        self.arrived_live
             .iter()
-            .filter(|j| matches!(j.state, SimJobState::Profiled | SimJobState::Paused))
+            .filter(|&j| {
+                matches!(
+                    self.jobs[j].state,
+                    SimJobState::Profiled | SimJobState::Paused
+                )
+            })
             .count()
     }
 
@@ -2439,12 +2537,8 @@ impl Driver {
         // placeable.
         self.jobs[j].state = SimJobState::Profiled;
 
-        let still_profiling = self
-            .jobs
-            .iter()
-            .any(|job| job.state == SimJobState::Profiling);
         if !self.bootstrapped {
-            if !still_profiling {
+            if self.in_state(SimJobState::Profiling).next().is_none() {
                 self.bootstrapped = true;
                 self.reschedule_because(ReschedReason::Bootstrap);
             }
@@ -2750,9 +2844,7 @@ impl Driver {
             SimJobState::Paused,
             SimJobState::Running,
         ] {
-            let mut class: Vec<usize> = (0..self.jobs.len())
-                .filter(|&j| self.jobs[j].state == state)
-                .collect();
+            let mut class: Vec<usize> = self.in_state(state).collect();
             class.sort_by(|&a, &b| {
                 let key = |j: usize| {
                     let p = &self.jobs[j].profile;
@@ -2821,8 +2913,7 @@ impl Driver {
             SimJobState::Running,
         ] {
             ss.class.clear();
-            ss.class
-                .extend((0..self.jobs.len()).filter(|&j| self.jobs[j].state == state));
+            ss.class.extend(self.in_state(state));
             ss.class.sort_by(|&a, &b| {
                 let key = |j: usize| {
                     let p = &self.jobs[j].profile;
@@ -2933,8 +3024,7 @@ impl Driver {
         let inject = self.cfg.error_injection;
         for state in [SimJobState::Profiled, SimJobState::Paused] {
             ss.class.clear();
-            ss.class
-                .extend((0..self.jobs.len()).filter(|&j| self.jobs[j].state == state));
+            ss.class.extend(self.in_state(state));
             ss.class.sort_by(|&a, &b| {
                 let key = |j: usize| {
                     let p = &self.jobs[j].profile;
@@ -3105,12 +3195,9 @@ impl Driver {
         // finished profiling; the scheduler cannot see them (no warm
         // profile), so they must re-enter profiling placement or they
         // would wait forever.
-        let cold_paused: Vec<usize> = (0..self.jobs.len())
-            .filter(|&j| {
-                self.jobs[j].state == SimJobState::Paused
-                    && !self.jobs[j].profile.is_warm()
-                    && self.jobs[j].is_live()
-            })
+        let cold_paused: Vec<usize> = self
+            .in_state(SimJobState::Paused)
+            .filter(|&j| !self.jobs[j].profile.is_warm())
             .collect();
         for j in cold_paused {
             self.place_for_profiling(j);
@@ -3183,10 +3270,10 @@ impl Driver {
         else {
             return;
         };
-        let mut pending: Vec<usize> = (0..self.jobs.len())
-            .filter(|&j| {
-                self.jobs[j].state == SimJobState::Waiting && self.jobs[j].arrival <= self.now
-            })
+        let mut pending: Vec<usize> = self
+            .arrived_live
+            .iter()
+            .filter(|&j| self.jobs[j].state == SimJobState::Waiting)
             .collect();
         if pending.is_empty() {
             return;
@@ -3263,6 +3350,7 @@ impl Driver {
         for g in self.alive_groups().collect::<Vec<_>>() {
             self.dissolve_group(g);
         }
+        // Full walks: the report covers every job of the trace.
         let makespan = self
             .jobs
             .iter()

@@ -45,6 +45,7 @@ pub(crate) mod events;
 pub mod fault;
 pub mod fluid;
 pub mod groupmem;
+pub(crate) mod idset;
 pub mod noise;
 pub mod report;
 pub mod runtime;

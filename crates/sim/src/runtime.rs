@@ -172,6 +172,11 @@ pub struct JobSim {
     /// is terminal `Failed` without ever being scheduled). Always false
     /// in closed-loop runs.
     pub rejected: bool,
+    /// Set when the admission layer admitted the job (by policy or by
+    /// the starvation guard). A job that goes terminal with neither
+    /// this nor `rejected` set died as a still-queued offer. Always
+    /// false in closed-loop runs.
+    pub admitted: bool,
 }
 
 impl JobSim {
@@ -216,6 +221,7 @@ impl JobSim {
             drift_holdoff: 0,
             deferrals: 0,
             rejected: false,
+            admitted: false,
         }
     }
 

@@ -16,7 +16,12 @@
 #                  PS fast-runtime, sparse-wire and live-migration
 #                  equivalence gates at tiny scale, and run the PS
 #                  steady-state allocation audit (counting global
-#                  allocator, `alloc-count` feature).
+#                  allocator, `alloc-count` feature). Finally build,
+#                  smoke-run and test the standalone benchmark package
+#                  (benchmark/, the BENCHMARK.json gate): it binds to
+#                  the crates' public API from outside the workspace,
+#                  so only this step notices a change that stops it
+#                  compiling.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -92,6 +97,10 @@ if [ "$BENCH_SMOKE" = 1 ]; then
         "$SMOKE_DIR/BENCH_sched.json" "$SMOKE_DIR/BENCH_sim.json" \
         "$SMOKE_DIR/BENCH_ps.json" \
         BENCH_sched.json --full-sweep BENCH_sim.json BENCH_ps.json
+
+    echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
+    cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
+    cargo test --release -q --manifest-path benchmark/Cargo.toml
 fi
 
 echo "All checks passed."

@@ -16,18 +16,20 @@
 //!   the same budget `tests/coalesce_acceptance.rs` holds for batch
 //!   workloads.
 //! - **Admission invariants.** Books balance (every offered job ends
-//!   admitted or rejected, exactly once; rejected report rows match the
-//!   rejected counter), no admitted job is lost, and the driver's
+//!   admitted, rejected or — killed by a fault while still queued —
+//!   withdrawn, exactly once; rejected report rows match the rejected
+//!   counter), no admitted job is lost, and the driver's
 //!   starvation guard bounds queue wait at
 //!   `admission_max_deferrals × admission_reoffer_secs` even against a
 //!   policy that defers forever.
 
 use harmony::core::JobSpec;
 use harmony::sim::{
-    AdmitAll, Driver, FaultEvent, FaultKind, FaultPlan, QueueCap, RunReport, SchedulerKind,
-    SimConfig, UtilityThreshold, WorkloadGen, WorkloadGenConfig,
+    AdmissionContext, AdmissionDecision, AdmissionPolicy, AdmitAll, Driver, FaultEvent, FaultKind,
+    FaultPlan, QueueCap, RunReport, SchedulerKind, SimConfig, UtilityThreshold, WorkloadGen,
+    WorkloadGenConfig,
 };
-use harmony::trace::{workload_with, WorkloadParams};
+use harmony::trace::{faults, workload_with, WorkloadParams};
 
 /// Relative mean-JCT bound and absolute utilization-fraction bound —
 /// the same budget the coalesce acceptance matrix holds.
@@ -76,12 +78,13 @@ fn assert_books_balance(label: &str, r: &RunReport) {
     let offered = r.jobs.len() as u64;
     let adm = &r.admission;
     assert_eq!(
-        adm.decided(),
+        adm.admitted + adm.rejected + adm.withdrawn,
         offered,
-        "{label}: every job must be decided exactly once \
-         (admitted {} + rejected {} vs {} offered)",
+        "{label}: every job must be booked exactly once \
+         (admitted {} + rejected {} + withdrawn {} vs {} offered)",
         adm.admitted,
         adm.rejected,
+        adm.withdrawn,
         offered
     );
     assert_eq!(
@@ -331,6 +334,116 @@ fn queue_cap_burst_matches_closed_loop_when_roomy() {
     assert_eq!(tight.completed(), tight.jobs.len());
     assert_books_balance("queue-cap-tight", &tight);
     assert_starvation_bound("queue-cap-tight", &cfg, &tight);
+}
+
+/// Wraps a policy and records the backlog every offer was shown.
+struct RecordBacklog<P> {
+    inner: P,
+    seen: std::rc::Rc<std::cell::RefCell<Vec<usize>>>,
+}
+
+impl<P: AdmissionPolicy> AdmissionPolicy for RecordBacklog<P> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
+        self.seen.borrow_mut().push(ctx.backlog);
+        self.inner.decide(ctx)
+    }
+}
+
+/// Backlog goes by arrival *time*, not by arrival event: in a burst at
+/// `t = 0` every offer must already count the same-instant jobs whose
+/// own `Arrival` event has not fired yet. Brute force for the first
+/// round under `QueueCap(2)`: offer `i` sees the `7 - i` burst members
+/// behind it still `Waiting`, plus those ahead of it that were deferred
+/// (admitted ones are `Profiling`, no longer backlog).
+#[test]
+fn burst_backlog_counts_same_instant_offers() {
+    let specs = templates(8);
+    let n = specs.len();
+    let arrivals = vec![0.0; n];
+    let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let cap = 2;
+    let r = Driver::run_admitted(
+        open_cfg(SchedulerKind::Harmony, 16),
+        specs,
+        arrivals,
+        Box::new(RecordBacklog {
+            inner: QueueCap::new(cap),
+            seen: seen.clone(),
+        }),
+    )
+    .expect("valid run");
+    let seen = seen.borrow();
+    let mut deferred_ahead = 0;
+    for (i, &backlog) in seen.iter().take(n).enumerate() {
+        let brute_force = (n - 1 - i) + deferred_ahead;
+        assert_eq!(backlog, brute_force, "offer {i} of the burst");
+        if backlog >= cap {
+            deferred_ahead += 1;
+        }
+    }
+    assert_eq!(
+        seen.len() as u64,
+        r.admission.admitted + r.admission.deferred,
+        "one backlog reading per offer"
+    );
+    assert_books_balance("burst-backlog", &r);
+}
+
+/// A fault-plan abort that finds nothing placed falls back to any live
+/// job — here an offer still queued behind an always-defer policy. It
+/// was never admitted and never rejected; it must be booked as
+/// withdrawn or the books come up one short.
+#[test]
+fn abort_of_a_queued_offer_is_booked_as_withdrawn() {
+    let specs = templates(3);
+    let arrivals = vec![0.0; specs.len()];
+    let mut cfg = open_cfg(SchedulerKind::Harmony, 16);
+    cfg.admission_reoffer_secs = 20.0;
+    // Fires between the first offers (all deferred) and the re-offers.
+    cfg.fault_plan = Some(faults::scripted(5, [(10.0, FaultKind::JobAbort)]));
+    let r =
+        Driver::run_admitted(cfg, specs, arrivals, Box::new(QueueCap::new(0))).expect("valid run");
+    assert_eq!(r.jobs_aborted, 1);
+    assert_eq!(r.admission.withdrawn, 1, "the victim was still queued");
+    assert_eq!(r.admission.admitted, 2);
+    assert_eq!(r.admission.rejected, 0);
+    let victim = r.jobs.iter().find(|j| j.aborted).expect("one victim");
+    assert!(victim.failed && !victim.rejected && victim.iterations == 0);
+    assert_eq!(r.completed(), 2, "the survivors are admitted and finish");
+    assert_books_balance("queued-abort", &r);
+}
+
+/// The benchmark's finding, at acceptance scale: under `faults::churn`
+/// the books balance in every cell once withdrawn offers are counted —
+/// including aborts that land on offers not yet arrived.
+#[test]
+fn churn_plan_books_balance_with_withdrawals() {
+    let mut withdrawn = 0;
+    for seed in 0..6u64 {
+        let cfg = SimConfig {
+            fault_plan: Some(faults::churn(seed, 12_000.0, 1_200.0)),
+            ..open_cfg(SchedulerKind::Harmony, 12)
+        };
+        let r = Driver::run_open_loop(
+            cfg,
+            // Sparse arrivals: aborts that find the cluster idle fall
+            // back to queued and future offers.
+            gen_for(40 + seed, 600.0, 20),
+            Box::new(UtilityThreshold {
+                threshold: 0.02,
+                reject_after: Some(6),
+            }),
+        )
+        .expect("valid run");
+        assert!(r.jobs_aborted > 0, "seed {seed}: the plan must abort jobs");
+        assert_books_balance(&format!("churn-{seed}"), &r);
+        withdrawn += r.admission.withdrawn;
+    }
+    assert!(withdrawn > 0, "no cell exercised a withdrawn offer");
 }
 
 /// A policy that defers every offer cannot starve jobs: the driver
