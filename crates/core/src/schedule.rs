@@ -36,12 +36,20 @@
 //!   the job-bound term of Eq. 1 — not the O(n log n) re-sort of the
 //!   naive formulation;
 //! - all candidate-local state lives in a reusable [`ScheduleScratch`];
-//! - independent prefix evaluations fan out over a
-//!   [`std::thread::scope`] worker pool. Every prefix is scored by pure
-//!   deterministic code and the final reduction replays the exact
-//!   sequential preference order (earlier prefix wins unless a later
-//!   one beats it by `min_loop_improvement`), so the parallel scan is
-//!   byte-identical to the sequential one.
+//! - the prefix scan is one loop run by the calling thread and, for
+//!   job lists long enough to repay a spawn, by
+//!   [`std::thread::scope`] helpers: each thread claims the next
+//!   prefix in ascending order, evaluates it with its own scratch and
+//!   files the result in that prefix's slot; the filled slots are
+//!   folded strictly in prefix order with the sequential preference
+//!   rule (earlier prefix wins unless a later one beats it by
+//!   `min_loop_improvement`), and the fold's saturation cut
+//!   ([`SCORE_CEILING`]) stops further claims. Every prefix is scored
+//!   by pure deterministic code and the fold sees the same values in
+//!   the same order up to the same cut, so the decision is
+//!   byte-identical for every thread count; a thread may run at most
+//!   as many prefixes ahead of the fold as there are threads, so the
+//!   cut wastes at most one evaluation per helper.
 //!
 //! The frozen pre-optimization implementation is kept as
 //! [`reference::ReferenceScheduler`](crate::reference::ReferenceScheduler)
@@ -53,6 +61,7 @@ use crate::job::JobId;
 use crate::model::{group_iteration_time_modeled, Utilization};
 use crate::profile::JobProfile;
 use crate::scratch::{ProfileCache, ScheduleScratch};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Tunables of the scheduling heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,6 +201,102 @@ pub(crate) const SCORE_CEILING: f64 = 1.0 + 1e-5;
 /// margin for the guard's own rounding.
 const SWAP_PRUNE_MAGNITUDE: f64 = 8000.0;
 
+/// Job lists shorter than this are scanned by the calling thread
+/// alone. A dense scan over `n` jobs scores about `n² / 2` candidates,
+/// so the spawn and join of one scoped helper is repaid only from a
+/// few dozen jobs up; the value is the measured break-even on the
+/// 2-core reference box (DESIGN.md §7 "Deterministic parallelism").
+const SCAN_HELPERS_MIN_JOBS: usize = 32;
+
+/// Busy-wait rounds of a scan thread that may not claim yet, before it
+/// starts yielding its time slice.
+const SCAN_SPIN_ROUNDS: u32 = 64;
+
+/// Threads that scan one decision over `n_jobs` jobs: the host's cores
+/// (capped at 8, asked for once per process) when the job list is long
+/// enough to repay a spawn, otherwise the calling thread alone.
+fn scan_workers(n_jobs: usize) -> usize {
+    static HOST_CORES: OnceLock<usize> = OnceLock::new();
+    if n_jobs < SCAN_HELPERS_MIN_JOBS {
+        return 1;
+    }
+    *HOST_CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(8)
+    })
+}
+
+/// What the threads of one prefix scan share, behind one lock: the
+/// claim cursor, the result slots and the in-order fold.
+struct ScanState<'a> {
+    /// One slot per candidate prefix, filled by the thread that
+    /// evaluated it.
+    slots: &'a mut [Option<PrefixEval>],
+    /// Prefixes handed out so far, in ascending order. Every claimed
+    /// prefix is evaluated, so at the end this counts evaluations.
+    claimed: usize,
+    /// Leading slots folded so far, strictly in prefix order.
+    folded: usize,
+    /// Winner of the folded slots.
+    best: Option<PrefixEval>,
+    /// The fold is final: every slot is folded or the saturation cut
+    /// fired (or a scan thread is unwinding).
+    done: bool,
+}
+
+impl ScanState<'_> {
+    /// Folds every filled slot that directly follows the folded ones,
+    /// replaying the sequential preference order: an earlier prefix
+    /// wins unless a later one beats it by `min_loop_improvement`.
+    /// A final fold stays as it is — results filed after the cut are
+    /// the wasted evaluations.
+    fn fold(&mut self, cfg: &SchedulerConfig) {
+        let gain = 1.0 + cfg.min_loop_improvement;
+        while !self.done {
+            let Some(ev) = self.slots[self.folded] else {
+                return;
+            };
+            self.folded += 1;
+            if self.best.is_none_or(|best| ev.score > best.score * gain) {
+                self.best = Some(ev);
+            }
+            let best = self.best.expect("a slot was just folded");
+            // Saturation cut: once the incumbent is unbeatable by
+            // *any* score a candidate can produce (see
+            // `SCORE_CEILING`), the remaining prefixes cannot change
+            // the reduction and are skipped. Exact.
+            let saturated = cfg.exact_prunes && best.score * gain >= SCORE_CEILING;
+            self.done = saturated || self.folded == self.slots.len();
+        }
+    }
+}
+
+/// Ends the scan when the thread holding it unwinds, so the other
+/// threads stop waiting for a slot that will never be filled and the
+/// panic can propagate through the scope.
+struct StopOnUnwind<'a, 'b>(&'a Mutex<ScanState<'b>>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Every update under the lock leaves the state valid, so a
+            // poisoned guard is still good to write `done` through.
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).done = true;
+        }
+    }
+}
+
+/// What one prefix scan found and what it cost.
+struct PrefixScan {
+    /// The winning prefix.
+    best: PrefixEval,
+    /// Prefixes evaluated, wasted ones included.
+    evaluated: usize,
+    /// Prefixes folded: all of them, or those up to the saturation cut.
+    folded: usize,
+}
+
 /// The result of one run of Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
@@ -233,7 +338,7 @@ impl CandidatePrice {
 /// Outcome of evaluating one job prefix: the best group count found
 /// for it and the score that drives the incremental-selection fold.
 #[derive(Debug, Clone, Copy)]
-struct PrefixEval {
+pub(crate) struct PrefixEval {
     nj: usize,
     ng: usize,
     utilization: Utilization,
@@ -261,33 +366,26 @@ impl Scheduler {
     /// `J_profiled ∪ J_paused ∪ J_running`, the caller's priority order)
     /// on a cluster of `machines` machines.
     ///
-    /// Uses as many scan workers as the host offers (capped) once the
-    /// job set is large enough to amortize thread startup; the result
-    /// is identical for every worker count (see
+    /// The candidate scan gets helper threads on a multi-core host once
+    /// the job set is large enough to amortize their startup; the
+    /// result is identical for every thread count (see
     /// [`Self::schedule_with_workers`]).
     ///
     /// Returns an empty grouping when `jobs` is empty or `machines` is
     /// zero; never panics on valid warm profiles.
     pub fn schedule(&self, jobs: &[JobProfile], machines: u32) -> ScheduleOutcome {
-        let workers = if jobs.len() >= 256 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            1
-        };
-        self.schedule_with_workers(jobs, machines, workers)
+        self.schedule_with_workers(jobs, machines, scan_workers(jobs.len()))
     }
 
-    /// Like [`Self::schedule`], with an explicit candidate-scan worker
-    /// count. `workers <= 1` runs fully sequentially.
+    /// Like [`Self::schedule`], with an explicit count of scan threads
+    /// (the calling thread included). `workers <= 1` spawns nothing.
     ///
     /// The output is **byte-identical for every `workers` value**:
     /// each `(prefix × group-count)` candidate is scored by pure
-    /// deterministic code with per-worker scratch, and the reduction
-    /// replays the sequential preference order (earlier candidate wins
-    /// unless a later one is better by `min_loop_improvement`), so
+    /// deterministic code with per-thread scratch, and the reduction
+    /// folds the prefixes in the sequential preference order (earlier
+    /// prefix wins unless a later one is better by
+    /// `min_loop_improvement`) up to the same saturation cut, so
     /// threading changes wall-clock only, never the decision.
     pub fn schedule_with_workers(
         &self,
@@ -312,9 +410,9 @@ impl Scheduler {
     /// Like [`Self::schedule`], but reusing a caller-owned
     /// [`ProfileCache`] and [`ScheduleScratch`] so repeated decisions
     /// (the simulator re-runs Algorithm 1 on every arrival/completion)
-    /// perform no per-call allocations once the buffers are warm. Runs
-    /// the sequential scan (`workers == 1`); output is identical to
-    /// [`Self::schedule`].
+    /// regrow no buffer once warm — the scan helpers' scratches
+    /// included, which live inside `scratch`. Same thread-count rule
+    /// and output as [`Self::schedule`].
     pub fn schedule_reusing(
         &self,
         jobs: &[JobProfile],
@@ -331,7 +429,7 @@ impl Scheduler {
             };
         }
         cache.rebuild_charged(jobs, self.cfg.charge_sparse_comm);
-        self.schedule_prepared(jobs, machines, 1, cache, scratch)
+        self.schedule_prepared(jobs, machines, scan_workers(jobs.len()), cache, scratch)
     }
 
     /// [`Self::schedule_reusing`] through the dirty-set cache path
@@ -359,7 +457,7 @@ impl Scheduler {
             };
         }
         cache.rebuild_dirty_charged(jobs, self.cfg.charge_sparse_comm);
-        self.schedule_prepared(jobs, machines, 1, cache, scratch)
+        self.schedule_prepared(jobs, machines, scan_workers(jobs.len()), cache, scratch)
     }
 
     /// A targeted **release pass**: hands `machines` freed capacity to
@@ -490,7 +588,30 @@ impl Scheduler {
         }
     }
 
-    /// The candidate-prefix scan over an already-built cache.
+    /// Algorithm 1 over an already-built cache: scan the candidate
+    /// prefixes, materialize the winner.
+    fn schedule_prepared(
+        &self,
+        jobs: &[JobProfile],
+        machines: u32,
+        workers: usize,
+        cache: &ProfileCache,
+        scratch: &mut ScheduleScratch,
+    ) -> ScheduleOutcome {
+        let scan = self.scan_prefixes(jobs.len(), machines, workers, cache, scratch);
+        debug_assert!(
+            scan.evaluated < scan.folded + workers.max(1),
+            "the cut wastes at most one prefix per helper: {} evaluated, {} folded",
+            scan.evaluated,
+            scan.folded
+        );
+        let ev = scan.best;
+        let cand = self.materialize(cache, scratch, ev, machines);
+        let unscheduled = jobs[ev.nj..].iter().map(|p| p.job()).collect();
+        self.finish(cand, jobs, unscheduled)
+    }
+
+    /// The candidate-prefix scan.
     ///
     /// Algorithm 1 grows the job set while utilization improves. The
     /// predicted-utilization curve is not monotone in practice (group
@@ -500,101 +621,123 @@ impl Scheduler {
     /// preference for "fitting a smaller number of jobs". The scan is
     /// dense for small job counts and geometric beyond, keeping a
     /// full decision within milliseconds even at 8K jobs (§V-F).
-    fn schedule_prepared(
+    ///
+    /// The calling thread and `workers - 1` scoped helpers all run
+    /// [`Self::scan_thread`]; with `workers == 1` nothing is spawned.
+    fn scan_prefixes(
         &self,
-        jobs: &[JobProfile],
+        n_jobs: usize,
         machines: u32,
         workers: usize,
         cache: &ProfileCache,
         scratch: &mut ScheduleScratch,
-    ) -> ScheduleOutcome {
-        scratch.prefixes.clear();
-        extend_candidate_counts(&mut scratch.prefixes, jobs.len());
-        let workers = workers.clamp(1, scratch.prefixes.len());
-
-        // Deterministic reduction replaying the sequential preference
-        // order: an earlier prefix wins unless a later one beats it by
-        // `min_loop_improvement`.
-        let mli = self.cfg.min_loop_improvement;
-        let mut best: Option<PrefixEval> = None;
-        let mut best_score = 0.0;
-        if workers <= 1 {
-            for i in 0..scratch.prefixes.len() {
-                let nj = scratch.prefixes[i];
-                let ev = self.eval_prefix(cache, scratch, nj, machines);
-                if best.is_none() || ev.score > best_score * (1.0 + mli) {
-                    best = Some(ev);
-                    best_score = ev.score;
-                }
-                // Saturation cut: once the incumbent is unbeatable by
-                // *any* score a candidate can produce (see
-                // `SCORE_CEILING`), the remaining prefixes cannot
-                // change the reduction and are skipped. Exact.
-                if self.cfg.exact_prunes && best_score * (1.0 + mli) >= SCORE_CEILING {
-                    break;
-                }
-            }
-        } else {
-            let prefixes = std::mem::take(&mut scratch.prefixes);
-            for ev in self.scan_parallel(cache, &prefixes, machines, workers) {
-                if best.is_none() || ev.score > best_score * (1.0 + mli) {
-                    best = Some(ev);
-                    best_score = ev.score;
-                }
-            }
-            scratch.prefixes = prefixes;
+    ) -> PrefixScan {
+        let mut prefixes = std::mem::take(&mut scratch.prefixes);
+        let mut slots = std::mem::take(&mut scratch.slots);
+        let mut helpers = std::mem::take(&mut scratch.helpers);
+        prefixes.clear();
+        extend_candidate_counts(&mut prefixes, n_jobs);
+        slots.clear();
+        slots.resize(prefixes.len(), None);
+        let workers = workers.clamp(1, prefixes.len());
+        if helpers.len() < workers - 1 {
+            helpers.resize_with(workers - 1, ScheduleScratch::new);
         }
-        let ev = best.expect("at least one candidate was built");
-        let cand = self.materialize(cache, scratch, ev, machines);
-        let unscheduled = jobs[ev.nj..].iter().map(|p| p.job()).collect();
-        self.finish(cand, jobs, unscheduled)
+
+        let scan = Mutex::new(ScanState {
+            slots: &mut slots,
+            claimed: 0,
+            folded: 0,
+            best: None,
+            done: false,
+        });
+        let (shared, prefixes_ref) = (&scan, &prefixes[..]);
+        // A scope allocates even when it spawns nothing; alone, the
+        // calling thread scans without one.
+        if workers == 1 {
+            self.scan_thread(shared, prefixes_ref, 1, cache, scratch, machines);
+        } else {
+            std::thread::scope(|scope| {
+                for helper in &mut helpers[..workers - 1] {
+                    scope.spawn(move || {
+                        self.scan_thread(shared, prefixes_ref, workers, cache, helper, machines)
+                    });
+                }
+                self.scan_thread(shared, prefixes_ref, workers, cache, scratch, machines);
+            });
+        }
+        let ScanState {
+            claimed,
+            folded,
+            best,
+            ..
+        } = scan
+            .into_inner()
+            .expect("a panicking scan thread ends the scope");
+
+        scratch.prefixes = prefixes;
+        scratch.slots = slots;
+        scratch.helpers = helpers;
+        PrefixScan {
+            best: best.expect("at least one candidate was built"),
+            evaluated: claimed,
+            folded,
+        }
     }
 
-    /// Fans the prefix evaluations out over a scoped worker pool.
-    /// Worker `w` takes prefixes `w, w + W, w + 2W, …` (round-robin, so
-    /// neighbouring — similarly sized — prefixes spread across
-    /// workers); results are written back by prefix index, so the
-    /// reduction input is independent of interleaving.
-    fn scan_parallel(
+    /// One thread's share of a prefix scan: claim the next prefix,
+    /// evaluate it, file the result in its slot and fold, until the
+    /// fold is final or no prefix is left to claim (the threads still
+    /// evaluating then finish the fold).
+    ///
+    /// A prefix may be claimed only while fewer than `threads` claimed
+    /// prefixes await folding: one per scan thread, so no thread idles
+    /// behind peers that keep pace, and when the saturation cut fires
+    /// at most `threads - 1` prefixes beyond it were evaluated in vain.
+    fn scan_thread(
         &self,
-        cache: &ProfileCache,
+        scan: &Mutex<ScanState<'_>>,
         prefixes: &[usize],
+        threads: usize,
+        cache: &ProfileCache,
+        s: &mut ScheduleScratch,
         machines: u32,
-        workers: usize,
-    ) -> Vec<PrefixEval> {
-        let parts: Vec<Vec<(usize, PrefixEval)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut scratch = ScheduleScratch::new();
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < prefixes.len() {
-                            out.push((
-                                i,
-                                self.eval_prefix(cache, &mut scratch, prefixes[i], machines),
-                            ));
-                            i += workers;
-                        }
-                        out
-                    })
+    ) {
+        let _stop = StopOnUnwind(scan);
+        let mut evaluated: Option<(usize, PrefixEval)> = None;
+        let mut waits = 0;
+        loop {
+            let claim = {
+                let mut st = scan
+                    .lock()
+                    .expect("no scan thread panics while it holds the lock");
+                if let Some((i, ev)) = evaluated.take() {
+                    st.slots[i] = Some(ev);
+                    st.fold(&self.cfg);
+                }
+                if st.done || st.claimed == prefixes.len() {
+                    return;
+                }
+                let open = st.claimed < st.folded + threads;
+                open.then(|| {
+                    st.claimed += 1;
+                    st.claimed - 1
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate scan worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<PrefixEval>> = vec![None; prefixes.len()];
-        for part in parts {
-            for (i, ev) in part {
-                slots[i] = Some(ev);
+            };
+            match claim {
+                Some(i) => {
+                    waits = 0;
+                    evaluated = Some((i, self.eval_prefix(cache, s, prefixes[i], machines)));
+                }
+                // An earlier prefix is still being evaluated by another
+                // thread: wait for it, briefly busy, then politely.
+                None if waits < SCAN_SPIN_ROUNDS => {
+                    waits += 1;
+                    std::hint::spin_loop();
+                }
+                None => std::thread::yield_now(),
             }
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every prefix was evaluated"))
-            .collect()
     }
 
     /// Evaluates the grouping Algorithm 1 would produce for *exactly*
@@ -1683,9 +1826,9 @@ mod tests {
 
     #[test]
     fn parallel_scan_matches_sequential() {
-        // The worker pool must never change the decision: same
-        // grouping, same utilization, same predictions, for any worker
-        // count (including more workers than prefixes).
+        // Scan helpers must never change the decision: same grouping,
+        // same utilization, same predictions, for any thread count
+        // (including more threads than prefixes).
         let s = Scheduler::default();
         let jobs: Vec<JobProfile> = (0..90)
             .map(|i| prof(i, 1.0 + (i * 37 % 113) as f64, 0.5 + (i * 11 % 23) as f64))
@@ -1695,6 +1838,142 @@ mod tests {
             let par = s.schedule_with_workers(&jobs, 300, workers);
             assert_eq!(seq, par, "workers={workers}");
         }
+    }
+
+    /// `n` jobs with `Tcpu(1) == Tnet`, sizes within ×1.5 of each
+    /// other: any three of them on one machine keep CPU and network
+    /// busy all the time, so on `machines` machines the prefix of
+    /// `3 * machines` jobs scores 1.0 and the saturation cut fires
+    /// there at the latest.
+    fn saturating(n: u64) -> Vec<JobProfile> {
+        (0..n)
+            .map(|i| {
+                let c = 1.0 + (i * 37 % 50) as f64 / 100.0;
+                prof(i, c, c)
+            })
+            .collect()
+    }
+
+    fn same_prefix(a: &PrefixEval, b: &PrefixEval) -> bool {
+        (a.nj, a.ng, a.score.to_bits()) == (b.nj, b.ng, b.score.to_bits())
+            && a.utilization == b.utilization
+    }
+
+    #[test]
+    fn saturation_cut_survives_scan_helpers() {
+        // The cut must keep cutting under parallelism: with `w`
+        // threads at most `w - 1` prefixes beyond the cut are
+        // evaluated, whatever the interleaving, and the fold stops at
+        // the same prefix with the same winner.
+        let s = Scheduler::default();
+        let jobs = saturating(150);
+        let machines = 6;
+        let cache = ProfileCache::build_charged(&jobs, s.cfg.charge_sparse_comm);
+        let mut scratch = ScheduleScratch::new();
+        let seq = s.scan_prefixes(jobs.len(), machines, 1, &cache, &mut scratch);
+        let prefixes = scratch.prefixes.len();
+        assert_eq!(seq.evaluated, seq.folded, "alone, nothing is wasted");
+        assert!(seq.folded < prefixes, "the cut must fire");
+        assert!(
+            seq.folded <= DENSE_PREFIX_MAX,
+            "inside the dense range: cut after {} prefixes",
+            seq.folded
+        );
+        for w in [2usize, 3, 8] {
+            for round in 0..40 {
+                let par = s.scan_prefixes(jobs.len(), machines, w, &cache, &mut scratch);
+                assert!(same_prefix(&par.best, &seq.best), "w={w} round={round}");
+                assert_eq!(par.folded, seq.folded, "w={w} round={round}");
+                assert!(
+                    (par.folded..par.folded + w).contains(&par.evaluated),
+                    "w={w} round={round}: evaluated {} prefixes, cut at index {}",
+                    par.evaluated,
+                    par.folded - 1
+                );
+            }
+        }
+        // More threads than prefixes: the count is clamped, the bound
+        // holds against the clamped count.
+        let few = saturating(3);
+        let cache = ProfileCache::build_charged(&few, s.cfg.charge_sparse_comm);
+        let seq = s.scan_prefixes(few.len(), 1, 1, &cache, &mut scratch);
+        let par = s.scan_prefixes(few.len(), 1, 8, &cache, &mut scratch);
+        assert!(same_prefix(&par.best, &seq.best));
+        assert_eq!(par.folded, seq.folded);
+        assert!(par.evaluated <= few.len());
+    }
+
+    #[test]
+    fn exhaustive_scan_with_helpers_evaluates_every_prefix() {
+        // Without the exact prunes nothing is cut: every prefix is
+        // evaluated once and folded, with or without helpers.
+        let s = Scheduler::new(SchedulerConfig {
+            exact_prunes: false,
+            ..SchedulerConfig::default()
+        });
+        let jobs = saturating(100);
+        let cache = ProfileCache::build_charged(&jobs, s.cfg.charge_sparse_comm);
+        let mut scratch = ScheduleScratch::new();
+        for w in [1usize, 3] {
+            let scan = s.scan_prefixes(jobs.len(), 6, w, &cache, &mut scratch);
+            assert_eq!(scan.evaluated, scratch.prefixes.len(), "w={w}");
+            assert_eq!(scan.folded, scratch.prefixes.len(), "w={w}");
+        }
+    }
+
+    #[test]
+    fn incremental_decisions_with_helpers_match_fresh_ones() {
+        // The dirty-set path with scan helpers: the helpers' scratches
+        // are carried across decisions inside the caller's and keyed
+        // on the same cache generation, through clean rounds (nothing
+        // dirty, generation kept), dirty rounds and shape changes.
+        let s = Scheduler::default();
+        let mut jobs: Vec<JobProfile> = (0..120)
+            .map(|i| prof(i, 1.0 + (i * 37 % 113) as f64, 0.5 + (i * 11 % 23) as f64))
+            .collect();
+        let mut cache = ProfileCache::empty();
+        let mut scratch = ScheduleScratch::new();
+        for round in 0..16u64 {
+            match round % 4 {
+                // Clean round: same profiles, same generation.
+                1 => {}
+                // Shape change: the job list shrinks, full rebuild.
+                3 => {
+                    jobs.truncate(jobs.len() - 7);
+                }
+                // Dirty rounds: a few profiles move.
+                _ => {
+                    for k in 0..5 {
+                        let at = ((round * 31 + k * 17) % jobs.len() as u64) as usize;
+                        let id = jobs[at].job().index();
+                        jobs[at] = prof(
+                            id,
+                            2.0 + ((round + k) * 29 % 97) as f64,
+                            0.25 + ((round + k) * 13 % 19) as f64,
+                        );
+                    }
+                }
+            }
+            let generation = cache.generation;
+            cache.rebuild_dirty_charged(&jobs, s.cfg.charge_sparse_comm);
+            if round % 4 == 1 {
+                assert_eq!(cache.generation, generation, "clean round");
+            }
+            let got = s.schedule_prepared(&jobs, 150, 3, &cache, &mut scratch);
+            let fresh = s.schedule_with_workers(&jobs, 150, 1);
+            assert_eq!(got, fresh, "round {round}");
+            assert_eq!(scratch.helpers.len(), 2, "helper scratches are kept");
+        }
+    }
+
+    #[test]
+    fn short_job_lists_are_scanned_alone() {
+        // Whatever the host, a list too short to repay a spawn gets no
+        // helper; a long one gets at most eight threads.
+        assert_eq!(scan_workers(0), 1);
+        assert_eq!(scan_workers(SCAN_HELPERS_MIN_JOBS - 1), 1);
+        assert!((1..=8).contains(&scan_workers(SCAN_HELPERS_MIN_JOBS)));
+        assert_eq!(scan_workers(10_000), scan_workers(SCAN_HELPERS_MIN_JOBS));
     }
 
     #[test]

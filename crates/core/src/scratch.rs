@@ -28,10 +28,13 @@
 //!
 //! Each scan worker owns one `ScheduleScratch`; the buffers grow to the
 //! high-water mark of the largest prefix and stay allocated for the
-//! rest of the decision.
+//! rest of the decision. The helper threads' scratches live inside the
+//! calling thread's (`helpers`), so a caller that carries its scratch
+//! across decisions carries theirs too.
 
 use crate::job::JobId;
 use crate::profile::JobProfile;
+use crate::schedule::PrefixEval;
 
 /// Candidate-independent, struct-of-arrays view of the job profiles,
 /// built once per scheduling decision.
@@ -455,6 +458,13 @@ pub struct ScheduleScratch {
     pub(crate) fracs: Vec<f64>,
     /// Candidate prefix sizes for the current decision.
     pub(crate) prefixes: Vec<usize>,
+    /// One result slot per entry of `prefixes`, filled by whichever
+    /// scan thread evaluated that prefix.
+    pub(crate) slots: Vec<Option<PrefixEval>>,
+    /// Scratches of the scan's helper threads. They see only the cache
+    /// this scratch is paired with, so their `loaded_gen` keys hold
+    /// for the same reason this scratch's does.
+    pub(crate) helpers: Vec<ScheduleScratch>,
     /// Per-group imbalance for the current swap pass.
     pub(crate) imbs: Vec<f64>,
     /// Machines allocated per group.

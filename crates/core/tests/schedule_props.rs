@@ -1,8 +1,9 @@
-//! Property tests for the Algorithm 1 fast path: the parallel
-//! candidate scan must be *byte-identical* to the sequential one for
-//! any worker count, and machine allocation must hand out exactly the
-//! whole cluster, across random profile populations and cluster sizes
-//! up to the paper's 10K-machine scale (§V-F).
+//! Property tests for the Algorithm 1 fast path: the candidate scan
+//! with helper threads must be *byte-identical* to the scan run alone
+//! for any thread count — also when the saturation cut ends it early —
+//! and machine allocation must hand out exactly the whole cluster,
+//! across random profile populations and cluster sizes up to the
+//! paper's 10K-machine scale (§V-F).
 
 use harmony_core::job::JobId;
 use harmony_core::profile::JobProfile;
@@ -38,9 +39,9 @@ fn assert_all_machines_allocated(out: &ScheduleOutcome, machines: u32) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The parallel scan returns the *same `ScheduleOutcome` value*
-    /// as the sequential scan for every worker count, on arbitrary
-    /// cost populations.
+    /// The scan with helpers returns the *same `ScheduleOutcome`
+    /// value* as the scan run alone for every thread count, on
+    /// arbitrary cost populations.
     #[test]
     fn parallel_scan_matches_sequential(
         costs in prop::collection::vec((0.001f64..10.0, 0.001f64..10.0), 1..160),
@@ -53,6 +54,34 @@ proptest! {
         let par = scheduler.schedule_with_workers(&jobs, machines, workers);
         prop_assert_eq!(&seq.grouping, &par.grouping);
         prop_assert_eq!(seq, par);
+    }
+
+    /// The same on *saturating* populations, where the fold's
+    /// saturation cut ends the scan inside the dense prefix range
+    /// while helpers are still evaluating later prefixes: jobs with
+    /// `Tcpu(1) == Tnet` and sizes within ×1.5 keep a machine's CPU
+    /// and network busy three to a machine, so the prefix of
+    /// `3 × machines` jobs scores 1.0.
+    #[test]
+    fn saturating_scan_is_worker_independent(
+        sizes in prop::collection::vec(1.0f64..1.5, 60..160),
+        machines in 1u32..16,
+    ) {
+        let costs: Vec<(f64, f64)> = sizes.iter().map(|&c| (c, c)).collect();
+        let jobs = population(&costs);
+        let cfg = SchedulerConfig::default();
+        let scheduler = Scheduler::new(cfg);
+        let seq = scheduler.schedule_with_workers(&jobs, machines, 1);
+        // The winner is unbeatable, so the scan stopped at it, and it
+        // is a dense prefix that leaves jobs waiting.
+        let score = seq.utilization.score(cfg.cpu_weight);
+        prop_assert!(score * (1.0 + cfg.min_loop_improvement) >= 1.0 + 1e-5, "score {}", score);
+        prop_assert!(seq.grouping.total_jobs() <= 64);
+        prop_assert!(!seq.unscheduled.is_empty());
+        for workers in [2usize, 3, 8] {
+            let par = scheduler.schedule_with_workers(&jobs, machines, workers);
+            prop_assert_eq!(&seq, &par, "workers={}", workers);
+        }
     }
 
     /// Whatever grouping wins, the allocator distributes the whole
@@ -139,4 +168,24 @@ fn sparse_mode_scan_is_worker_independent_at_cluster_scale() {
         assert_eq!(seq, par, "workers={workers} diverged from sequential");
     }
     assert_all_machines_allocated(&seq, machines);
+}
+
+/// More scan threads than candidate prefixes, on an input that
+/// saturates at its first prefixes: the thread count is clamped and
+/// the decision stays the one the calling thread alone makes.
+#[test]
+fn more_workers_than_prefixes_on_a_saturating_input() {
+    let jobs = population(&[(1.0, 1.0), (1.2, 1.2), (1.4, 1.4), (1.1, 1.1), (1.3, 1.3)]);
+    let scheduler = Scheduler::new(SchedulerConfig::default());
+    // One machine: the first three jobs already keep it saturated.
+    let seq = scheduler.schedule_with_workers(&jobs, 1, 1);
+    assert_eq!(
+        seq.unscheduled.len(),
+        2,
+        "the scan stops at the third prefix"
+    );
+    for workers in [2usize, 3, 8, 64] {
+        let par = scheduler.schedule_with_workers(&jobs, 1, workers);
+        assert_eq!(seq, par, "workers={workers}");
+    }
 }

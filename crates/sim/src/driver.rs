@@ -3481,6 +3481,29 @@ mod tests {
     }
 
     #[test]
+    fn jobs_cut_off_by_the_horizon_are_not_completed() {
+        // Stop the clock after the first job's finish but long before
+        // the second's: the straggler is abandoned without a finish
+        // time and must not count as completed.
+        let mut specs = two_complementary();
+        specs[1].target_epochs *= 1_000;
+        let full = Driver::run(
+            small_cfg(SchedulerKind::Isolated),
+            two_complementary(),
+            vec![0.0, 0.0],
+        );
+        let cfg = SimConfig {
+            max_sim_seconds: full.makespan * 2.0,
+            ..small_cfg(SchedulerKind::Isolated)
+        };
+        let r = Driver::run(cfg, specs, vec![0.0, 0.0]);
+        assert!(r.jobs[0].finish.is_some(), "{:?}", r.jobs[0]);
+        assert_eq!(r.jobs[1].finish, None);
+        assert!(r.jobs[1].iterations > 0, "{:?}", r.jobs[1]);
+        assert_eq!(r.completed(), 1);
+    }
+
+    #[test]
     fn naive_completes_all_jobs() {
         let r = Driver::run(
             small_cfg(SchedulerKind::Naive {

@@ -264,9 +264,15 @@ impl RunReport {
         done.iter().sum::<f64>() / done.len() as f64
     }
 
-    /// Number of completed (non-failed) jobs.
+    /// Number of jobs that ran to completion: a finish time and no
+    /// failure. A job the run left unfinished is not completed, whether
+    /// the driver wrote it off as failed (the `max_sim_seconds` cap
+    /// does) or not.
     pub fn completed(&self) -> usize {
-        self.jobs.iter().filter(|j| !j.failed).count()
+        self.jobs
+            .iter()
+            .filter(|j| j.finish.is_some() && !j.failed)
+            .count()
     }
 
     /// Mean cluster CPU utilization over the run (busy machine-seconds
@@ -472,6 +478,18 @@ mod tests {
         ]);
         assert_eq!(r.mean_jct(), 20.0);
         assert_eq!(r.completed(), 2);
+    }
+
+    #[test]
+    fn completed_skips_unfinished_jobs() {
+        // A job the run left mid-flight has no finish time but was not
+        // failed either.
+        let cut_off = JobOutcome {
+            failed: false,
+            ..outcome(None)
+        };
+        let r = report(vec![outcome(Some(10.0)), cut_off, outcome(None)]);
+        assert_eq!(r.completed(), 1);
     }
 
     #[test]

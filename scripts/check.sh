@@ -54,6 +54,11 @@ echo "==> closed-loop profiling determinism gate (virtual clock, release)"
 cargo test --release -q -p harmony --test profile_feedback
 echo "==> Eq. 2 normalization property tests (release)"
 cargo test --release -q -p harmony-core --test profile_props
+# The scan's helper threads interleave differently at release speed;
+# thread-count independence and the pinned digests must hold there too.
+echo "==> Algorithm 1 scan determinism gates (release)"
+cargo test --release -q -p harmony-core --test schedule_props
+cargo test --release -q -p harmony --test golden_digests
 
 if [ "$BENCH_SMOKE" = 1 ]; then
     echo "==> sim equivalence smoke (fast event path == reference bytes)"
