@@ -189,3 +189,81 @@ fn more_workers_than_prefixes_on_a_saturating_input() {
         assert_eq!(seq, par, "workers={workers}");
     }
 }
+
+/// FNV-1a over everything a `ScheduleOutcome` decides: membership and
+/// machine count per group, the utilization and prediction bits, and
+/// the jobs left waiting.
+fn outcome_digest(out: &ScheduleOutcome) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for g in out.grouping.groups() {
+        words.push(g.jobs().len() as u64);
+        words.extend(g.jobs().iter().map(|j| j.index()));
+        words.push(u64::from(g.dop()));
+    }
+    words.push(out.utilization.cpu.to_bits());
+    words.push(out.utilization.net.to_bits());
+    words.extend(out.predicted_iteration.iter().map(|t| t.to_bits()));
+    words.extend(out.unscheduled.iter().map(|j| j.index()));
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The targeted release pass, pinned across commits on one input where
+/// its saturation cut fires inside the dense prefix range and one
+/// where every prefix is folded. The expected values were captured on
+/// the commit before the pass moved onto the full scan's fold.
+#[test]
+fn release_pass_outcomes_are_pinned() {
+    use harmony_core::scratch::{ProfileCache, ScheduleScratch};
+    let cfg = SchedulerConfig::default();
+    let scheduler = Scheduler::new(cfg);
+    let exhaustive = Scheduler::new(SchedulerConfig {
+        exact_prunes: false,
+        ..cfg
+    });
+    let release = |s: &Scheduler, jobs: &[JobProfile], machines: u32| {
+        s.schedule_release(
+            jobs,
+            machines,
+            &mut ProfileCache::empty(),
+            &mut ScheduleScratch::new(),
+        )
+    };
+
+    // Saturating: `Tcpu(1) == Tnet`, sizes within ×1.5 — three jobs
+    // to a machine keep CPU and network busy all the time.
+    let costs: Vec<(f64, f64)> = (0..150u64)
+        .map(|i| {
+            let c = 1.0 + (i * 37 % 50) as f64 / 100.0;
+            (c, c)
+        })
+        .collect();
+    let jobs = population(&costs);
+    let out = release(&scheduler, &jobs, 6);
+    let score = out.utilization.score(cfg.cpu_weight);
+    assert!(
+        score * (1.0 + cfg.min_loop_improvement) >= 1.0 + 1e-5,
+        "the winner must be unbeatable, score {score}"
+    );
+    assert_eq!(out, release(&exhaustive, &jobs, 6), "the cut is exact");
+    // 16 of 150 jobs: the cut fired well inside the dense range.
+    assert_eq!((out.grouping.total_jobs(), out.grouping.len()), (16, 6));
+    assert_eq!(outcome_digest(&out), 0x68f4_7fa3_fae6_df0e);
+
+    // Non-saturating: a CPU-heavy mix on a large cluster never comes
+    // near the score ceiling, so the fold runs to the last prefix.
+    let costs: Vec<(f64, f64)> = (0..90u64)
+        .map(|i| (1.0 + (i * 37 % 113) as f64, 0.5 + (i * 11 % 23) as f64))
+        .collect();
+    let jobs = population(&costs);
+    let out = release(&scheduler, &jobs, 300);
+    let score = out.utilization.score(cfg.cpu_weight);
+    assert!(score * (1.0 + cfg.min_loop_improvement) < 1.0 + 1e-5);
+    assert_eq!(out, release(&exhaustive, &jobs, 300));
+    assert_eq!((out.grouping.total_jobs(), out.grouping.len()), (90, 46));
+    assert_eq!(outcome_digest(&out), 0xddf1_a09f_803d_529a);
+}
