@@ -44,7 +44,7 @@
 //!   folded strictly in prefix order with the sequential preference
 //!   rule (earlier prefix wins unless a later one beats it by
 //!   `min_loop_improvement`), and the fold's saturation cut
-//!   ([`SCORE_CEILING`]) stops further claims. Every prefix is scored
+//!   (`SCORE_CEILING`) stops further claims. Every prefix is scored
 //!   by pure deterministic code and the fold sees the same values in
 //!   the same order up to the same cut, so the decision is
 //!   byte-identical for every thread count; a thread may run at most
@@ -88,7 +88,7 @@ pub struct SchedulerConfig {
     /// Enables the *exact pruning* fast paths: candidate scans stop
     /// early whenever a conservative floating-point error bound proves
     /// the skipped work could not have changed the decision (see
-    /// [`SCORE_CEILING`] and the same-sign swap guards in the candidate
+    /// `SCORE_CEILING` and the same-sign swap guards in the candidate
     /// evaluator). The output is bit-identical either way — the flag
     /// exists so equivalence tests can compare the pruned scan against
     /// the pristine exhaustive one.
@@ -227,8 +227,9 @@ fn scan_workers(n_jobs: usize) -> usize {
     })
 }
 
-/// What the threads of one prefix scan share, behind one lock: the
-/// claim cursor, the result slots and the in-order fold.
+/// The state of one prefix scan: the claim cursor, the result slots
+/// and the in-order fold. The threads of a full scan share it behind
+/// one lock; the release pass, alone on its thread, drives it directly.
 struct ScanState<'a> {
     /// One slot per candidate prefix, filled by the thread that
     /// evaluated it.
@@ -245,7 +246,18 @@ struct ScanState<'a> {
     done: bool,
 }
 
-impl ScanState<'_> {
+impl<'a> ScanState<'a> {
+    /// A scan over `slots.len()` prefixes with nothing claimed yet.
+    fn new(slots: &'a mut [Option<PrefixEval>]) -> Self {
+        Self {
+            slots,
+            claimed: 0,
+            folded: 0,
+            best: None,
+            done: false,
+        }
+    }
+
     /// Folds every filled slot that directly follows the folded ones,
     /// replaying the sequential preference order: an earlier prefix
     /// wins unless a later one beats it by `min_loop_improvement`.
@@ -393,26 +405,22 @@ impl Scheduler {
         machines: u32,
         workers: usize,
     ) -> ScheduleOutcome {
-        if jobs.is_empty() || machines == 0 {
-            return ScheduleOutcome {
-                grouping: Grouping::new(),
-                utilization: Utilization::default(),
-                unscheduled: jobs.iter().map(|p| p.job()).collect(),
-                predicted_iteration: Vec::new(),
-            };
-        }
-
-        let cache = ProfileCache::build_charged(jobs, self.cfg.charge_sparse_comm);
-        let mut scratch = ScheduleScratch::new();
-        self.schedule_prepared(jobs, machines, workers, &cache, &mut scratch)
+        let (mut cache, mut scratch) = (ProfileCache::empty(), ScheduleScratch::new());
+        self.full_pass(jobs, machines, workers, &mut cache, &mut scratch)
     }
 
     /// Like [`Self::schedule`], but reusing a caller-owned
     /// [`ProfileCache`] and [`ScheduleScratch`] so repeated decisions
     /// (the simulator re-runs Algorithm 1 on every arrival/completion)
     /// regrow no buffer once warm — the scan helpers' scratches
-    /// included, which live inside `scratch`. Same thread-count rule
-    /// and output as [`Self::schedule`].
+    /// included, which live inside `scratch`. The cache is brought up
+    /// to date with [`ProfileCache::sync`]: positions whose profiles
+    /// are unchanged since the previous decision keep their cached
+    /// durations and sort ranks, and an entirely unchanged job list
+    /// keeps the cache's generation, letting the scratch skip its
+    /// prefix gathers too. Same thread-count rule and output as
+    /// [`Self::schedule`] — `sync` reproduces a fresh cache's state
+    /// exactly (the property tests in `crates/core/tests/`).
     pub fn schedule_reusing(
         &self,
         jobs: &[JobProfile],
@@ -420,44 +428,7 @@ impl Scheduler {
         cache: &mut ProfileCache,
         scratch: &mut ScheduleScratch,
     ) -> ScheduleOutcome {
-        if jobs.is_empty() || machines == 0 {
-            return ScheduleOutcome {
-                grouping: Grouping::new(),
-                utilization: Utilization::default(),
-                unscheduled: jobs.iter().map(|p| p.job()).collect(),
-                predicted_iteration: Vec::new(),
-            };
-        }
-        cache.rebuild_charged(jobs, self.cfg.charge_sparse_comm);
-        self.schedule_prepared(jobs, machines, scan_workers(jobs.len()), cache, scratch)
-    }
-
-    /// [`Self::schedule_reusing`] through the dirty-set cache path
-    /// ([`ProfileCache::rebuild_dirty`]): positions whose profiles are
-    /// unchanged since the previous decision keep their cached
-    /// durations and sort ranks, and an entirely unchanged job list
-    /// keeps the cache's generation, letting the scratch skip its
-    /// prefix gathers too. The decision is bit-identical to
-    /// [`Self::schedule_reusing`] — the dirty rebuild reproduces the
-    /// full rebuild's state exactly (see `rebuild_dirty`'s invariant
-    /// and the property tests in `crates/core/tests/`).
-    pub fn schedule_reusing_incremental(
-        &self,
-        jobs: &[JobProfile],
-        machines: u32,
-        cache: &mut ProfileCache,
-        scratch: &mut ScheduleScratch,
-    ) -> ScheduleOutcome {
-        if jobs.is_empty() || machines == 0 {
-            return ScheduleOutcome {
-                grouping: Grouping::new(),
-                utilization: Utilization::default(),
-                unscheduled: jobs.iter().map(|p| p.job()).collect(),
-                predicted_iteration: Vec::new(),
-            };
-        }
-        cache.rebuild_dirty_charged(jobs, self.cfg.charge_sparse_comm);
-        self.schedule_prepared(jobs, machines, scan_workers(jobs.len()), cache, scratch)
+        self.full_pass(jobs, machines, scan_workers(jobs.len()), cache, scratch)
     }
 
     /// A targeted **release pass**: hands `machines` freed capacity to
@@ -470,11 +441,11 @@ impl Scheduler {
     /// keeps the capacity that finish freed from idling while the
     /// coalescing window is open. It is deliberately cheaper than a
     /// full pass: per candidate prefix it evaluates *one* grouping —
-    /// the group count seeded by the L6 argmin
-    /// ([`Self::schedule`]'s `prepare_prefix` heuristic) — instead of
-    /// sweeping the whole group-count grid, and it rides the same
-    /// dirty-set pipeline ([`ProfileCache::rebuild_dirty`]) and
-    /// scratch buffers as the incremental full pass, so repeated
+    /// the group count seeded by the L6 argmin — instead of sweeping
+    /// the whole group-count grid, folded by the full scan's rule
+    /// (preference order and saturation cut) on the calling thread
+    /// alone, and it rides the same [`ProfileCache::sync`] pipeline
+    /// and scratch buffers as [`Self::schedule_reusing`], so repeated
     /// release decisions allocate nothing once warm.
     ///
     /// The outcome's machines are abstract IDs `M0..M{machines-1}`
@@ -489,47 +460,21 @@ impl Scheduler {
         cache: &mut ProfileCache,
         scratch: &mut ScheduleScratch,
     ) -> ScheduleOutcome {
-        if jobs.is_empty() || machines == 0 {
-            return ScheduleOutcome {
-                grouping: Grouping::new(),
-                utilization: Utilization::default(),
-                unscheduled: jobs.iter().map(|p| p.job()).collect(),
-                predicted_iteration: Vec::new(),
-            };
+        if let Some(out) = trivial_outcome(jobs, machines) {
+            return out;
         }
-        cache.rebuild_dirty_charged(jobs, self.cfg.charge_sparse_comm);
-        scratch.prefixes.clear();
-        extend_candidate_counts(&mut scratch.prefixes, jobs.len());
-        let mli = self.cfg.min_loop_improvement;
-        let mut best: Option<PrefixEval> = None;
-        let mut best_score = 0.0;
-        for i in 0..scratch.prefixes.len() {
-            let nj = scratch.prefixes[i];
-            let (_, _, l6_ng) = self.prepare_prefix(cache, scratch, nj, machines);
-            let sparse = cache.len() > SPARSE_POPULATION_MIN && nj > DENSE_PREFIX_MAX;
-            let utilization = self.eval_candidate(scratch, l6_ng, machines, sparse);
-            let score = utilization.score(self.cfg.cpu_weight);
-            let ev = PrefixEval {
-                nj,
-                ng: l6_ng,
-                utilization,
-                score,
-            };
-            // Same preference fold as the full scan: an earlier
-            // (smaller) prefix wins unless a later one beats it by
-            // `min_loop_improvement`, and the saturation cut applies.
-            if best.is_none() || score > best_score * (1.0 + mli) {
-                best = Some(ev);
-                best_score = score;
-            }
-            if self.cfg.exact_prunes && best_score * (1.0 + mli) >= SCORE_CEILING {
-                break;
-            }
+        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        let (prefixes, mut slots) = take_scan_buffers(scratch, jobs.len());
+        let mut scan = ScanState::new(&mut slots);
+        while !scan.done {
+            let i = scan.folded;
+            scan.slots[i] = Some(self.eval_seeded(cache, scratch, prefixes[i], machines));
+            scan.fold(&self.cfg);
         }
-        let ev = best.expect("at least one candidate was built");
-        let cand = self.materialize(cache, scratch, ev, machines);
-        let unscheduled = jobs[ev.nj..].iter().map(|p| p.job()).collect();
-        self.finish(cand, jobs, unscheduled)
+        let best = scan.best.expect("at least one candidate was built");
+        scratch.prefixes = prefixes;
+        scratch.slots = slots;
+        self.outcome_of(best, jobs, machines, cache, scratch)
     }
 
     /// Prices a single candidate job against the live population
@@ -540,12 +485,13 @@ impl Scheduler {
     /// admission layer (OASiS-style accept/delay/reject in
     /// `harmony-sim`) calls this on every arrival it needs to price,
     /// so the hook follows [`Self::schedule_release`]'s cheap recipe:
-    /// it rides the dirty-set cache pipeline and evaluates exactly
-    /// *one* grouping per point — the L6-seeded group count — at two
-    /// points, the population with and without the candidate. Nothing
-    /// is materialized and no grouping is returned; the two Eq. 4
-    /// scores are the whole answer. Not part of any bit-equivalence
-    /// gate — admission pricing only exists in open-loop runs.
+    /// it rides the [`ProfileCache::sync`] pipeline and evaluates
+    /// exactly *one* grouping per point — the L6-seeded group count —
+    /// at two points, the population with and without the candidate.
+    /// Nothing is materialized and no grouping is returned; the two
+    /// Eq. 4 scores are the whole answer. Not part of any
+    /// bit-equivalence gate — admission pricing only exists in
+    /// open-loop runs.
     pub fn price_candidate(
         &self,
         jobs: &[JobProfile],
@@ -556,48 +502,49 @@ impl Scheduler {
         if jobs.is_empty() || machines == 0 {
             return CandidatePrice::default();
         }
-        cache.rebuild_dirty_charged(jobs, self.cfg.charge_sparse_comm);
-        let sparse_pop = cache.len() > SPARSE_POPULATION_MIN;
-        let nj_with = jobs.len();
-        let (_, _, l6_ng) = self.prepare_prefix(cache, scratch, nj_with, machines);
-        let util = self.eval_candidate(
-            scratch,
-            l6_ng,
-            machines,
-            sparse_pop && nj_with > DENSE_PREFIX_MAX,
-        );
-        let score_with = util.score(self.cfg.cpu_weight);
-        let score_without = if nj_with > 1 {
-            let nj = nj_with - 1;
-            let (_, _, l6_ng) = self.prepare_prefix(cache, scratch, nj, machines);
-            let util = self.eval_candidate(
-                scratch,
-                l6_ng,
-                machines,
-                sparse_pop && nj > DENSE_PREFIX_MAX,
-            );
-            util.score(self.cfg.cpu_weight)
-        } else {
-            // An empty cluster scores zero: admitting the first job is
-            // always (weakly) profitable.
-            0.0
-        };
+        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        let nj = jobs.len();
         CandidatePrice {
-            score_with,
-            score_without,
+            score_with: self.eval_seeded(cache, scratch, nj, machines).score,
+            score_without: if nj > 1 {
+                self.eval_seeded(cache, scratch, nj - 1, machines).score
+            } else {
+                // An empty cluster scores zero: admitting the first
+                // job is always (weakly) profitable.
+                0.0
+            },
         }
     }
 
-    /// Algorithm 1 over an already-built cache: scan the candidate
-    /// prefixes, materialize the winner.
-    fn schedule_prepared(
+    /// Evaluates the grouping Algorithm 1 would produce for *exactly*
+    /// this job set (no incremental selection). Used by the regrouper
+    /// when repairing specific groups and by the oracle comparison.
+    pub fn schedule_exact(&self, jobs: &[JobProfile], machines: u32) -> ScheduleOutcome {
+        if let Some(out) = trivial_outcome(jobs, machines) {
+            return out;
+        }
+        let (mut cache, mut scratch) = (ProfileCache::empty(), ScheduleScratch::new());
+        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        let ev = self.eval_prefix(&cache, &mut scratch, jobs.len(), machines);
+        self.outcome_of(ev, jobs, machines, &cache, &mut scratch)
+    }
+
+    /// Algorithm 1 proper, behind [`Self::schedule`],
+    /// [`Self::schedule_with_workers`] and [`Self::schedule_reusing`]:
+    /// sync the cache, scan the candidate prefixes, materialize the
+    /// winner.
+    fn full_pass(
         &self,
         jobs: &[JobProfile],
         machines: u32,
         workers: usize,
-        cache: &ProfileCache,
+        cache: &mut ProfileCache,
         scratch: &mut ScheduleScratch,
     ) -> ScheduleOutcome {
+        if let Some(out) = trivial_outcome(jobs, machines) {
+            return out;
+        }
+        cache.sync(jobs, self.cfg.charge_sparse_comm);
         let scan = self.scan_prefixes(jobs.len(), machines, workers, cache, scratch);
         debug_assert!(
             scan.evaluated < scan.folded + workers.max(1),
@@ -605,10 +552,7 @@ impl Scheduler {
             scan.evaluated,
             scan.folded
         );
-        let ev = scan.best;
-        let cand = self.materialize(cache, scratch, ev, machines);
-        let unscheduled = jobs[ev.nj..].iter().map(|p| p.job()).collect();
-        self.finish(cand, jobs, unscheduled)
+        self.outcome_of(scan.best, jobs, machines, cache, scratch)
     }
 
     /// The candidate-prefix scan.
@@ -632,25 +576,14 @@ impl Scheduler {
         cache: &ProfileCache,
         scratch: &mut ScheduleScratch,
     ) -> PrefixScan {
-        let mut prefixes = std::mem::take(&mut scratch.prefixes);
-        let mut slots = std::mem::take(&mut scratch.slots);
+        let (prefixes, mut slots) = take_scan_buffers(scratch, n_jobs);
         let mut helpers = std::mem::take(&mut scratch.helpers);
-        prefixes.clear();
-        extend_candidate_counts(&mut prefixes, n_jobs);
-        slots.clear();
-        slots.resize(prefixes.len(), None);
         let workers = workers.clamp(1, prefixes.len());
         if helpers.len() < workers - 1 {
             helpers.resize_with(workers - 1, ScheduleScratch::new);
         }
 
-        let scan = Mutex::new(ScanState {
-            slots: &mut slots,
-            claimed: 0,
-            folded: 0,
-            best: None,
-            done: false,
-        });
+        let scan = Mutex::new(ScanState::new(&mut slots));
         let (shared, prefixes_ref) = (&scan, &prefixes[..]);
         // A scope allocates even when it spawns nothing; alone, the
         // calling thread scans without one.
@@ -740,58 +673,6 @@ impl Scheduler {
         }
     }
 
-    /// Evaluates the grouping Algorithm 1 would produce for *exactly*
-    /// this job set (no incremental selection). Used by the regrouper
-    /// when repairing specific groups and by the oracle comparison.
-    pub fn schedule_exact(&self, jobs: &[JobProfile], machines: u32) -> ScheduleOutcome {
-        if jobs.is_empty() || machines == 0 {
-            return ScheduleOutcome {
-                grouping: Grouping::new(),
-                utilization: Utilization::default(),
-                unscheduled: jobs.iter().map(|p| p.job()).collect(),
-                predicted_iteration: Vec::new(),
-            };
-        }
-        let cache = ProfileCache::build_charged(jobs, self.cfg.charge_sparse_comm);
-        let mut scratch = ScheduleScratch::new();
-        let ev = self.eval_prefix(&cache, &mut scratch, jobs.len(), machines);
-        let cand = self.materialize(&cache, &mut scratch, ev, machines);
-        self.finish(cand, jobs, Vec::new())
-    }
-
-    fn finish(
-        &self,
-        cand: Candidate,
-        jobs: &[JobProfile],
-        unscheduled: Vec<JobId>,
-    ) -> ScheduleOutcome {
-        let mut grouping = Grouping::new();
-        let mut next_machine = 0u32;
-        let mut predicted = Vec::with_capacity(cand.groups.len());
-        for (gi, (members, m)) in cand.groups.iter().enumerate() {
-            let ids: Vec<MachineId> = (next_machine..next_machine + m)
-                .map(MachineId::new)
-                .collect();
-            next_machine += m;
-            let job_ids: Vec<JobId> = members.iter().map(|&i| jobs[i].job()).collect();
-            let profs: Vec<&JobProfile> = members.iter().map(|&i| &jobs[i]).collect();
-            predicted.push(group_iteration_time_modeled(
-                &profs,
-                *m,
-                self.cfg.charge_apply,
-                self.cfg.charge_sparse_comm,
-            ));
-            grouping.push(JobGroup::new(GroupId::new(gi as u32), job_ids, ids));
-        }
-        debug_assert!(grouping.validate().is_ok());
-        ScheduleOutcome {
-            grouping,
-            utilization: cand.utilization,
-            unscheduled,
-            predicted_iteration: predicted,
-        }
-    }
-
     /// Loads the prefix `jobs[..nj]` into the scratch views and runs
     /// the candidate-independent part of Algorithm 1 for it: the
     /// group-count grid and the L6 seed.
@@ -858,19 +739,18 @@ impl Scheduler {
         machines: u32,
     ) -> PrefixEval {
         let (min_groups, max_groups, l6_ng) = self.prepare_prefix(cache, s, nj, machines);
-        let sparse = cache.len() > SPARSE_POPULATION_MIN && nj > DENSE_PREFIX_MAX;
+        let sparse = sparse_prefix(cache, nj);
         let (lo, hi) = if nj <= DENSE_PREFIX_MAX {
             (min_groups, max_groups)
         } else {
             ((l6_ng / 2).max(min_groups), (l6_ng * 2).min(max_groups))
         };
 
-        let mut best: Option<(usize, Utilization, f64)> = None;
+        let mut best: Option<PrefixEval> = None;
         let mut try_ng = |s: &mut ScheduleScratch, ng: usize| {
-            let utilization = self.eval_candidate(s, ng, machines, sparse);
-            let score = utilization.score(self.cfg.cpu_weight);
-            if best.as_ref().is_none_or(|&(_, _, bs)| score > bs) {
-                best = Some((ng, utilization, score));
+            let ev = self.eval_groups(s, ng, machines, sparse);
+            if best.is_none_or(|b| ev.score > b.score) {
+                best = Some(ev);
             }
         };
         if sparse {
@@ -898,17 +778,40 @@ impl Scheduler {
                 try_ng(s, ng);
             }
         }
-        let (ng, utilization, score) = best.unwrap_or_else(|| {
-            // The grid had no point inside [lo, hi]; fall back to the
-            // L6 seed itself.
-            let utilization = self.eval_candidate(s, l6_ng, machines, sparse);
-            (l6_ng, utilization, utilization.score(self.cfg.cpu_weight))
-        });
+        // The grid may have no point inside [lo, hi]; fall back to the
+        // L6 seed itself.
+        best.unwrap_or_else(|| self.eval_groups(s, l6_ng, machines, sparse))
+    }
+
+    /// The one-candidate evaluation of the release pass and of
+    /// admission pricing: the prefix `jobs[..nj]` at its L6-seeded
+    /// group count, no group-count sweep.
+    fn eval_seeded(
+        &self,
+        cache: &ProfileCache,
+        s: &mut ScheduleScratch,
+        nj: usize,
+        machines: u32,
+    ) -> PrefixEval {
+        let (_, _, l6_ng) = self.prepare_prefix(cache, s, nj, machines);
+        self.eval_groups(s, l6_ng, machines, sparse_prefix(cache, nj))
+    }
+
+    /// Builds the `ng`-group candidate of the loaded prefix
+    /// ([`Self::eval_candidate`]) and scores it.
+    fn eval_groups(
+        &self,
+        s: &mut ScheduleScratch,
+        ng: usize,
+        machines: u32,
+        sparse: bool,
+    ) -> PrefixEval {
+        let utilization = self.eval_candidate(s, ng, machines, sparse);
         PrefixEval {
-            nj,
+            nj: s.loaded_nj,
             ng,
             utilization,
-            score,
+            score: utilization.score(self.cfg.cpu_weight),
         }
     }
 
@@ -1227,35 +1130,85 @@ impl Scheduler {
         }
     }
 
-    /// Re-evaluates the winning candidate (deterministic, so it
-    /// reproduces the scanned grouping exactly) and extracts it into
-    /// owned per-group vectors — the only per-group allocations of the
-    /// whole decision.
-    fn materialize(
+    /// Turns the winning prefix evaluation into the decision:
+    /// re-evaluates the candidate (deterministic, so it reproduces the
+    /// scanned grouping exactly) and reads the groups off the scratch —
+    /// the only per-group allocations of the whole decision. Machines
+    /// are numbered `M0..` in group order; `jobs` beyond the prefix
+    /// come back unscheduled.
+    fn outcome_of(
         &self,
+        ev: PrefixEval,
+        jobs: &[JobProfile],
+        machines: u32,
         cache: &ProfileCache,
         s: &mut ScheduleScratch,
-        ev: PrefixEval,
-        machines: u32,
-    ) -> Candidate {
+    ) -> ScheduleOutcome {
         self.prepare_prefix(cache, s, ev.nj, machines);
-        let sparse = cache.len() > SPARSE_POPULATION_MIN && ev.nj > DENSE_PREFIX_MAX;
-        let utilization = self.eval_candidate(s, ev.ng, machines, sparse);
-        debug_assert_eq!(utilization, ev.utilization);
-        let groups = (0..ev.ng)
-            .map(|gi| {
-                let members: Vec<usize> = s.members[s.bounds[gi]..s.bounds[gi + 1]]
-                    .iter()
-                    .map(|&p| s.sub_size[p as usize] as usize)
-                    .collect();
-                (members, s.alloc[gi])
-            })
-            .collect();
-        Candidate {
-            groups,
-            utilization,
+        let again = self.eval_groups(s, ev.ng, machines, sparse_prefix(cache, ev.nj));
+        debug_assert_eq!(again.utilization, ev.utilization);
+        let mut grouping = Grouping::new();
+        let mut next_machine = 0u32;
+        let mut predicted = Vec::with_capacity(ev.ng);
+        for gi in 0..ev.ng {
+            let profs: Vec<&JobProfile> = s.members[s.bounds[gi]..s.bounds[gi + 1]]
+                .iter()
+                .map(|&p| &jobs[s.sub_size[p as usize] as usize])
+                .collect();
+            let m = s.alloc[gi];
+            predicted.push(group_iteration_time_modeled(
+                &profs,
+                m,
+                self.cfg.charge_apply,
+                self.cfg.charge_sparse_comm,
+            ));
+            let ids: Vec<MachineId> = (next_machine..next_machine + m)
+                .map(MachineId::new)
+                .collect();
+            next_machine += m;
+            let job_ids: Vec<JobId> = profs.iter().map(|p| p.job()).collect();
+            grouping.push(JobGroup::new(GroupId::new(gi as u32), job_ids, ids));
+        }
+        debug_assert!(grouping.validate().is_ok());
+        ScheduleOutcome {
+            grouping,
+            utilization: again.utilization,
+            unscheduled: jobs[ev.nj..].iter().map(|p| p.job()).collect(),
+            predicted_iteration: predicted,
         }
     }
+}
+
+/// The decision over nothing: no jobs, or no machines to put them on.
+fn trivial_outcome(jobs: &[JobProfile], machines: u32) -> Option<ScheduleOutcome> {
+    (jobs.is_empty() || machines == 0).then(|| ScheduleOutcome {
+        grouping: Grouping::new(),
+        utilization: Utilization::default(),
+        unscheduled: jobs.iter().map(|p| p.job()).collect(),
+        predicted_iteration: Vec::new(),
+    })
+}
+
+/// Whether the prefix `jobs[..nj]` of this population is scanned in
+/// sparse mode (see [`SPARSE_POPULATION_MIN`]).
+fn sparse_prefix(cache: &ProfileCache, nj: usize) -> bool {
+    cache.len() > SPARSE_POPULATION_MIN && nj > DENSE_PREFIX_MAX
+}
+
+/// Takes the prefix list and the result slots out of `scratch`, set up
+/// for a scan over `n_jobs` jobs: every candidate prefix, one empty
+/// slot each. The caller hands both back when the scan is over.
+fn take_scan_buffers(
+    scratch: &mut ScheduleScratch,
+    n_jobs: usize,
+) -> (Vec<usize>, Vec<Option<PrefixEval>>) {
+    let mut prefixes = std::mem::take(&mut scratch.prefixes);
+    let mut slots = std::mem::take(&mut scratch.slots);
+    prefixes.clear();
+    extend_candidate_counts(&mut prefixes, n_jobs);
+    slots.clear();
+    slots.resize(prefixes.len(), None);
+    (prefixes, slots)
 }
 
 /// Machine allocation (Algorithm 1 L8): "distribute the machines to
@@ -1439,13 +1392,6 @@ fn extend_candidate_counts(out: &mut Vec<usize>, n: usize) {
         out.push(v);
     }
     out.push(n);
-}
-
-#[derive(Debug, Clone)]
-struct Candidate {
-    /// `(job indices, machine count)` per group.
-    groups: Vec<(Vec<usize>, u32)>,
-    utilization: Utilization,
 }
 
 #[cfg(test)]
@@ -1854,6 +1800,13 @@ mod tests {
             .collect()
     }
 
+    /// A fresh cache over `jobs`, priced as `s` prices COMM.
+    fn synced(jobs: &[JobProfile], s: &Scheduler) -> ProfileCache {
+        let mut cache = ProfileCache::empty();
+        cache.sync(jobs, s.cfg.charge_sparse_comm);
+        cache
+    }
+
     fn same_prefix(a: &PrefixEval, b: &PrefixEval) -> bool {
         (a.nj, a.ng, a.score.to_bits()) == (b.nj, b.ng, b.score.to_bits())
             && a.utilization == b.utilization
@@ -1868,7 +1821,7 @@ mod tests {
         let s = Scheduler::default();
         let jobs = saturating(150);
         let machines = 6;
-        let cache = ProfileCache::build_charged(&jobs, s.cfg.charge_sparse_comm);
+        let cache = synced(&jobs, &s);
         let mut scratch = ScheduleScratch::new();
         let seq = s.scan_prefixes(jobs.len(), machines, 1, &cache, &mut scratch);
         let prefixes = scratch.prefixes.len();
@@ -1895,7 +1848,7 @@ mod tests {
         // More threads than prefixes: the count is clamped, the bound
         // holds against the clamped count.
         let few = saturating(3);
-        let cache = ProfileCache::build_charged(&few, s.cfg.charge_sparse_comm);
+        let cache = synced(&few, &s);
         let seq = s.scan_prefixes(few.len(), 1, 1, &cache, &mut scratch);
         let par = s.scan_prefixes(few.len(), 1, 8, &cache, &mut scratch);
         assert!(same_prefix(&par.best, &seq.best));
@@ -1912,7 +1865,7 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let jobs = saturating(100);
-        let cache = ProfileCache::build_charged(&jobs, s.cfg.charge_sparse_comm);
+        let cache = synced(&jobs, &s);
         let mut scratch = ScheduleScratch::new();
         for w in [1usize, 3] {
             let scan = s.scan_prefixes(jobs.len(), 6, w, &cache, &mut scratch);
@@ -1923,9 +1876,9 @@ mod tests {
 
     #[test]
     fn incremental_decisions_with_helpers_match_fresh_ones() {
-        // The dirty-set path with scan helpers: the helpers' scratches
-        // are carried across decisions inside the caller's and keyed
-        // on the same cache generation, through clean rounds (nothing
+        // A synced cache with scan helpers: the helpers' scratches are
+        // carried across decisions inside the caller's and keyed on
+        // the same cache generation, through clean rounds (nothing
         // dirty, generation kept), dirty rounds and shape changes.
         let s = Scheduler::default();
         let mut jobs: Vec<JobProfile> = (0..120)
@@ -1955,11 +1908,10 @@ mod tests {
                 }
             }
             let generation = cache.generation;
-            cache.rebuild_dirty_charged(&jobs, s.cfg.charge_sparse_comm);
+            let got = s.full_pass(&jobs, 150, 3, &mut cache, &mut scratch);
             if round % 4 == 1 {
                 assert_eq!(cache.generation, generation, "clean round");
             }
-            let got = s.schedule_prepared(&jobs, 150, 3, &cache, &mut scratch);
             let fresh = s.schedule_with_workers(&jobs, 150, 1);
             assert_eq!(got, fresh, "round {round}");
             assert_eq!(scratch.helpers.len(), 2, "helper scratches are kept");
@@ -2116,7 +2068,7 @@ mod tests {
         let mut scratch = ScheduleScratch::new();
         let cold = s.schedule_release(&jobs, 9, &mut cache, &mut scratch);
         // Unrelated interleaved full pass dirties the scratch views.
-        let _ = s.schedule_reusing_incremental(&jobs[..4], 9, &mut cache, &mut scratch);
+        let _ = s.schedule_reusing(&jobs[..4], 9, &mut cache, &mut scratch);
         let warm = s.schedule_release(&jobs, 9, &mut cache, &mut scratch);
         assert_eq!(format!("{}", cold.grouping), format!("{}", warm.grouping));
         assert_eq!(cold.utilization, warm.utilization);
@@ -2185,7 +2137,7 @@ mod tests {
         let mut cache = ProfileCache::empty();
         let mut scratch = ScheduleScratch::new();
         let cold = s.price_candidate(&jobs, 6, &mut cache, &mut scratch);
-        let _ = s.schedule_reusing_incremental(&jobs[..4], 6, &mut cache, &mut scratch);
+        let _ = s.schedule_reusing(&jobs[..4], 6, &mut cache, &mut scratch);
         let warm = s.price_candidate(&jobs, 6, &mut cache, &mut scratch);
         assert_eq!(cold.score_with.to_bits(), warm.score_with.to_bits());
         assert_eq!(cold.score_without.to_bits(), warm.score_without.to_bits());

@@ -72,8 +72,8 @@ pub struct ProfileCache {
     /// with CPU work, `0` for fully idle profiles — never NaN, so the
     /// split search is total).
     pub(crate) ratio_key: Vec<f64>,
-    /// Monotonic build stamp: bumped by every rebuild that changed any
-    /// cached value. [`ScheduleScratch::load_prefix`] keys its loaded
+    /// Monotonic build stamp: bumped by every [`Self::sync`] that
+    /// changed any cached value. [`ScheduleScratch::load_prefix`] keys its loaded
     /// prefix on this, so a decision over an unchanged cache skips the
     /// initial prefix gather.
     pub(crate) generation: u64,
@@ -86,8 +86,62 @@ pub struct ProfileCache {
     merged: Vec<u32>,
 }
 
+/// Job `p`'s COMM seconds as the scheduler prices them: scaled by the
+/// *trusted* PUSH density ([`JobProfile::push_density_trusted`] — dense
+/// until at least `DENSITY_TRUST_ITERS` measurements back the EWMA, so
+/// cold jobs are never under-charged) when `charge_sparse_comm` is
+/// set. A branch although `tnet * 1.0` would be exact: the flag-off
+/// arm must not even read the density.
+fn effective_tnet(p: &JobProfile, charge_sparse_comm: bool) -> f64 {
+    if charge_sparse_comm {
+        p.tnet() * p.push_density_trusted()
+    } else {
+        p.tnet()
+    }
+}
+
+/// Sanitized balance break-point `tcpu1 / tnet` (never NaN).
+fn ratio_key_of(tcpu1: f64, tnet: f64) -> f64 {
+    if tnet > 0.0 {
+        tcpu1 / tnet
+    } else if tcpu1 > 0.0 {
+        f64::INFINITY
+    } else {
+        0.0
+    }
+}
+
+/// The size order: `Tcpu(1) + Tnet` descending, ties by `JobId` — a
+/// strict total order over positions (ids are distinct).
+fn by_size<'a>(
+    tcpu1: &'a [f64],
+    tnet: &'a [f64],
+    id: &'a [JobId],
+) -> impl Fn(u32, u32) -> std::cmp::Ordering + 'a {
+    move |a, b| {
+        let ta = tcpu1[a as usize] + tnet[a as usize];
+        let tb = tcpu1[b as usize] + tnet[b as usize];
+        tb.total_cmp(&ta)
+            .then_with(|| id[a as usize].cmp(&id[b as usize]))
+    }
+}
+
+/// The ratio order: break-point key descending, ties by `JobId` — a
+/// strict total order over positions.
+fn by_ratio<'a>(
+    ratio_key: &'a [f64],
+    id: &'a [JobId],
+) -> impl Fn(u32, u32) -> std::cmp::Ordering + 'a {
+    move |a, b| {
+        ratio_key[b as usize]
+            .total_cmp(&ratio_key[a as usize])
+            .then_with(|| id[a as usize].cmp(&id[b as usize]))
+    }
+}
+
 impl ProfileCache {
-    /// Builds the cache: two O(n log n) sorts and three linear passes.
+    /// Builds the cache with raw (density-blind) COMM seconds: two
+    /// O(n log n) sorts and three linear passes.
     ///
     /// # Panics
     ///
@@ -95,31 +149,11 @@ impl ProfileCache {
     /// [`JobProfile::tcpu_at`]).
     pub fn build(jobs: &[JobProfile]) -> Self {
         let mut cache = Self::empty();
-        cache.rebuild(jobs);
+        cache.sync(jobs, false);
         cache
     }
 
-    /// [`Self::build`] with the density-aware COMM charge: when
-    /// `charge_sparse_comm` is set, each job's cached `Tnet` is scaled
-    /// by its *trusted* PUSH density
-    /// ([`JobProfile::push_density_trusted`] — dense until at least
-    /// `DENSITY_TRUST_ITERS` measurements back the EWMA, so cold jobs
-    /// are never under-charged). With the flag off — or for profiles
-    /// whose density is untrusted, which read `1.0` — the cache is
-    /// bit-identical to [`Self::build`] (`x * 1.0` is an exact
-    /// identity for finite `x`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any profile is cold (same contract as
-    /// [`JobProfile::tcpu_at`]).
-    pub fn build_charged(jobs: &[JobProfile], charge_sparse_comm: bool) -> Self {
-        let mut cache = Self::empty();
-        cache.rebuild_charged(jobs, charge_sparse_comm);
-        cache
-    }
-
-    /// An empty cache; fill it with [`Self::rebuild`].
+    /// An empty cache; fill it with [`Self::sync`].
     pub fn empty() -> Self {
         Self {
             tcpu1: Vec::new(),
@@ -136,93 +170,24 @@ impl ProfileCache {
         }
     }
 
-    /// Rebuilds the cache over `jobs` in place, reusing every buffer's
-    /// capacity — the allocation-free twin of [`Self::build`] for
-    /// callers (the simulator) that run one decision per cluster event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any profile is cold (same contract as
-    /// [`JobProfile::tcpu_at`]).
-    pub fn rebuild(&mut self, jobs: &[JobProfile]) {
-        self.rebuild_charged(jobs, false);
-    }
-
-    /// [`Self::rebuild`] with the density-aware COMM charge (see
-    /// [`Self::build_charged`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any profile is cold (same contract as
-    /// [`JobProfile::tcpu_at`]).
-    pub fn rebuild_charged(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
-        let n = jobs.len();
-        self.tcpu1.clear();
-        self.tnet.clear();
-        self.tapply.clear();
-        self.id.clear();
-        for p in jobs {
-            self.tcpu1.push(p.tcpu_at(1));
-            // Branch for symmetry with the APPLY charge, although
-            // `tnet * 1.0` would be exact: the flag-off arm must not
-            // even read the density.
-            self.tnet.push(if charge_sparse_comm {
-                p.tnet() * p.push_density_trusted()
-            } else {
-                p.tnet()
-            });
-            self.tapply.push(p.tapply());
-            self.id.push(p.job());
-        }
-
-        let Self {
-            tcpu1,
-            tnet,
-            id,
-            size_order,
-            ratio_order,
-            ratio_key,
-            ..
-        } = self;
-        size_order.clear();
-        size_order.extend(0..n as u32);
-        size_order.sort_unstable_by(|&a, &b| {
-            let ta = tcpu1[a as usize] + tnet[a as usize];
-            let tb = tcpu1[b as usize] + tnet[b as usize];
-            tb.total_cmp(&ta)
-                .then_with(|| id[a as usize].cmp(&id[b as usize]))
-        });
-
-        ratio_key.clear();
-        ratio_key.extend((0..n).map(|i| {
-            if tnet[i] > 0.0 {
-                tcpu1[i] / tnet[i]
-            } else if tcpu1[i] > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        }));
-        ratio_order.clear();
-        ratio_order.extend(0..n as u32);
-        ratio_order.sort_unstable_by(|&a, &b| {
-            ratio_key[b as usize]
-                .total_cmp(&ratio_key[a as usize])
-                .then_with(|| id[a as usize].cmp(&id[b as usize]))
-        });
-        self.generation += 1;
-    }
-
-    /// [`Self::rebuild`] that reuses the previous build where possible:
-    /// the dirty-set path of the incremental reschedule pipeline.
+    /// Brings the cache in step with `jobs`, in place and reusing every
+    /// buffer's capacity, deciding itself how much work that takes.
     ///
     /// When the job list has the same shape as the cached one (same
     /// length, same `JobId` at every position), only positions whose
     /// cached durations actually changed are re-derived, and the two
     /// sort orders are repaired by merging the re-sorted dirty
     /// positions into the retained clean ones — O(n + k log k) for `k`
-    /// dirty jobs instead of two O(n log n) sorts. A shape change
-    /// falls back to the full rebuild.
+    /// dirty jobs instead of two O(n log n) sorts; with nothing dirty
+    /// the cache keeps its generation, so a paired scratch skips its
+    /// prefix gathers too. A shape change rebuilds everything.
+    ///
+    /// With `charge_sparse_comm` each job's cached `Tnet` is scaled by
+    /// its trusted PUSH density. With the flag off — or for profiles
+    /// whose density is untrusted, which read `1.0` — the cache is
+    /// bit-identical to the density-blind one (`x * 1.0` is an exact
+    /// identity for finite `x`). Flipping the flag between calls is a
+    /// value change like any other.
     ///
     /// **Byte-identity:** both comparators are strict total orders
     /// (`total_cmp` on the key, `JobId` tie-break — ids are distinct),
@@ -230,40 +195,25 @@ impl ProfileCache {
     /// subsequences under the same order reproduces exactly the
     /// permutation a full sort would. Values are compared by
     /// `to_bits`, so even a `-0.0 → 0.0` change (which `total_cmp`
-    /// orders) marks the position dirty. The property test in
-    /// `crates/core/tests/` asserts state equality against a fresh
-    /// [`Self::build`] over arbitrary dirty subsets.
+    /// orders) marks the position dirty. The property tests in
+    /// `crates/core/tests/` assert state equality against a fresh
+    /// cache over arbitrary dirty subsets and shape changes.
     ///
     /// # Panics
     ///
     /// Panics if any profile is cold (same contract as
     /// [`JobProfile::tcpu_at`]).
-    pub fn rebuild_dirty(&mut self, jobs: &[JobProfile]) {
-        self.rebuild_dirty_charged(jobs, false);
-    }
-
-    /// [`Self::rebuild_dirty`] with the density-aware COMM charge (see
-    /// [`Self::build_charged`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any profile is cold (same contract as
-    /// [`JobProfile::tcpu_at`]).
-    pub fn rebuild_dirty_charged(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
+    pub fn sync(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
         let n = jobs.len();
         if n != self.len() || jobs.iter().zip(&self.id).any(|(p, &id)| p.job() != id) {
-            self.rebuild_charged(jobs, charge_sparse_comm);
+            self.rebuild(jobs, charge_sparse_comm);
             return;
         }
 
         self.dirty.clear();
         for (i, p) in jobs.iter().enumerate() {
             let tcpu1 = p.tcpu_at(1);
-            let tnet = if charge_sparse_comm {
-                p.tnet() * p.push_density_trusted()
-            } else {
-                p.tnet()
-            };
+            let tnet = effective_tnet(p, charge_sparse_comm);
             let tapply = p.tapply();
             if tcpu1.to_bits() != self.tcpu1[i].to_bits()
                 || tnet.to_bits() != self.tnet[i].to_bits()
@@ -272,13 +222,7 @@ impl ProfileCache {
                 self.tcpu1[i] = tcpu1;
                 self.tnet[i] = tnet;
                 self.tapply[i] = tapply;
-                self.ratio_key[i] = if tnet > 0.0 {
-                    tcpu1 / tnet
-                } else if tcpu1 > 0.0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                };
+                self.ratio_key[i] = ratio_key_of(tcpu1, tnet);
                 self.dirty.push(i as u32);
             }
         }
@@ -304,23 +248,51 @@ impl ProfileCache {
             merged,
             ..
         } = self;
-        let size_cmp = |a: u32, b: u32| {
-            let ta = tcpu1[a as usize] + tnet[a as usize];
-            let tb = tcpu1[b as usize] + tnet[b as usize];
-            tb.total_cmp(&ta)
-                .then_with(|| id[a as usize].cmp(&id[b as usize]))
-        };
+        let size_cmp = by_size(tcpu1, tnet, id);
         dirty.sort_unstable_by(|&a, &b| size_cmp(a, b));
         Self::repair_order(size_order, dirty, dirty_mask, merged, size_cmp);
 
-        let ratio_cmp = |a: u32, b: u32| {
-            ratio_key[b as usize]
-                .total_cmp(&ratio_key[a as usize])
-                .then_with(|| id[a as usize].cmp(&id[b as usize]))
-        };
+        let ratio_cmp = by_ratio(ratio_key, id);
         dirty.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
         Self::repair_order(ratio_order, dirty, dirty_mask, merged, ratio_cmp);
 
+        self.generation += 1;
+    }
+
+    /// The full rebuild behind [`Self::sync`]'s shape-change fallback.
+    fn rebuild(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
+        let n = jobs.len();
+        self.tcpu1.clear();
+        self.tnet.clear();
+        self.tapply.clear();
+        self.id.clear();
+        for p in jobs {
+            self.tcpu1.push(p.tcpu_at(1));
+            self.tnet.push(effective_tnet(p, charge_sparse_comm));
+            self.tapply.push(p.tapply());
+            self.id.push(p.job());
+        }
+
+        let Self {
+            tcpu1,
+            tnet,
+            id,
+            size_order,
+            ratio_order,
+            ratio_key,
+            ..
+        } = self;
+        let size_cmp = by_size(tcpu1, tnet, id);
+        size_order.clear();
+        size_order.extend(0..n as u32);
+        size_order.sort_unstable_by(|&a, &b| size_cmp(a, b));
+
+        ratio_key.clear();
+        ratio_key.extend((0..n).map(|i| ratio_key_of(tcpu1[i], tnet[i])));
+        let ratio_cmp = by_ratio(ratio_key, id);
+        ratio_order.clear();
+        ratio_order.extend(0..n as u32);
+        ratio_order.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
         self.generation += 1;
     }
 
@@ -481,8 +453,8 @@ pub struct ScheduleScratch {
     /// (`0` = never loaded; a built cache's generation is always
     /// ≥ 1). Together with `loaded_nj` this keys the loaded views, so
     /// re-loading the same prefix of an unchanged cache is free — the
-    /// common case when [`ProfileCache::rebuild_dirty`] found nothing
-    /// dirty between decisions. A scratch must stay paired with one
+    /// common case when [`ProfileCache::sync`] found nothing dirty
+    /// between decisions. A scratch must stay paired with one
     /// cache for this key to be sound (every caller owns the pair).
     pub(crate) loaded_gen: u64,
 }
@@ -681,26 +653,27 @@ mod tests {
     }
 
     #[test]
-    fn dirty_rebuild_generation_tracks_changes() {
+    fn sync_generation_tracks_changes() {
         let mut jobs = vec![prof(0, 4.0, 2.0), prof(1, 3.0, 1.0)];
         let mut cache = ProfileCache::build(&jobs);
         let g0 = cache.generation;
 
         // Nothing changed: the cache keeps its generation, so a scratch
         // whose `loaded_gen` matches can skip `load_prefix` entirely.
-        cache.rebuild_dirty(&jobs);
+        cache.sync(&jobs, false);
         assert_eq!(cache.generation, g0);
 
         // A real value change bumps it.
         jobs[1] = prof(1, 9.0, 1.0);
-        cache.rebuild_dirty(&jobs);
+        cache.sync(&jobs, false);
         assert_eq!(cache.generation, g0 + 1);
         assert_eq!(cache.size_order, vec![1, 0]);
 
-        // A full rebuild always bumps, even when values are identical —
-        // it reorders nothing but the caller asked for a fresh build.
-        cache.rebuild(&jobs);
+        // So does a shape change, which rebuilds everything.
+        jobs.pop();
+        cache.sync(&jobs, false);
         assert_eq!(cache.generation, g0 + 2);
+        assert_eq!(cache.size_order, vec![0]);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Property tests for the dirty-set profile-cache rebuild
-//! ([`ProfileCache::rebuild_dirty`]): over *arbitrary* dirty subsets —
+//! Property tests for the profile cache's in-place update
+//! ([`ProfileCache::sync`]): over *arbitrary* dirty subsets —
 //! any number of jobs re-observed with any new durations, densities
 //! and DoPs, in any order — the incrementally repaired cache must be
 //! byte-identical ([`ProfileCache::state_bytes`]) to a cache built
 //! from scratch over the same profiles. This is the load-bearing
-//! guarantee behind `SimConfig::incremental_resched`: the simulator's
-//! equivalence gate only proves the end-to-end run matches; these
-//! tests pin the cache layer in isolation, including the shape-change
-//! fallback and the density-charged variant.
+//! guarantee behind every decision made through a reused cache
+//! (`Scheduler::schedule_reusing`, the release pass, admission
+//! pricing): the simulator's golden digests only prove end-to-end
+//! runs; these tests pin the cache layer in isolation, including the
+//! shape-change fallback, a flipped density charge and the
+//! density-charged variant.
 
 use harmony_core::job::JobId;
 use harmony_core::profile::JobProfile;
@@ -21,6 +23,14 @@ fn seed_profile(i: u64, tcpu1: f64, tnet: f64, tapply: f64, density: f64) -> Job
     p.observe_sample(tcpu1, tnet, tapply, 1);
     p.observe_push_density(density);
     p
+}
+
+/// A cache synced from empty: the from-scratch state every reused
+/// cache is compared against.
+fn fresh_cache(jobs: &[JobProfile], charged: bool) -> ProfileCache {
+    let mut cache = ProfileCache::empty();
+    cache.sync(jobs, charged);
+    cache
 }
 
 /// One re-observation of an existing job: `(which, tcpu, tnet, tapply,
@@ -66,7 +76,7 @@ proptest! {
 
     /// The core identity: seed a population, build the cache, touch an
     /// arbitrary subset of jobs (possibly none, possibly all of them,
-    /// possibly several times each), then `rebuild_dirty` — the cache
+    /// possibly several times each), then `sync` — the cache
     /// state must equal a from-scratch build bit for bit, under both
     /// the plain and the density-charged COMM pricing.
     #[test]
@@ -80,12 +90,12 @@ proptest! {
             .enumerate()
             .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
             .collect();
-        let mut cache = ProfileCache::build_charged(&jobs, charged);
+        let mut cache = fresh_cache(&jobs, charged);
 
         apply_touches(&mut jobs, &touches);
-        cache.rebuild_dirty_charged(&jobs, charged);
+        cache.sync(&jobs, charged);
 
-        let fresh = ProfileCache::build_charged(&jobs, charged);
+        let fresh = fresh_cache(&jobs, charged);
         prop_assert_eq!(
             cache.state_bytes(),
             fresh.state_bytes(),
@@ -112,11 +122,11 @@ proptest! {
             .enumerate()
             .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
             .collect();
-        let mut cache = ProfileCache::build_charged(&jobs, charged);
+        let mut cache = fresh_cache(&jobs, charged);
         for (round, batch) in rounds.iter().enumerate() {
             apply_touches(&mut jobs, batch);
-            cache.rebuild_dirty_charged(&jobs, charged);
-            let fresh = ProfileCache::build_charged(&jobs, charged);
+            cache.sync(&jobs, charged);
+            let fresh = fresh_cache(&jobs, charged);
             prop_assert_eq!(
                 cache.state_bytes(),
                 fresh.state_bytes(),
@@ -126,37 +136,60 @@ proptest! {
         }
     }
 
-    /// Shape changes (a job finished, a new one profiled — the job
-    /// *set* differs, not just the values) must fall back to the full
-    /// rebuild and still land on the identical state.
+    /// Shape changes — the job *list* differs, not just the values —
+    /// and a flipped density charge must land on the state of a cache
+    /// synced from empty: a shorter list, a longer one, the same
+    /// length with one id swapped, a permutation of the same ids, and
+    /// the same list priced the other way.
     #[test]
-    fn shape_change_falls_back_to_full_rebuild(
+    fn shape_and_charge_changes_match_a_fresh_sync(
         seeds in seeds(),
-        drop_last in any::<bool>(),
+        change in 0u8..5,
+        at in 0usize..usize::MAX,
         charged in any::<bool>(),
     ) {
         let mut jobs: Vec<JobProfile> = seeds
             .iter()
             .enumerate()
-            .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
+            .map(|(i, &(c, t, a, d))| {
+                let mut p = seed_profile(i as u64, c, t, a, d);
+                // Trusted densities, so the charge really moves `Tnet`.
+                for _ in 0..JobProfile::DENSITY_TRUST_ITERS {
+                    p.observe_push_density(d);
+                }
+                p
+            })
             .collect();
-        let mut cache = ProfileCache::build_charged(&jobs, charged);
-
-        if drop_last && jobs.len() > 1 {
-            jobs.pop();
-        } else {
-            let next = jobs.len() as u64;
-            jobs.push(seed_profile(next, 7.0, 3.0, 0.5, 0.5));
+        let mut cache = fresh_cache(&jobs, charged);
+        let at = at % jobs.len();
+        let mut charged_after = charged;
+        match change {
+            0 if jobs.len() > 1 => {
+                jobs.remove(at);
+            }
+            0 | 1 => jobs.push(seed_profile(jobs.len() as u64, 7.0, 3.0, 0.5, 0.5)),
+            2 => jobs[at] = seed_profile(1_000 + at as u64, 7.0, 3.0, 0.5, 0.5),
+            3 => jobs.rotate_left(at),
+            _ => charged_after = !charged,
         }
-        cache.rebuild_dirty_charged(&jobs, charged);
+        cache.sync(&jobs, charged_after);
 
-        let fresh = ProfileCache::build_charged(&jobs, charged);
-        prop_assert_eq!(cache.state_bytes(), fresh.state_bytes());
+        let fresh = fresh_cache(&jobs, charged_after);
+        prop_assert_eq!(
+            cache.state_bytes(),
+            fresh.state_bytes(),
+            "change {} at {} of {} jobs, charged {} -> {}",
+            change,
+            at,
+            jobs.len(),
+            charged,
+            charged_after,
+        );
     }
 
     /// The targeted release pass
     /// ([`harmony_core::schedule::Scheduler::schedule_release`]) rides
-    /// the same dirty-set pipeline as the incremental full pass: a
+    /// the same [`ProfileCache::sync`] pipeline as the full pass: a
     /// persistent cache/scratch pair carried across arbitrary touch
     /// batches — with full passes interleaved to churn the shared
     /// scratch views — must reproduce the decision a fresh pair makes
@@ -196,7 +229,7 @@ proptest! {
             // A full pass over the same buffers churns the shared
             // scratch views between release rounds, exactly like the
             // simulator's steady state.
-            let _ = sched.schedule_reusing_incremental(&jobs, machines, &mut cache, &mut scratch);
+            let _ = sched.schedule_reusing(&jobs, machines, &mut cache, &mut scratch);
         }
     }
 }

@@ -176,19 +176,20 @@ pub struct SimConfig {
     /// serves as the reference arm of that comparison.
     pub fast_event_path: bool,
     /// Incremental rescheduling: kill the per-event O(jobs × machines)
-    /// term with three provably outcome-preserving cuts. (1) The
-    /// regrouper freezes per-group Eq. 3 terms once per decision and
-    /// refolds Eq. 4 over them, so a targeted pass re-derives only the
-    /// touched group — see
+    /// term with provably outcome-preserving cuts. (1) The regrouper
+    /// freezes per-group Eq. 3 terms once per decision and refolds
+    /// Eq. 4 over them, so a targeted pass re-derives only the touched
+    /// group — see
     /// [`harmony_core::regroup::Regrouper::with_incremental`]. (2) When
     /// the incumbent utilization already saturates the score ceiling,
     /// the regrouper's escalation ladder (one full Algorithm 1 pass per
     /// rung) is skipped outright: no candidate can clear the
-    /// improvement threshold. (3) Full passes rebuild the profile
-    /// cache through the dirty-set path
-    /// ([`harmony_core::scratch::ProfileCache::rebuild_dirty`]), and
-    /// the event queue is sharded into per-group lanes
-    /// ([`crate::events`]). Equivalence-gated like `fast_event_path`:
+    /// improvement threshold. (3) The event queue is sharded into
+    /// per-group lanes (`LaneQueue`, `crates/sim/src/events.rs`). The
+    /// profile cache is not the flag's business any more: every pass
+    /// over reused buffers brings it up to date in place with
+    /// [`harmony_core::scratch::ProfileCache::sync`], flag on or off.
+    /// Equivalence-gated like `fast_event_path`:
     /// `RunReport::canonical_bytes` is bit-identical with the flag off
     /// (asserted by `tests/sim_equivalence.rs`).
     pub incremental_resched: bool,

@@ -1,0 +1,308 @@
+//! Group lifecycle: create, attach, detach, dissolve and tear down
+//! job groups, and emit each group's prediction-accuracy sample.
+
+use super::*;
+use crate::report::{GroupingSnapshot, PredictionSample};
+
+/// Cancels the subtask of job `j` that `exec` says is running on one
+/// of `grp`'s resources, if any.
+pub(super) fn cancel_running(grp: &mut GroupSim, j: usize, exec: ExecPhase) {
+    if let ExecPhase::Running(phase) = exec {
+        if phase.is_cpu() {
+            grp.cpu.cancel_all_of(j);
+        } else {
+            grp.net.cancel_all_of(j);
+        }
+    }
+}
+
+impl Driver {
+    pub(super) fn discipline(&self) -> (usize, usize) {
+        if let Some(slots) = self.cfg.discipline_override {
+            return slots;
+        }
+        match self.cfg.scheduler {
+            SchedulerKind::Naive { .. } => (usize::MAX / 2, usize::MAX / 2),
+            _ => (1, 2),
+        }
+    }
+
+    pub(super) fn create_group(&mut self, machines: u32, profiling_host: bool) -> usize {
+        assert!(machines <= self.free_machines, "machine over-allocation");
+        self.free_machines -= machines;
+        let id = self.groups.len();
+        let (cpu_slots, net_slots) = self.discipline();
+        let beta = match self.cfg.scheduler {
+            SchedulerKind::Naive { .. } => self.cfg.interference_beta,
+            _ => 0.0,
+        };
+        let mut g = GroupSim::new(id, machines, cpu_slots, net_slots, beta, self.now);
+        g.profiling_host = profiling_host;
+        self.groups.push(Some(g));
+        self.alive.insert(id);
+        self.group_iter_stats.push(std::collections::HashMap::new());
+        id
+    }
+
+    /// Adds a job to a group, charging an input-(re)load delay, and
+    /// recomputes the group's memory plan. Returns `false` (reverting
+    /// the job to a placeable state) when the group no longer exists —
+    /// e.g. it was dissolved by an OOM kill while a batch of jobs was
+    /// being attached.
+    pub(super) fn attach_job(&mut self, g: usize, j: usize, keep_state: bool) -> bool {
+        self.attach_job_with_replan(g, j, keep_state, true)
+    }
+
+    /// [`Self::attach_job`] with the memory re-plan optionally
+    /// deferred. Population loops in coalesced mode attach every member
+    /// first and re-plan once ([`Self::finish_group_build`]): the
+    /// per-attach re-plan is O(members), so building a k-member group
+    /// through it costs O(k²) — the dominant event-path term once
+    /// windows let groups grow into the thousands.
+    pub(super) fn attach_job_with_replan(
+        &mut self,
+        g: usize,
+        j: usize,
+        keep_state: bool,
+        replan: bool,
+    ) -> bool {
+        let Some(machines) = self
+            .groups
+            .get(g)
+            .and_then(|x| x.as_ref())
+            .map(|grp| grp.machines)
+        else {
+            if self.jobs[j].is_live() {
+                self.jobs[j].state = if self.jobs[j].profile.is_warm() {
+                    SimJobState::Paused
+                } else {
+                    SimJobState::Waiting
+                };
+            }
+            return false;
+        };
+        let mut load_bytes = (1.0 - self.jobs[j].alpha) * self.jobs[j].spec.input_bytes as f64;
+        // A live-migrating job reloads its model checkpoint alongside
+        // its input blocks (§IV-B4).
+        if self.jobs[j].migrate_mark.is_some() {
+            load_bytes += self.jobs[j].spec.model_bytes as f64;
+        }
+        let delay = load_bytes / (f64::from(machines) * self.cfg.machine.disk_bytes_per_sec);
+        // A migration completes at whichever placement lands first —
+        // the targeted `Migrate` pass or any cluster-wide reschedule
+        // that got there before it (the other path then no-ops on its
+        // staleness guards).
+        if let Some(mark) = self.jobs[j].migrate_mark.take() {
+            let latency = (self.now + delay - mark).max(0.0);
+            self.report.live_migration.finish(latency);
+            // Open the settle window: no drift checks while the EWMA
+            // converges on the post-move regime.
+            self.jobs[j].drift_holdoff =
+                self.jobs[j].iterations_done + u64::from(self.cfg.migration_settle_iters);
+        }
+        self.jobs[j].migrate_origin = None;
+        // A job orphaned by a fault completes its recovery the moment it
+        // is re-placed and reloaded somewhere.
+        if let Some(mark) = self.jobs[j].recover_mark.take() {
+            let latency = (self.now + delay - mark).max(0.0);
+            self.report.recovery_latency.observe(latency);
+            self.report.fault_log.record(
+                self.now,
+                "recovery",
+                format!(
+                    "job {} re-placed {latency:.0}s after fault",
+                    self.jobs[j].spec.name
+                ),
+            );
+        }
+        if self.jobs[j].group.is_none() && self.jobs[j].is_live() {
+            self.active_scheduled += 1;
+        }
+        let job = &mut self.jobs[j];
+        job.group = Some(g);
+        job.exec = ExecPhase::Idle {
+            ready_at: self.now + delay,
+        };
+        job.pause_requested = false;
+        job.last_comp_end = self.now + delay;
+        if !keep_state {
+            job.state = SimJobState::Running;
+        }
+        self.jobs[j].joined_iters = self.jobs[j].iterations_done;
+        let mut grp = self.groups[g].take().expect("alive group");
+        self.finalize_prediction_of(&mut grp);
+        grp.jobs.push(j);
+        if self.coalesce_active() && delay > 0.0 {
+            grp.ready_heap
+                .push(std::cmp::Reverse(((self.now + delay).to_bits(), j)));
+        }
+        grp.steady_at = grp.steady_at.max(self.now + delay);
+        grp.steady_mark = None;
+        self.groups[g] = Some(grp);
+        if !replan {
+            return true;
+        }
+        self.recompute_group_memory(g);
+        self.bump_and_wake(g);
+        // The OOM path inside recompute may have dissolved the group or
+        // killed this very job. (The load-completion wake is armed by
+        // `arm_wake`, which accounts for members' ready times.)
+        if self.groups.get(g).and_then(|x| x.as_ref()).is_none() {
+            return self.jobs[j].is_live();
+        }
+        true
+    }
+
+    /// Completes a deferred-replan population loop: one memory re-plan
+    /// and wake re-arm for the whole batch (dissolving the group if
+    /// every candidate member turned out to be dead).
+    pub(super) fn finish_group_build(&mut self, g: usize) {
+        let Some(grp) = self.groups.get(g).and_then(|x| x.as_ref()) else {
+            return;
+        };
+        if grp.jobs.is_empty() {
+            self.dissolve_group(g);
+            return;
+        }
+        self.recompute_group_memory(g);
+        self.bump_and_wake(g);
+    }
+
+    /// Removes a job from its group; dissolves the group when empty.
+    pub(super) fn detach_job(&mut self, j: usize) {
+        self.detach_job_with_replan(j, true);
+    }
+
+    /// [`Self::detach_job`] with the memory re-plan optionally skipped.
+    /// The pause-and-dissolve loop of a coalesced full pass detaches
+    /// every member of a doomed group in turn; re-planning a k-member
+    /// group after each one is O(k²) of work the dissolution throws
+    /// away.
+    pub(super) fn detach_job_with_replan(&mut self, j: usize, replan: bool) {
+        let Some(g) = self.jobs[j].group.take() else {
+            return;
+        };
+        if self.jobs[j].is_live() {
+            self.active_scheduled -= 1;
+        }
+        let mut owned = self.groups[g].take().expect("job group alive");
+        self.finalize_prediction_of(&mut owned);
+        self.groups[g] = Some(owned);
+        let grp = self.groups[g].as_mut().expect("job group alive");
+        grp.unqueue(j);
+        cancel_running(grp, j, self.jobs[j].exec);
+        grp.jobs.retain(|&x| x != j);
+        self.jobs[j].exec = ExecPhase::Idle { ready_at: self.now };
+        if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
+            self.dissolve_group(g);
+        } else if replan {
+            self.recompute_group_memory(g);
+            self.bump_and_wake(g);
+        }
+    }
+
+    /// Emits the group's prediction-accuracy sample (once) — called on
+    /// the first composition change and on dissolution, so the realized
+    /// window matches the grouping the prediction was made for.
+    pub(super) fn finalize_prediction_of(&mut self, grp: &mut GroupSim) {
+        let Some(pred_it) = grp.predicted_iteration.take() else {
+            return;
+        };
+        let Some((pu_c, pu_n)) = grp.predicted_util.take() else {
+            return;
+        };
+        // Measure from steady state (all founding members loaded) so
+        // warm-up idleness is not charged against the prediction.
+        let (cpu0, net0, t0) = grp
+            .steady_mark
+            .unwrap_or((grp.cpu_busy, grp.net_busy, self.now));
+        let lifetime = self.now - t0;
+        // Eq. 1 predicts the period at which *every* member completes an
+        // iteration; faster members free-run ahead in the pipeline, so
+        // the realized counterpart is the slowest member's mean period.
+        let realized_iter = self.group_iter_stats[grp.id]
+            .values()
+            .filter(|s| s.count() >= 2)
+            .map(OnlineStats::mean)
+            .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.max(x))));
+        if let Some(realized_iter) = realized_iter {
+            if lifetime > 2.0 * pred_it {
+                let w = self.cfg.scheduler_config.cpu_weight;
+                let realized_u = w * ((grp.cpu_busy - cpu0) / lifetime)
+                    + (1.0 - w) * ((grp.net_busy - net0) / lifetime);
+                let predicted_u = w * pu_c + (1.0 - w) * pu_n;
+                self.report.predictions.push(PredictionSample {
+                    predicted_iteration: pred_it,
+                    realized_iteration: realized_iter,
+                    predicted_util: predicted_u,
+                    realized_util: realized_u.max(1e-9),
+                });
+            }
+        }
+    }
+
+    pub(super) fn dissolve_group(&mut self, g: usize) {
+        // Advance to now so busy integrals are complete (completions
+        // surfacing in this final slice are moot — the group is gone).
+        let grp = self.groups[g].as_mut().expect("alive group");
+        let dt = self.now - grp.last_advance;
+        if dt > 0.0 {
+            let used_c = grp.cpu.advance_into(dt, &mut self.scratch_done);
+            let used_n = grp.net.advance_into(dt, &mut self.scratch_done);
+            self.scratch_done.clear();
+            grp.cpu_busy += used_c;
+            grp.net_busy += used_n;
+            grp.last_advance = self.now;
+        }
+        let mut grp = self.groups[g].take().expect("alive group");
+        self.alive.remove(g);
+        self.finalize_prediction_of(&mut grp);
+        self.free_machines += grp.machines;
+        let mf = f64::from(grp.machines);
+        self.report.cpu_busy_machine_secs += grp.cpu_busy * mf;
+        self.report.net_busy_machine_secs += grp.net_busy * mf;
+    }
+
+    /// Pauses and detaches every member of `g` in one sweep, then
+    /// dissolves it. Equivalent to detaching member-by-member, but the
+    /// per-member `unqueue` / `jobs.retain` scans make that O(k²) for
+    /// a k-member group — coalesced full passes tear down every
+    /// involved group on each flush, so they route through here.
+    pub(super) fn teardown_group(&mut self, g: usize) {
+        let Some(mut grp) = self.groups.get_mut(g).and_then(Option::take) else {
+            return;
+        };
+        self.finalize_prediction_of(&mut grp);
+        let members = std::mem::take(&mut grp.jobs);
+        for &j in &members {
+            if self.jobs[j].is_live() {
+                self.jobs[j].state = SimJobState::Paused;
+                self.active_scheduled -= 1;
+            }
+            self.jobs[j].group = None;
+            cancel_running(&mut grp, j, self.jobs[j].exec);
+            self.jobs[j].exec = ExecPhase::Idle { ready_at: self.now };
+        }
+        grp.cpu_queue.clear();
+        grp.net_queue.clear();
+        self.groups[g] = Some(grp);
+        self.dissolve_group(g);
+    }
+
+    pub(super) fn record_snapshot(&mut self) {
+        let groups: Vec<(u32, usize)> = self
+            .alive_groups()
+            .filter(|&g| !self.groups[g].as_ref().expect("alive").profiling_host)
+            .map(|g| {
+                let grp = self.groups[g].as_ref().expect("alive");
+                (grp.machines, grp.jobs.len())
+            })
+            .collect();
+        if !groups.is_empty() {
+            self.report.grouping_snapshots.push(GroupingSnapshot {
+                time: self.now,
+                groups,
+            });
+        }
+    }
+}

@@ -1,0 +1,777 @@
+//! Whole-run tests of the driver, and direct tests of the state
+//! machines its handlers are built from.
+
+use super::*;
+use harmony_core::job::{AppKind, JobSpec};
+
+fn spec(name: &str, comp: f64, net: f64, input_gb: u64, model_gb: u64) -> JobSpec {
+    JobSpec {
+        name: name.into(),
+        app: AppKind::Mlr,
+        dataset: "synthetic".into(),
+        input_bytes: input_gb << 30,
+        model_bytes: model_gb << 30,
+        comp_cost: comp,
+        net_cost: net,
+        sync: Default::default(),
+        pull_fraction: 0.5,
+        iters_per_epoch: 5,
+        target_epochs: 4,
+    }
+}
+
+fn small_cfg(kind: SchedulerKind) -> SimConfig {
+    SimConfig {
+        machines: 8,
+        scheduler: kind,
+        reload: ReloadPolicy::Adaptive,
+        straggler_cv: 0.0,
+        utilization_sample_secs: 30.0,
+        ..SimConfig::default()
+    }
+}
+
+fn two_complementary() -> Vec<JobSpec> {
+    vec![
+        spec("cpu-heavy", 400.0, 10.0, 4, 1),
+        spec("net-heavy", 40.0, 50.0, 2, 1),
+    ]
+}
+
+#[test]
+fn harmony_completes_all_jobs() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    assert_eq!(r.completed(), 2, "{:?}", r.oom_events);
+    assert!(r.makespan > 0.0);
+    for j in &r.jobs {
+        assert_eq!(j.iterations, 20);
+        assert!(j.jct.unwrap() > 0.0);
+    }
+}
+
+#[test]
+fn isolated_completes_all_jobs() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Isolated),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    assert_eq!(r.completed(), 2);
+}
+
+#[test]
+fn jobs_cut_off_by_the_horizon_are_not_completed() {
+    // Stop the clock after the first job's finish but long before
+    // the second's: the straggler is abandoned without a finish
+    // time and must not count as completed.
+    let mut specs = two_complementary();
+    specs[1].target_epochs *= 1_000;
+    let full = Driver::run(
+        small_cfg(SchedulerKind::Isolated),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    let cfg = SimConfig {
+        max_sim_seconds: full.makespan * 2.0,
+        ..small_cfg(SchedulerKind::Isolated)
+    };
+    let r = Driver::run(cfg, specs, vec![0.0, 0.0]);
+    assert!(r.jobs[0].finish.is_some(), "{:?}", r.jobs[0]);
+    assert_eq!(r.jobs[1].finish, None);
+    assert!(r.jobs[1].iterations > 0, "{:?}", r.jobs[1]);
+    assert_eq!(r.completed(), 1);
+}
+
+#[test]
+fn naive_completes_all_jobs() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Naive {
+            jobs_per_group: 2,
+            seed: 1,
+        }),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    assert_eq!(r.completed(), 2);
+}
+
+#[test]
+fn harmony_beats_isolated_on_complementary_mix() {
+    // Several complementary jobs: multiplexing should cut makespan.
+    let mut specs = Vec::new();
+    for i in 0..4 {
+        specs.push(spec(&format!("cpu{i}"), 320.0, 8.0, 2, 1));
+        specs.push(spec(&format!("net{i}"), 24.0, 40.0, 1, 1));
+    }
+    let arrivals = vec![0.0; specs.len()];
+    let h = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        specs.clone(),
+        arrivals.clone(),
+    );
+    let i = Driver::run(small_cfg(SchedulerKind::Isolated), specs, arrivals);
+    assert_eq!(h.completed(), 8);
+    assert_eq!(i.completed(), 8);
+    assert!(
+        h.makespan < i.makespan,
+        "harmony {} vs isolated {}",
+        h.makespan,
+        i.makespan
+    );
+}
+
+#[test]
+fn oom_fires_without_spill() {
+    // Input far beyond memory (x2.5 expansion) and no reload.
+    let cfg = SimConfig {
+        machines: 2,
+        scheduler: SchedulerKind::Naive {
+            jobs_per_group: 3,
+            seed: 0,
+        },
+        reload: ReloadPolicy::None,
+        ..SimConfig::default()
+    };
+    let specs = vec![
+        spec("a", 50.0, 5.0, 40, 2),
+        spec("b", 50.0, 5.0, 40, 2),
+        spec("c", 50.0, 5.0, 40, 2),
+    ];
+    let r = Driver::run(cfg, specs, vec![0.0; 3]);
+    assert!(!r.oom_events.is_empty(), "expected an OOM kill");
+    assert!(r.completed() < 3);
+}
+
+#[test]
+fn spill_prevents_the_same_oom() {
+    let cfg = SimConfig {
+        machines: 2,
+        scheduler: SchedulerKind::Naive {
+            jobs_per_group: 3,
+            seed: 0,
+        },
+        reload: ReloadPolicy::StaticFit,
+        ..SimConfig::default()
+    };
+    let specs = vec![
+        spec("a", 50.0, 5.0, 40, 2),
+        spec("b", 50.0, 5.0, 40, 2),
+        spec("c", 50.0, 5.0, 40, 2),
+    ];
+    let r = Driver::run(cfg, specs, vec![0.0; 3]);
+    assert!(r.oom_events.is_empty(), "{:?}", r.oom_events);
+    assert_eq!(r.completed(), 3);
+}
+
+#[test]
+fn runs_are_deterministic() {
+    let specs = two_complementary();
+    let a = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        specs.clone(),
+        vec![0.0, 0.0],
+    );
+    let b = Driver::run(small_cfg(SchedulerKind::Harmony), specs, vec![0.0, 0.0]);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.mean_jct(), b.mean_jct());
+}
+
+#[test]
+fn arrivals_are_respected() {
+    let specs = two_complementary();
+    let r = Driver::run(small_cfg(SchedulerKind::Isolated), specs, vec![0.0, 500.0]);
+    let late = &r.jobs[1];
+    assert!(late.finish.unwrap() > 500.0);
+    assert_eq!(late.arrival, 500.0);
+}
+
+#[test]
+fn utilization_samples_are_bounded() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    for p in r
+        .cpu_timeline
+        .points()
+        .iter()
+        .chain(r.net_timeline.points())
+    {
+        assert!((0.0..=1.0).contains(&p.value), "{p:?}");
+    }
+    assert!(r.avg_cpu_util(8) <= 1.0);
+    assert!(r.avg_net_util(8) <= 1.0);
+}
+
+#[test]
+fn harmony_collects_predictions_with_small_error() {
+    let mut specs = Vec::new();
+    for i in 0..6 {
+        specs.push(spec(&format!("c{i}"), 200.0 + 30.0 * i as f64, 10.0, 2, 1));
+        specs.push(spec(&format!("n{i}"), 30.0, 25.0 + 5.0 * i as f64, 1, 1));
+    }
+    let arrivals = vec![0.0; specs.len()];
+    let r = Driver::run(small_cfg(SchedulerKind::Harmony), specs, arrivals);
+    assert!(!r.predictions.is_empty(), "no prediction samples collected");
+    // This is a deliberately harsh small-scale setting (8 machines,
+    // 20-iteration jobs, so measurement windows are only a few
+    // iterations long); paper-scale accuracy (<10% on the 80-job
+    // workload, Figure 13b) is asserted by the fig13 experiment.
+    let err = r.mean_iteration_prediction_error();
+    assert!(err < 0.35, "iteration prediction error {err}");
+}
+
+#[test]
+fn jobs_make_iteration_progress_monotonically() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    for j in &r.jobs {
+        assert_eq!(j.iterations, 20, "{}", j.name);
+    }
+}
+
+#[test]
+fn completions_trigger_regrouping_decisions() {
+    // Jobs of mixed lengths: short ones finish first, forcing the
+    // §IV-B4 completion path (replace or escalate) to run; the
+    // grouping must keep evolving after the first completion.
+    let mut specs = Vec::new();
+    for i in 0..3 {
+        specs.push(spec(&format!("short{i}"), 60.0, 6.0, 1, 1));
+    }
+    for i in 0..3 {
+        specs.push(spec(&format!("long{i}"), 600.0, 20.0, 2, 1));
+    }
+    let arrivals = vec![0.0; specs.len()];
+    let r = Driver::run(small_cfg(SchedulerKind::Harmony), specs, arrivals);
+    assert_eq!(r.completed(), 6);
+    // Decisions happened after the bootstrap one.
+    assert!(
+        r.grouping_snapshots.len() >= 2,
+        "only {} snapshots",
+        r.grouping_snapshots.len()
+    );
+    let first = r.grouping_snapshots.first().expect("non-empty").time;
+    let last = r.grouping_snapshots.last().expect("non-empty").time;
+    assert!(last > first, "no regrouping after bootstrap");
+}
+
+#[test]
+fn migrations_are_counted_when_groups_reshape() {
+    let mut specs = Vec::new();
+    for i in 0..4 {
+        specs.push(spec(&format!("a{i}"), 150.0 + 40.0 * i as f64, 8.0, 1, 1));
+        specs.push(spec(&format!("b{i}"), 30.0, 20.0 + 4.0 * i as f64, 1, 1));
+    }
+    let arrivals = vec![0.0; specs.len()];
+    let r = Driver::run(small_cfg(SchedulerKind::Harmony), specs, arrivals);
+    assert_eq!(r.completed(), 8);
+    // With eight heterogeneous jobs on eight machines at least one
+    // reshape moves a running job.
+    assert!(r.migrations > 0);
+}
+
+#[test]
+fn live_migration_is_inert_without_drift() {
+    // Without profile_feedback no drift ever fires, so turning
+    // live_migration on must not change a single byte.
+    let specs = two_complementary();
+    let off = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        specs.clone(),
+        vec![0.0, 0.0],
+    );
+    let cfg = SimConfig {
+        live_migration: true,
+        ..small_cfg(SchedulerKind::Harmony)
+    };
+    let on = Driver::run(cfg, specs, vec![0.0, 0.0]);
+    assert_eq!(off.canonical_bytes(), on.canonical_bytes());
+    assert_eq!(on.live_migration.started, 0);
+    assert_eq!(on.live_migration.completed, 0);
+}
+
+#[test]
+fn sched_wall_clock_is_tracked() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    assert!(r.sched_invocations > 0);
+    assert!(r.sched_wall > std::time::Duration::ZERO);
+}
+
+#[test]
+fn grouping_snapshots_recorded_for_harmony() {
+    let r = Driver::run(
+        small_cfg(SchedulerKind::Harmony),
+        two_complementary(),
+        vec![0.0, 0.0],
+    );
+    assert!(!r.grouping_snapshots.is_empty());
+    for s in &r.grouping_snapshots {
+        for &(m, jobs) in &s.groups {
+            assert!(m >= 1);
+            assert!(jobs >= 1);
+        }
+    }
+}
+
+fn coalesced_cfg(window: f64, max_batch: usize) -> SimConfig {
+    SimConfig {
+        coalesced_passes: true,
+        coalesce_window: window,
+        coalesce_max_batch: max_batch,
+        // Windows only open where the exact arm would have fired a
+        // finish pass; a threshold of 1 makes every finish with a
+        // backlog mandate one, so the window machinery is actually
+        // exercised on these tiny workloads.
+        waiting_reschedule_threshold: 1,
+        ..small_cfg(SchedulerKind::Harmony)
+    }
+}
+
+fn staggered_mix(n: usize) -> (Vec<JobSpec>, Vec<f64>) {
+    let mut specs = Vec::new();
+    let mut arrivals = Vec::new();
+    for i in 0..n {
+        specs.push(spec(
+            &format!("c{i}"),
+            120.0 + 30.0 * (i % 5) as f64,
+            6.0 + 2.0 * (i % 3) as f64,
+            1,
+            1,
+        ));
+        arrivals.push(10.0 * (i % 4) as f64);
+    }
+    (specs, arrivals)
+}
+
+#[test]
+fn coalesced_mode_completes_and_counts_every_finish() {
+    let (specs, arrivals) = staggered_mix(8);
+    let n = specs.len();
+    let r = Driver::run(coalesced_cfg(30.0, 32), specs, arrivals);
+    assert_eq!(r.completed(), n);
+    // Every finish routed through a window, none lost or doubled.
+    assert_eq!(r.coalesced_finishes, n);
+    assert!(r.coalesce_windows >= 1);
+    assert_eq!(r.coalesce_windows, r.coalesce_staleness.count() as usize);
+    assert!(r.resched_reasons.window_flush <= r.coalesce_windows);
+    assert_eq!(r.resched_reasons.finished, 0);
+}
+
+#[test]
+fn coalesced_staleness_is_bounded_by_the_window() {
+    let (specs, arrivals) = staggered_mix(10);
+    for window in [5.0, 60.0, 600.0] {
+        let r = Driver::run(coalesced_cfg(window, 32), specs.clone(), arrivals.clone());
+        if let Some(max) = r.coalesce_staleness.max() {
+            assert!(
+                max <= window + 1e-9,
+                "staleness {max} exceeds window {window}"
+            );
+        }
+    }
+}
+
+#[test]
+fn coalesced_batch_cap_of_one_flushes_every_finish() {
+    let (specs, arrivals) = staggered_mix(6);
+    let n = specs.len();
+    let r = Driver::run(coalesced_cfg(1e6, 1), specs, arrivals);
+    assert_eq!(r.completed(), n);
+    // Cap 1 degenerates to one flush per mandated finish: every
+    // window flushes immediately with zero staleness.
+    assert!(r.coalesce_windows >= 1);
+    assert_eq!(r.resched_reasons.window_flush, r.coalesce_windows);
+    assert_eq!(r.coalesce_staleness.max(), Some(0.0));
+}
+
+#[test]
+fn coalesced_flag_off_keeps_the_window_machinery_silent() {
+    let (specs, arrivals) = staggered_mix(8);
+    let r = Driver::run(small_cfg(SchedulerKind::Harmony), specs, arrivals);
+    assert_eq!(r.coalesce_windows, 0);
+    assert_eq!(r.coalesced_finishes, 0);
+    assert_eq!(r.release_passes, 0);
+    assert!(r.coalesce_staleness.is_empty());
+    assert_eq!(r.resched_reasons.window_flush, 0);
+}
+
+#[test]
+fn coalesced_flag_is_inert_for_isolated_and_naive() {
+    // The window machinery hangs off the Harmony finish handler;
+    // the baselines must stay byte-identical with the flag on.
+    for kind in [
+        SchedulerKind::Isolated,
+        SchedulerKind::Naive {
+            jobs_per_group: 4,
+            seed: 1,
+        },
+    ] {
+        let (specs, arrivals) = staggered_mix(6);
+        let off = Driver::run(small_cfg(kind.clone()), specs.clone(), arrivals.clone());
+        let on = Driver::run(
+            SimConfig {
+                coalesced_passes: true,
+                ..small_cfg(kind)
+            },
+            specs,
+            arrivals,
+        );
+        assert_eq!(off.canonical_bytes(), on.canonical_bytes());
+        assert_eq!(on.coalesce_windows, 0);
+        assert_eq!(on.release_passes, 0);
+    }
+}
+
+mod coalesce_props {
+    use super::*;
+    use harmony_core::job::{AppKind, JobSpec};
+    use proptest::prelude::*;
+
+    fn spec(name: String, comp: f64, net: f64) -> JobSpec {
+        JobSpec {
+            name,
+            app: AppKind::Mlr,
+            dataset: "synthetic".into(),
+            input_bytes: 1 << 30,
+            model_bytes: 1 << 30,
+            comp_cost: comp,
+            net_cost: net,
+            sync: Default::default(),
+            pull_fraction: 0.5,
+            iters_per_epoch: 5,
+            target_epochs: 3,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Core accounting of the window state machine, under random
+        /// workload shapes, windows and batch caps: no finish is lost
+        /// or double-counted, every window records exactly one
+        /// staleness sample bounded by the window length, and flush
+        /// passes never outnumber windows (other triggers may subsume
+        /// a window for free, never the reverse).
+        #[test]
+        fn window_accounting_invariants(
+            njobs in 2usize..10,
+            window in 1.0f64..600.0,
+            max_batch in 1usize..8,
+            spread in 0.0f64..40.0,
+        ) {
+            let mut specs = Vec::new();
+            let mut arrivals = Vec::new();
+            for i in 0..njobs {
+                specs.push(spec(
+                    format!("p{i}"),
+                    80.0 + 35.0 * (i % 4) as f64,
+                    5.0 + 3.0 * (i % 3) as f64,
+                ));
+                arrivals.push(spread * (i % 3) as f64);
+            }
+            let cfg = SimConfig {
+                machines: 8,
+                scheduler: SchedulerKind::Harmony,
+                reload: ReloadPolicy::Adaptive,
+                straggler_cv: 0.0,
+                coalesced_passes: true,
+                coalesce_window: window,
+                coalesce_max_batch: max_batch,
+                ..SimConfig::default()
+            };
+            let r = Driver::run(cfg, specs, arrivals);
+            // No finish lost or double-counted.
+            prop_assert_eq!(r.completed(), njobs);
+            prop_assert_eq!(r.coalesced_finishes, njobs);
+            // The exact finish trigger never fires in coalesced mode.
+            prop_assert_eq!(r.resched_reasons.finished, 0);
+            // One staleness sample per window, each bounded by the
+            // window length (flush ordering is total: expiry, batch
+            // cap and subsuming triggers all close before any later
+            // pass runs).
+            prop_assert_eq!(r.coalesce_windows, r.coalesce_staleness.count() as usize);
+            if let Some(max) = r.coalesce_staleness.max() {
+                prop_assert!(
+                    max <= window + 1e-9,
+                    "staleness {} exceeds window {}", max, window
+                );
+            }
+            prop_assert!(r.resched_reasons.window_flush <= r.coalesce_windows);
+            // Release passes only fire while a window exists.
+            if r.coalesce_windows == 0 {
+                prop_assert_eq!(r.release_passes, 0);
+            }
+        }
+
+        /// Drift-style triggers (here: the profiled-backlog threshold
+        /// crossing under staggered arrivals) subsume open windows:
+        /// the run still completes, and subsumed windows show up as
+        /// staleness samples without a matching flush pass.
+        #[test]
+        fn subsuming_triggers_interleave_cleanly(
+            njobs in 4usize..12,
+            window in 50.0f64..2000.0,
+        ) {
+            let mut specs = Vec::new();
+            let mut arrivals = Vec::new();
+            for i in 0..njobs {
+                specs.push(spec(
+                    format!("q{i}"),
+                    100.0 + 25.0 * (i % 3) as f64,
+                    4.0 + 2.0 * (i % 2) as f64,
+                ));
+                // Late stragglers keep profiling/backlog triggers
+                // firing while earlier jobs finish into windows.
+                arrivals.push(if i % 2 == 0 { 0.0 } else { 120.0 });
+            }
+            let cfg = SimConfig {
+                machines: 8,
+                scheduler: SchedulerKind::Harmony,
+                reload: ReloadPolicy::Adaptive,
+                straggler_cv: 0.0,
+                waiting_reschedule_threshold: 2,
+                coalesced_passes: true,
+                coalesce_window: window,
+                coalesce_max_batch: 64,
+                ..SimConfig::default()
+            };
+            let r = Driver::run(cfg, specs, arrivals);
+            prop_assert_eq!(r.completed(), njobs);
+            prop_assert_eq!(r.coalesced_finishes, njobs);
+            prop_assert_eq!(r.coalesce_windows, r.coalesce_staleness.count() as usize);
+            prop_assert!(r.resched_reasons.window_flush <= r.coalesce_windows);
+            if let Some(max) = r.coalesce_staleness.max() {
+                prop_assert!(max <= window + 1e-9);
+            }
+        }
+    }
+}
+
+mod try_run_validation {
+    //! Malformed run requests come back as errors, not panics
+    //! (regression for the old `assert_eq!` length check in `run`).
+
+    use super::*;
+
+    #[test]
+    fn try_run_rejects_mismatched_arrival_lengths() {
+        let err = Driver::try_run(
+            small_cfg(SchedulerKind::Harmony),
+            two_complementary(),
+            vec![0.0], // two specs, one arrival
+        )
+        .expect_err("length mismatch must be an error, not a panic");
+        assert!(err.contains("arrival"), "unhelpful error: {err}");
+        assert!(
+            err.contains('2') && err.contains('1'),
+            "counts absent: {err}"
+        );
+    }
+
+    #[test]
+    fn try_run_rejects_invalid_specs_and_arrival_times() {
+        let mut bad = spec("broken", 0.0, 10.0, 1, 1); // zero COMP cost
+        bad.comp_cost = 0.0;
+        let err = Driver::try_run(small_cfg(SchedulerKind::Harmony), vec![bad], vec![0.0])
+            .expect_err("invalid spec must be an error");
+        assert!(err.contains("job 0 spec invalid"), "{err}");
+
+        let err = Driver::try_run(
+            small_cfg(SchedulerKind::Harmony),
+            two_complementary(),
+            vec![0.0, f64::NAN],
+        )
+        .expect_err("NaN arrival must be an error");
+        assert!(err.contains("job 1 arrival"), "{err}");
+
+        let err = Driver::try_run(
+            small_cfg(SchedulerKind::Harmony),
+            two_complementary(),
+            vec![0.0, -5.0],
+        )
+        .expect_err("negative arrival must be an error");
+        assert!(err.contains("job 1 arrival"), "{err}");
+    }
+
+    #[test]
+    fn try_run_rejects_out_of_range_scripted_shifts() {
+        let mut cfg = small_cfg(SchedulerKind::Harmony);
+        cfg.comp_shifts = vec![crate::config::CompShift {
+            job: 7,
+            at_iteration: 1,
+            factor: 2.0,
+        }];
+        let err = Driver::try_run(cfg, two_complementary(), vec![0.0, 0.0])
+            .expect_err("out-of-range comp shift must be an error");
+        assert!(err.contains("comp shift names job 7"), "{err}");
+
+        let mut cfg = small_cfg(SchedulerKind::Harmony);
+        cfg.push_densities = vec![crate::config::PushDensity {
+            job: 9,
+            density: 0.5,
+        }];
+        let err = Driver::try_run(cfg, two_complementary(), vec![0.0, 0.0])
+            .expect_err("out-of-range push density must be an error");
+        assert!(err.contains("push density names job 9"), "{err}");
+    }
+
+    #[test]
+    fn try_run_matches_run_on_a_valid_request() {
+        let a = Driver::run(
+            small_cfg(SchedulerKind::Harmony),
+            two_complementary(),
+            vec![0.0, 0.0],
+        );
+        let b = Driver::try_run(
+            small_cfg(SchedulerKind::Harmony),
+            two_complementary(),
+            vec![0.0, 0.0],
+        )
+        .expect("valid request");
+        assert_eq!(a.canonical_bytes(), b.canonical_bytes());
+    }
+}
+
+mod seams {
+    //! The state machines and pure helpers the handlers are built
+    //! from, driven directly — no simulation.
+
+    use super::super::arrivals::{admission_gate, Gate};
+    use super::super::resched::{running_grouping, Deferred};
+    use super::*;
+    use crate::admission::AdmissionDecision;
+
+    #[test]
+    fn window_opens_absorbs_and_fills_at_the_cap() {
+        let mut w = CoalesceWindow::default();
+        assert!(!w.is_open() && !w.batch_full(1));
+        let opened = w.defer(100.0, 30.0);
+        assert_eq!(
+            opened,
+            Deferred::Opened {
+                flush_at: 130.0,
+                gen: 1
+            }
+        );
+        assert!(w.is_open() && !w.batch_full(3));
+        assert_eq!(w.defer(110.0, 30.0), Deferred::Absorbed);
+        assert!(!w.batch_full(3));
+        assert_eq!(w.defer(120.0, 30.0), Deferred::Absorbed);
+        assert!(w.batch_full(3), "the third pass reaches a cap of three");
+        // Absorbing never re-opens: no second expiry, same generation.
+        assert!(w.expires(1));
+    }
+
+    #[test]
+    fn a_cap_of_one_fills_the_window_as_it_opens() {
+        let mut w = CoalesceWindow::default();
+        assert!(matches!(w.defer(5.0, 1e6), Deferred::Opened { .. }));
+        assert!(w.batch_full(1));
+    }
+
+    #[test]
+    fn stale_generation_expiry_is_a_no_op() {
+        let mut w = CoalesceWindow::default();
+        let Deferred::Opened { gen: first, .. } = w.defer(0.0, 30.0) else {
+            panic!("a closed window opens");
+        };
+        assert!(w.expires(first));
+        // Flushed early; its expiry event is still in the queue.
+        assert_eq!(w.close(10.0), Some(10.0));
+        assert!(!w.expires(first), "closed: nothing to flush");
+        // A later window must not be flushed by the earlier expiry.
+        let Deferred::Opened { gen: second, .. } = w.defer(20.0, 30.0) else {
+            panic!("a closed window opens");
+        };
+        assert_ne!(first, second);
+        assert!(!w.expires(first));
+        assert!(w.expires(second));
+    }
+
+    #[test]
+    fn close_records_staleness_once_and_resets_the_batch() {
+        let mut w = CoalesceWindow::default();
+        assert_eq!(w.close(1.0), None, "never opened: nothing to record");
+        w.defer(40.0, 30.0);
+        w.defer(45.0, 30.0);
+        assert_eq!(w.close(52.5), Some(12.5));
+        assert_eq!(w.close(60.0), None, "one sample per window");
+        // The next window counts its batch from one again.
+        w.defer(70.0, 30.0);
+        assert!(!w.batch_full(2));
+        w.defer(71.0, 30.0);
+        assert!(w.batch_full(2));
+    }
+
+    #[test]
+    fn deferral_budget_forces_admit_at_exactly_the_cap() {
+        let cfg = SimConfig {
+            admission_max_deferrals: 3,
+            admission_reoffer_secs: 20.0,
+            ..SimConfig::default()
+        };
+        let gate = |decision, deferrals| admission_gate(decision, deferrals, 100.0, &cfg);
+        for deferrals in 0..3 {
+            assert_eq!(
+                gate(AdmissionDecision::Defer, deferrals),
+                Gate::Defer { reoffer_at: 120.0 },
+                "budget left after {deferrals} deferrals"
+            );
+        }
+        assert_eq!(gate(AdmissionDecision::Defer, 3), Gate::Forced);
+        assert_eq!(gate(AdmissionDecision::Defer, 4), Gate::Forced);
+        // An admit is an admit, spent budget or not — never "forced".
+        assert_eq!(gate(AdmissionDecision::Admit, 0), Gate::Admit);
+        assert_eq!(gate(AdmissionDecision::Admit, 3), Gate::Admit);
+    }
+
+    #[test]
+    fn reject_is_terminal_whatever_the_budget() {
+        let cfg = SimConfig::default();
+        for deferrals in [0, cfg.admission_max_deferrals, u32::MAX] {
+            assert_eq!(
+                admission_gate(AdmissionDecision::Reject, deferrals, 0.0, &cfg),
+                Gate::Reject
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_view_numbers_machines_without_collision_or_overflow() {
+        // A 10 001-machine group next to another, at slot indices past
+        // `u32::MAX / 10_000`: ids derived from the slot index would
+        // collide across the two groups and overflow `u32`.
+        let group = |id: usize, machines: u32, job: usize| {
+            let mut g = GroupSim::new(id, machines, 1, 2, 0.0, 0.0);
+            g.jobs.push(job);
+            g
+        };
+        let (big, small) = (group(450_000, 10_001, 0), group(450_001, 7, 1));
+        let mut host = group(450_002, 3, 2);
+        host.profiling_host = true;
+        let (grouping, profiling_held) = running_grouping([&big, &small, &host].into_iter());
+        assert_eq!(profiling_held, 3);
+        assert_eq!(
+            grouping.len(),
+            2,
+            "the profiling host is not a running group"
+        );
+        grouping.validate().expect("machine ids are unique");
+        let dops: Vec<u32> = grouping.groups().iter().map(|g| g.dop()).collect();
+        assert_eq!(dops, vec![10_001, 7]);
+        assert_eq!(grouping.groups()[1].id().index(), 450_001);
+    }
+}

@@ -155,7 +155,7 @@ impl ReschedCounters {
 }
 
 /// Full results of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Scheduler label ("harmony", "isolated", ...).
     pub scheduler: String,
@@ -255,6 +255,17 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run in which nothing has happened yet: no jobs,
+    /// empty (named) timelines and logs, every counter at zero. The
+    /// driver starts from this and accumulates into it as the run goes.
+    pub fn empty() -> Self {
+        Self {
+            cpu_timeline: Timeline::new("cpu-util"),
+            net_timeline: Timeline::new("net-util"),
+            ..Self::default()
+        }
+    }
+
     /// Mean JCT over completed jobs (seconds).
     pub fn mean_jct(&self) -> f64 {
         let done: Vec<f64> = self.jobs.iter().filter_map(|j| j.jct).collect();

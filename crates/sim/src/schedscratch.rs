@@ -12,56 +12,41 @@
 use harmony_core::profile::JobProfile;
 use harmony_core::scratch::{ProfileCache, ScheduleScratch};
 
-/// Reused buffers for [`crate::driver::Driver`]'s full reschedule.
-pub(crate) struct SimSchedScratch {
-    /// Job indices of the state class being ordered (cleared per class).
-    pub class: Vec<usize>,
-    /// Profiles of the ordered schedulable jobs (J_profiled ∪ J_paused
-    /// ∪ J_running), in decision order; flat copies, capacity reused.
+/// What one kind of scheduler query carries from call to call: the
+/// profile list it is asked over and the core scheduler's cache and
+/// scan scratch, which must stay paired (`ScheduleScratch::loaded_gen`).
+pub(crate) struct PassBuffers {
+    /// Profiles in decision order; flat copies, capacity reused.
     pub profiles: Vec<JobProfile>,
-    /// Per-profile derived arrays reused by the core scheduler.
+    /// Per-profile derived arrays, synced to `profiles` by each query.
     pub cache: ProfileCache,
-    /// Candidate-scan scratch reused by the core scheduler.
+    /// Candidate-scan scratch paired with `cache`.
     pub scratch: ScheduleScratch,
-    /// Profiles fed to the targeted release pass
-    /// ([`harmony_core::schedule::Scheduler::schedule_release`]); kept
-    /// separate from `profiles` so a release decision never perturbs
-    /// the full pass's dirty-set cache.
-    pub release_profiles: Vec<JobProfile>,
-    /// Dirty-set cache dedicated to the release pass.
-    pub release_cache: ProfileCache,
-    /// Candidate-scan scratch dedicated to the release pass.
-    pub release_scratch: ScheduleScratch,
-    /// Profiles fed to admission pricing
-    /// ([`harmony_core::Scheduler::price_candidate`]); like the
-    /// release buffers, kept separate so pricing an arrival never
-    /// perturbs the full pass's dirty-set cache.
-    pub admission_profiles: Vec<JobProfile>,
-    /// Dirty-set cache dedicated to admission pricing.
-    pub admission_cache: ProfileCache,
-    /// Candidate-scan scratch dedicated to admission pricing.
-    pub admission_scratch: ScheduleScratch,
 }
 
-impl SimSchedScratch {
-    pub fn new() -> Self {
+impl Default for PassBuffers {
+    fn default() -> Self {
         Self {
-            class: Vec::new(),
             profiles: Vec::new(),
             cache: ProfileCache::empty(),
             scratch: ScheduleScratch::new(),
-            release_profiles: Vec::new(),
-            release_cache: ProfileCache::empty(),
-            release_scratch: ScheduleScratch::new(),
-            admission_profiles: Vec::new(),
-            admission_cache: ProfileCache::empty(),
-            admission_scratch: ScheduleScratch::new(),
         }
     }
 }
 
-impl Default for SimSchedScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Reused buffers for [`crate::driver::Driver`]'s scheduler queries.
+/// Each query kind owns its buffers, so release passes and admission
+/// pricing never churn the cache the full pass keeps in sync.
+#[derive(Default)]
+pub(crate) struct SimSchedScratch {
+    /// Job indices of the state class being ordered (cleared per class).
+    pub class: Vec<usize>,
+    /// The full pass, over J_profiled ∪ J_paused ∪ J_running.
+    pub full: PassBuffers,
+    /// The targeted release pass
+    /// ([`harmony_core::schedule::Scheduler::schedule_release`]).
+    pub release: PassBuffers,
+    /// Admission pricing
+    /// ([`harmony_core::Scheduler::price_candidate`]).
+    pub admission: PassBuffers,
 }

@@ -1,5 +1,14 @@
 #!/usr/bin/env sh
-# Repo-wide hygiene gate: formatting, lints, build, tests.
+# Repo-wide hygiene gate: formatting, lints, docs, build, tests.
+#
+# Always: cargo fmt --check, clippy -D warnings, rustdoc -D warnings
+# (intra-doc links across the workspace: a rename must not leave a
+# dangling [`link`]), release build, the whole test suite, then release
+# reruns of the thread-timing-sensitive gates (profile_feedback,
+# profile_props, schedule_props, golden_digests). The simulator's
+# driver lives in crates/sim/src/driver/ (one file per concern, its
+# unit tests in driver/tests.rs); tests/golden_digests.rs pins its
+# bytes across commits.
 #
 # Usage: scripts/check.sh [--bench-smoke]
 #   --bench-smoke  additionally run the perf-baseline binaries at tiny
@@ -39,6 +48,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --workspace --release

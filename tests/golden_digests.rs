@@ -13,8 +13,8 @@
 //! static-fit reload policy — was captured on the commit before
 //! `driver.rs` became `driver/` and the scheduling entry points were
 //! merged, to cover what that refactor moved. A PR that does mean to
-//! change behaviour re-captures them (`GOLDEN_PRINT=1 cargo test --test golden_digests
-//! -- --nocapture`) and says why.
+//! change behaviour re-captures them (`GOLDEN_PRINT=1 cargo test --test
+//! golden_digests -- --nocapture`) and says why.
 
 use harmony::core::oracle::OracleScheduler;
 use harmony::core::{AppKind, JobSpec, SyncKind};
