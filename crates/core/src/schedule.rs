@@ -2076,6 +2076,40 @@ mod tests {
     }
 
     #[test]
+    fn scan_scores_stay_at_the_pinned_pre_optimization_scores() {
+        // Scores (cpu weight 0.7) the frozen pre-optimization scan
+        // (`core::reference`, removed right after this capture on
+        // e58d389) chose on these six 40-job workloads. The fast scan
+        // explores the same candidate space with the same model, so it
+        // must never fall meaningfully below them (near-ties may
+        // resolve differently because of the once-sorted key).
+        const PINNED: [f64; 6] = [
+            0.9360565460717076,
+            0.9297708536609937,
+            0.8125041211525288,
+            0.7542419184222494,
+            0.7136944836707474,
+            0.6763694550298633,
+        ];
+        let fast = Scheduler::default();
+        for (seed, pinned) in PINNED.into_iter().enumerate() {
+            let seed = seed as u64;
+            let jobs: Vec<JobProfile> = (0..40)
+                .map(|i| {
+                    let h = (i * 2654435761 + seed * 97) % 1013;
+                    prof(i, 1.0 + (h % 89) as f64, 0.5 + (h % 23) as f64)
+                })
+                .collect();
+            let machines = 60 + (seed as u32) * 17;
+            let fs = fast.schedule(&jobs, machines).utilization.score(0.7);
+            assert!(
+                fs >= pinned - 0.02,
+                "seed {seed}: fast {fs} fell below the pinned reference {pinned}"
+            );
+        }
+    }
+
+    #[test]
     fn price_candidate_handles_degenerate_inputs() {
         let s = Scheduler::default();
         let mut cache = ProfileCache::empty();
