@@ -57,6 +57,16 @@ fn schedule_scales_to_thousands_of_jobs_quickly() {
         t0.elapsed()
     );
     assert!(outcome.grouping.validate().is_ok());
+    // Past 1024 jobs the scan samples group counts instead of sweeping
+    // them; it must stay within 5% of what the frozen pre-optimization
+    // scan scored on this population (captured on e58d389, just before
+    // that scan was removed).
+    const PINNED_PRE_OPTIMIZATION_SCORE: f64 = 0.9940106249999999;
+    let score = outcome.utilization.score(0.7);
+    assert!(
+        score >= 0.95 * PINNED_PRE_OPTIMIZATION_SCORE,
+        "sparse scan scored {score}"
+    );
 }
 
 #[test]
