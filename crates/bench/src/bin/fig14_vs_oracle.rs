@@ -5,11 +5,88 @@
 //! it is only tractable on a reduced instance. We compare resource
 //! utilization, mean JCT and makespan on a 10-job / 24-machine slice of
 //! the workload, and report scheduling-decision latency for both.
+//!
+//! The second table is §V-F's scalability claim: one full Algorithm 1
+//! decision on growing instances (the paper reports ~1.2 s for 80 jobs
+//! / 100 machines and < 5 s for 8K jobs on 10K machines) against the
+//! exhaustive search on the few sizes where it terminates.
+
+use std::time::Instant;
 
 use harmony_bench::{base_specs, harmony_config, run};
-use harmony_core::job::JobSpec;
-use harmony_metrics::TextTable;
+use harmony_core::job::{JobId, JobSpec};
+use harmony_core::oracle::OracleScheduler;
+use harmony_core::profile::JobProfile;
+use harmony_core::schedule::Scheduler;
+use harmony_metrics::{Cdf, TextTable};
 use harmony_sim::SchedulerKind;
+use harmony_trace::{workload_with, WorkloadParams};
+
+/// Synthetic warm-profile population shaped like the base workload.
+fn profiles(n: usize) -> Vec<JobProfile> {
+    workload_with(WorkloadParams {
+        hyper_params: n.div_ceil(8) as u32,
+        ..WorkloadParams::default()
+    })
+    .into_iter()
+    .take(n)
+    .enumerate()
+    .map(|(i, s)| {
+        let mut p = JobProfile::from_reference(JobId::new(i as u64), s.comp_cost, s.net_cost);
+        p.set_memory_footprint(s.input_bytes, s.model_bytes);
+        p
+    })
+    .collect()
+}
+
+/// §V-F: median decision latency of Algorithm 1 at the paper's scales,
+/// and of the exhaustive search on small instances only (Bell-number
+/// growth: the 10-job case alone takes tens of seconds).
+fn latency_table() -> TextTable {
+    const REPS: usize = 7;
+    let mut table = TextTable::new(["jobs", "machines", "scheduler", "decision time"]);
+    let scheduler = Scheduler::default();
+    for (jobs, machines) in [
+        (80usize, 100u32),
+        (500, 1_000),
+        (2_000, 4_000),
+        (8_000, 10_000),
+    ] {
+        let ps = profiles(jobs);
+        let ms = Cdf::from_samples((0..REPS).map(|_| {
+            let t0 = Instant::now();
+            let out = scheduler.schedule(&ps, machines);
+            let dt = t0.elapsed().as_secs_f64() * 1e3;
+            assert!(out.grouping.validate().is_ok());
+            dt
+        }));
+        table.row([
+            jobs.to_string(),
+            machines.to_string(),
+            "harmony".to_string(),
+            format!(
+                "{:.2} ms (median of {REPS})",
+                ms.median().expect("REPS > 0")
+            ),
+        ]);
+    }
+    let oracle = OracleScheduler::default();
+    for jobs in [6usize, 8, 10] {
+        let machines = 16;
+        let ps = profiles(jobs);
+        let t0 = Instant::now();
+        let out = oracle.schedule(&ps, machines);
+        let dt = t0.elapsed();
+        assert!(out.grouping.validate().is_ok());
+        table.row([
+            jobs.to_string(),
+            machines.to_string(),
+            "oracle (exhaustive)".to_string(),
+            format!("{dt:.2?}"),
+        ]);
+    }
+    table
+}
 
 fn main() {
     // A representative 10-job slice: one variant of every Table I row,
@@ -72,9 +149,12 @@ fn main() {
          (paper: within ~2%, from the greedy preference for fewer co-located \
          jobs)"
     );
+    println!("\n§V-F: scheduling-algorithm latency\n");
+    println!("{}", latency_table());
     println!(
-        "\nPaper finding reproduced when: the gaps are small while Harmony's \
-         scheduling time is orders of magnitude below the oracle's \
-         (scheduling latency at scale: see sched_scalability)."
+        "Paper finding reproduced when: the gaps are small, and Harmony's \
+         decision time stays within seconds up to 8K jobs / 10K machines \
+         while the exhaustive search grows combinatorially (the paper's \
+         oracle: 13.8 min per decision at 80 jobs, ~10 h at 4K jobs)."
     );
 }

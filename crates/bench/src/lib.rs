@@ -7,9 +7,6 @@
 //! helpers.
 
 pub mod harness;
-pub mod perfjson;
-
-pub use perfjson::{parse_bench_args, BenchReport, BenchRow, SCHEMA_VERSION};
 
 pub use harness::{
     base_specs, comm_intensive_specs, comp_intensive_specs, harmony_config, isolated_config,

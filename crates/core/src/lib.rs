@@ -62,7 +62,6 @@ pub mod job;
 pub mod model;
 pub mod oracle;
 pub mod profile;
-pub mod reference;
 pub mod regroup;
 pub mod schedule;
 pub mod scratch;

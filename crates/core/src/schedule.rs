@@ -50,10 +50,6 @@
 //!   byte-identical for every thread count; a thread may run at most
 //!   as many prefixes ahead of the fold as there are threads, so the
 //!   cut wastes at most one evaluation per helper.
-//!
-//! The frozen pre-optimization implementation is kept as
-//! [`reference::ReferenceScheduler`](crate::reference::ReferenceScheduler)
-//! so benchmarks can report before/after rows on the same machine.
 
 use crate::cluster::MachineId;
 use crate::group::{GroupId, Grouping, JobGroup};

@@ -10,35 +10,34 @@
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
 #
-# Usage: scripts/check.sh [--bench-smoke]
-#   --bench-smoke  additionally run the perf-baseline binaries at tiny
-#                  scale and validate their emitted JSON — plus the
-#                  committed BENCH_*.json files (the committed sim
-#                  sweep must carry every scheduling arm with reps >= 3:
-#                  the exact ladder up to 2560 jobs, the coalesced
-#                  ladder up to 5120 jobs, and the open-loop admission
-#                  ladder up to 160 jobs on both admission policies,
-#                  enforced via --full-sweep) — against the perfjson
-#                  schema (see crates/bench/src/perfjson.rs), run the
-#                  simulator fast-event-path, incremental-resched,
-#                  coalesced-pass and open-loop-admission acceptance,
-#                  PS fast-runtime, sparse-wire and live-migration
-#                  equivalence gates at tiny scale, and run the PS
-#                  steady-state allocation audit (counting global
-#                  allocator, `alloc-count` feature). Finally build,
-#                  smoke-run and test the standalone benchmark package
-#                  (benchmark/, the BENCHMARK.json gate): it binds to
-#                  the crates' public API from outside the workspace,
-#                  so only this step notices a change that stops it
-#                  compiling.
+# Usage: scripts/check.sh [--bench-smoke] [--bench]
+#   --bench-smoke  additionally run the simulator fast-event-path,
+#                  incremental-resched, coalesced-pass and
+#                  open-loop-admission acceptance gates and the PS
+#                  fast-runtime, sparse-wire and live-migration
+#                  equivalence gates at tiny scale, the PS steady-state
+#                  allocation audit (counting global allocator,
+#                  `alloc-count` feature), and build, smoke-run and
+#                  test the standalone benchmark package (benchmark/,
+#                  the BENCHMARK.json gate): it binds to the crates'
+#                  public API from outside the workspace, so only this
+#                  step notices a change that stops it compiling.
+#   --bench        additionally run the regression gate: a full
+#                  benchmark set (3 runs per workload, seeds 1..3,
+#                  about 6 minutes) compared against the committed
+#                  benchmark/baselines/run-a.json by the bounds in
+#                  BENCHMARK.json. `compare` exits 1 on any REGRESSION
+#                  or MORE FAILURES row, and so does this script.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCH_SMOKE=0
+BENCH=0
 for arg in "$@"; do
     case "$arg" in
         --bench-smoke) BENCH_SMOKE=1 ;;
+        --bench) BENCH=1 ;;
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
@@ -102,22 +101,18 @@ if [ "$BENCH_SMOKE" = 1 ]; then
     echo "==> PS steady-state allocation audit (alloc-count)"
     cargo test --release -q -p harmony --features alloc-count --test ps_alloc
 
-    echo "==> bench smoke (schema check)"
-    SMOKE_DIR=target/bench_smoke
-    mkdir -p "$SMOKE_DIR"
-    cargo run --release -q -p harmony-bench --bin sched_scalability -- \
-        --smoke --out "$SMOKE_DIR/BENCH_sched.json" >/dev/null
-    cargo run --release -q -p harmony-bench --bin ps_end_to_end -- \
-        --smoke --out "$SMOKE_DIR/BENCH_sim.json" \
-        --ps-out "$SMOKE_DIR/BENCH_ps.json" >/dev/null
-    cargo run --release -q -p harmony-bench --bin bench_schema_check -- \
-        "$SMOKE_DIR/BENCH_sched.json" "$SMOKE_DIR/BENCH_sim.json" \
-        "$SMOKE_DIR/BENCH_ps.json" \
-        BENCH_sched.json --full-sweep BENCH_sim.json BENCH_ps.json
-
     echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
     cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
     cargo test --release -q --manifest-path benchmark/Cargo.toml
+fi
+
+if [ "$BENCH" = 1 ]; then
+    echo "==> benchmark regression gate (3 runs per workload vs benchmark/baselines/run-a.json)"
+    mkdir -p target
+    cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+        run --seed 1 --runs 3 --out target/bench_gate.json
+    cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+        compare benchmark/baselines/run-a.json target/bench_gate.json
 fi
 
 echo "All checks passed."

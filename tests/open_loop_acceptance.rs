@@ -26,8 +26,8 @@
 use harmony::core::JobSpec;
 use harmony::sim::{
     AdmissionContext, AdmissionDecision, AdmissionPolicy, AdmitAll, Driver, FaultEvent, FaultKind,
-    FaultPlan, QueueCap, RunReport, SchedulerKind, SimConfig, UtilityThreshold, WorkloadGen,
-    WorkloadGenConfig,
+    FaultPlan, QueueCap, ReloadPolicy, RunReport, SchedulerKind, SimConfig, UtilityThreshold,
+    WorkloadGen, WorkloadGenConfig,
 };
 use harmony::trace::{faults, workload_with, WorkloadParams};
 
@@ -538,4 +538,66 @@ fn utility_threshold_prices_offers_and_keeps_its_books() {
     )
     .expect("valid run");
     assert_eq!(r.canonical_bytes(), replay.canonical_bytes());
+}
+
+/// The OASiS-style claim at a saturating rate: 40 offers arrive on 25
+/// machines far faster than they drain, so admit-everything
+/// over-subscribes memory and pays for it in GC stretch and a long
+/// low-parallelism drain tail, while utility-priced admission sheds
+/// load and keeps the cluster busy. The operating point and the two
+/// utilizations (0.8894 priced, 0.3336 admit-all) are the saturating
+/// rung of the retired open-loop perf sweep, measured on e58d389.
+#[test]
+fn utility_pricing_holds_utilization_at_the_saturating_rate() {
+    const OFFERS: usize = 40;
+    const MACHINES: u32 = 25;
+    let run = |policy: Box<dyn AdmissionPolicy>| {
+        let templates = workload_with(WorkloadParams {
+            hyper_params: 5,
+            ..WorkloadParams::default()
+        });
+        let gen = WorkloadGen::new(
+            WorkloadGenConfig {
+                seed: 4242,
+                mean_interarrival_secs: 60.0,
+                horizon_secs: 60.0 * OFFERS as f64 * 20.0,
+                max_jobs: OFFERS,
+            },
+            templates,
+        )
+        .expect("valid generator");
+        let cfg = SimConfig {
+            machines: MACHINES,
+            scheduler: SchedulerKind::Harmony,
+            reload: ReloadPolicy::Adaptive,
+            ..SimConfig::default()
+        };
+        let r = Driver::run_open_loop(cfg, gen, policy).expect("valid run");
+        assert_eq!(
+            r.jobs.len(),
+            OFFERS,
+            "the cap, not the horizon, ends the trace"
+        );
+        r
+    };
+    let priced = run(Box::new(UtilityThreshold {
+        threshold: 0.02,
+        reject_after: Some(8),
+    }));
+    let admit_all = run(Box::new(AdmitAll));
+    assert_books_balance("saturating priced", &priced);
+    assert_books_balance("saturating admit-all", &admit_all);
+    let (p, a) = (
+        priced.avg_cpu_util(MACHINES),
+        admit_all.avg_cpu_util(MACHINES),
+    );
+    assert!(
+        p >= a,
+        "utility-priced admission lost utilization to admit-everything: {p:.4} vs {a:.4}"
+    );
+    assert!((p - 0.8894).abs() <= 0.05, "priced cpu util moved: {p:.4}");
+    assert!(
+        (a - 0.3336).abs() <= 0.05,
+        "admit-all cpu util moved: {a:.4}"
+    );
 }

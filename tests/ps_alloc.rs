@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use harmony::ml::{synth, Lasso, Lda, PsAlgorithm};
 use harmony::ps::{JobBuilder, PsCluster, PsConfig};
@@ -44,6 +45,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// `ALLOCS` is process-wide and the test harness runs this file's
+/// tests on parallel threads, so an unserialized audit window also
+/// counts the other test's allocations. Each test holds this for its
+/// whole body. A poisoned lock is still taken: the guarded `()` cannot
+/// be left inconsistent, and the other audit's verdict stays its own.
+static AUDIT: Mutex<()> = Mutex::new(());
+
+fn exclusive_audit() -> MutexGuard<'static, ()> {
+    AUDIT.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One 4-worker Lasso run; `check_every` is huge so the only loss
 /// evaluation is the final-iteration one — the same count either way.
@@ -79,6 +91,7 @@ fn settle(cluster: &PsCluster) {
 
 #[test]
 fn steady_state_iterations_allocate_nothing() {
+    let _audit = exclusive_audit();
     let cluster = PsCluster::new(PsConfig {
         nodes: 4,
         network_bytes_per_sec: None,
@@ -138,6 +151,7 @@ fn run_lda(cluster: &PsCluster, iters: u64) {
 
 #[test]
 fn sparse_push_steady_state_allocates_nothing() {
+    let _audit = exclusive_audit();
     let cluster = PsCluster::new(PsConfig {
         nodes: 4,
         network_bytes_per_sec: None,

@@ -154,8 +154,8 @@ fn run_pair(spec: Spec) {
     );
 }
 
-/// The cheap gate `scripts/check.sh --bench-smoke` runs before
-/// trusting BENCH_ps.json: one small job, both arms, bit-compared.
+/// The cheap gate `scripts/check.sh --bench-smoke` runs: one small
+/// job, both arms, bit-compared.
 #[test]
 fn tiny_scale_fast_runtime_matches_reference() {
     run_pair(Spec::new("lasso", 2, 4));

@@ -267,3 +267,24 @@ fn sparse_push_density_shortens_the_sparse_jobs_run() {
         "sparse wire should shorten the job: {sparse_jct:.0}s vs {dense_jct:.0}s dense"
     );
 }
+
+/// The exact (per-finish) scheduling arm at the top of its scale
+/// ladder: 2560 jobs at t = 0 on 3200 machines, every job completing.
+/// Too slow for the default run; `cargo test -- --ignored`.
+#[test]
+#[ignore = "top of the exact arm's scale ladder: seconds of release-mode wall time"]
+fn exact_arm_completes_2560_jobs_on_3200_machines() {
+    const JOBS: usize = 2560;
+    let specs = workload_with(WorkloadParams {
+        hyper_params: (JOBS / 8) as u32,
+        ..WorkloadParams::default()
+    });
+    assert_eq!(specs.len(), JOBS);
+    let cfg = SimConfig {
+        machines: 3200,
+        coalesced_passes: false,
+        ..cfg(SchedulerKind::Harmony, ReloadPolicy::Adaptive)
+    };
+    let report = Driver::run(cfg, specs, vec![0.0; JOBS]);
+    assert_eq!(report.completed(), JOBS);
+}
