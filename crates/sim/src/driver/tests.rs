@@ -326,6 +326,84 @@ fn grouping_snapshots_recorded_for_harmony() {
     }
 }
 
+/// A mixed-length, staggered Harmony run whose groups change
+/// composition often: six prediction samples, several of them closed
+/// by a job that moves on to a second group.
+fn prediction_pin_run() -> RunReport {
+    let mut specs = Vec::new();
+    let mut arrivals = Vec::new();
+    for i in 0..6 {
+        specs.push(spec(&format!("c{i}"), 200.0 + 30.0 * i as f64, 10.0, 2, 1));
+        specs.push(spec(&format!("n{i}"), 30.0, 25.0 + 5.0 * i as f64, 1, 1));
+        arrivals.push(0.0);
+        arrivals.push(40.0 * i as f64);
+    }
+    for (i, s) in specs.iter_mut().enumerate() {
+        s.target_epochs = 6 + 5 * (i as u32 % 4);
+    }
+    Driver::run(small_cfg(SchedulerKind::Harmony), specs, arrivals)
+}
+
+#[test]
+fn predictions_stay_at_the_pinned_values() {
+    // `(predicted_iteration, realized_iteration, predicted_util,
+    // realized_util)` as `to_bits`, captured on c402cb9 — before the
+    // per-group iteration-statistics table moved onto the jobs.
+    const PINNED: [[u64; 4]; 6] = [
+        [
+            0x406baa7af7cc8e92,
+            0x406d37927e011098,
+            0x3feedba96a745cc1,
+            0x3fee6e8d43ed44c4,
+        ],
+        [
+            0x405b8896dcff447c,
+            0x405b88639ddc46b2,
+            0x3fefb0fa7eba8892,
+            0x3fef44d079753691,
+        ],
+        [
+            0x4063167117163f89,
+            0x40633cedb8b4fac7,
+            0x3fefb0fa7eba8892,
+            0x3fef8f5caebbe1a6,
+        ],
+        [
+            0x4051800000000000,
+            0x40595a52a1cc194a,
+            0x3fef9c5983cab417,
+            0x3fedbba729c75a26,
+        ],
+        [
+            0x404e035fe7357511,
+            0x405071be9a8e1e72,
+            0x3fede07e5c2333fe,
+            0x3feae638f7f11ff9,
+        ],
+        [
+            0x4051844b83360946,
+            0x405401230c15029e,
+            0x3fed09014c68f8ef,
+            0x3fe914019db680fb,
+        ],
+    ];
+    let r = prediction_pin_run();
+    let got: Vec<[u64; 4]> = r
+        .predictions
+        .iter()
+        .map(|p| {
+            [
+                p.predicted_iteration.to_bits(),
+                p.realized_iteration.to_bits(),
+                p.predicted_util.to_bits(),
+                p.realized_util.to_bits(),
+            ]
+        })
+        .collect();
+    assert_eq!(got, PINNED, "prediction samples moved");
+    assert!(r.migrations > 0, "no job ever changed groups");
+}
+
 fn coalesced_cfg(window: f64, max_batch: usize) -> SimConfig {
     SimConfig {
         coalesced_passes: true,
