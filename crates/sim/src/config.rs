@@ -184,11 +184,11 @@ pub struct SimConfig {
     /// the incumbent utilization already saturates the score ceiling,
     /// the regrouper's escalation ladder (one full Algorithm 1 pass per
     /// rung) is skipped outright: no candidate can clear the
-    /// improvement threshold. (3) The event queue is sharded into
-    /// per-group lanes (`LaneQueue`, `crates/sim/src/events.rs`). The
-    /// profile cache is not the flag's business any more: every pass
-    /// over reused buffers brings it up to date in place with
-    /// [`harmony_core::scratch::ProfileCache::sync`], flag on or off.
+    /// improvement threshold. Neither the profile cache nor the event
+    /// queue is the flag's business: every pass over reused buffers
+    /// brings the cache up to date in place with
+    /// [`harmony_core::scratch::ProfileCache::sync`], and both arms
+    /// run on the one `EventQueue` (`crates/sim/src/events.rs`).
     /// Equivalence-gated like `fast_event_path`:
     /// `RunReport::canonical_bytes` is bit-identical with the flag off
     /// (asserted by `tests/sim_equivalence.rs`).

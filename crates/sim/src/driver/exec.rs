@@ -40,15 +40,15 @@ impl Driver {
 
     /// Dispatches an owned group and hands it back to the table,
     /// dissolving it when it emptied or re-arming its wake otherwise.
-    pub(super) fn dispatch_and_rearm(&mut self, mut grp: GroupSim) {
+    pub(super) fn dispatch_and_rearm(&mut self, mut grp: Box<GroupSim>) {
         self.dispatch(&mut grp);
         let id = grp.id;
-        let empty = grp.jobs.is_empty();
-        self.groups[id] = Some(grp);
-        if empty {
+        if grp.jobs.is_empty() {
+            self.groups[id] = Some(grp);
             self.dissolve_group(id);
         } else {
-            self.arm_wake(id);
+            self.arm_wake(&mut grp);
+            self.groups[id] = Some(grp);
         }
     }
 
@@ -82,10 +82,8 @@ impl Driver {
         self.dispatch_and_rearm(grp);
     }
 
-    pub(super) fn arm_wake(&mut self, g: usize) {
-        let Some(grp) = self.groups[g].as_ref() else {
-            return;
-        };
+    /// Queues the wake for the owned group's next event, if any.
+    fn arm_wake(&mut self, grp: &mut GroupSim) {
         let gen = grp.gen;
         // Next fluid-task completion...
         let mut next: Option<f64> = grp.time_to_next_event().map(|dt| self.now + dt.max(0.0));
@@ -99,7 +97,6 @@ impl Driver {
             // load, or its ready time passed — are popped on sight;
             // a valid top is only peeked, so the wake re-arms until
             // the load event actually fires.
-            let grp = self.groups[g].as_mut().expect("alive");
             let ready = loop {
                 let Some(&std::cmp::Reverse((bits, j))) = grp.ready_heap.peek() else {
                     break None;
@@ -120,7 +117,7 @@ impl Driver {
             if let Some(ra) = ready {
                 next = Some(next.map_or(ra, |t| t.min(ra)));
             }
-        } else {
+        } else if grp.loading {
             for &j in &grp.jobs {
                 if let ExecPhase::Idle { ready_at } = self.jobs[j].exec {
                     if ready_at > self.now && executes(self.jobs[j].state) {
@@ -131,7 +128,6 @@ impl Driver {
         }
         if let Some(t) = next {
             if self.cfg.fast_event_path {
-                let grp = self.groups[g].as_mut().expect("alive");
                 if grp.pending_wake == Some((gen, t)) {
                     // An identical wake is already sitting in the heap;
                     // processing the duplicate would be a no-op (same
@@ -140,7 +136,8 @@ impl Driver {
                 }
                 grp.pending_wake = Some((gen, t));
             }
-            self.push_event(t, EventKind::Wake { group: g, gen });
+            let group = grp.id;
+            self.push_event(t, EventKind::Wake { group, gen });
         }
     }
 
@@ -157,7 +154,7 @@ impl Driver {
         if self.cfg.record_spans {
             self.report.spans.push(SubtaskSpan {
                 job: j,
-                job_name: self.jobs[j].spec.name.clone(),
+                job_name: self.jobs[j].name.clone(),
                 phase,
                 group: grp.id,
                 start: self.jobs[j].phase_start,
@@ -205,10 +202,7 @@ impl Driver {
         // anchored at the iteration count recorded when it joined.
         let first_in_group = self.jobs[j].iterations_done <= self.jobs[j].joined_iters + 1;
         if !first_in_group {
-            self.group_iter_stats[grp.id]
-                .entry(j)
-                .or_default()
-                .observe(iter_wall);
+            self.jobs[j].iter_stats.observe(iter_wall);
         }
         // Hill-climbing α update. The cost signal is the job's own COMP
         // cost (base work + GC share + deserialization + disk-blocked
@@ -313,20 +307,27 @@ impl Driver {
     }
 
     pub(super) fn dispatch(&mut self, grp: &mut GroupSim) {
-        // Promote ready Idle members into the PULL queue. The member
-        // list and the queue are disjoint fields, so splitting the
-        // borrow avoids snapshotting the membership.
+        // Promote ready Idle members into the PULL queue — only while
+        // some member may be Idle at all. The member list and the
+        // queue are disjoint fields, so splitting the borrow avoids
+        // snapshotting the membership.
         let GroupSim {
             jobs: members,
             net_queue,
+            loading,
             ..
         } = grp;
-        for &j in members.iter() {
-            let job = &mut self.jobs[j];
-            if let ExecPhase::Idle { ready_at } = job.exec {
-                if ready_at <= self.now + 1e-9 && executes(job.state) {
-                    job.exec = ExecPhase::Queued(Phase::Pull);
-                    net_queue.push_back(j);
+        if *loading {
+            *loading = false;
+            for &j in members.iter() {
+                let job = &mut self.jobs[j];
+                if let ExecPhase::Idle { ready_at } = job.exec {
+                    if ready_at <= self.now + 1e-9 && executes(job.state) {
+                        job.exec = ExecPhase::Queued(Phase::Pull);
+                        net_queue.push_back(j);
+                    } else {
+                        *loading = true;
+                    }
                 }
             }
         }

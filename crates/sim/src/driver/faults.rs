@@ -87,11 +87,10 @@ impl Driver {
         self.jobs[j].exec = ExecPhase::Idle {
             ready_at: self.now + reload,
         };
+        grp.loading = true;
         if self.coalesce_active() && reload > 0.0 {
-            self.groups[g]
-                .as_mut()
-                .expect("alive")
-                .ready_heap
+            let grp = self.groups[g].as_mut().expect("alive");
+            grp.ready_heap
                 .push(std::cmp::Reverse(((self.now + reload).to_bits(), j)));
         }
         reload

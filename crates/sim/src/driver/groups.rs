@@ -38,9 +38,8 @@ impl Driver {
         };
         let mut g = GroupSim::new(id, machines, cpu_slots, net_slots, beta, self.now);
         g.profiling_host = profiling_host;
-        self.groups.push(Some(g));
+        self.groups.push(Some(Box::new(g)));
         self.alive.insert(id);
-        self.group_iter_stats.push(std::collections::HashMap::new());
         id
     }
 
@@ -129,9 +128,11 @@ impl Driver {
             job.state = SimJobState::Running;
         }
         self.jobs[j].joined_iters = self.jobs[j].iterations_done;
+        self.jobs[j].iter_stats = OnlineStats::new();
         let mut grp = self.groups[g].take().expect("alive group");
         self.finalize_prediction_of(&mut grp);
         grp.jobs.push(j);
+        grp.loading = true;
         if self.coalesce_active() && delay > 0.0 {
             grp.ready_heap
                 .push(std::cmp::Reverse(((self.now + delay).to_bits(), j)));
@@ -220,8 +221,10 @@ impl Driver {
         // Eq. 1 predicts the period at which *every* member completes an
         // iteration; faster members free-run ahead in the pipeline, so
         // the realized counterpart is the slowest member's mean period.
-        let realized_iter = self.group_iter_stats[grp.id]
-            .values()
+        let realized_iter = grp
+            .jobs
+            .iter()
+            .map(|&j| &self.jobs[j].iter_stats)
             .filter(|s| s.count() >= 2)
             .map(OnlineStats::mean)
             .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.max(x))));

@@ -38,7 +38,7 @@ use harmony_metrics::OnlineStats;
 
 use crate::admission::AdmissionPolicy;
 use crate::config::{ReloadPolicy, SchedulerKind, SimConfig};
-use crate::events::LaneQueue;
+use crate::events::EventQueue;
 use crate::fluid::TaskKey;
 use crate::groupmem::{self, JobFootprint, MemoryParams};
 use crate::idset::IdSet;
@@ -132,7 +132,10 @@ pub struct Driver {
     cfg: SimConfig,
     mem: MemoryParams,
     jobs: Vec<JobSim>,
-    groups: Vec<Option<GroupSim>>,
+    /// One slot per group ever created; boxed, so taking a group out
+    /// to work on it and putting it back moves a pointer, and a
+    /// dissolved slot costs one.
+    groups: Vec<Option<Box<GroupSim>>>,
     /// Index definition: ids of jobs with `arrival <= now` that are not
     /// terminal, ascending. Every job scan on the event, admission,
     /// notification, reschedule and sampling paths walks this instead
@@ -151,7 +154,7 @@ pub struct Driver {
     alive: IdSet,
     free_machines: u32,
     now: f64,
-    events: LaneQueue<(Time, u64, EventKind)>,
+    events: EventQueue<(Time, u64, EventKind)>,
     event_seq: u64,
     noise: Straggler,
     scheduler: Scheduler,
@@ -203,9 +206,6 @@ pub struct Driver {
     /// Iteration wall times across all jobs; their mean becomes
     /// [`RunReport::mean_group_iteration`].
     iter_wall_stats: OnlineStats,
-    /// Per-group, per-member iteration-period statistics; Eq. 1 is
-    /// validated against the slowest member's mean period.
-    group_iter_stats: Vec<std::collections::HashMap<usize, OnlineStats>>,
 }
 
 impl Driver {
@@ -231,7 +231,7 @@ impl Driver {
             oracle: OracleScheduler::new(cfg.scheduler_config),
             free_machines: cfg.machines,
             mem,
-            events: LaneQueue::new(cfg.incremental_resched),
+            events: EventQueue::new(),
             cfg,
             jobs: Vec::new(),
             groups: Vec::new(),
@@ -259,7 +259,6 @@ impl Driver {
             deferred: Vec::new(),
             report: RunReport::empty(),
             iter_wall_stats: OnlineStats::new(),
-            group_iter_stats: Vec::new(),
         }
     }
 
@@ -407,13 +406,7 @@ impl Driver {
 
     fn push_event(&mut self, at: f64, kind: EventKind) {
         self.event_seq += 1;
-        // One lane per group (wake churn dominates event traffic); all
-        // global events share lane 0.
-        let lane = match kind {
-            EventKind::Wake { group, .. } => group + 1,
-            _ => 0,
-        };
-        self.events.push(lane, (Time(at), self.event_seq, kind));
+        self.events.push((Time(at), self.event_seq, kind));
     }
 
     /// Moves the clock forward to `t` (never backward) and enters every
@@ -442,6 +435,23 @@ impl Driver {
             .filter(|&j| self.jobs[j].arrival <= self.now && self.jobs[j].is_live());
         let alive = (0..self.groups.len()).filter(|&g| self.groups[g].is_some());
         self.arrived_live.iter().eq(arrived_live) && self.alive.iter().eq(alive)
+    }
+
+    /// Debug cross-check, run after every event: every usable machine
+    /// is either free or held by exactly one alive group.
+    fn machines_are_conserved(&self) -> bool {
+        let held: u32 = self.groups.iter().flatten().map(|grp| grp.machines).sum();
+        self.free_machines + held == self.available_machines()
+    }
+
+    /// Debug cross-check, run after every event: the contract of
+    /// [`GroupSim::loading`] — a group with the flag clear has no
+    /// `Idle` member, so skipping its promotion scan skips nothing.
+    fn loading_flags_cover_idle_members(&self) -> bool {
+        self.groups.iter().flatten().all(|grp| {
+            let idle = |&j: &usize| matches!(self.jobs[j].exec, ExecPhase::Idle { .. });
+            grp.loading || !grp.jobs.iter().any(idle)
+        })
     }
 
     fn live_jobs(&self) -> usize {
@@ -487,6 +497,7 @@ impl Driver {
 
     fn event_loop(&mut self) {
         let loop_t0 = Instant::now();
+        self.events.start();
         let mut stall_breaker = 0;
         while let Some((Time(t), _, kind)) = self.events.pop() {
             if self.live_jobs() == 0 {
@@ -509,15 +520,15 @@ impl Driver {
                     // This wake left the heap: clear its pending marker
                     // (stale-gen wakes leave newer markers untouched —
                     // the tuple no longer matches).
-                    if let Some(grp) = self.groups.get_mut(group).and_then(Option::as_mut) {
-                        if grp.pending_wake == Some((gen, t)) {
-                            grp.pending_wake = None;
+                    let valid = match self.groups.get_mut(group).and_then(Option::as_mut) {
+                        Some(grp) => {
+                            if grp.pending_wake == Some((gen, t)) {
+                                grp.pending_wake = None;
+                            }
+                            grp.gen == gen
                         }
-                    }
-                    let valid = self
-                        .groups
-                        .get(group)
-                        .is_some_and(|g| g.as_ref().is_some_and(|g| g.gen == gen));
+                        None => false,
+                    };
                     if valid {
                         let mut notes = std::mem::take(&mut self.scratch_notes);
                         self.advance_group(group, &mut notes);
@@ -572,6 +583,15 @@ impl Driver {
             debug_assert!(
                 self.indices_match_scans(),
                 "live-job / alive-group index out of sync with its scan"
+            );
+            debug_assert!(
+                self.machines_are_conserved(),
+                "free + held machines != available at t={}",
+                self.now
+            );
+            debug_assert!(
+                self.loading_flags_cover_idle_members(),
+                "an Idle member sits in a group whose loading flag is clear"
             );
             // Deadlock guardrail: live jobs but no pending events.
             if self.events.is_empty() && self.live_jobs() > 0 {

@@ -228,7 +228,7 @@ impl Driver {
     pub(super) fn cluster_view(&self) -> ClusterView {
         let alive = self
             .alive_groups()
-            .map(|g| self.groups[g].as_ref().expect("alive"));
+            .map(|g| self.groups[g].as_deref().expect("alive"));
         let (grouping, profiling_held) = running_grouping(alive);
         ClusterView {
             machines: self.available_machines().saturating_sub(profiling_held),

@@ -404,6 +404,26 @@ fn predictions_stay_at_the_pinned_values() {
     assert!(r.migrations > 0, "no job ever changed groups");
 }
 
+#[test]
+fn a_job_joining_a_second_group_starts_its_statistics_from_zero() {
+    let mut d = Driver::new(small_cfg(SchedulerKind::Harmony));
+    d.jobs
+        .push(JobSim::new(0, spec("mover", 100.0, 10.0, 1, 1), 0.0));
+    let first = d.create_group(2, false);
+    assert!(d.attach_job(first, 0, false));
+    // Two periods observed in the first group...
+    d.jobs[0].iter_stats.observe(30.0);
+    d.jobs[0].iter_stats.observe(50.0);
+    d.detach_job(0);
+    assert!(d.groups[first].is_none(), "the emptied group dissolved");
+    // ...must not count towards the second group's realized period.
+    let second = d.create_group(2, false);
+    assert!(d.attach_job(second, 0, false));
+    assert_eq!(d.jobs[0].iter_stats.count(), 0);
+    assert_eq!(d.jobs[0].group, Some(second));
+    assert!(d.machines_are_conserved() && d.loading_flags_cover_idle_members());
+}
+
 fn coalesced_cfg(window: f64, max_batch: usize) -> SimConfig {
     SimConfig {
         coalesced_passes: true,

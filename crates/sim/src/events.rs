@@ -1,110 +1,84 @@
-//! Sharded event lanes: a two-level priority queue for the driver's
-//! event heap.
+//! The driver's event queue: a pre-sorted list of the events known
+//! before the run starts, beside one heap for the events the run
+//! itself schedules.
 //!
-//! The single `BinaryHeap` the driver started with funnels every wake
-//! of every group through one O(log total-events) structure, so wake
-//! churn in one busy group pays for the backlog of all the others. The
-//! [`LaneQueue`] shards events into per-lane heaps (the driver maps
-//! one lane per group, plus a lane for global events) and keeps a
-//! top-level heap of *lane-head snapshots*, so a push or pop touches
-//! only its own lane — O(log lane-events) — plus an O(log lanes)
-//! top-heap update.
+//! Everything pushed before [`EventQueue::start`] — every job's
+//! `Arrival`, the fault plan, the first `Sample` / `Failure` — is
+//! sorted once and drained by a cursor; an open-loop run's thousands
+//! of future arrivals therefore never sit under the heap operations of
+//! the wake churn. Events pushed after the start go to one
+//! `BinaryHeap`, whose size is the number of *pending* events (about
+//! one wake per alive group); `pop` takes the smaller of the two
+//! heads.
 //!
-//! **Order equivalence.** Event keys embed a strictly increasing
-//! sequence number, so the key order is a strict total order with no
-//! ties. The top heap always holds at least one snapshot of every
-//! lane's current head (a snapshot is pushed whenever a lane's head
-//! changes — by a push that becomes the new head, or by popping the
-//! previous head), and stale snapshots — those no longer equal to
-//! their lane's head — are skipped on pop. The first *valid* snapshot
-//! popped is therefore the minimum over all lane heads, i.e. exactly
-//! the event a single global heap would pop. `tests` below assert the
-//! pop sequence matches a reference heap under randomized interleaved
-//! push/pop traffic.
-//!
-//! The queue is flag-gated ([`SimConfig::incremental_resched`]
-//! (crate::SimConfig)): with `sharded` off it degenerates to the
-//! original single heap, serving as the reference arm of the
-//! equivalence gate — though by the argument above the arms agree on
-//! every pop, not just on the final report.
+//! **Order.** Event keys embed a strictly increasing sequence number,
+//! so the key order is a strict total order with no ties, and any
+//! correct priority queue pops the identical sequence: the pop order
+//! is a property of the keys, not of this container. `tests` below
+//! check it against a sorted reference under interleaved pre-start
+//! and post-start pushes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A two-level sharded priority queue: min-order over `K`, which must
-/// be globally unique (the driver's `(Time, seq, kind)` tuples are —
-/// `seq` never repeats).
+/// Min-order priority queue over `K`, which must be globally unique
+/// (the driver's `(Time, seq, kind)` tuples are — `seq` never
+/// repeats).
 #[derive(Debug)]
-pub(crate) struct LaneQueue<K: Ord + Copy> {
-    /// Single-heap reference arm (used when `sharded` is off).
+pub(crate) struct EventQueue<K: Ord + Copy> {
+    /// Events pushed before [`Self::start`]; ascending from then on,
+    /// with `cursor` at the first one not popped yet.
+    scheduled: Vec<K>,
+    cursor: usize,
+    started: bool,
+    /// Events pushed after [`Self::start`].
     heap: BinaryHeap<Reverse<K>>,
-    /// Per-lane heaps (sharded arm).
-    lanes: Vec<BinaryHeap<Reverse<K>>>,
-    /// Lane-head snapshots: `(head_key, lane)`. May hold stale
-    /// entries; validity is checked against the lane's current head.
-    top: BinaryHeap<Reverse<(K, u32)>>,
-    /// Total queued events (both arms).
-    len: usize,
-    /// Route through the lanes instead of the single heap.
-    sharded: bool,
 }
 
-impl<K: Ord + Copy> LaneQueue<K> {
-    /// An empty queue; `sharded` picks the arm for its whole lifetime.
-    pub(crate) fn new(sharded: bool) -> Self {
+impl<K: Ord + Copy> EventQueue<K> {
+    pub(crate) fn new() -> Self {
         Self {
+            scheduled: Vec::new(),
+            cursor: 0,
+            started: false,
             heap: BinaryHeap::new(),
-            lanes: Vec::new(),
-            top: BinaryHeap::new(),
-            len: 0,
-            sharded,
         }
     }
 
-    /// Queues `key` on `lane` (lanes are created on demand).
-    pub(crate) fn push(&mut self, lane: usize, key: K) {
-        self.len += 1;
-        if !self.sharded {
+    /// Queues `key`.
+    pub(crate) fn push(&mut self, key: K) {
+        if self.started {
             self.heap.push(Reverse(key));
-            return;
-        }
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, BinaryHeap::new);
-        }
-        self.lanes[lane].push(Reverse(key));
-        // Snapshot the head only when this push changed it; the old
-        // head's snapshot goes stale and is skipped on pop.
-        if self.lanes[lane].peek() == Some(&Reverse(key)) {
-            self.top.push(Reverse((key, lane as u32)));
+        } else {
+            self.scheduled.push(key);
         }
     }
 
-    /// Pops the globally smallest queued key.
+    /// Ends the set-up phase: sorts what was pushed so far. Call once,
+    /// before the first [`Self::pop`].
+    pub(crate) fn start(&mut self) {
+        debug_assert!(!self.started, "event queue started twice");
+        self.scheduled.sort_unstable();
+        self.started = true;
+    }
+
+    /// Pops the smallest queued key.
     pub(crate) fn pop(&mut self) -> Option<K> {
-        if !self.sharded {
-            let Reverse(key) = self.heap.pop()?;
-            self.len -= 1;
-            return Some(key);
-        }
-        while let Some(Reverse((key, lane))) = self.top.pop() {
-            let lane = lane as usize;
-            if self.lanes[lane].peek() != Some(&Reverse(key)) {
-                continue; // stale snapshot
+        debug_assert!(self.started, "pop before start");
+        let scheduled = self.scheduled.get(self.cursor);
+        match (scheduled, self.heap.peek()) {
+            (Some(&s), Some(&Reverse(h))) if h < s => self.heap.pop().map(|Reverse(k)| k),
+            (Some(&s), _) => {
+                self.cursor += 1;
+                Some(s)
             }
-            self.lanes[lane].pop();
-            if let Some(&Reverse(head)) = self.lanes[lane].peek() {
-                self.top.push(Reverse((head, lane as u32)));
-            }
-            self.len -= 1;
-            return Some(key);
+            (None, _) => self.heap.pop().map(|Reverse(k)| k),
         }
-        debug_assert_eq!(self.len, 0, "lanes hold events but no head snapshot");
-        None
     }
 
     /// Whether any event is queued.
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cursor == self.scheduled.len() && self.heap.is_empty()
     }
 }
 
@@ -121,53 +95,67 @@ mod tests {
         x ^ (x >> 31)
     }
 
+    /// Pre-start pushes (a whole "trace" of future events), then
+    /// randomized post-start pushes interleaved with pops: every pop
+    /// must return the minimum of a plain sorted reference. Times are
+    /// coarse (16 values), so most pops are decided by `seq`.
     #[test]
-    fn sharded_pop_order_matches_single_heap() {
+    fn pop_order_matches_a_sorted_reference() {
         for seed in 0..4u64 {
             let mut rng = seed;
-            let mut sharded = LaneQueue::new(true);
-            let mut single = LaneQueue::new(false);
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
             let mut seq = 0u64;
-            let mut drained: Vec<(u64, u64)> = Vec::new();
+            let mut push = |q: &mut EventQueue<(u64, u64)>, r: &mut Vec<(u64, u64)>, t: u64| {
+                seq += 1;
+                q.push((t, seq));
+                r.push((t, seq));
+            };
+            for _ in 0..300 {
+                let t = mix(&mut rng) >> 8 & 0xF;
+                push(&mut q, &mut reference, t);
+            }
+            q.start();
+            let mut popped = 0usize;
+            let mut now = 0u64;
             for _ in 0..2000 {
                 let r = mix(&mut rng);
-                if !r.is_multiple_of(3) || sharded.is_empty() {
-                    // Push to a random lane with a random (coarse) time
-                    // and a unique sequence number.
-                    seq += 1;
-                    let key = (r >> 8 & 0xF, seq);
-                    let lane = (r % 7) as usize;
-                    sharded.push(lane, key);
-                    single.push(lane, key);
+                if !r.is_multiple_of(3) || q.is_empty() {
+                    // Like the driver, never schedule into the past.
+                    push(&mut q, &mut reference, now + (r >> 8 & 0x3));
                 } else {
-                    let a = sharded.pop();
-                    let b = single.pop();
-                    assert_eq!(a, b);
-                    drained.push(a.unwrap());
+                    reference.sort_unstable();
+                    let expect = reference.remove(0);
+                    assert_eq!(q.pop(), Some(expect));
+                    now = expect.0;
+                    popped += 1;
                 }
             }
-            while let Some(a) = sharded.pop() {
-                assert_eq!(Some(a), single.pop());
-                drained.push(a);
+            reference.sort_unstable();
+            for expect in reference {
+                assert_eq!(q.pop(), Some(expect));
+                popped += 1;
             }
-            assert!(single.is_empty());
-            // Each drain segment between pushes is locally sorted; the
-            // cross-check above is the real assertion, this guards the
-            // reference arm itself.
-            assert_eq!(drained.len(), seq as usize);
+            assert!(q.is_empty());
+            assert_eq!(q.pop(), None);
+            assert!(popped > 1000, "the traffic mix barely popped");
         }
     }
 
     #[test]
-    fn interleaved_same_time_events_pop_in_seq_order() {
-        let mut q = LaneQueue::new(true);
-        for (lane, seq) in [(2usize, 1u64), (0, 2), (1, 3), (2, 4), (0, 5)] {
-            q.push(lane, (10u64, seq));
+    fn same_time_events_pop_in_seq_order_across_both_sides() {
+        let mut q = EventQueue::new();
+        for seq in [1u64, 2, 3] {
+            q.push((10u64, seq));
         }
+        q.start();
+        q.push((10, 4));
+        q.push((5, 5));
+        q.push((10, 6));
         let mut seqs = Vec::new();
         while let Some((_, s)) = q.pop() {
             seqs.push(s);
         }
-        assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
+        assert_eq!(seqs, vec![5, 1, 2, 3, 4, 6]);
     }
 }

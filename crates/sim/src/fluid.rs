@@ -12,6 +12,9 @@
 //! an additional interference factor `1 / (1 + β (n − 1))` models the
 //! super-linear slowdown of uncoordinated co-location (cache and
 //! scheduler thrash) that Figure 4 exhibits.
+//!
+//! [`Fluid`] moves one virtual clock per resource instead of every
+//! task, and keeps its handful of tasks in one sorted `Vec`.
 
 /// Identity of a task inside a fluid resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,16 +25,25 @@ pub struct TaskKey {
     pub seq: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Task {
+    key: TaskKey,
     demand: f64,
     /// Virtual completion time: `v_start + work / demand`. Fixed at
     /// admission — membership changes alter how fast *virtual* time
     /// advances, never where a task finishes on the virtual axis.
     v_done: f64,
-    /// Internal admission stamp; heap entries carry it so a cancelled
-    /// (or re-added) task's stale entries are recognisable.
+    /// Admission stamp: breaks ties between equal `v_done`s in
+    /// admission order.
     fseq: u64,
+}
+
+impl Task {
+    /// Completion order. Non-negative floats order identically to
+    /// their IEEE bits, and `v` never goes negative.
+    fn order(&self) -> (u64, u64) {
+        (self.v_done.to_bits(), self.fseq)
+    }
 }
 
 /// One machine-equivalent shared resource.
@@ -43,30 +55,27 @@ struct Task {
 /// a virtual clock `v` with `dv = share · interference · dt`: a task
 /// admitted at `v₀` with `w` demand-seconds of work then completes at
 /// the fixed virtual instant `v₀ + w / demand`, no matter how the
-/// membership (and hence the multiplier) changes in between. That
-/// turns the per-wake work from O(tasks) — the old representation
-/// decremented every task's `remaining` on every advance — into
-/// O(log tasks): a min-heap on virtual completion time yields the next
-/// finisher, and membership aggregates (`total_demand`, task count)
-/// update in O(1). On bench-scale runs the advance loop is the
-/// simulator's hottest path, and its cost used to scale with group
-/// size; it no longer does.
+/// membership (and hence the multiplier) changes in between. An
+/// advance therefore moves one clock instead of decrementing every
+/// task, the next finisher is the task with the smallest `v_done`, and
+/// the membership aggregates (`total_demand`, task count) update in
+/// O(1).
 ///
-/// Cancelled tasks leave stale heap entries that are purged lazily;
-/// `purge_stale_top` keeps the heap *top* live so `&self` peeks
-/// (`time_to_next_completion`) stay O(1).
+/// # Container
+///
+/// Under §IV-A's discipline a resource holds one COMP or two COMM
+/// tasks; the Naive baseline's unbounded slots reach a few dozen. The
+/// tasks therefore live in one `Vec` kept sorted by `(v_done bits,
+/// admission stamp)` *descending*: the next finisher is the last
+/// element, a completion is a `pop`, an admission a binary-search
+/// insert, a cancellation a linear find — no map, no heap, and no
+/// stale entries to skip.
 #[derive(Debug, Clone)]
 pub struct Fluid {
     capacity: f64,
     beta: f64,
-    /// Live tasks keyed `(job, seq)`. A `BTreeMap` so `tasks_of` /
-    /// `cancel_all_of` iterate in a deterministic order (runs must be
-    /// reproducible bit for bit).
-    tasks: std::collections::BTreeMap<(usize, u64), Task>,
-    /// Min-heap of `(v_done bits, fseq, job, seq)`. Non-negative
-    /// floats order identically to their IEEE bits, and `v` never goes
-    /// negative.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize, u64)>>,
+    /// Live tasks in descending [`Task::order`].
+    tasks: Vec<Task>,
     /// The virtual clock: `∫ share · interference dt`. Reset to zero
     /// whenever the resource drains so precision never degrades over a
     /// long run.
@@ -91,8 +100,7 @@ impl Fluid {
         Self {
             capacity,
             beta,
-            tasks: std::collections::BTreeMap::new(),
-            heap: std::collections::BinaryHeap::new(),
+            tasks: Vec::new(),
             v: 0.0,
             next_fseq: 0,
             total_demand: 0.0,
@@ -112,7 +120,9 @@ impl Fluid {
         self.tasks.is_empty()
     }
 
-    /// Adds a task with `demand` and `work` demand-seconds.
+    /// Adds a task with `demand` and `work` demand-seconds. `key` must
+    /// not name a task already active (the driver's per-job `seq` is
+    /// monotone, so it never does).
     ///
     /// # Panics
     ///
@@ -125,23 +135,19 @@ impl Fluid {
             self.capacity
         );
         assert!(work >= 0.0, "work must be non-negative");
-        self.next_fseq += 1;
-        let fseq = self.next_fseq;
-        let v_done = self.v + work / demand;
-        self.tasks.insert(
-            (key.job, key.seq),
-            Task {
-                demand,
-                v_done,
-                fseq,
-            },
+        debug_assert!(
+            self.tasks.iter().all(|t| t.key != key),
+            "task {key:?} is already active"
         );
-        self.heap.push(std::cmp::Reverse((
-            v_done.to_bits(),
-            fseq,
-            key.job,
-            key.seq,
-        )));
+        self.next_fseq += 1;
+        let task = Task {
+            key,
+            demand,
+            v_done: self.v + work / demand,
+            fseq: self.next_fseq,
+        };
+        let at = self.tasks.partition_point(|t| t.order() > task.order());
+        self.tasks.insert(at, task);
         self.total_demand += demand;
         self.refresh();
     }
@@ -149,8 +155,8 @@ impl Fluid {
     /// Recomputes the shared-rate coefficients and the usage aggregate
     /// from the incrementally maintained `total_demand` after a
     /// membership change — O(1), never re-folds the task set. A drained
-    /// resource resets its virtual clock (and drops any stale heap
-    /// entries) so float precision does not decay over a long run.
+    /// resource resets its virtual clock so float precision does not
+    /// decay over a long run.
     fn refresh(&mut self) {
         let n = self.tasks.len();
         if n == 0 {
@@ -159,7 +165,6 @@ impl Fluid {
             self.usage_sum = 0.0;
             self.total_demand = 0.0;
             self.v = 0.0;
-            self.heap.clear();
             return;
         }
         self.total_demand = self.total_demand.max(0.0);
@@ -172,18 +177,6 @@ impl Fluid {
         self.usage_sum = self.total_demand * self.share * self.interference;
     }
 
-    /// Pops stale heap entries (cancelled tasks) off the top, restoring
-    /// the invariant that the heap head — if any — is a live task. Must
-    /// run after every operation that removes tasks.
-    fn purge_stale_top(&mut self) {
-        while let Some(&std::cmp::Reverse((_, fseq, job, seq))) = self.heap.peek() {
-            if self.tasks.get(&(job, seq)).is_some_and(|t| t.fseq == fseq) {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
     /// Instantaneous total consumption (for utilization accounting),
     /// in `[0, capacity]`.
     pub fn usage(&self) -> f64 {
@@ -191,12 +184,11 @@ impl Fluid {
     }
 
     /// Seconds until the next task completes at current rates, or
-    /// `None` when idle. O(1): the heap head is kept live, and all
-    /// tasks share one rate multiplier.
+    /// `None` when idle. O(1): all tasks share one rate multiplier.
     pub fn time_to_next_completion(&self) -> Option<f64> {
-        let &std::cmp::Reverse((bits, _, _, _)) = self.heap.peek()?;
+        let next = self.tasks.last()?;
         let rate = self.share * self.interference;
-        Some(((f64::from_bits(bits) - self.v) / rate).max(0.0))
+        Some(((next.v_done - self.v) / rate).max(0.0))
     }
 
     /// Advances all tasks by `dt` seconds, returning `(finished_keys,
@@ -229,31 +221,19 @@ impl Fluid {
         }
         let consumed = self.usage() * dt;
         self.v += self.share * self.interference * dt;
-        let mut popped = false;
-        while let Some(&std::cmp::Reverse((bits, fseq, job, seq))) = self.heap.peek() {
-            let Some(task) = self.tasks.get(&(job, seq)) else {
-                self.heap.pop();
-                continue;
-            };
-            if task.fseq != fseq {
-                self.heap.pop();
-                continue;
-            }
+        let before = self.tasks.len();
+        while let Some(task) = self.tasks.last() {
             // A task is done when its residual work — `(v_done − v) ×
-            // demand` — is within the same 1e-9 demand-seconds the old
-            // per-task decrement used.
-            if self.v < f64::from_bits(bits) - 1e-9 / task.demand {
+            // demand` — is within 1e-9 demand-seconds.
+            if self.v < task.v_done - 1e-9 / task.demand {
                 break;
             }
-            self.heap.pop();
-            let task = self.tasks.remove(&(job, seq)).expect("live task");
             self.total_demand -= task.demand;
-            out.push(TaskKey { job, seq });
-            popped = true;
+            out.push(task.key);
+            self.tasks.pop();
         }
-        if popped {
+        if self.tasks.len() < before {
             self.refresh();
-            self.purge_stale_top();
         }
         consumed
     }
@@ -261,39 +241,38 @@ impl Fluid {
     /// Removes a task regardless of progress (job pause/migration).
     /// Returns the remaining work if the task was present.
     pub fn cancel(&mut self, key: TaskKey) -> Option<f64> {
-        let task = self.tasks.remove(&(key.job, key.seq))?;
+        let at = self.tasks.iter().position(|t| t.key == key)?;
+        let task = self.tasks.remove(at);
         self.total_demand -= task.demand;
         let remaining = ((task.v_done - self.v) * task.demand).max(0.0);
         self.refresh();
-        self.purge_stale_top();
         Some(remaining)
     }
 
-    /// Removes every task belonging to `job` (pause / failure paths).
+    /// Removes every task belonging to `job` (pause / failure paths),
+    /// in ascending `seq`: the order the demands leave `total_demand`
+    /// in is part of the bits.
     pub fn cancel_all_of(&mut self, job: usize) {
-        let keys: Vec<(usize, u64)> = self
-            .tasks
-            .range((job, 0)..=(job, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        if keys.is_empty() {
-            return;
+        let before = self.tasks.len();
+        let lowest_seq = |tasks: &[Task]| {
+            let of_job = tasks.iter().enumerate().filter(|(_, t)| t.key.job == job);
+            of_job.min_by_key(|(_, t)| t.key.seq).map(|(at, _)| at)
+        };
+        while let Some(at) = lowest_seq(&self.tasks) {
+            self.total_demand -= self.tasks.remove(at).demand;
         }
-        for k in keys {
-            let task = self.tasks.remove(&k).expect("ranged key");
-            self.total_demand -= task.demand;
+        if self.tasks.len() < before {
+            self.refresh();
         }
-        self.refresh();
-        self.purge_stale_top();
     }
 
     /// Keys of active tasks belonging to `job`, in admission order
     /// (`seq` is monotone per job).
     pub fn tasks_of(&self, job: usize) -> Vec<TaskKey> {
-        self.tasks
-            .range((job, 0)..=(job, u64::MAX))
-            .map(|(&(job, seq), _)| TaskKey { job, seq })
-            .collect()
+        let of_job = self.tasks.iter().filter(|t| t.key.job == job);
+        let mut keys: Vec<TaskKey> = of_job.map(|t| t.key).collect();
+        keys.sort_unstable_by_key(|k| k.seq);
+        keys
     }
 }
 
@@ -434,9 +413,218 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeMap, BinaryHeap};
+
+    /// The formulation `Fluid` shipped with before its tasks moved
+    /// into one sorted `Vec`, kept as the differential oracle: a
+    /// `BTreeMap` of live tasks and a min-heap of `(v_done bits, fseq,
+    /// job, seq)` whose stale entries (cancelled tasks) are skipped
+    /// lazily. Capacity 1; the arithmetic is the same line for line.
+    #[derive(Default)]
+    struct Oracle {
+        beta: f64,
+        /// `(job, seq) → (demand, v_done, fseq)`.
+        tasks: BTreeMap<(usize, u64), (f64, f64, u64)>,
+        heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+        v: f64,
+        next_fseq: u64,
+        total_demand: f64,
+        share: f64,
+        interference: f64,
+        usage_sum: f64,
+    }
+
+    impl Oracle {
+        fn add(&mut self, key: TaskKey, demand: f64, work: f64) {
+            self.next_fseq += 1;
+            let v_done = self.v + work / demand;
+            let task = (demand, v_done, self.next_fseq);
+            self.tasks.insert((key.job, key.seq), task);
+            let entry = (v_done.to_bits(), self.next_fseq, key.job, key.seq);
+            self.heap.push(Reverse(entry));
+            self.total_demand += demand;
+            self.refresh();
+        }
+
+        fn refresh(&mut self) {
+            let n = self.tasks.len();
+            if n == 0 {
+                (self.share, self.interference) = (1.0, 1.0);
+                (self.usage_sum, self.total_demand, self.v) = (0.0, 0.0, 0.0);
+                self.heap.clear();
+                return;
+            }
+            self.total_demand = self.total_demand.max(0.0);
+            let over = self.total_demand > 1.0;
+            self.share = if over { 1.0 / self.total_demand } else { 1.0 };
+            self.interference = 1.0 / (1.0 + self.beta * (n as f64 - 1.0));
+            self.usage_sum = self.total_demand * self.share * self.interference;
+        }
+
+        fn is_live(&self, fseq: u64, job: usize, seq: u64) -> bool {
+            self.tasks.get(&(job, seq)).is_some_and(|t| t.2 == fseq)
+        }
+
+        fn skip_stale_top(&mut self) {
+            while let Some(&Reverse((_, fseq, job, seq))) = self.heap.peek() {
+                if self.is_live(fseq, job, seq) {
+                    break;
+                }
+                self.heap.pop();
+            }
+        }
+
+        fn usage(&self) -> f64 {
+            self.usage_sum.min(1.0)
+        }
+
+        fn time_to_next_completion(&self) -> Option<f64> {
+            let &Reverse((bits, ..)) = self.heap.peek()?;
+            let rate = self.share * self.interference;
+            Some(((f64::from_bits(bits) - self.v) / rate).max(0.0))
+        }
+
+        fn advance_into(&mut self, dt: f64, out: &mut Vec<TaskKey>) -> f64 {
+            if self.tasks.is_empty() || dt == 0.0 {
+                return 0.0;
+            }
+            let consumed = self.usage() * dt;
+            self.v += self.share * self.interference * dt;
+            let before = self.tasks.len();
+            while let Some(&Reverse((bits, fseq, job, seq))) = self.heap.peek() {
+                if self.is_live(fseq, job, seq) {
+                    let demand = self.tasks[&(job, seq)].0;
+                    if self.v < f64::from_bits(bits) - 1e-9 / demand {
+                        break;
+                    }
+                    self.tasks.remove(&(job, seq));
+                    self.total_demand -= demand;
+                    out.push(TaskKey { job, seq });
+                }
+                self.heap.pop();
+            }
+            if self.tasks.len() < before {
+                self.refresh();
+                self.skip_stale_top();
+            }
+            consumed
+        }
+
+        fn cancel(&mut self, key: TaskKey) -> Option<f64> {
+            let (demand, v_done, _) = self.tasks.remove(&(key.job, key.seq))?;
+            self.total_demand -= demand;
+            let remaining = ((v_done - self.v) * demand).max(0.0);
+            self.refresh();
+            self.skip_stale_top();
+            Some(remaining)
+        }
+
+        fn cancel_all_of(&mut self, job: usize) {
+            let keys = self.tasks_of(job);
+            for key in &keys {
+                let task = self.tasks.remove(&(key.job, key.seq));
+                self.total_demand -= task.expect("listed key").0;
+            }
+            if !keys.is_empty() {
+                self.refresh();
+                self.skip_stale_top();
+            }
+        }
+
+        fn tasks_of(&self, job: usize) -> Vec<TaskKey> {
+            let range = self.tasks.range((job, 0)..=(job, u64::MAX));
+            range.map(|(&(job, seq), _)| TaskKey { job, seq }).collect()
+        }
+    }
+
+    /// Every observable of the two formulations, bit for bit.
+    fn assert_same_state(f: &Fluid, o: &Oracle) {
+        assert_eq!(f.len(), o.tasks.len());
+        assert_eq!(f.usage().to_bits(), o.usage().to_bits());
+        assert_eq!(
+            f.time_to_next_completion().map(f64::to_bits),
+            o.time_to_next_completion().map(f64::to_bits)
+        );
+        for job in 0..JOBS {
+            assert_eq!(f.tasks_of(job), o.tasks_of(job));
+        }
+    }
+
+    /// Few jobs, so `cancel_all_of` regularly finds several tasks.
+    const JOBS: usize = 6;
+    /// Dyadic demands make `work / demand` exact, so tasks admitted at
+    /// one instant really tie on `v_done`; 0.7 is the driver's COMM
+    /// demand.
+    const DEMANDS: [f64; 4] = [0.25, 0.5, 0.7, 1.0];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The sorted-`Vec` container against the map-and-heap oracle
+        /// under random `add` / `advance_into` / `cancel` /
+        /// `cancel_all_of` interleavings over 1–48 live tasks: same
+        /// completions in the same order, and `to_bits`-identical
+        /// `consumed`, `usage()`, `time_to_next_completion()` and
+        /// cancelled remainders after every step.
+        #[test]
+        fn matches_the_map_and_heap_oracle(
+            ops in prop::collection::vec((0u8..10, 0usize..1 << 16, 1u32..7), 1..160),
+            start in 1usize..49,
+            thrash in any::<bool>(),
+        ) {
+            let beta = if thrash { 0.25 } else { 0.0 };
+            let mut f = Fluid::new(1.0, beta);
+            let mut o = Oracle { beta, ..Oracle::default() };
+            o.refresh();
+            let mut seqs = [0u64; JOBS];
+            let mut admit = |f: &mut Fluid, o: &mut Oracle, pick: usize, steps: u32| {
+                let job = pick % JOBS;
+                seqs[job] += 1;
+                let key = TaskKey { job, seq: seqs[job] };
+                let demand = DEMANDS[pick / JOBS % DEMANDS.len()];
+                let work = 0.5 * f64::from(steps) * demand;
+                f.add(key, demand, work);
+                o.add(key, demand, work);
+            };
+            for i in 0..start {
+                admit(&mut f, &mut o, i * 7, 1 + (i % 3) as u32);
+            }
+            assert_same_state(&f, &o);
+            for (kind, pick, steps) in ops {
+                match kind {
+                    0..=3 if f.len() < 48 => admit(&mut f, &mut o, pick, steps),
+                    0..=6 => {
+                        // Up to, exactly onto, just past, or well past
+                        // the next completion.
+                        let scale = [0.5, 1.0, 1.0 + 1e-12, 2.5][pick % 4];
+                        let dt = f.time_to_next_completion().unwrap_or(1.0) * scale;
+                        let (mut done_f, mut done_o) = (Vec::new(), Vec::new());
+                        let used_f = f.advance_into(dt, &mut done_f);
+                        let used_o = o.advance_into(dt, &mut done_o);
+                        prop_assert_eq!(used_f.to_bits(), used_o.to_bits());
+                        prop_assert_eq!(done_f, done_o);
+                    }
+                    7..=8 => {
+                        // A live key when there is one for the job,
+                        // else a key that names nothing.
+                        let job = pick % JOBS;
+                        let live = o.tasks_of(job);
+                        let key = live.get(pick / JOBS % live.len().max(1));
+                        let key = key.copied().unwrap_or(TaskKey { job, seq: 0 });
+                        prop_assert_eq!(
+                            f.cancel(key).map(f64::to_bits),
+                            o.cancel(key).map(f64::to_bits)
+                        );
+                    }
+                    _ => {
+                        f.cancel_all_of(pick % JOBS);
+                        o.cancel_all_of(pick % JOBS);
+                    }
+                }
+                assert_same_state(&f, &o);
+            }
+        }
 
         /// Work is conserved: however a task's service is sliced across
         /// advances and whatever shares the resource, the total consumed

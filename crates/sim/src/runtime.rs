@@ -1,10 +1,12 @@
 //! Simulation-time state of jobs and job groups.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use harmony_core::job::JobSpec;
 use harmony_core::profile::JobProfile;
 use harmony_mem::AlphaController;
+use harmony_metrics::OnlineStats;
 
 use crate::fluid::Fluid;
 
@@ -75,6 +77,9 @@ pub enum ExecPhase {
 pub struct JobSim {
     /// Ground-truth specification.
     pub spec: JobSpec,
+    /// `spec.name`, shared: every recorded span carries a handle to
+    /// it instead of a copy.
+    pub name: Arc<str>,
     /// Submission time.
     pub arrival: f64,
     /// Lifecycle state.
@@ -126,6 +131,10 @@ pub struct JobSim {
     /// anchor for skipping the first in-group (load-warmup) iteration
     /// without scanning a per-group membership table.
     pub joined_iters: u64,
+    /// Iteration periods observed in the current group (the first,
+    /// load-warmup one skipped); emptied on every attach. Eq. 1 is
+    /// validated against the slowest member's mean period.
+    pub iter_stats: OnlineStats,
     /// Accumulated per-iteration COMP cost fed to the α controller.
     pub alpha_cost_acc: f64,
     /// Iterations accumulated in `alpha_cost_acc`.
@@ -186,6 +195,7 @@ impl JobSim {
         let mut profile = JobProfile::new(harmony_core::job::JobId::new(index as u64));
         profile.set_memory_footprint(spec.input_bytes, spec.model_bytes);
         Self {
+            name: spec.name.as_str().into(),
             spec,
             arrival,
             state: SimJobState::Waiting,
@@ -210,6 +220,7 @@ impl JobSim {
             pause_requested: false,
             last_iter_wall: 0.0,
             joined_iters: 0,
+            iter_stats: OnlineStats::new(),
             alpha_cost_acc: 0.0,
             alpha_cost_n: 0,
             aborted: false,
@@ -298,6 +309,13 @@ pub struct GroupSim {
     /// matching pop, so re-arming an identical wake can skip the
     /// duplicate enqueue entirely (fast event path).
     pub pending_wake: Option<(u64, f64)>,
+    /// Conservative "some member may still be loading": set wherever a
+    /// member's `exec` becomes [`ExecPhase::Idle`] (attach, restart in
+    /// place), cleared by the dispatch scan that finds no `Idle`
+    /// member left. While clear, no member is `Idle` and the
+    /// per-event O(members) promotion and ready-time scans are
+    /// skipped.
+    pub loading: bool,
     /// Cached Σ over members of `(1 − α)·input·expansion` plus the
     /// unspilled model bytes — the non-workspace part of the group's
     /// memory footprint. The driver refolds it on every membership or
@@ -352,6 +370,7 @@ impl GroupSim {
             slow_factor: 1.0,
             slow_until: 0.0,
             pending_wake: None,
+            loading: false,
             mem_base_bytes: 0.0,
             alpha_input_bytes: 0.0,
             ready_heap: std::collections::BinaryHeap::new(),

@@ -10,6 +10,8 @@
 //!   JSON array format (open the file in `ui.perfetto.dev`), one track
 //!   per job, so real runs can be inspected visually.
 
+use std::sync::Arc;
+
 use crate::runtime::Phase;
 
 /// One executed subtask occurrence.
@@ -17,8 +19,9 @@ use crate::runtime::Phase;
 pub struct SubtaskSpan {
     /// Driver-level job index.
     pub job: usize,
-    /// Job display name.
-    pub job_name: String,
+    /// Job display name: one allocation per job, shared by all of its
+    /// spans.
+    pub job_name: Arc<str>,
     /// Which subtask ran.
     pub phase: Phase,
     /// Group hosting the job at the time.
@@ -90,7 +93,7 @@ pub fn ascii_gantt(spans: &[SubtaskSpan], width: usize) -> String {
     let span = (t1 - t0).max(f64::MIN_POSITIVE);
     let col = |t: f64| (((t - t0) / span) * (width as f64 - 1.0)).round() as usize;
 
-    let mut jobs: Vec<(usize, &str)> = spans.iter().map(|s| (s.job, s.job_name.as_str())).collect();
+    let mut jobs: Vec<(usize, &str)> = spans.iter().map(|s| (s.job, &*s.job_name)).collect();
     jobs.sort_unstable();
     jobs.dedup();
     let label_w = jobs.iter().map(|(_, n)| n.len()).max().unwrap_or(0);
@@ -129,7 +132,7 @@ mod tests {
     fn span(job: usize, phase: Phase, start: f64, end: f64) -> SubtaskSpan {
         SubtaskSpan {
             job,
-            job_name: format!("job{job}"),
+            job_name: format!("job{job}").into(),
             phase,
             group: 0,
             start,

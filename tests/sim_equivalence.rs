@@ -171,9 +171,8 @@ fn fault_scenarios_match() {
 }
 
 /// Isolates `SimConfig::incremental_resched` (saturation-pruned
-/// escalation ladders, group-delta Eq. 4 refolds, the dirty-set
-/// profile cache and the sharded event lanes) from the other fast-path
-/// switches: both arms run with `fast_event_path` and `exact_prunes`
+/// escalation ladders and group-delta Eq. 4 refolds) from the other
+/// fast-path switches: both arms run with `fast_event_path` and `exact_prunes`
 /// on, differing *only* in the incremental flag, across every
 /// scheduler kind and a fault-churn scenario.
 #[test]
