@@ -22,10 +22,19 @@ enum TaskBody {
 }
 
 impl TaskBody {
-    fn run(self) {
+    /// Runs the body and hands a shared one back undropped: the worker
+    /// books the completion *before* it lets go of the `Arc`, so whoever
+    /// sees the last clone released also sees the counters settled.
+    fn run(self) -> Option<Arc<dyn Fn() + Send + Sync + 'static>> {
         match self {
-            TaskBody::Once(f) => f(),
-            TaskBody::Shared(f) => f(),
+            TaskBody::Once(f) => {
+                f();
+                None
+            }
+            TaskBody::Shared(f) => {
+                f();
+                Some(f)
+            }
         }
     }
 }
@@ -136,9 +145,10 @@ impl Executor {
                             }
                             let now = shared.running.fetch_add(1, Ordering::SeqCst) + 1;
                             shared.peak.fetch_max(now, Ordering::SeqCst);
-                            task.run.run();
+                            let spent = task.run.run();
                             shared.running.fetch_sub(1, Ordering::SeqCst);
                             shared.completed.fetch_add(1, Ordering::SeqCst);
+                            drop(spent);
                         }
                     })
                     .expect("spawning executor thread"),

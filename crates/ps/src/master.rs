@@ -32,7 +32,9 @@ pub struct PsConfig {
     pub nodes: usize,
     /// Simulated NIC bandwidth in bytes/second. When set, every COMM
     /// subtask sleeps `transferred_bytes / bandwidth` to emulate the
-    /// paper's 1.1 Gbps network; `None` disables the delay (fast tests).
+    /// paper's 1.1 Gbps network; `None` disables the delay (fast tests),
+    /// and the fast runtime then completes PULL and PUSH on the master:
+    /// the COMM executors only see subtasks that hold the NIC, and APPLY.
     pub network_bytes_per_sec: Option<f64>,
     /// Execute iterations on the zero-copy pipelined runtime (pooled
     /// buffers, striped apply, per-worker subtask chaining). `false`

@@ -4,16 +4,19 @@
 //! Three changes over the phase-barriered reference arm, none of which
 //! may change a single output bit (`tests/ps_equivalence.rs`):
 //!
-//! 1. **Pooled buffers, one snapshot.** Every worker owns a persistent
-//!    update buffer drawn from the cluster's
-//!    [`BufferPool`](harmony_mem::BufferPool), and the whole job shares
-//!    a single pooled *snapshot* buffer: the model is quiescent from
-//!    one apply barrier to the next, so every worker's PULL observes
-//!    the same bits and the master fills the snapshot once per
-//!    iteration instead of copying it per worker. Subtask closures are
-//!    built once per job as [`Arc`]ed shared tasks. After warmup a
-//!    steady-state iteration performs zero heap allocations
-//!    (`tests/ps_alloc.rs`).
+//! 1. **Pooled buffers, one snapshot.** A job holds `2 + DoP`
+//!    model-sized buffers — the store, a persistent update buffer per
+//!    worker and one *snapshot*, the last `1 + DoP` drawn from the
+//!    cluster's [`BufferPool`](harmony_mem::BufferPool) — plus sparse
+//!    staging for the workers that ever ship sparse ([`SparseStage`]).
+//!    The model is quiescent from one apply barrier to the next, so
+//!    the master copies it into the snapshot once per iteration, at
+//!    the boundary, and everything that reads the model until the next
+//!    — loss check, COMPs, a migration's checkpoint — reads that copy.
+//!    Subtask closures are built once per job as [`Arc`]ed shared
+//!    tasks. After warmup a steady-state iteration performs zero heap
+//!    allocations (`tests/ps_alloc.rs`), and `run_jobs` returns with
+//!    every buffer back in the pool ([`JobRun::release_tasks`]).
 //! 2. **Striped apply.** Server-side aggregation runs as explicit
 //!    `APPLY` subtasks over a [`StripedModel`]: each apply task owns a
 //!    disjoint stripe range and folds every worker's staged delta into
@@ -27,12 +30,14 @@
 //!    barrier. Synchronous semantics are kept by the PUSH barrier
 //!    (reduce + apply) and the apply barrier (iteration end); the
 //!    [`Synchronizer`]'s generation counter proves no subtask ever
-//!    crosses an iteration boundary.
+//!    crosses an iteration boundary. A PULL or PUSH with no wire time
+//!    to sit out never leaves the master ([`submit_comm`]).
 //!
 //! What is deliberately *not* pipelined: issuing the next PULL before
 //! the apply barrier would snapshot a stale model and break synchronous
 //! SGD — see DESIGN.md for the rejected variants.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,9 +60,11 @@ use crate::subtask::{SubtaskKind, SubtaskTiming, SyncAction, Synchronizer};
 /// (an [`Arc`] clone per submission — no per-iteration boxing).
 type SharedTask = Arc<dyn Fn() + Send + Sync + 'static>;
 
-/// Completion events flowing from executor threads back to the master:
-/// `(job, node, kind, generation, elapsed)`.
-type EventTx = crossbeam::channel::Sender<(usize, usize, SubtaskKind, u64, Duration)>;
+/// A subtask completion: `(job, node, kind, generation, elapsed)`.
+type Event = (usize, usize, SubtaskKind, u64, Duration);
+
+/// Completion events flowing from executor threads back to the master.
+type EventTx = crossbeam::channel::Sender<Event>;
 
 /// Sentinel in [`SparseStage::nnz`]: this iteration's update ships (and
 /// folds) dense.
@@ -68,14 +75,16 @@ const DENSE_PUSH: usize = usize::MAX;
 /// size), the APPLY tasks (scatter fold) and the master (byte
 /// accounting).
 ///
-/// The index/value buffers are pooled at full model capacity once at
-/// job setup — `nnz` tracks the logical pair count, so steady-state
-/// iterations stay allocation-free whatever the support size does.
 /// No lock-order hazard with the update-buffer slots: the synchronizer
 /// guarantees a job's COMP and APPLY tasks never overlap in time.
 struct SparseStage {
-    indices: PooledIndexBuffer,
-    values: PooledBuffer,
+    /// `(indices, values)` at full model capacity, checked out of the
+    /// cluster pool by this worker's COMP the first time its support
+    /// passes [`SPARSE_DENSITY_THRESHOLD`] and kept for the job's life:
+    /// `nnz` tracks the logical pair count, so steady-state iterations
+    /// stay allocation-free whatever the support size does, and a
+    /// worker whose every PUSH falls back dense holds nothing.
+    pairs: Option<(PooledIndexBuffer, PooledBuffer)>,
     /// Logical pair count, or [`DENSE_PUSH`] after a dense fallback
     /// (support above [`SPARSE_DENSITY_THRESHOLD`], or a worker with no
     /// sparse support at all).
@@ -90,51 +99,57 @@ struct SparseStage {
 type SparseStages = Arc<Vec<Mutex<SparseStage>>>;
 
 /// Builds the per-worker sparse staging for a job when the sparse path
-/// applies to it.
-fn build_sparse_stages(
-    cluster: &PsCluster,
-    model_len: usize,
-    dop: usize,
-    all_reduce: bool,
-) -> Option<SparseStages> {
+/// applies to it. Nothing is checked out here: see [`SparseStage::pairs`].
+fn build_sparse_stages(cluster: &PsCluster, dop: usize, all_reduce: bool) -> Option<SparseStages> {
     if !cluster.config.sparse_push || all_reduce {
         return None;
     }
-    Some(Arc::new(
-        (0..dop)
-            .map(|_| {
-                Mutex::new(SparseStage {
-                    indices: cluster.pool.acquire_indices(model_len),
-                    values: cluster.pool.acquire(model_len),
-                    nnz: DENSE_PUSH,
-                })
-            })
-            .collect(),
-    ))
+    let empty = || SparseStage {
+        pairs: None,
+        nnz: DENSE_PUSH,
+    };
+    Some(Arc::new((0..dop).map(|_| Mutex::new(empty())).collect()))
+}
+
+/// Per-worker staged updates; shared with the COMP and APPLY tasks. A
+/// slot is only ever empty inside a ring reduction.
+type UpdateBufs = Arc<Vec<Mutex<Option<PooledBuffer>>>>;
+
+/// Checks one update buffer per worker out of the cluster pool.
+fn acquire_update_bufs(cluster: &PsCluster, model_len: usize, dop: usize) -> UpdateBufs {
+    let slot = |_| Mutex::new(Some(cluster.pool.acquire(model_len)));
+    Arc::new((0..dop).map(slot).collect())
+}
+
+/// Mean per-example loss of `model` over the job's (idle) workers.
+fn mean_loss(
+    workers: &[Arc<Mutex<Box<dyn PsAlgorithm>>>],
+    model: &[f64],
+    total_examples: usize,
+) -> f64 {
+    let sum: f64 = workers.iter().map(|w| w.lock().loss(model)).sum();
+    sum / total_examples.max(1) as f64
 }
 
 struct JobRun {
     name: String,
     store: StripedModel,
     workers: Vec<Arc<Mutex<Box<dyn PsAlgorithm>>>>,
-    /// Per-worker staged updates; shared with the COMP and APPLY tasks.
-    update_bufs: Arc<Vec<Arc<Mutex<Option<PooledBuffer>>>>>,
+    update_bufs: UpdateBufs,
     /// Per-worker sparse PUSH staging; `None` when the sparse path is
     /// off for this job.
     sparse_stages: Option<SparseStages>,
-    /// The job-wide model snapshot the COMP tasks read. The master
-    /// refills it at each iteration boundary (write lock), when every
-    /// reader is provably idle — COMPs only hold the read lock.
+    /// The job-wide copy of the model that the COMP tasks (read lock),
+    /// the loss check and a migration's checkpoint read. The master
+    /// refills it in one place — the iteration boundary, when every
+    /// reader is provably idle — and once more only after
+    /// [`migrate_fast`] has rewritten the store.
     snapshot: Arc<RwLock<PooledBuffer>>,
     /// Generation stamp read by in-flight tasks; only the master writes
     /// it, and only at iteration boundaries when no task is running.
     generation: Arc<AtomicU64>,
     sync: Synchronizer,
-    pull_tasks: Vec<SharedTask>,
-    comp_tasks: Vec<SharedTask>,
-    push_tasks: Vec<SharedTask>,
-    /// `(node, task)` pairs; each folds a disjoint stripe range.
-    apply_tasks: Vec<(usize, SharedTask)>,
+    tasks: TaskSet,
     iteration: u64,
     max_iterations: u64,
     loss_threshold: Option<f64>,
@@ -152,22 +167,45 @@ struct JobRun {
     initial_loss: f64,
     /// Per-iteration PUSH wire volumes (actual vs dense-equivalent).
     push_volumes: Vec<PushVolume>,
-    /// Scratch for loss evaluation, allocated once at setup.
-    eval_buf: Vec<f64>,
     /// Scratch holding the buffers during a ring reduction (capacity
     /// reserved at setup, so take/return cycles never reallocate).
     ring_scratch: Vec<PooledBuffer>,
-    done: bool,
     converged: bool,
     aborting: bool,
     /// In-flight events still to swallow while tearing down an abort.
     drain: usize,
 }
 
+impl JobRun {
+    /// Drops the job's task closures and waits until the executor
+    /// threads have dropped theirs: a thread lets go of its last task
+    /// `Arc` a hair *after* sending the completion the master acts on,
+    /// so `run_jobs` could otherwise return (or a migration swap
+    /// rosters) with pooled buffers still out, and the next checkout
+    /// allocate one the pool was about to get back. Called with no task
+    /// in flight, so the wait is a few instructions long.
+    fn release_tasks(&mut self) {
+        self.tasks = TaskSet::default();
+        let mut spins = 0u32;
+        while Arc::strong_count(&self.snapshot) > 1
+            || Arc::strong_count(&self.update_bufs) > 1
+            || self.sparse_stages.iter().any(|s| Arc::strong_count(s) > 1)
+        {
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 /// One job's subtask closures, built once and resubmitted every
 /// iteration. Built at job setup and rebuilt by live migration for the
 /// new worker roster (new DoP), reusing the same snapshot/generation
 /// plumbing.
+#[derive(Default)]
 struct TaskSet {
     pull: Vec<SharedTask>,
     comp: Vec<SharedTask>,
@@ -183,7 +221,7 @@ fn build_tasks(
     j: usize,
     store: &StripedModel,
     workers: &[Arc<Mutex<Box<dyn PsAlgorithm>>>],
-    update_bufs: &Arc<Vec<Arc<Mutex<Option<PooledBuffer>>>>>,
+    update_bufs: &UpdateBufs,
     snapshot: &Arc<RwLock<PooledBuffer>>,
     generation: &Arc<AtomicU64>,
     all_reduce: bool,
@@ -221,15 +259,16 @@ fn build_tasks(
         .map(|w| {
             let worker = Arc::clone(&workers[w]);
             let input = Arc::clone(snapshot);
-            let output = Arc::clone(&update_bufs[w]);
+            let slots = Arc::clone(update_bufs);
             let stages = sparse.map(Arc::clone);
+            let pool = cluster.pool.clone();
             let generation = Arc::clone(generation);
             let tx = event_tx.clone();
             let clock = Arc::clone(&cluster.clock);
             Arc::new(move || {
                 let t0 = clock.now();
                 let pulled = input.read();
-                let mut staged = output.lock();
+                let mut staged = slots[w].lock();
                 let out = staged.as_mut().expect("update buffer is resident");
                 let mut alg = worker.lock();
                 alg.compute_update_into(pulled.as_ref(), out.as_mut());
@@ -243,12 +282,15 @@ fn build_tasks(
                     let mut stage = stages[w].lock();
                     stage.nnz = DENSE_PUSH;
                     if let Some(support) = alg.sparse_support() {
-                        let len = out.as_ref().len();
+                        let update = out.as_ref();
+                        let len = update.len();
                         if support.len() as f64 <= SPARSE_DENSITY_THRESHOLD * len as f64 {
                             let nnz = support.len();
-                            stage.indices.as_mut()[..nnz].copy_from_slice(support);
-                            let update = out.as_ref();
-                            for (v, &i) in stage.values.as_mut()[..nnz].iter_mut().zip(support) {
+                            let (indices, values) = stage.pairs.get_or_insert_with(|| {
+                                (pool.acquire_indices(len), pool.acquire(len))
+                            });
+                            indices[..nnz].copy_from_slice(support);
+                            for (v, &i) in values[..nnz].iter_mut().zip(support) {
                                 *v = update[i as usize];
                             }
                             stage.nnz = nnz;
@@ -333,11 +375,9 @@ fn build_tasks(
                                 store.stripe_add(s, delta.as_ref());
                             } else {
                                 let stage = stages.as_ref().expect("sparse nnz")[w].lock();
-                                store.stripe_add_sparse(
-                                    s,
-                                    &stage.indices.as_ref()[..nnz],
-                                    &stage.values.as_ref()[..nnz],
-                                );
+                                let (indices, values) =
+                                    stage.pairs.as_ref().expect("COMP staged the pairs");
+                                store.stripe_add_sparse(s, &indices[..nnz], &values[..nnz]);
                             }
                         }
                     }
@@ -358,11 +398,51 @@ fn build_tasks(
     }
 }
 
+/// Starts job `j` worker `w`'s PULL or PUSH — `task`, of generation `gen`.
+///
+/// With a simulated network it occupies one of node `w`'s two COMM
+/// executor slots for its wire time: the §IV-A discipline governs every
+/// subtask that holds the NIC. Without one it has no wire time to sit
+/// out and no payload to move (snapshot and update buffers are shared
+/// in process), so the master times it in place and queues the
+/// completion on `ready`, which the event loop drains through the same
+/// handler before it blocks on the executors' channel: no thread
+/// hand-offs, and no COMP waiting behind another job's APPLY fold for a
+/// transfer that transfers nothing.
+fn submit_comm(
+    cluster: &PsCluster,
+    ready: &mut VecDeque<Event>,
+    j: usize,
+    w: usize,
+    kind: SubtaskKind,
+    gen: u64,
+    task: &SharedTask,
+) {
+    if cluster.config.network_bytes_per_sec.is_some() {
+        cluster.nodes[w].comm.submit_shared(task);
+    } else {
+        let t0 = cluster.clock.now();
+        let dt = cluster.clock.subtask_elapsed(t0, j, w, kind, gen);
+        ready.push_back((j, w, kind, gen, dt));
+    }
+}
+
+/// Opens `run`'s next iteration: new generation, then every worker's
+/// PULL of the snapshot the boundary just refilled.
+fn begin_iteration(cluster: &PsCluster, ready: &mut VecDeque<Event>, j: usize, run: &mut JobRun) {
+    run.iteration += 1;
+    let gen = run.sync.begin_iteration();
+    run.generation.store(gen, Ordering::SeqCst);
+    for (w, task) in run.tasks.pull.iter().enumerate() {
+        submit_comm(cluster, ready, j, w, SubtaskKind::Pull, gen, task);
+    }
+}
+
 /// Executes `run`'s planned migration at the iteration boundary it just
-/// completed (§IV-B4): checkpoint the quiescent model bit-exactly
-/// (staged through the job's pooled snapshot buffer), restore through
-/// the serialized form, replay the new workers' pre-training pushes —
-/// the exact sequence a fresh restart from `JobBuilder::initial_model`
+/// completed (§IV-B4): checkpoint the quiescent model bit-exactly (from
+/// the snapshot the boundary just refilled), restore through the
+/// serialized form, replay the new workers' pre-training pushes — the
+/// exact sequence a fresh restart from `JobBuilder::initial_model`
 /// runs — and rebuild the task set and barriers for the new DoP. The
 /// stripe layout is DoP-independent, so the model store is reused in
 /// place; the generation counter keeps running (no subtask is in flight
@@ -374,7 +454,6 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
     let checkpoint_bytes;
     {
         let mut snap = run.snapshot.write();
-        run.store.pull_into(snap.as_mut());
         let ckpt = Checkpoint::capture(snap.as_ref());
         checkpoint_bytes = ckpt.byte_len();
         cluster.migrations.lock().begin(checkpoint_bytes as f64);
@@ -386,6 +465,8 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
             run.store.push(&init);
         }
     }
+    // The pushes rewrote the store: bring the snapshot back in step.
+    run.store.pull_into(run.snapshot.write().as_mut());
     let from_dop = run.workers.len();
     let new_dop = plan.workers.len();
     run.total_examples = plan.workers.iter().map(|w| w.num_examples()).sum();
@@ -394,13 +475,10 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
         .into_iter()
         .map(|w| Arc::new(Mutex::new(w)))
         .collect();
-    run.update_bufs = Arc::new(
-        (0..new_dop)
-            .map(|_| Arc::new(Mutex::new(Some(cluster.pool.acquire(model_len)))))
-            .collect(),
-    );
-    run.sparse_stages = build_sparse_stages(cluster, model_len, new_dop, run.all_reduce);
-    let tasks = build_tasks(
+    run.release_tasks();
+    run.update_bufs = acquire_update_bufs(cluster, model_len, new_dop);
+    run.sparse_stages = build_sparse_stages(cluster, new_dop, run.all_reduce);
+    run.tasks = build_tasks(
         cluster,
         event_tx,
         j,
@@ -412,10 +490,6 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
         run.all_reduce,
         run.sparse_stages.as_ref(),
     );
-    run.pull_tasks = tasks.pull;
-    run.comp_tasks = tasks.comp;
-    run.push_tasks = tasks.push;
-    run.apply_tasks = tasks.apply;
     run.sync
         .reconfigure(new_dop, new_dop.min(run.store.stripe_count()));
     run.migrated = Some(MigrationRecord {
@@ -430,8 +504,7 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
 /// Runs `jobs` on the pipelined zero-copy runtime. Semantics (and every
 /// output bit) match [`PsCluster::run_jobs`] with `fast_runtime: false`.
 pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<JobReport> {
-    // (job, node, kind, generation, elapsed)
-    let (event_tx, event_rx) = unbounded::<(usize, usize, SubtaskKind, u64, Duration)>();
+    let (event_tx, event_rx) = unbounded::<Event>();
 
     let mut runs: Vec<JobRun> = Vec::with_capacity(jobs.len());
     for (j, job) in jobs.into_iter().enumerate() {
@@ -455,23 +528,16 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             .into_iter()
             .map(|w| Arc::new(Mutex::new(w)))
             .collect();
-        let mut eval_buf = vec![0.0; model_len];
-        let initial_loss = {
-            store.pull_into(&mut eval_buf);
-            let sum: f64 = workers.iter().map(|w| w.lock().loss(&eval_buf)).sum();
-            sum / total_examples.max(1) as f64
-        };
+        let mut snapshot = cluster.pool.acquire(model_len);
+        store.pull_into(snapshot.as_mut());
+        let initial_loss = mean_loss(&workers, snapshot.as_ref(), total_examples);
 
-        let snapshot = Arc::new(RwLock::new(cluster.pool.acquire(model_len)));
-        let update_bufs: Arc<Vec<Arc<Mutex<Option<PooledBuffer>>>>> = Arc::new(
-            (0..dop)
-                .map(|_| Arc::new(Mutex::new(Some(cluster.pool.acquire(model_len)))))
-                .collect(),
-        );
+        let snapshot = Arc::new(RwLock::new(snapshot));
+        let update_bufs = acquire_update_bufs(cluster, model_len, dop);
         let generation = Arc::new(AtomicU64::new(0));
         let apply_count = dop.min(store.stripe_count());
         let all_reduce = job.all_reduce;
-        let sparse_stages = build_sparse_stages(cluster, model_len, dop, all_reduce);
+        let sparse_stages = build_sparse_stages(cluster, dop, all_reduce);
 
         let tasks = build_tasks(
             cluster,
@@ -496,10 +562,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             snapshot,
             generation,
             sync: Synchronizer::new(dop, apply_count),
-            pull_tasks: tasks.pull,
-            comp_tasks: tasks.comp,
-            push_tasks: tasks.push,
-            apply_tasks: tasks.apply,
+            tasks,
             iteration: 0,
             max_iterations: job.max_iterations,
             loss_threshold: job.loss_threshold,
@@ -518,40 +581,35 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             },
             initial_loss,
             push_volumes: Vec::with_capacity(job.max_iterations.min(4096) as usize),
-            eval_buf,
             ring_scratch: Vec::with_capacity(dop),
-            done: false,
             converged: false,
             aborting: false,
             drain: 0,
         });
     }
 
+    // Completions the master produced itself (`submit_comm`). The loop
+    // empties the queue before it blocks and a handler queues at most
+    // one job's PULLs, so the kick-off below is its high-water mark.
+    let mut ready: VecDeque<Event> = VecDeque::with_capacity(runs.len() * cluster.nodes.len());
+
     // Kick off iteration 1 of every job.
     let mut active = 0usize;
-    for run in runs.iter_mut() {
-        if run.max_iterations == 0 {
-            run.done = true;
-            continue;
+    for (j, run) in runs.iter_mut().enumerate() {
+        if run.max_iterations > 0 {
+            begin_iteration(cluster, &mut ready, j, run);
+            active += 1;
         }
-        run.iteration = 1;
-        run.generation
-            .store(run.sync.begin_iteration(), Ordering::SeqCst);
-        run.store.pull_into(run.snapshot.write().as_mut());
-        for (w, task) in run.pull_tasks.iter().enumerate() {
-            cluster.nodes[w].comm.submit_shared(task);
-        }
-        active += 1;
     }
 
     while active > 0 {
-        let (j, node, kind, egen, elapsed) =
-            event_rx.recv().expect("executors alive while jobs active");
+        let (j, node, kind, egen, elapsed) = ready
+            .pop_front()
+            .unwrap_or_else(|| event_rx.recv().expect("executors alive while jobs active"));
         let run = &mut runs[j];
         if run.aborting {
             run.drain -= 1;
             if run.drain == 0 {
-                run.done = true;
                 active -= 1;
             }
             continue;
@@ -565,7 +623,6 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             run.iteration -= 1;
             run.drain = run.workers.len() - 1;
             if run.drain == 0 {
-                run.done = true;
                 active -= 1;
             }
             continue;
@@ -578,12 +635,11 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
         });
         match run.sync.on_subtask(kind, egen) {
             SyncAction::StartCompute => {
-                cluster.nodes[node].cpu.submit_shared(&run.comp_tasks[node]);
+                cluster.nodes[node].cpu.submit_shared(&run.tasks.comp[node]);
             }
             SyncAction::StartPush => {
-                cluster.nodes[node]
-                    .comm
-                    .submit_shared(&run.push_tasks[node]);
+                let task = &run.tasks.push[node];
+                submit_comm(cluster, &mut ready, j, node, SubtaskKind::Push, egen, task);
             }
             SyncAction::ReduceAndApply => {
                 if run.all_reduce {
@@ -600,7 +656,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                         *slot.lock() = Some(buf);
                     }
                 }
-                for (n, task) in &run.apply_tasks {
+                for (n, task) in &run.tasks.apply {
                     cluster.nodes[*n].comm.submit_shared(task);
                 }
             }
@@ -627,22 +683,22 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                     bytes,
                     dense_bytes: dense_total,
                 });
+                // All subtasks of the iteration have landed: the
+                // workers are idle and the model is quiescent. This is
+                // the iteration's one copy of it — the loss check reads
+                // it here, the next iteration's COMPs after their PULLs.
+                run.store.pull_into(run.snapshot.write().as_mut());
                 let at_check = run.iteration.is_multiple_of(run.check_every)
                     || run.iteration == run.max_iterations;
                 if at_check {
-                    // All subtasks of the iteration have landed, so the
-                    // workers are idle and the model is quiescent.
-                    run.store.pull_into(&mut run.eval_buf);
-                    let eval = &run.eval_buf;
-                    let sum: f64 = run.workers.iter().map(|w| w.lock().loss(eval)).sum();
-                    let loss = sum / run.total_examples.max(1) as f64;
+                    let model = run.snapshot.read();
+                    let loss = mean_loss(&run.workers, model.as_ref(), run.total_examples);
                     run.loss_history.push((run.iteration, loss));
                     if run.loss_threshold.is_some_and(|t| loss <= t) {
                         run.converged = true;
                     }
                 }
                 if run.converged || run.iteration >= run.max_iterations {
-                    run.done = true;
                     active -= 1;
                 } else {
                     if run
@@ -652,16 +708,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                     {
                         migrate_fast(cluster, &event_tx, j, run);
                     }
-                    run.iteration += 1;
-                    run.generation
-                        .store(run.sync.begin_iteration(), Ordering::SeqCst);
-                    // Refill the shared snapshot while every task of the
-                    // job is provably idle (the apply barrier just
-                    // cleared), then release the PULLs that read it.
-                    run.store.pull_into(run.snapshot.write().as_mut());
-                    for (w, task) in run.pull_tasks.iter().enumerate() {
-                        cluster.nodes[w].comm.submit_shared(task);
-                    }
+                    begin_iteration(cluster, &mut ready, j, run);
                 }
             }
             SyncAction::InFlight => {}
@@ -669,7 +716,9 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
     }
 
     runs.into_iter()
-        .map(|run| {
+        .map(|mut run| {
+            // `run_jobs` returns with the pool whole.
+            run.release_tasks();
             let final_model = run.store.pull();
             let dop = run.workers.len();
             finish_report(

@@ -2,7 +2,9 @@
 //! to the dense stripe fold for *every* delta the runtime contract
 //! admits — NaN payloads, signed zeros, empty and single-coordinate
 //! supports, ragged stripe layouts, mixed sparse/dense worker rosters,
-//! and arbitrary stripe application orders.
+//! and arbitrary stripe application orders — and, through the runtime
+//! itself, for a worker whose support crosses the density cutoff in
+//! both directions mid-run (its staging is checked out on demand).
 //!
 //! The contract under test (see `StripedModel::stripe_add_sparse` and
 //! `PsAlgorithm::sparse_support`): a sparse PUSH may omit exactly the
@@ -25,7 +27,10 @@
 
 use proptest::prelude::*;
 
-use harmony_ps::StripedModel;
+use harmony_ml::PsAlgorithm;
+use harmony_ps::{
+    JobBuilder, PsCluster, PsConfig, StripedModel, DEFAULT_STRIPE_LEN, SPARSE_DENSITY_THRESHOLD,
+};
 
 fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -239,4 +244,122 @@ fn empty_and_single_coordinate_deltas() {
             "stripe_len {stripe_len}"
         );
     }
+}
+
+/// A worker whose support size follows a script, one entry per COMP —
+/// no shipped algorithm flips between wire forms mid-run, so this is
+/// the only way to walk the on-demand staging through "dense for k
+/// iterations, then sparse, then dense again".
+struct Flicker {
+    len: usize,
+    /// Support size of each successive COMP.
+    script: Vec<usize>,
+    calls: usize,
+    support: Vec<u32>,
+    /// Distinguishes the workers' values, so the fold order shows.
+    salt: f64,
+}
+
+impl PsAlgorithm for Flicker {
+    fn model_len(&self) -> usize {
+        self.len
+    }
+
+    fn init_model(&self, _seed: u64) -> Vec<f64> {
+        (0..self.len).map(|i| 0.25 + i as f64 / 7.0).collect()
+    }
+
+    fn compute_update_into(&mut self, model: &[f64], update: &mut [f64]) {
+        let n = self.script[self.calls];
+        self.calls += 1;
+        // Off-support slots hold a signed zero, of either sign.
+        update.fill(if self.calls.is_multiple_of(2) {
+            -0.0
+        } else {
+            0.0
+        });
+        self.support.clear();
+        for k in 0..n {
+            // `n` coordinates spread over every stripe, ascending.
+            let i = k * self.len / n;
+            update[i] = self.salt * (model[i] / 3.0 + 1.0 / (k + self.calls) as f64);
+            self.support.push(i as u32);
+        }
+    }
+
+    fn sparse_support(&self) -> Option<&[u32]> {
+        Some(&self.support)
+    }
+
+    fn loss(&self, model: &[f64]) -> f64 {
+        model.iter().sum::<f64>() * self.salt
+    }
+
+    fn num_examples(&self) -> usize {
+        1
+    }
+}
+
+#[test]
+fn support_crossing_the_cutoff_mid_run_stays_bit_identical() {
+    // Three stripes with a ragged tail, so two APPLY tasks fold.
+    let len = 2 * DEFAULT_STRIPE_LEN + 100;
+    let cutoff = (SPARSE_DENSITY_THRESHOLD * len as f64) as usize;
+    assert_eq!(cutoff as f64, SPARSE_DENSITY_THRESHOLD * len as f64);
+    // Per iteration: dense beside sparse, exactly at the cutoff, an
+    // empty support, one past the cutoff, both sparse, both dense.
+    let scripts = [
+        vec![len, cutoff, 0, cutoff + 1, 5, len, 10, len],
+        vec![3, len, len, cutoff - 1, len, 0, 10, len],
+    ];
+    let iters = scripts[0].len();
+    let run = |sparse_push: bool, scripts: &[Vec<usize>]| {
+        let cluster = PsCluster::new(PsConfig {
+            nodes: 2,
+            sparse_push,
+            ..PsConfig::default()
+        });
+        let workers = scripts.iter().enumerate().map(|(w, script)| {
+            Box::new(Flicker {
+                len,
+                script: script.clone(),
+                calls: 0,
+                support: Vec::new(),
+                salt: 1.0 + w as f64 / 3.0,
+            }) as Box<dyn PsAlgorithm>
+        });
+        let job = JobBuilder::new("flicker")
+            .workers(workers)
+            .max_iterations(iters as u64)
+            .build();
+        (cluster.run_jobs(vec![job]).remove(0), cluster.pool_stats())
+    };
+
+    let (sparse, pool) = run(true, &scripts);
+    let (dense, _) = run(false, &scripts);
+    assert_eq!(to_bits(&sparse.final_model), to_bits(&dense.final_model));
+    assert_eq!(sparse.loss_history, dense.loss_history);
+
+    // Pairs (12 bytes: `u32` index + `f64` value) are charged on
+    // exactly the iterations a support sat at or below the cutoff.
+    let dense_bytes = (len * 8) as u64;
+    for (i, volume) in sparse.push_volumes.iter().enumerate() {
+        let expected: u64 = scripts
+            .iter()
+            .map(|script| match script[i] {
+                n if n <= cutoff => n as u64 * 12,
+                _ => dense_bytes,
+            })
+            .sum();
+        assert_eq!(volume.bytes, expected, "iteration {}", i + 1);
+        assert_eq!(volume.dense_bytes, 2 * dense_bytes);
+    }
+    assert_eq!(dense.push_density(), 1.0);
+
+    // Both workers went sparse at some point: snapshot + 2 updates + 2
+    // staging pairs, each checked out once however often the wire form
+    // flipped. A peer that never does holds no staging.
+    assert_eq!((pool.allocations, pool.outstanding), (1 + 3 * 2, 0));
+    let (_, pool) = run(true, &[scripts[0].clone(), vec![len; iters]]);
+    assert_eq!((pool.allocations, pool.outstanding), (1 + 2 + 2, 0));
 }

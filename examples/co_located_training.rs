@@ -64,6 +64,8 @@ fn main() {
         );
     }
 
+    // No network is simulated here, so PULL and PUSH have no wire time
+    // and complete on the master: the COMM executors run APPLY folds only.
     for (node, (cpu, comm)) in cluster.executor_stats().iter().enumerate() {
         println!(
             "node {node}: {} CPU subtasks (peak concurrency {}), {} COMM subtasks (peak {})",

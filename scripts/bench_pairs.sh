@@ -3,7 +3,8 @@
 # alternating parent/change runs of the benchmark, one workload and one
 # seed at a time, summarized per end-to-end metric.
 #
-# Usage: scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seconds S] [workload...]
+# Usage: scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seconds S]
+#                              [--traced M1,M2,...] [workload...]
 #
 #   <parent-ref>  the commit to compare the working tree against. Its
 #                 files are unpacked (git archive) under
@@ -12,6 +13,11 @@
 #   --pairs N     pairs per workload, seeds 1..N (default 10)
 #   --seconds S   timed seconds per run (default: run_seconds in
 #                 BENCHMARK.json)
+#   --traced M1,M2,...
+#                 after the pairs, one `--trace 1` run per side and
+#                 workload at seed 1, printed as `metric  parent → change`
+#                 for each named per-layer metric (choosing-metrics §6.6:
+#                 where the saving appears, and the counts that repeat)
 #   workload...   default: every workload BENCHMARK.json names
 #
 # Both benchmark/ packages are built --offline into their own
@@ -31,16 +37,18 @@ set -eu
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-[ $# -ge 1 ] || { sed -n '2,8p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,9p' "$0" >&2; exit 2; }
 PARENT_REF=$1
 shift
 PAIRS=10
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 WORKLOADS=""
+TRACED=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) PAIRS=$2; shift 2 ;;
         --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
+        --traced) TRACED=$2; shift 2 ;;
         --*) echo "unknown option: $1" >&2; exit 2 ;;
         *) WORKLOADS="$WORKLOADS $1"; shift ;;
     esac
@@ -152,3 +160,32 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
             }
         }
     }' - "$RESULTS"
+
+[ -n "$TRACED" ] || exit 0
+
+# traced_run <side> <tree> <workload>: one traced run at seed 1; its
+# rows are `  <metric> <value> <unit> ...`.
+traced_run() {
+    (cd "$2" && "$PAIR_DIR/$1-target/release/harmony-benchmark" run \
+        --workload "$3" --seed 1 --seconds "$SECONDS_PER_RUN" --trace 1) ||
+        echo "    $1 traced run of $3 exited non-zero (a check failed)" >&2
+}
+
+for w in $WORKLOADS; do
+    echo "==> $w traced" >&2
+    traced_run parent "$PARENT_TREE" "$w" > "$PAIR_DIR/traced-parent.txt"
+    traced_run change "$ROOT" "$w" > "$PAIR_DIR/traced-change.txt"
+    printf '\n%s — traced, seed 1, %s s\n' "$w" "$SECONDS_PER_RUN"
+    awk -v names="$TRACED" '
+        function plain(v) { if (v ~ /\./) { sub(/0+$/, "", v); sub(/\.$/, "", v) } return v }
+        NR == FNR { parent[$1] = $2; next }
+        { change[$1] = $2; unit[$1] = $3 }
+        END {
+            n = split(names, m, ",")
+            for (i = 1; i <= n; i++)
+                if (m[i] in change || m[i] in parent)
+                    printf "  %-32s %s → %s %s\n", m[i], plain(parent[m[i]]), plain(change[m[i]]), unit[m[i]]
+                else
+                    printf "  %-32s not a metric of this benchmark\n", m[i]
+        }' "$PAIR_DIR/traced-parent.txt" "$PAIR_DIR/traced-change.txt"
+done

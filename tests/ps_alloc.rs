@@ -71,22 +71,14 @@ fn run_lasso(cluster: &PsCluster, iters: u64) {
         .check_every(1_000_000)
         .build();
     let _ = cluster.run_jobs(vec![job]);
+    assert_settled(cluster);
 }
 
-/// Waits until every pooled buffer has drained back (the executor
-/// threads drop their task `Arc`s just after the final event lands),
-/// so the next run's setup draws from the pool instead of allocating.
-fn settle(cluster: &PsCluster) {
-    for _ in 0..500 {
-        if cluster.pool_stats().outstanding == 0 {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    panic!(
-        "pooled buffers were not returned: {:?}",
-        cluster.pool_stats()
-    );
+/// `run_jobs` returns only once every pooled buffer is back in the
+/// pool, so the next run's setup draws from it instead of allocating.
+fn assert_settled(cluster: &PsCluster) {
+    let stats = cluster.pool_stats();
+    assert_eq!(stats.outstanding, 0, "pooled buffers still out: {stats:?}");
 }
 
 #[test]
@@ -104,7 +96,6 @@ fn steady_state_iterations_allocate_nothing() {
     // the event channel to their steady capacity, fault in lazy
     // thread-local state.
     run_lasso(&cluster, 40);
-    settle(&cluster);
 
     // Lazy one-time allocations elsewhere in the process can land in
     // either window; a bounded retry separates that noise from a real
@@ -113,10 +104,8 @@ fn steady_state_iterations_allocate_nothing() {
     for _ in 0..3 {
         let a0 = ALLOCS.load(Ordering::Relaxed);
         run_lasso(&cluster, 40);
-        settle(&cluster);
         let a1 = ALLOCS.load(Ordering::Relaxed);
         run_lasso(&cluster, 400);
-        settle(&cluster);
         let a2 = ALLOCS.load(Ordering::Relaxed);
 
         let short = a1 - a0;
@@ -147,6 +136,7 @@ fn run_lda(cluster: &PsCluster, iters: u64) {
         .check_every(1_000_000)
         .build();
     let _ = cluster.run_jobs(vec![job]);
+    assert_settled(cluster);
 }
 
 #[test]
@@ -161,7 +151,6 @@ fn sparse_push_steady_state_allocates_nothing() {
     });
 
     run_lda(&cluster, 40);
-    settle(&cluster);
     assert!(
         cluster.comm_stats().sparse_pushes > 0,
         "audit workload never engaged the sparse path"
@@ -171,10 +160,8 @@ fn sparse_push_steady_state_allocates_nothing() {
     for _ in 0..3 {
         let a0 = ALLOCS.load(Ordering::Relaxed);
         run_lda(&cluster, 40);
-        settle(&cluster);
         let a1 = ALLOCS.load(Ordering::Relaxed);
         run_lda(&cluster, 400);
-        settle(&cluster);
         let a2 = ALLOCS.load(Ordering::Relaxed);
 
         let short = a1 - a0;

@@ -14,8 +14,15 @@
 //! sparse scatter may skip only slots holding signed zeros, which fold
 //! bit-neutrally (see `StripedModel::stripe_add_sparse`).
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use harmony::core::JobId;
 use harmony::ml::{synth, Lasso, Lda, Mlr, Nmf, PsAlgorithm};
-use harmony::ps::{JobBuilder, JobReport, PsCluster, PsConfig, TrainingJob};
+use harmony::ps::{
+    iteration_samples, JobBuilder, JobReport, PsCluster, PsConfig, SubtaskKind, TrainingJob,
+    VirtualClock,
+};
 
 fn cluster(nodes: usize, fast_runtime: bool, sparse_push: bool) -> PsCluster {
     PsCluster::new(PsConfig {
@@ -300,28 +307,135 @@ fn cluster_comm_stats_aggregate_push_volumes() {
 
 #[test]
 fn pool_reuses_buffers_across_runs() {
-    // Buffers return to the pool when the executor threads drop the
-    // last task `Arc`s — a hair *after* the final completion event is
-    // received — so poll briefly for quiescence between runs.
-    fn settled(c: &PsCluster) -> harmony::mem::PoolStats {
-        for _ in 0..500 {
-            let s = c.pool_stats();
-            if s.outstanding == 0 {
-                return s;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        panic!("pooled buffers were not returned: {:?}", c.pool_stats());
-    }
-
+    // `run_jobs` waits for the executor threads to let go of the last
+    // task `Arc`s before it returns, so the pool is whole the moment it
+    // does — no settling time between runs.
     let c = cluster(2, true, true);
     let _ = c.run_jobs(vec![Spec::new("lasso", 2, 4).job()]);
-    let first = settled(&c);
+    let first = c.pool_stats();
+    assert_eq!(first.outstanding, 0, "buffers still out: {first:?}");
     let _ = c.run_jobs(vec![Spec::new("lasso", 2, 4).job()]);
-    let second = settled(&c);
+    let second = c.pool_stats();
+    assert_eq!(second.outstanding, 0, "buffers still out: {second:?}");
     assert_eq!(
         second.allocations, first.allocations,
         "second run should draw every buffer from the pool"
     );
     assert!(second.reuses > first.reuses);
+}
+
+#[test]
+fn a_job_draws_its_buffer_budget_and_no_more() {
+    // Beside the (unpooled) store a job holds one snapshot and one
+    // update buffer per worker, and index + value staging only for the
+    // workers that ever ship sparse: none for Lasso on its non-zero
+    // init or for MLR (every PUSH falls back dense), all of them for
+    // LDA.
+    for (algo, dop, draws) in [
+        ("lasso", 2, 1 + 2),
+        ("mlr", 4, 1 + 4),
+        ("lda", 4, 1 + 3 * 4),
+    ] {
+        let c = cluster(dop, true, true);
+        let report = c.run_jobs(vec![Spec::new(algo, dop, 4).job()]).remove(0);
+        assert_eq!(
+            report.push_density() < 1.0,
+            algo == "lda",
+            "{algo}: wire form is not the one this budget assumes"
+        );
+        let first = c.pool_stats();
+        assert_eq!(first.allocations, draws, "{algo}: {first:?}");
+        assert_eq!(first.reuses, 0, "{algo}: {first:?}");
+        assert_eq!(first.outstanding, 0, "{algo}: {first:?}");
+        assert_eq!(first.free, draws, "{algo}: {first:?}");
+        let _ = c.run_jobs(vec![Spec::new(algo, dop, 4).job()]);
+        let second = c.pool_stats();
+        assert_eq!(second.allocations, draws, "{algo}: second run allocated");
+        assert_eq!(second.reuses, draws, "{algo}: {second:?}");
+        assert_eq!(second.outstanding, 0, "{algo}: {second:?}");
+        assert_eq!(second.free, draws, "{algo}: {second:?}");
+    }
+}
+
+#[test]
+fn zero_wire_matches_a_wire_through_the_comm_executors() {
+    // With no simulated network a PULL or PUSH never leaves the master;
+    // with an infinitely fast one it sleeps for zero seconds on a COMM
+    // executor thread. Same jobs, same scripted clock: every output
+    // must agree, and only the COMM executors' task counts may differ.
+    let specs = || {
+        [
+            Spec::new("mlr", 4, 6),
+            Spec::new("lasso", 2, 6),
+            Spec::new("nmf", 2, 6),
+            Spec::new("lda", 4, 6),
+            Spec {
+                all_reduce: true,
+                ..Spec::new("mlr", 2, 6)
+            },
+            Spec {
+                abort_after: Some(3),
+                ..Spec::new("lasso", 2, 6)
+            },
+        ]
+    };
+    let run = |network_bytes_per_sec: Option<f64>| {
+        let clock = VirtualClock::new(|job, node, kind, iter| {
+            let base = if kind == SubtaskKind::Comp { 900 } else { 70 };
+            Duration::from_micros(base + 100 * job as u64 + 10 * node as u64 + iter)
+        });
+        let c = PsCluster::with_clock(
+            PsConfig {
+                nodes: 4,
+                network_bytes_per_sec,
+                ..PsConfig::default()
+            },
+            Arc::new(clock),
+        );
+        let reports = c.run_jobs(specs().iter().map(Spec::job).collect());
+        (reports, c.executor_stats())
+    };
+    let (local, local_stats) = run(None);
+    let (wired, wired_stats) = run(Some(f64::INFINITY));
+
+    for (j, (l, w)) in local.iter().zip(&wired).enumerate() {
+        assert_identical(&format!("zero-wire {}", l.name), l, w);
+        assert_eq!(l.push_volumes, w.push_volumes, "{}: push volumes", l.name);
+        let id = JobId::new(j as u64);
+        assert_eq!(
+            iteration_samples(l, id),
+            iteration_samples(w, id),
+            "{}: iteration samples",
+            l.name
+        );
+    }
+    assert!(local[5].aborted && local[5].iterations == 2);
+
+    // Every model here fits one stripe: one APPLY task per iteration,
+    // on node 0. A finished iteration also ran one PULL and one PUSH on
+    // each of its workers' nodes; the aborted job's doomed iteration,
+    // its PULLs alone.
+    let mut applies = 0;
+    let mut wire_subtasks = [0usize; 4];
+    for (spec, report) in specs().iter().zip(&local) {
+        applies += report.iterations as usize;
+        for node in wire_subtasks.iter_mut().take(spec.workers) {
+            *node += 2 * report.iterations as usize + usize::from(report.aborted);
+        }
+    }
+    for (n, ((l_cpu, l_comm), (w_cpu, w_comm))) in local_stats.iter().zip(&wired_stats).enumerate()
+    {
+        let folds = if n == 0 { applies } else { 0 };
+        assert_eq!(l_comm.completed, folds, "node {n}: zero-wire COMM tasks");
+        assert_eq!(
+            w_comm.completed,
+            folds + wire_subtasks[n],
+            "node {n}: wired COMM tasks"
+        );
+        assert_eq!(l_cpu.completed, w_cpu.completed, "node {n}: COMP tasks");
+        for (cpu, comm) in [(l_cpu, l_comm), (w_cpu, w_comm)] {
+            assert!(cpu.peak_concurrency <= 1, "node {n}: {cpu:?}");
+            assert!(comm.peak_concurrency <= 2, "node {n}: {comm:?}");
+        }
+    }
 }
