@@ -42,4 +42,4 @@ pub use migration::MigrationStats;
 pub use online::OnlineStats;
 pub use phase::PhaseTimes;
 pub use table::{fmt3, TextTable};
-pub use timeline::{Timeline, TimelinePoint};
+pub use timeline::{Timeline, TimelinePoint, ValueRun};

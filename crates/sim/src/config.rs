@@ -131,7 +131,8 @@ pub struct SimConfig {
     /// Relative error injected into profiles before every scheduling
     /// decision (Figure 13a); 0 disables.
     pub error_injection: f64,
-    /// Utilization sampling interval in seconds (the paper uses 1 min).
+    /// Utilization sampling interval in seconds (the paper uses 1 min);
+    /// finite and positive.
     pub utilization_sample_secs: f64,
     /// Trigger a full reschedule when at least this many profiled/paused
     /// jobs are waiting (engineering guardrail around §IV-B4's
@@ -242,7 +243,7 @@ pub struct SimConfig {
     /// virtual seconds; further finishes inside it only accumulate;
     /// the window flushes into ONE full pass at expiry (or at
     /// [`Self::coalesce_max_batch`] finishes). Any other full-pass
-    /// trigger — drift, fault recovery, unstall, the profiled-backlog
+    /// trigger — drift, fault recovery, the profiled-backlog
     /// threshold — closes the window for free, because its own full
     /// pass subsumes the deferred one. While a window is open, a
     /// finish that dissolves its group hands the freed machines to the
@@ -360,6 +361,12 @@ impl SimConfig {
             if jobs_per_group == 0 {
                 return Err("naive packing needs at least one job per group".into());
             }
+        }
+        if !self.utilization_sample_secs.is_finite() || self.utilization_sample_secs <= 0.0 {
+            return Err(format!(
+                "utilization sample interval must be a positive number of seconds, got {}",
+                self.utilization_sample_secs
+            ));
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;

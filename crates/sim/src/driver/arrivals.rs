@@ -204,6 +204,8 @@ impl Driver {
         {
             self.attach_job(g, j, true);
         }
-        // Else: stay Waiting; the unstall guardrail will retry.
+        // Else every machine has crashed: the job stays without a group,
+        // nothing places it again, and the `max_sim_seconds` cap fails
+        // it.
     }
 }

@@ -95,7 +95,6 @@ enum EventKind {
         group: usize,
         gen: u64,
     },
-    Sample,
     NaiveForm,
     /// A machine fails somewhere in the cluster (§VI).
     Failure(u64),
@@ -155,6 +154,12 @@ pub struct Driver {
     free_machines: u32,
     now: f64,
     events: EventQueue<(Time, u64, EventKind)>,
+    /// The one pending utilization sample, keyed like a queued event:
+    /// its `seq` comes from `event_seq`, so the loop takes slot and
+    /// queue in the same `(time, seq)` order as if it were queued.
+    /// Armed at `t = 0` and re-armed by every sample while jobs are
+    /// live, so the clock always has somewhere to go.
+    next_sample: (Time, u64),
     event_seq: u64,
     noise: Straggler,
     scheduler: Scheduler,
@@ -240,6 +245,7 @@ impl Driver {
             arrival_cursor: 0,
             alive: IdSet::new(),
             now: 0.0,
+            next_sample: (Time(0.0), 0),
             event_seq: 0,
             bootstrapped: false,
             naive_form_scheduled: false,
@@ -391,7 +397,7 @@ impl Driver {
         for p in &densities {
             d.jobs[p.job].push_density = Some(p.density);
         }
-        d.push_event(0.0, EventKind::Sample);
+        d.arm_sample(0.0);
         if let Some(mtbf) = d.cfg.failure_mtbf_secs {
             d.push_event(next_failure_gap(d.cfg.seed, 0, mtbf), EventKind::Failure(1));
         }
@@ -407,6 +413,13 @@ impl Driver {
     fn push_event(&mut self, at: f64, kind: EventKind) {
         self.event_seq += 1;
         self.events.push((Time(at), self.event_seq, kind));
+    }
+
+    /// Sets the pending utilization sample to `at`, drawing its `seq`
+    /// as [`Self::push_event`] would.
+    fn arm_sample(&mut self, at: f64) {
+        self.event_seq += 1;
+        self.next_sample = (Time(at), self.event_seq);
     }
 
     /// Moves the clock forward to `t` (never backward) and enters every
@@ -498,21 +511,20 @@ impl Driver {
     fn event_loop(&mut self) {
         let loop_t0 = Instant::now();
         self.events.start();
-        let mut stall_breaker = 0;
-        while let Some((Time(t), _, kind)) = self.events.pop() {
-            if self.live_jobs() == 0 {
-                break;
-            }
-            if t > self.cfg.max_sim_seconds {
-                // Runaway config: abandon remaining work as failed. A
-                // full walk: jobs that never arrived fail too.
-                for j in 0..self.jobs.len() {
-                    if self.jobs[j].is_live() {
-                        self.set_terminal(j, SimJobState::Failed, t);
+        loop {
+            let (Time(t), _, kind) = match self.events.peek() {
+                Some(event) if (event.0, event.1) < self.next_sample => event,
+                head => {
+                    if self.take_samples(head.map(|(t, seq, _)| (t, seq))) {
+                        continue;
                     }
+                    break;
                 }
+            };
+            if self.run_is_over(t) {
                 break;
             }
+            self.events.pop();
             self.advance_now(t);
             match kind {
                 EventKind::Arrival(j) => self.on_arrival(j),
@@ -535,15 +547,6 @@ impl Driver {
                         self.handle_notifications(&mut notes);
                         notes.clear();
                         self.scratch_notes = notes;
-                    }
-                }
-                EventKind::Sample => {
-                    self.sample_utilization();
-                    if self.live_jobs() > 0 {
-                        self.push_event(
-                            self.now + self.cfg.utilization_sample_secs,
-                            EventKind::Sample,
-                        );
                     }
                 }
                 EventKind::NaiveForm => {
@@ -580,55 +583,79 @@ impl Driver {
                 guard += 1;
                 assert!(guard < 1000, "deferred-notification livelock");
             }
-            debug_assert!(
-                self.indices_match_scans(),
-                "live-job / alive-group index out of sync with its scan"
-            );
-            debug_assert!(
-                self.machines_are_conserved(),
-                "free + held machines != available at t={}",
-                self.now
-            );
-            debug_assert!(
-                self.loading_flags_cover_idle_members(),
-                "an Idle member sits in a group whose loading flag is clear"
-            );
-            // Deadlock guardrail: live jobs but no pending events.
-            if self.events.is_empty() && self.live_jobs() > 0 {
-                stall_breaker += 1;
-                assert!(
-                    stall_breaker < 64,
-                    "simulation stalled at t={} with {} live jobs",
-                    self.now,
-                    self.live_jobs()
-                );
-                self.unstall();
-            }
+            self.debug_check_state();
         }
         // Everything the loop spent outside scheduling decisions is
         // event-path time (fluid advancement, queue churn, memory).
         self.report.event_wall = loop_t0.elapsed().saturating_sub(self.report.sched_wall);
     }
 
-    /// Last-resort progress: re-run the placement machinery.
-    fn unstall(&mut self) {
-        match self.cfg.scheduler {
-            SchedulerKind::Harmony | SchedulerKind::Oracle => {
-                self.reschedule_because(ReschedReason::Unstall);
-                // Anything still waiting (e.g. never profiled because no
-                // group existed) re-enters profiling. A full walk: the
-                // last-resort path runs at most 64 times a run and must
-                // not depend on the indices it may be rescuing.
-                let waiting: Vec<usize> = (0..self.jobs.len())
-                    .filter(|&j| self.jobs[j].state == SimJobState::Waiting)
-                    .collect();
-                for j in waiting {
-                    self.place_for_profiling(j);
+    /// Whether the run ends instead of handling what is due at `t`:
+    /// no job is live, or `t` lies past `max_sim_seconds` — a runaway
+    /// config, whose remaining work is abandoned as failed at `t`.
+    fn run_is_over(&mut self, t: f64) -> bool {
+        if self.live_jobs() == 0 {
+            return true;
+        }
+        if t > self.cfg.max_sim_seconds {
+            // A full walk: jobs that never arrived fail too.
+            for j in 0..self.jobs.len() {
+                if self.jobs[j].is_live() {
+                    self.set_terminal(j, SimJobState::Failed, t);
                 }
             }
-            SchedulerKind::Isolated => self.isolated_admit(),
-            SchedulerKind::Naive { .. } => self.naive_form_groups(),
+            return true;
         }
+        false
+    }
+
+    /// Records every utilization sample due before the queued event
+    /// keyed `until` (all of them up to the end of the run when the
+    /// queue is empty), re-arming after each. Nothing changes between
+    /// two events, so the samples read one cluster state: its sums are
+    /// taken once, and each sample still moves the clock and is
+    /// recorded on its own. Returns whether the run goes on.
+    fn take_samples(&mut self, until: Option<(Time, u64)>) -> bool {
+        let (cpu, net, active) = self.utilization();
+        loop {
+            let (Time(t), _) = self.next_sample;
+            if self.run_is_over(t) {
+                return false;
+            }
+            self.advance_now(t);
+            self.report.cpu_timeline.record(self.now, cpu);
+            self.report.net_timeline.record(self.now, net);
+            if active > 0 {
+                self.report.concurrent_jobs.observe(active as f64);
+            }
+            // The sample re-arms whenever a job is live, so the run
+            // never runs out of events while work remains.
+            debug_assert!(self.live_jobs() > 0, "a sample re-armed with no job live");
+            self.arm_sample(self.now + self.cfg.utilization_sample_secs);
+            if until.is_some_and(|head| head < self.next_sample) {
+                break;
+            }
+        }
+        self.debug_check_state();
+        true
+    }
+
+    /// Debug cross-checks, run after every event and every stretch of
+    /// samples.
+    fn debug_check_state(&self) {
+        debug_assert!(
+            self.indices_match_scans(),
+            "live-job / alive-group index out of sync with its scan"
+        );
+        debug_assert!(
+            self.machines_are_conserved(),
+            "free + held machines != available at t={}",
+            self.now
+        );
+        debug_assert!(
+            self.loading_flags_cover_idle_members(),
+            "an Idle member sits in a group whose loading flag is clear"
+        );
     }
 
     /// Ids of alive groups, without materializing a vector. Callers
@@ -645,7 +672,10 @@ impl Driver {
         self.cfg.machines.saturating_sub(self.report.machines_lost)
     }
 
-    fn sample_utilization(&mut self) {
+    /// What a utilization sample records: cluster CPU and network
+    /// utilization (each capped at 1) and the number of live jobs
+    /// attached to a group.
+    fn utilization(&self) -> (f64, f64, usize) {
         let total = f64::from(self.available_machines().max(1));
         let mut cpu = 0.0;
         let mut net = 0.0;
@@ -655,12 +685,6 @@ impl Driver {
             cpu += grp.cpu.usage() * mf;
             net += grp.net.usage() * mf;
         }
-        self.report
-            .cpu_timeline
-            .record(self.now, (cpu / total).min(1.0));
-        self.report
-            .net_timeline
-            .record(self.now, (net / total).min(1.0));
         let active = if self.cfg.fast_event_path {
             // Debug cross-check of the counter (a full walk on purpose).
             debug_assert_eq!(
@@ -678,9 +702,7 @@ impl Driver {
                 .filter(|&j| self.jobs[j].group.is_some())
                 .count()
         };
-        if active > 0 {
-            self.report.concurrent_jobs.observe(active as f64);
-        }
+        ((cpu / total).min(1.0), (net / total).min(1.0), active)
     }
 
     fn handle_notifications(&mut self, notes: &mut Vec<Notify>) {

@@ -185,33 +185,35 @@ impl Driver {
     pub(super) fn gather_ordered(
         &self,
         states: &[SimJobState],
-        class: &mut Vec<usize>,
+        class: &mut Vec<(f64, usize)>,
         profiles: &mut Vec<JobProfile>,
     ) {
         profiles.clear();
         for &state in states {
             self.class_ordered(state, class);
-            let warm = class.iter().filter(|&&j| self.jobs[j].profile.is_warm());
-            profiles.extend(warm.map(|&j| self.scheduler_view_of(j)));
+            let warm = class
+                .iter()
+                .filter(|&&(_, j)| self.jobs[j].profile.is_warm());
+            profiles.extend(warm.map(|&(_, j)| self.scheduler_view_of(j)));
         }
     }
 
-    /// Fills `class` with the arrived jobs in `state`, shortest
-    /// predicted remaining time first (cold profiles last, ties by id).
-    fn class_ordered(&self, state: SimJobState, class: &mut Vec<usize>) {
+    /// Fills `class` with the arrived jobs in `state` as `(key, id)`,
+    /// shortest predicted remaining time first (cold profiles last,
+    /// ties by id). Each key is computed once, not per comparison; ids
+    /// are unique, so the order is strict and any sort yields it.
+    fn class_ordered(&self, state: SimJobState, class: &mut Vec<(f64, usize)>) {
         class.clear();
-        class.extend(self.in_state(state));
-        class.sort_by(|&a, &b| {
-            let key = |j: usize| {
-                let p = &self.jobs[j].profile;
-                if p.is_warm() {
-                    p.iter_time_at(16) * self.jobs[j].iterations_left() as f64
-                } else {
-                    f64::MAX
-                }
+        class.extend(self.in_state(state).map(|j| {
+            let p = &self.jobs[j].profile;
+            let key = if p.is_warm() {
+                p.iter_time_at(16) * self.jobs[j].iterations_left() as f64
+            } else {
+                f64::MAX
             };
-            key(a).partial_cmp(&key(b)).expect("finite").then(a.cmp(&b))
-        });
+            (key, j)
+        }));
+        class.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
     }
 
     /// A group still hosting at least one actively-profiling member.
@@ -555,7 +557,7 @@ impl Driver {
                 let stored = ss
                     .class
                     .iter()
-                    .filter_map(|&j| store.get(JobId::new(j as u64)));
+                    .filter_map(|&(_, j)| store.get(JobId::new(j as u64)));
                 ss.full.profiles.extend(stored.cloned());
             }
         }

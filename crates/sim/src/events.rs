@@ -3,20 +3,25 @@
 //! itself schedules.
 //!
 //! Everything pushed before [`EventQueue::start`] — every job's
-//! `Arrival`, the fault plan, the first `Sample` / `Failure` — is
-//! sorted once and drained by a cursor; an open-loop run's thousands
-//! of future arrivals therefore never sit under the heap operations of
-//! the wake churn. Events pushed after the start go to one
-//! `BinaryHeap`, whose size is the number of *pending* events (about
-//! one wake per alive group); `pop` takes the smaller of the two
-//! heads.
+//! `Arrival`, the fault plan, the first `Failure` — is sorted once and
+//! drained by a cursor; an open-loop run's thousands of future
+//! arrivals therefore never sit under the heap operations of the wake
+//! churn. Events pushed after the start go to one `BinaryHeap`, whose
+//! size is the number of *pending* events (about one wake per alive
+//! group); `pop` takes the smaller of the two heads.
+//!
+//! The utilization sample is not queued here: the driver keeps its one
+//! pending `(time, seq)` in a slot beside the queue and compares it
+//! with [`EventQueue::peek`].
 //!
 //! **Order.** Event keys embed a strictly increasing sequence number,
 //! so the key order is a strict total order with no ties, and any
 //! correct priority queue pops the identical sequence: the pop order
-//! is a property of the keys, not of this container. `tests` below
-//! check it against a sorted reference under interleaved pre-start
-//! and post-start pushes.
+//! is a property of the keys, not of this container. The sample slot
+//! draws its `seq` from the same counter, so slot and queue together
+//! still follow that one order. `tests` below check it against a
+//! sorted reference under interleaved pre-start and post-start pushes
+//! and a re-armed periodic slot.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,6 +67,16 @@ impl<K: Ord + Copy> EventQueue<K> {
         self.started = true;
     }
 
+    /// The smallest queued key, left queued.
+    pub(crate) fn peek(&self) -> Option<K> {
+        debug_assert!(self.started, "peek before start");
+        match (self.scheduled.get(self.cursor), self.heap.peek()) {
+            (Some(&s), Some(&Reverse(h))) => Some(s.min(h)),
+            (Some(&s), None) => Some(s),
+            (None, h) => h.map(|&Reverse(k)| k),
+        }
+    }
+
     /// Pops the smallest queued key.
     pub(crate) fn pop(&mut self) -> Option<K> {
         debug_assert!(self.started, "pop before start");
@@ -74,11 +89,6 @@ impl<K: Ord + Copy> EventQueue<K> {
             }
             (None, _) => self.heap.pop().map(|Reverse(k)| k),
         }
-    }
-
-    /// Whether any event is queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cursor == self.scheduled.len() && self.heap.is_empty()
     }
 }
 
@@ -95,50 +105,103 @@ mod tests {
         x ^ (x >> 31)
     }
 
-    /// Pre-start pushes (a whole "trace" of future events), then
-    /// randomized post-start pushes interleaved with pops: every pop
-    /// must return the minimum of a plain sorted reference. Times are
-    /// coarse (16 values), so most pops are decided by `seq`.
+    /// The driver's loop in miniature: the queue, a periodic slot
+    /// beside it (the utilization sample), one `seq` counter for both,
+    /// and a plain list of every pending key as the reference.
+    struct Loop {
+        q: EventQueue<(u64, u64)>,
+        reference: Vec<(u64, u64)>,
+        seq: u64,
+        slot: (u64, u64),
+        period: u64,
+        /// Takes where the slot and the queue's head had equal times,
+        /// so `seq` alone decided.
+        ties: usize,
+    }
+
+    impl Loop {
+        fn push(&mut self, t: u64) {
+            self.seq += 1;
+            self.q.push((t, self.seq));
+            self.reference.push((t, self.seq));
+        }
+
+        fn arm(&mut self, t: u64) {
+            self.seq += 1;
+            self.slot = (t, self.seq);
+            self.reference.push(self.slot);
+        }
+
+        /// Takes whichever of the slot and the queue's head is smaller
+        /// (re-arming the slot when it wins) and checks it is the
+        /// reference's minimum.
+        fn take(&mut self) -> (u64, u64) {
+            let head = self.q.peek();
+            if head.is_some_and(|h| h.0 == self.slot.0) {
+                self.ties += 1;
+            }
+            let got = match head {
+                Some(h) if h < self.slot => {
+                    assert_eq!(self.q.pop(), Some(h));
+                    h
+                }
+                _ => {
+                    let taken = self.slot;
+                    self.arm(taken.0 + self.period);
+                    taken
+                }
+            };
+            self.reference.sort_unstable();
+            assert_eq!(got, self.reference.remove(0));
+            got
+        }
+    }
+
+    /// Pre-start pushes (a whole "trace" of future events, with the
+    /// slot armed midway), then randomized post-start pushes
+    /// interleaved with takes: every take must return the minimum of
+    /// the sorted reference. Times are coarse (16 values) and the
+    /// slot's period is 1–3, so most takes are decided by `seq`, many
+    /// of them between the slot and a queued event at the same time.
     #[test]
     fn pop_order_matches_a_sorted_reference() {
-        for seed in 0..4u64 {
+        for seed in 0..6u64 {
             let mut rng = seed;
-            let mut q = EventQueue::new();
-            let mut reference: Vec<(u64, u64)> = Vec::new();
-            let mut seq = 0u64;
-            let mut push = |q: &mut EventQueue<(u64, u64)>, r: &mut Vec<(u64, u64)>, t: u64| {
-                seq += 1;
-                q.push((t, seq));
-                r.push((t, seq));
+            let mut l = Loop {
+                q: EventQueue::new(),
+                reference: Vec::new(),
+                seq: 0,
+                slot: (0, 0),
+                period: 1 + seed % 3,
+                ties: 0,
             };
-            for _ in 0..300 {
-                let t = mix(&mut rng) >> 8 & 0xF;
-                push(&mut q, &mut reference, t);
+            for i in 0..300 {
+                if i == 150 {
+                    l.arm(0);
+                }
+                l.push(mix(&mut rng) >> 8 & 0xF);
             }
-            q.start();
-            let mut popped = 0usize;
+            l.q.start();
+            let mut taken = 0usize;
             let mut now = 0u64;
             for _ in 0..2000 {
                 let r = mix(&mut rng);
-                if !r.is_multiple_of(3) || q.is_empty() {
+                if !r.is_multiple_of(3) {
                     // Like the driver, never schedule into the past.
-                    push(&mut q, &mut reference, now + (r >> 8 & 0x3));
+                    l.push(now + (r >> 8 & 0x3));
                 } else {
-                    reference.sort_unstable();
-                    let expect = reference.remove(0);
-                    assert_eq!(q.pop(), Some(expect));
-                    now = expect.0;
-                    popped += 1;
+                    now = l.take().0;
+                    taken += 1;
                 }
             }
-            reference.sort_unstable();
-            for expect in reference {
-                assert_eq!(q.pop(), Some(expect));
-                popped += 1;
+            while l.q.peek().is_some() {
+                l.take();
+                taken += 1;
             }
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert!(popped > 1000, "the traffic mix barely popped");
+            assert_eq!(l.q.pop(), None);
+            assert_eq!(l.reference, vec![l.slot], "only the armed slot is left");
+            assert!(taken > 1000, "the traffic mix barely popped");
+            assert!(l.ties > 50, "the slot rarely met a same-time event");
         }
     }
 

@@ -86,9 +86,6 @@ pub enum ReschedReason {
     AbortRecovery,
     /// A machine crash dissolved its group.
     CrashRecovery,
-    /// The deadlock guardrail re-ran placement with live jobs but an
-    /// empty event queue.
-    Unstall,
     /// A targeted migration pass declined to place the job or bounced
     /// it back into the group it drifted out of.
     MigrationEscalation,
@@ -116,7 +113,10 @@ pub struct ReschedCounters {
     pub abort_recovery: usize,
     /// Passes triggered by crash recovery.
     pub crash_recovery: usize,
-    /// Passes triggered by the unstall guardrail.
+    /// Always 0. It counted the passes of a guardrail for an empty event
+    /// queue under live jobs, which cannot happen: a utilization sample
+    /// is pending whenever a job is live. Kept because the benchmark
+    /// reports it (`core.resched.unstall`).
     pub unstall: usize,
     /// Passes escalated out of a targeted migration placement.
     pub migration_escalation: usize,
@@ -134,7 +134,6 @@ impl ReschedCounters {
             ReschedReason::Drift => self.drift += 1,
             ReschedReason::AbortRecovery => self.abort_recovery += 1,
             ReschedReason::CrashRecovery => self.crash_recovery += 1,
-            ReschedReason::Unstall => self.unstall += 1,
             ReschedReason::MigrationEscalation => self.migration_escalation += 1,
             ReschedReason::WindowFlush => self.window_flush += 1,
         }
@@ -148,7 +147,6 @@ impl ReschedCounters {
             + self.drift
             + self.abort_recovery
             + self.crash_recovery
-            + self.unstall
             + self.migration_escalation
             + self.window_flush
     }
@@ -331,98 +329,127 @@ impl RunReport {
     /// the report: two runs of the same config and seeds must produce
     /// identical bytes. Wall-clock fields (`sched_wall`) are excluded;
     /// floats are encoded bit-exactly via [`f64::to_bits`].
+    ///
+    /// The encoding is lossless. A utilization timeline whose samples
+    /// keep one cadence is written as `(len, 1, start, step, runs)`,
+    /// one `(value, count)` per run of bit-equal values; one whose
+    /// cadence broke as `(len, 0, (time, value) per sample)`. The
+    /// bytes are sized before they are written: one allocation, with
+    /// `len == capacity`.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        fn put_f64(out: &mut Vec<u8>, v: f64) {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        let mut len = 0;
+        self.encode(&mut |bytes| len += bytes.len());
+        let mut out = Vec::with_capacity(len);
+        self.encode(&mut |bytes| out.extend_from_slice(bytes));
+        debug_assert_eq!(out.len(), len);
+        out
+    }
+
+    /// Writes [`Self::canonical_bytes`] through `put`, in order.
+    fn encode(&self, put: &mut impl FnMut(&[u8])) {
+        fn put_f64(put: &mut impl FnMut(&[u8]), v: f64) {
+            put(&v.to_bits().to_le_bytes());
         }
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
+        fn put_u64(put: &mut impl FnMut(&[u8]), v: u64) {
+            put(&v.to_le_bytes());
         }
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            put_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+        fn put_str(put: &mut impl FnMut(&[u8]), s: &str) {
+            put_u64(put, s.len() as u64);
+            put(s.as_bytes());
         }
-        fn put_timeline(out: &mut Vec<u8>, tl: &Timeline) {
-            put_u64(out, tl.points().len() as u64);
-            for p in tl.points() {
-                put_f64(out, p.time);
-                put_f64(out, p.value);
+        fn put_timeline(put: &mut impl FnMut(&[u8]), tl: &Timeline) {
+            put_u64(put, tl.len() as u64);
+            if let Some((start, step)) = tl.cadence() {
+                put(&[1]);
+                put_f64(put, start);
+                put_f64(put, step);
+                put_u64(put, tl.runs().len() as u64);
+                for run in tl.runs() {
+                    put_f64(put, run.value);
+                    put_u64(put, run.count);
+                }
+            } else {
+                put(&[0]);
+                for p in tl.points() {
+                    put_f64(put, p.time);
+                    put_f64(put, p.value);
+                }
             }
         }
-        fn put_stats(out: &mut Vec<u8>, s: &OnlineStats) {
-            put_u64(out, s.count());
+        fn put_stats(put: &mut impl FnMut(&[u8]), s: &OnlineStats) {
+            put_u64(put, s.count());
             if s.count() > 0 {
-                put_f64(out, s.mean());
-                put_f64(out, s.min().unwrap_or(f64::NAN));
-                put_f64(out, s.max().unwrap_or(f64::NAN));
-                put_f64(out, s.sum());
+                put_f64(put, s.mean());
+                put_f64(put, s.min().unwrap_or(f64::NAN));
+                put_f64(put, s.max().unwrap_or(f64::NAN));
+                put_f64(put, s.sum());
             }
         }
-        let mut out = Vec::new();
-        put_str(&mut out, &self.scheduler);
-        put_f64(&mut out, self.makespan);
-        put_u64(&mut out, self.jobs.len() as u64);
+        put_str(put, &self.scheduler);
+        put_f64(put, self.makespan);
+        put_u64(put, self.jobs.len() as u64);
         for j in &self.jobs {
-            put_str(&mut out, &j.name);
-            put_f64(&mut out, j.arrival);
-            put_f64(&mut out, j.finish.unwrap_or(f64::NEG_INFINITY));
-            put_f64(&mut out, j.jct.unwrap_or(f64::NEG_INFINITY));
-            put_u64(&mut out, j.iterations);
-            out.push(u8::from(j.failed));
-            out.push(u8::from(j.aborted));
-            out.push(u8::from(j.rejected));
-            put_f64(&mut out, j.final_alpha);
+            put_str(put, &j.name);
+            put_f64(put, j.arrival);
+            put_f64(put, j.finish.unwrap_or(f64::NEG_INFINITY));
+            put_f64(put, j.jct.unwrap_or(f64::NEG_INFINITY));
+            put_u64(put, j.iterations);
+            put(&[
+                u8::from(j.failed),
+                u8::from(j.aborted),
+                u8::from(j.rejected),
+            ]);
+            put_f64(put, j.final_alpha);
         }
-        put_timeline(&mut out, &self.cpu_timeline);
-        put_timeline(&mut out, &self.net_timeline);
-        put_f64(&mut out, self.cpu_busy_machine_secs);
-        put_f64(&mut out, self.net_busy_machine_secs);
-        put_u64(&mut out, self.oom_events.len() as u64);
+        put_timeline(put, &self.cpu_timeline);
+        put_timeline(put, &self.net_timeline);
+        put_f64(put, self.cpu_busy_machine_secs);
+        put_f64(put, self.net_busy_machine_secs);
+        put_u64(put, self.oom_events.len() as u64);
         for (t, name) in &self.oom_events {
-            put_f64(&mut out, *t);
-            put_str(&mut out, name);
+            put_f64(put, *t);
+            put_str(put, name);
         }
-        put_u64(&mut out, self.grouping_snapshots.len() as u64);
+        put_u64(put, self.grouping_snapshots.len() as u64);
         for s in &self.grouping_snapshots {
-            put_f64(&mut out, s.time);
-            put_u64(&mut out, s.groups.len() as u64);
+            put_f64(put, s.time);
+            put_u64(put, s.groups.len() as u64);
             for (m, j) in &s.groups {
-                put_u64(&mut out, u64::from(*m));
-                put_u64(&mut out, *j as u64);
+                put_u64(put, u64::from(*m));
+                put_u64(put, *j as u64);
             }
         }
-        put_u64(&mut out, self.predictions.len() as u64);
+        put_u64(put, self.predictions.len() as u64);
         for p in &self.predictions {
-            put_f64(&mut out, p.predicted_iteration);
-            put_f64(&mut out, p.realized_iteration);
-            put_f64(&mut out, p.predicted_util);
-            put_f64(&mut out, p.realized_util);
+            put_f64(put, p.predicted_iteration);
+            put_f64(put, p.realized_iteration);
+            put_f64(put, p.predicted_util);
+            put_f64(put, p.realized_util);
         }
-        put_u64(&mut out, self.sched_invocations as u64);
-        put_u64(&mut out, self.migrations as u64);
-        put_u64(&mut out, self.failures as u64);
-        put_u64(&mut out, u64::from(self.machines_lost));
-        put_u64(&mut out, self.jobs_aborted as u64);
-        put_f64(&mut out, self.gc_seconds);
-        put_stats(&mut out, &self.alpha_stats);
-        put_f64(&mut out, self.mean_group_iteration);
-        put_stats(&mut out, &self.concurrent_jobs);
-        put_u64(&mut out, self.fault_log.len() as u64);
+        put_u64(put, self.sched_invocations as u64);
+        put_u64(put, self.migrations as u64);
+        put_u64(put, self.failures as u64);
+        put_u64(put, u64::from(self.machines_lost));
+        put_u64(put, self.jobs_aborted as u64);
+        put_f64(put, self.gc_seconds);
+        put_stats(put, &self.alpha_stats);
+        put_f64(put, self.mean_group_iteration);
+        put_stats(put, &self.concurrent_jobs);
+        put_u64(put, self.fault_log.len() as u64);
         for ev in self.fault_log.events() {
-            put_f64(&mut out, ev.time);
-            put_str(&mut out, &ev.kind);
-            put_str(&mut out, &ev.detail);
+            put_f64(put, ev.time);
+            put_str(put, &ev.kind);
+            put_str(put, &ev.detail);
         }
-        put_stats(&mut out, &self.recovery_latency);
+        put_stats(put, &self.recovery_latency);
         // Live-migration stats are appended after every pre-existing
         // field so two arms that never migrate serialize identically
         // up to (and including) this suffix.
-        put_u64(&mut out, self.live_migration.started);
-        put_u64(&mut out, self.live_migration.completed);
-        put_u64(&mut out, self.live_migration.cancelled);
-        put_stats(&mut out, &self.live_migration.latency);
-        put_stats(&mut out, &self.live_migration.checkpoint_bytes);
-        out
+        put_u64(put, self.live_migration.started);
+        put_u64(put, self.live_migration.completed);
+        put_u64(put, self.live_migration.cancelled);
+        put_stats(put, &self.live_migration.latency);
+        put_stats(put, &self.live_migration.checkpoint_bytes);
     }
 }
 
@@ -576,6 +603,97 @@ mod tests {
         assert_ne!(a.canonical_bytes(), d.canonical_bytes());
     }
 
+    /// Reads [`RunReport::canonical_bytes`] back, as far as a test needs.
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        at: usize,
+    }
+
+    impl Reader<'_> {
+        fn u8(&mut self) -> u8 {
+            self.at += 1;
+            self.bytes[self.at - 1]
+        }
+
+        fn u64(&mut self) -> u64 {
+            let word = self.bytes[self.at..self.at + 8]
+                .try_into()
+                .expect("8 bytes");
+            self.at += 8;
+            u64::from_le_bytes(word)
+        }
+
+        /// One timeline as `(time, value)` bit patterns.
+        fn timeline(&mut self) -> Vec<(u64, u64)> {
+            let len = self.u64() as usize;
+            let points: Vec<(u64, u64)> = if self.u8() == 1 {
+                let mut time = f64::from_bits(self.u64());
+                let step = f64::from_bits(self.u64());
+                let mut points = Vec::new();
+                for _ in 0..self.u64() {
+                    let (value, count) = (self.u64(), self.u64());
+                    for _ in 0..count {
+                        points.push((time.to_bits(), value));
+                        time += step;
+                    }
+                }
+                points
+            } else {
+                (0..len).map(|_| (self.u64(), self.u64())).collect()
+            };
+            assert_eq!(points.len(), len);
+            points
+        }
+    }
+
+    fn point_bits(tl: &Timeline) -> Vec<(u64, u64)> {
+        tl.points()
+            .map(|p| (p.time.to_bits(), p.value.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn timelines_decode_from_the_fingerprint_exactly() {
+        let mut r = report(vec![]);
+        // A regular series whose values repeat, change sign of zero and
+        // go NaN; a second one whose cadence breaks after three samples.
+        let values = [0.5, 0.5, 0.0, -0.0, -0.0, f64::NAN, 1.0 / 3.0, 1.0 / 3.0];
+        let mut now = 0.0;
+        for (i, &v) in values.iter().cycle().take(4_000).enumerate() {
+            r.cpu_timeline.record(now, v);
+            r.net_timeline
+                .record(now + if i > 2 { 7.0 } else { 0.0 }, v);
+            now += 0.1;
+        }
+        assert!(r.cpu_timeline.cadence().is_some());
+        assert!(r.net_timeline.cadence().is_none());
+        for report in [report(vec![]), r] {
+            let bytes = report.canonical_bytes();
+            assert_eq!(bytes.len(), bytes.capacity(), "sized before it was written");
+            let mut read = Reader {
+                bytes: &bytes,
+                at: 8 + report.scheduler.len() + 8 + 8,
+            };
+            assert_eq!(read.timeline(), point_bits(&report.cpu_timeline));
+            assert_eq!(read.timeline(), point_bits(&report.net_timeline));
+            assert_eq!(read.u64(), report.cpu_busy_machine_secs.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_regular_timeline_costs_its_runs_not_its_samples() {
+        let mut r = report(vec![]);
+        let empty = r.canonical_bytes().len();
+        let mut now = 0.0;
+        for i in 0..50_000u32 {
+            r.cpu_timeline.record(now, f64::from(i / 10_000));
+            now += 60.0;
+        }
+        // The empty series already wrote its length, form tag, start,
+        // step and run count: 50 000 samples add 5 runs of (value, count).
+        assert_eq!(r.canonical_bytes().len(), empty + 5 * 16);
+    }
+
     #[test]
     fn resched_counters_bump_and_total() {
         let mut c = ReschedCounters::default();
@@ -586,7 +704,6 @@ mod tests {
             ReschedReason::Drift,
             ReschedReason::AbortRecovery,
             ReschedReason::CrashRecovery,
-            ReschedReason::Unstall,
             ReschedReason::MigrationEscalation,
             ReschedReason::WindowFlush,
         ] {
@@ -596,6 +713,6 @@ mod tests {
         assert_eq!(c.finished, 2);
         assert_eq!(c.bootstrap, 1);
         assert_eq!(c.window_flush, 1);
-        assert_eq!(c.total(), 10);
+        assert_eq!(c.total(), 9);
     }
 }

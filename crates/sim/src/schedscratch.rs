@@ -39,8 +39,9 @@ impl Default for PassBuffers {
 /// pricing never churn the cache the full pass keeps in sync.
 #[derive(Default)]
 pub(crate) struct SimSchedScratch {
-    /// Job indices of the state class being ordered (cleared per class).
-    pub class: Vec<usize>,
+    /// `(ordering key, job index)` of the state class being ordered
+    /// (cleared per class).
+    pub class: Vec<(f64, usize)>,
     /// The full pass, over J_profiled ∪ J_paused ∪ J_running.
     pub full: PassBuffers,
     /// The targeted release pass

@@ -32,6 +32,14 @@
 # on how many seeds `canonical_digest` matched, with each side's
 # failed/attempted totals. A run whose checks fail is reported and still
 # counted.
+#
+# The digest hashes the report's fingerprint, so it also differs when
+# only the fingerprint's format changed. The line after it says on how
+# many seeds `mean_jct_s`, `makespan_s` and `cpu_util` were bit-equal
+# (the benchmark prints every digit a float needs): on the sim_*
+# workloads these are simulated outputs, so N of N there shows the
+# simulation itself did not move; on the ps_* workloads they are host
+# timings and differ run to run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -129,6 +137,7 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
     { k = $1 SUBSEP $4 SUBSEP $3; val[k, ++cnt[k]] = $5; at[$1, $4, $3, $2] = $5; seeds[$1, $2] = 1 }
     END {
         sides["parent"]; sides["change"]
+        ne = split("mean_jct_s makespan_s cpu_util", exact, " ")
         nw = split(workloads, ws, " ")
         for (wi = 1; wi <= nw; wi++) {
             w = ws[wi]; same = 0; total = 0
@@ -142,6 +151,18 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
             printf "\n%s — canonical_digest identical on %d of %d seeds; failed/attempted parent %d/%d, change %d/%d\n",
                 w, same, total, failed["parent"], tried["parent"], failed["change"], tried["change"]
             delete failed; delete tried
+            printf "  bit-equal on"
+            for (ei = 1; ei <= ne; ei++) {
+                m = exact[ei]; equal = 0
+                for (key in seeds) {
+                    split(key, p, SUBSEP)
+                    if (p[1] != w) continue
+                    a = at[w, m, "parent", p[2]] ""; b = at[w, m, "change", p[2]] ""
+                    if (a != "" && a == b) equal++
+                }
+                printf "%s %s %d of %d seeds", (ei > 1 ? ";" : ""), m, equal, total
+            }
+            printf "\n"
             printf "  %-16s %-38s %-38s %7s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "pairs won"
             for (mi = 1; mi <= nm; mi++) {
                 m = order[mi]; won = 0; lost = 0

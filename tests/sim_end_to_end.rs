@@ -177,12 +177,7 @@ fn utilization_timelines_are_sane() {
         specs,
         arrivals,
     );
-    for p in r
-        .cpu_timeline
-        .points()
-        .iter()
-        .chain(r.net_timeline.points())
-    {
+    for p in r.cpu_timeline.points().chain(r.net_timeline.points()) {
         assert!((0.0..=1.0).contains(&p.value));
         assert!(p.time <= r.makespan + 1.0);
     }
