@@ -31,8 +31,9 @@ use crate::job::JobId;
 use crate::model::{
     cluster_utilization, cluster_utilization_from_terms, group_utilization, Utilization,
 };
-use crate::profile::ProfileStore;
+use crate::profile::{JobProfile, ProfileStore};
 use crate::schedule::{ScheduleOutcome, Scheduler, SCORE_CEILING};
+use crate::scratch::{ProfileCache, ScheduleScratch};
 
 /// The master's view of cluster state handed to the regrouper.
 #[derive(Debug, Clone)]
@@ -84,11 +85,22 @@ pub enum RegroupDecision {
 /// [`Regrouper::utilization_of`]'s filter).
 type GroupTerms = Vec<Option<(Utilization, u32)>>;
 
-/// Stateless regrouping policy around a [`Scheduler`].
+/// Regrouping policy around a [`Scheduler`].
+///
+/// Its decisions depend on their arguments alone. What it keeps across
+/// calls is Algorithm 1's working set — the job list, [`ProfileCache`]
+/// and [`ScheduleScratch`] every ladder rung and every empty-grouping
+/// placement runs through ([`Scheduler::schedule_reusing`]) — so a
+/// repeated decision regrows no buffer; [`ProfileCache::sync`] makes
+/// the reused buffers decide exactly as fresh ones would.
 #[derive(Debug, Clone, Default)]
 pub struct Regrouper {
     scheduler: Scheduler,
     incremental: bool,
+    /// Profiles of the job set being scheduled.
+    jobs: Vec<JobProfile>,
+    cache: ProfileCache,
+    scratch: ScheduleScratch,
 }
 
 impl Regrouper {
@@ -97,8 +109,23 @@ impl Regrouper {
     pub fn new(scheduler: Scheduler) -> Self {
         Self {
             scheduler,
-            incremental: false,
+            ..Self::default()
         }
+    }
+
+    /// Runs Algorithm 1 over the warm profiles of `ids`, in order, on
+    /// `machines` machines, through the kept buffers.
+    fn schedule(
+        &mut self,
+        ids: impl IntoIterator<Item = JobId>,
+        profiles: &ProfileStore,
+        machines: u32,
+    ) -> ScheduleOutcome {
+        self.jobs.clear();
+        self.jobs
+            .extend(ids.into_iter().filter_map(|j| profiles.get(j).cloned()));
+        self.scheduler
+            .schedule_reusing(&self.jobs, machines, &mut self.cache, &mut self.scratch)
     }
 
     /// Enables (or disables) the incremental decision paths: the
@@ -169,23 +196,16 @@ impl Regrouper {
 
     /// Handles a job that just finished profiling (case 1 of §IV-B4).
     pub fn on_job_profiled(
-        &self,
+        &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         job: JobId,
     ) -> RegroupDecision {
         // If the cluster runs nothing yet, schedule everything waiting.
         if view.grouping.is_empty() {
-            let mut ids: Vec<JobId> = view.profiled.clone();
-            ids.extend(view.paused.iter().copied());
-            if !ids.contains(&job) {
-                ids.push(job);
-            }
-            let jobs: Vec<_> = ids
-                .iter()
-                .filter_map(|&j| profiles.get(j).cloned())
-                .collect();
-            let outcome = self.scheduler.schedule(&jobs, view.machines);
+            let waiting = view.profiled.iter().chain(&view.paused).copied();
+            let unlisted = (!waiting.clone().any(|j| j == job)).then_some(job);
+            let outcome = self.schedule(waiting.chain(unlisted), profiles, view.machines);
             if outcome.grouping.is_empty() {
                 return RegroupDecision::NoChange;
             }
@@ -277,7 +297,7 @@ impl Regrouper {
     /// the finished job belonged to; `view.grouping` must already have
     /// the job removed.
     pub fn on_job_finished(
-        &self,
+        &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         finished_iter_time: f64,
@@ -342,7 +362,7 @@ impl Regrouper {
     /// threshold — i.e. when the crash degraded the grouping enough
     /// that movement pays for itself.
     pub fn on_machine_lost(
-        &self,
+        &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         group: GroupId,
@@ -372,7 +392,7 @@ impl Regrouper {
     /// profile rather than a converged run, and the caller must not
     /// count it as completed.
     pub fn on_job_aborted(
-        &self,
+        &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         aborted_iter_time: f64,
@@ -433,7 +453,7 @@ impl Regrouper {
     }
 
     fn escalate(
-        &self,
+        &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         group: GroupId,
@@ -477,25 +497,12 @@ impl Regrouper {
         for extra in 0..=others.len() {
             let mut involved: Vec<GroupId> = vec![group];
             involved.extend(others.iter().take(extra).map(|g| g.id()));
-            let mut job_ids: Vec<JobId> = waiting.to_vec();
-            let mut machine_budget = 0u32;
-            for &gid in &involved {
-                if let Some(g) = view.grouping.group(gid) {
-                    job_ids.extend(g.jobs().iter().copied());
-                    machine_budget += g.dop();
-                }
-            }
-            if machine_budget == 0 || job_ids.is_empty() {
-                continue;
-            }
-            let jobs: Vec<_> = job_ids
-                .iter()
-                .filter_map(|&j| profiles.get(j).cloned())
-                .collect();
-            if jobs.is_empty() {
-                continue;
-            }
-            let outcome = self.scheduler.schedule(&jobs, machine_budget);
+            let groups = involved.iter().filter_map(|&gid| view.grouping.group(gid));
+            let machine_budget = groups.clone().map(|g| g.dop()).sum();
+            let moving = groups.flat_map(|g| g.jobs().iter().copied());
+            let ids = waiting.iter().copied().chain(moving);
+            // No machines or no warm job: an empty outcome, skipped.
+            let outcome = self.schedule(ids, profiles, machine_budget);
             if outcome.grouping.is_empty() {
                 continue;
             }

@@ -999,17 +999,7 @@ impl Scheduler {
                     }
                 }
             }
-            let Some(g1) = (0..ng).max_by(|&a, &b| s.imbs[a].abs().total_cmp(&s.imbs[b].abs()))
-            else {
-                break;
-            };
-            // Most complementary: the group whose imbalance is most
-            // opposite in sign/magnitude to g1's.
-            let Some(g2) = (0..ng).filter(|&g| g != g1).min_by(|&a, &b| {
-                (s.imbs[a] * s.imbs[g1].signum()).total_cmp(&(s.imbs[b] * s.imbs[g1].signum()))
-            }) else {
-                break;
-            };
+            let (g1, g2) = swap_pair(&s.imbs);
 
             let current = s.imbs[g1].abs() + s.imbs[g2].abs();
             // Pass cut, exact for the same reasons as the whole-scan
@@ -1073,8 +1063,7 @@ impl Scheduler {
             machines,
             &mut s.alloc,
             &mut s.shares,
-            &mut s.fracs,
-            &mut s.rema,
+            &mut s.keyed,
         );
 
         // Eq. 4: machine-weighted average of per-group Eq. 3
@@ -1207,6 +1196,35 @@ fn take_scan_buffers(
     (prefixes, slots)
 }
 
+/// The two groups one swap pass works on, given at least two group
+/// imbalances: `g1`, the largest `|imbalance|` (the last of equals, as
+/// `Iterator::max_by` picks), and `g2`, the group most opposite to it —
+/// the smallest `imbalance × signum(g1's)`, the first of equals (as
+/// `Iterator::min_by` picks). Both scans compare integers in
+/// [`f64::total_cmp`]'s order: `|x|`'s bits order like `|x|`, and
+/// [`total_order_key`] ranks signed values.
+fn swap_pair(imbs: &[f64]) -> (usize, usize) {
+    debug_assert!(imbs.len() >= 2);
+    let mut g1 = 0;
+    let mut top = 0u64;
+    for (g, &im) in imbs.iter().enumerate() {
+        let key = im.abs().to_bits();
+        if key >= top {
+            (g1, top) = (g, key);
+        }
+    }
+    let sign = imbs[g1].signum();
+    let mut g2 = usize::from(g1 == 0);
+    let mut low = total_order_key(imbs[g2] * sign);
+    for (g, &im) in imbs.iter().enumerate().skip(g2 + 1) {
+        let key = total_order_key(im * sign);
+        if key < low && g != g1 {
+            (g2, low) = (g, key);
+        }
+    }
+    (g1, g2)
+}
+
 /// Machine allocation (Algorithm 1 L8): "distribute the machines to
 /// the job groups to balance the computation and communication in
 /// each job group".
@@ -1219,16 +1237,15 @@ fn take_scan_buffers(
 /// computation cost in an iteration, reducing the CPU-bound cases".
 ///
 /// `gcpu`/`gnet` are the per-group `Σ Tcpu(1)` / `Σ Tnet` totals;
-/// `alloc`, `shares`, `fracs` and `rema` are caller-owned scratch. On
-/// return `alloc` sums to exactly `machines` with every group ≥ 1.
+/// `alloc`, `shares` and `keyed` are caller-owned scratch. On return
+/// `alloc` sums to exactly `machines` with every group ≥ 1.
 fn allocate_machines_into(
     gcpu: &[f64],
     gnet: &[f64],
     machines: u32,
     alloc: &mut Vec<u32>,
     shares: &mut Vec<f64>,
-    fracs: &mut Vec<f64>,
-    rema: &mut Vec<usize>,
+    keyed: &mut Vec<(u64, u32)>,
 ) {
     let ng = gcpu.len();
     debug_assert!(ng as u32 <= machines);
@@ -1250,9 +1267,12 @@ fn allocate_machines_into(
     for sh in shares.iter_mut() {
         *sh = *sh / total_ideal * f64::from(machines);
     }
+    // A share lies in [0, machines], where the truncating cast is the
+    // floor, exactly — and inline, where `f64::floor` is a libm call on
+    // targets without SSE4.1.
     alloc.clear();
     for &sh in shares.iter() {
-        alloc.push((sh.floor() as u32).max(1));
+        alloc.push((sh as u32).max(1));
     }
     let need = |g: usize, alloc: &[u32]| gcpu[g] / f64::from(alloc[g]) - gnet[g];
     let assigned: u32 = alloc.iter().sum();
@@ -1266,24 +1286,25 @@ fn allocate_machines_into(
         // residue to the most computation-bound groups. Only the
         // *membership* of the top-`left` set matters (every group in it
         // gets exactly one machine), so an O(n) selection under the
-        // total (fraction, index) order replaces a full sort.
+        // total (fraction descending, index) order replaces a full
+        // sort. Fractions are non-negative, where bit patterns order
+        // like values, so that order is ascending `(!bits, index)`:
+        // integer keys, no comparator closure.
         let mut left = machines - assigned;
-        rema.clear();
-        rema.extend(0..ng);
-        // Fractional parts hoisted out of the selection comparator
-        // (identical rounding: same `share - floor(share)` expression).
-        fracs.clear();
-        fracs.extend(shares.iter().map(|&sh| sh - sh.floor()));
-        let frac_desc = |&a: &usize, &b: &usize| fracs[b].total_cmp(&fracs[a]).then(a.cmp(&b));
+        keyed.clear();
+        keyed.extend(shares.iter().zip(0u32..).map(|(&sh, g)| {
+            let frac = sh - f64::from(sh as u32);
+            (!frac.to_bits(), g)
+        }));
         if (left as usize) < ng {
-            rema.select_nth_unstable_by(left as usize, frac_desc);
-            rema.truncate(left as usize);
+            keyed.select_nth_unstable(left as usize);
+            keyed.truncate(left as usize);
         }
-        for &g in rema.iter() {
+        for &(_, g) in keyed.iter() {
             if left == 0 {
                 break;
             }
-            alloc[g] += 1;
+            alloc[g as usize] += 1;
             left -= 1;
         }
         while left > 0 {
@@ -1302,70 +1323,60 @@ fn allocate_machines_into(
         // groups in exactly the order the naive argmin rescan would —
         // in O((n + over) log n) instead of O(n · over).
         let mut over = assigned - machines;
-        shares.clear(); // reuse as heap key storage
-        rema.clear(); //  reuse as heap group storage
+        keyed.clear();
         for g in 0..ng {
             if alloc[g] > 1 {
-                shares.push(need(g, alloc));
-                rema.push(g);
+                keyed.push((total_order_key(need(g, alloc)), g as u32));
             }
         }
-        let len = rema.len();
-        for i in (0..len / 2).rev() {
-            trim_heap_sift_down(shares, rema, i, len);
+        for i in (0..keyed.len() / 2).rev() {
+            trim_heap_sift_down(keyed, i);
         }
         while over > 0 {
-            let gi = rema[0];
+            let gi = keyed[0].1 as usize;
             alloc[gi] -= 1;
             over -= 1;
-            let len = rema.len();
             if alloc[gi] > 1 {
-                shares[0] = need(gi, alloc);
+                keyed[0].0 = total_order_key(need(gi, alloc));
             } else {
-                shares[0] = shares[len - 1];
-                rema[0] = rema[len - 1];
-                shares.pop();
-                rema.pop();
+                keyed.swap_remove(0);
             }
-            let len = rema.len();
-            if len > 0 {
-                trim_heap_sift_down(shares, rema, 0, len);
-            } else {
+            if keyed.is_empty() {
                 debug_assert_eq!(over, 0, "some group must have spare machines");
+            } else {
+                trim_heap_sift_down(keyed, 0);
             }
         }
     }
     debug_assert_eq!(alloc.iter().sum::<u32>(), machines);
 }
 
-/// Sifts entry `i` of the `(need, group)` min-heap down into place.
+/// `x`'s rank in [`f64::total_cmp`]'s order as an unsigned integer:
+/// `total_order_key(a) < total_order_key(b)` exactly when `a` sorts
+/// before `b`. Negative values flip every bit (a larger magnitude sorts
+/// lower), the rest only gain the sign bit (above every negative).
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
+}
+
+/// Sifts entry `i` of the `(need key, group)` min-heap down into place.
 /// Ordering is `(need, group index)` ascending — a total order, so the
 /// pop sequence is deterministic and matches a naive argmin rescan.
-fn trim_heap_sift_down(needs: &mut [f64], groups: &mut [usize], mut i: usize, len: usize) {
+fn trim_heap_sift_down(heap: &mut [(u64, u32)], mut i: usize) {
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut m = i;
-        if l < len
-            && needs[l]
-                .total_cmp(&needs[m])
-                .then(groups[l].cmp(&groups[m]))
-                .is_lt()
-        {
+        if l < heap.len() && heap[l] < heap[m] {
             m = l;
         }
-        if r < len
-            && needs[r]
-                .total_cmp(&needs[m])
-                .then(groups[r].cmp(&groups[m]))
-                .is_lt()
-        {
+        if r < heap.len() && heap[r] < heap[m] {
             m = r;
         }
         if m == i {
             return;
         }
-        needs.swap(i, m);
-        groups.swap(i, m);
+        heap.swap(i, m);
         i = m;
     }
 }
@@ -1924,6 +1935,271 @@ mod tests {
         assert_eq!(scan_workers(10_000), scan_workers(SCAN_HELPERS_MIN_JOBS));
     }
 
+    /// Runs the machine allocation on fresh buffers: `(alloc, shares)`.
+    fn allocate(gcpu: &[f64], gnet: &[f64], machines: u32) -> (Vec<u32>, Vec<f64>) {
+        let (mut alloc, mut shares, mut keyed) = (Vec::new(), Vec::new(), Vec::new());
+        allocate_machines_into(gcpu, gnet, machines, &mut alloc, &mut shares, &mut keyed);
+        (alloc, shares)
+    }
+
+    /// The machine allocation as written before it was integer-keyed —
+    /// `f64::floor`, a `total_cmp` comparator under
+    /// `select_nth_unstable_by`, a trim heap over `(f64, usize)` pairs —
+    /// kept as the reference the allocation must match exactly.
+    fn allocate_reference(gcpu: &[f64], gnet: &[f64], machines: u32) -> Vec<u32> {
+        let ng = gcpu.len();
+        let mut shares = Vec::new();
+        let mut total_ideal = 0.0;
+        for gi in 0..ng {
+            let ideal = if gnet[gi] > 0.0 {
+                (gcpu[gi] / gnet[gi]).max(1.0)
+            } else {
+                1.0
+            };
+            shares.push(ideal);
+            total_ideal += ideal;
+        }
+        for sh in shares.iter_mut() {
+            *sh = *sh / total_ideal * f64::from(machines);
+        }
+        let mut alloc: Vec<u32> = shares
+            .iter()
+            .map(|&sh| (sh.floor() as u32).max(1))
+            .collect();
+        let need = |g: usize, alloc: &[u32]| gcpu[g] / f64::from(alloc[g]) - gnet[g];
+        let assigned: u32 = alloc.iter().sum();
+        if assigned < machines {
+            let mut left = machines - assigned;
+            let mut rema: Vec<usize> = (0..ng).collect();
+            let fracs: Vec<f64> = shares.iter().map(|&sh| sh - sh.floor()).collect();
+            let frac_desc = |&a: &usize, &b: &usize| fracs[b].total_cmp(&fracs[a]).then(a.cmp(&b));
+            if (left as usize) < ng {
+                rema.select_nth_unstable_by(left as usize, frac_desc);
+                rema.truncate(left as usize);
+            }
+            for &g in &rema {
+                if left == 0 {
+                    break;
+                }
+                alloc[g] += 1;
+                left -= 1;
+            }
+            while left > 0 {
+                let gi = (0..ng)
+                    .max_by(|&a, &b| need(a, &alloc).total_cmp(&need(b, &alloc)))
+                    .expect("ng >= 1");
+                let grant = (left / ng as u32).max(1);
+                alloc[gi] += grant;
+                left -= grant;
+            }
+        } else if assigned > machines {
+            let mut over = assigned - machines;
+            let (mut needs, mut groups) = (Vec::new(), Vec::new());
+            for g in 0..ng {
+                if alloc[g] > 1 {
+                    needs.push(need(g, &alloc));
+                    groups.push(g);
+                }
+            }
+            for i in (0..groups.len() / 2).rev() {
+                sift_down_reference(&mut needs, &mut groups, i);
+            }
+            while over > 0 {
+                let gi = groups[0];
+                alloc[gi] -= 1;
+                over -= 1;
+                let len = groups.len();
+                if alloc[gi] > 1 {
+                    needs[0] = need(gi, &alloc);
+                } else {
+                    needs[0] = needs[len - 1];
+                    groups[0] = groups[len - 1];
+                    needs.pop();
+                    groups.pop();
+                }
+                if !groups.is_empty() {
+                    sift_down_reference(&mut needs, &mut groups, 0);
+                }
+            }
+        }
+        alloc
+    }
+
+    /// The reference trim heap's sift-down, `(need, group)` ascending.
+    fn sift_down_reference(needs: &mut [f64], groups: &mut [usize], mut i: usize) {
+        let before = |needs: &[f64], groups: &[usize], a: usize, b: usize| {
+            needs[a]
+                .total_cmp(&needs[b])
+                .then(groups[a].cmp(&groups[b]))
+                .is_lt()
+        };
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut m = i;
+            if l < groups.len() && before(needs, groups, l, m) {
+                m = l;
+            }
+            if r < groups.len() && before(needs, groups, r, m) {
+                m = r;
+            }
+            if m == i {
+                return;
+            }
+            needs.swap(i, m);
+            groups.swap(i, m);
+            i = m;
+        }
+    }
+
+    /// The swap pass's pair as it was picked before the integer-keyed
+    /// scans: `max_by` / `filter().min_by()` over `total_cmp`.
+    fn swap_pair_reference(imbs: &[f64]) -> (usize, usize) {
+        let ng = imbs.len();
+        let g1 = (0..ng)
+            .max_by(|&a, &b| imbs[a].abs().total_cmp(&imbs[b].abs()))
+            .expect("two groups");
+        let g2 = (0..ng)
+            .filter(|&g| g != g1)
+            .min_by(|&a, &b| {
+                (imbs[a] * imbs[g1].signum()).total_cmp(&(imbs[b] * imbs[g1].signum()))
+            })
+            .expect("two groups");
+        (g1, g2)
+    }
+
+    #[test]
+    fn allocation_matches_the_reference_exactly() {
+        // Random group totals, half of them from small palettes so that
+        // equal shares — equal fractional parts — are common, `Tnet = 0`
+        // groups among them; clusters from exactly one machine per
+        // group up to fifty; one case in fifty above the sparse-mode
+        // population (1024 groups). The counts at the end prove every
+        // branch ran.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const CPU: [f64; 7] = [0.1, 0.5, 1.0, 3.0, 7.0, 12.5, 100.0];
+        const NET: [f64; 6] = [0.0, 0.25, 1.0, 2.0, 3.0, 10.0];
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut exact, mut remainder, mut boundary_ties, mut trimmed) = (0, 0, 0, 0);
+        let (mut one_each, mut wide) = (0, 0);
+        for case in 0..4000 {
+            let ng: u32 = if case % 50 == 0 {
+                rng.gen_range(1025..1400)
+            } else {
+                rng.gen_range(1..40)
+            };
+            let palette = rng.gen_range(0u8..2) == 0;
+            let (gcpu, gnet): (Vec<f64>, Vec<f64>) = (0..ng)
+                .map(|_| {
+                    if palette {
+                        (
+                            CPU[rng.gen_range(0..CPU.len())],
+                            NET[rng.gen_range(0..NET.len())],
+                        )
+                    } else {
+                        let net = if rng.gen_range(0u8..5) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.01..10.0)
+                        };
+                        (rng.gen_range(0.01..50.0), net)
+                    }
+                })
+                .unzip();
+            let machines = ng
+                + match rng.gen_range(0u8..4) {
+                    0 => 0,
+                    1 => rng.gen_range(1..4),
+                    2 => rng.gen_range(1..2 * ng + 1),
+                    _ => rng.gen_range(1..50 * ng),
+                };
+            let (alloc, shares) = allocate(&gcpu, &gnet, machines);
+            assert_eq!(
+                alloc,
+                allocate_reference(&gcpu, &gnet, machines),
+                "case {case}: {gcpu:?} / {gnet:?} on {machines} machines"
+            );
+            one_each += usize::from(machines == ng);
+            wide += usize::from(ng > 1024);
+            let assigned: u32 = shares.iter().map(|&sh| (sh.floor() as u32).max(1)).sum();
+            if assigned > machines {
+                trimmed += 1;
+            } else if assigned == machines {
+                exact += 1;
+            } else {
+                remainder += 1;
+                let left = (machines - assigned) as usize;
+                let mut fracs: Vec<f64> = shares.iter().map(|&sh| sh - sh.floor()).collect();
+                fracs.sort_by(|a, b| b.total_cmp(a));
+                boundary_ties += usize::from(left < fracs.len() && fracs[left - 1] == fracs[left]);
+            }
+        }
+        let counts = [exact, remainder, boundary_ties, trimmed, one_each, wide];
+        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+    }
+
+    #[test]
+    fn swap_pair_matches_max_by_and_min_by() {
+        // Imbalances drawn from a palette of duplicate magnitudes, both
+        // zeros and both infinities, mixed with arbitrary values. No
+        // NaN: which NaN `x * NaN` returns is not fixed by the language,
+        // so neither formulation has a defined answer for it.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PALETTE: [f64; 10] = [
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            2.0,
+            -2.0,
+            1e-300,
+            -1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(29);
+        for case in 0..20_000 {
+            let ng = rng.gen_range(2usize..70);
+            let imbs: Vec<f64> = (0..ng)
+                .map(|_| match rng.gen_range(0u8..4) {
+                    0 => rng.gen_range(-5.0..5.0),
+                    _ => PALETTE[rng.gen_range(0..PALETTE.len())],
+                })
+                .collect();
+            assert_eq!(
+                swap_pair(&imbs),
+                swap_pair_reference(&imbs),
+                "case {case}: {imbs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn total_order_key_ranks_like_total_cmp() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        values.extend((0..200).map(|_| f64::from_bits(rng.next_u64())));
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn allocation_trims_overallocation_from_least_cpu_bound() {
         // Ideal shares [10, 1, 1, 1, 1] on 6 machines: the max(1)
@@ -1932,17 +2208,7 @@ mod tests {
         // here only group 0 — leaving every group >= 1.
         let gcpu = [100.0, 1.0, 1.0, 1.0, 1.0];
         let gnet = [10.0, 1.0, 1.0, 1.0, 1.0];
-        let (mut alloc, mut shares, mut fracs, mut rema) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        allocate_machines_into(
-            &gcpu,
-            &gnet,
-            6,
-            &mut alloc,
-            &mut shares,
-            &mut fracs,
-            &mut rema,
-        );
+        let (alloc, _) = allocate(&gcpu, &gnet, 6);
         assert_eq!(alloc.iter().sum::<u32>(), 6);
         assert!(alloc.iter().all(|&a| a >= 1), "{alloc:?}");
         assert_eq!(alloc, vec![2, 1, 1, 1, 1]);
@@ -1956,17 +2222,7 @@ mod tests {
         // ties by group index) — never two to one group.
         let gcpu = [3.0, 3.0, 3.0, 3.0];
         let gnet = [2.0, 2.0, 2.0, 2.0];
-        let (mut alloc, mut shares, mut fracs, mut rema) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        allocate_machines_into(
-            &gcpu,
-            &gnet,
-            7,
-            &mut alloc,
-            &mut shares,
-            &mut fracs,
-            &mut rema,
-        );
+        let (alloc, shares) = allocate(&gcpu, &gnet, 7);
         assert_eq!(alloc, vec![2, 2, 2, 1]);
         for (gi, &a) in alloc.iter().enumerate() {
             assert!(
@@ -1983,17 +2239,7 @@ mod tests {
         // slack flows to the CPU-bound groups and the sum is exact.
         let gcpu = [50.0, 8.0];
         let gnet = [5.0, 0.0];
-        let (mut alloc, mut shares, mut fracs, mut rema) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        allocate_machines_into(
-            &gcpu,
-            &gnet,
-            11,
-            &mut alloc,
-            &mut shares,
-            &mut fracs,
-            &mut rema,
-        );
+        let (alloc, _) = allocate(&gcpu, &gnet, 11);
         assert_eq!(alloc.iter().sum::<u32>(), 11);
         assert!(alloc[0] > alloc[1], "{alloc:?}");
         assert!(alloc[1] >= 1);

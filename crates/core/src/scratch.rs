@@ -38,7 +38,7 @@ use crate::schedule::PrefixEval;
 
 /// Candidate-independent, struct-of-arrays view of the job profiles,
 /// built once per scheduling decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileCache {
     /// `Tcpu(1)` per job, indexed by position in the caller's job slice.
     pub(crate) tcpu1: Vec<f64>,
@@ -155,19 +155,7 @@ impl ProfileCache {
 
     /// An empty cache; fill it with [`Self::sync`].
     pub fn empty() -> Self {
-        Self {
-            tcpu1: Vec::new(),
-            tnet: Vec::new(),
-            tapply: Vec::new(),
-            id: Vec::new(),
-            size_order: Vec::new(),
-            ratio_order: Vec::new(),
-            ratio_key: Vec::new(),
-            generation: 0,
-            dirty: Vec::new(),
-            dirty_mask: Vec::new(),
-            merged: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Brings the cache in step with `jobs`, in place and reusing every
@@ -372,7 +360,7 @@ impl ProfileCache {
 /// All vectors keep their capacity between candidates; a full decision
 /// performs a bounded number of allocations regardless of how many
 /// candidates it scans.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     /// `size_order` restricted to positions `< nj` (the current
     /// prefix), still in descending size order.
@@ -426,8 +414,6 @@ pub struct ScheduleScratch {
     /// division feeding both the sort key (`+ tnet`) and the swap delta
     /// (`− tnet`).
     pub(crate) qdop: Vec<f64>,
-    /// Fractional machine shares (largest-remainder selection keys).
-    pub(crate) fracs: Vec<f64>,
     /// Candidate prefix sizes for the current decision.
     pub(crate) prefixes: Vec<usize>,
     /// One result slot per entry of `prefixes`, filled by whichever
@@ -443,8 +429,10 @@ pub struct ScheduleScratch {
     pub(crate) alloc: Vec<u32>,
     /// Proportional machine shares (largest-remainder input).
     pub(crate) shares: Vec<f64>,
-    /// Largest-remainder distribution order (group indices).
-    pub(crate) rema: Vec<usize>,
+    /// Integer-keyed groups of the machine allocation, `(key, group)`:
+    /// the largest-remainder selection's fraction keys, or the trim
+    /// heap's need keys.
+    pub(crate) keyed: Vec<(u64, u32)>,
     /// Group-count grid for the current prefix.
     pub(crate) grid: Vec<usize>,
     /// Loaded prefix length (guards against stale reuse).

@@ -137,11 +137,11 @@ impl Driver {
     /// cluster view and the warm profiles.
     pub(super) fn regroup(
         &mut self,
-        ask: impl FnOnce(&Regrouper, &ClusterView, &ProfileStore) -> RegroupDecision,
+        ask: impl FnOnce(&mut Regrouper, &ClusterView, &ProfileStore) -> RegroupDecision,
     ) -> RegroupDecision {
         let view = self.cluster_view();
         let store = self.profile_store();
-        self.timed_query(true, |d| ask(&d.regrouper, &view, &store))
+        self.timed_query(true, |d| ask(&mut d.regrouper, &view, &store))
     }
 
     /// Job `j`'s warm profile as the scheduler gets to see it: the

@@ -40,11 +40,23 @@ impl Straggler {
         if self.sigma == 0.0 {
             return 1.0;
         }
-        let m = machines.max(1) as f64;
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let z = probit(u.powf(1.0 / m));
-        (self.sigma * z).exp()
+        max_of_lognormals(self.sigma, u, machines)
     }
+}
+
+/// The largest `f64` below 1.
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+
+/// `exp(σ · Φ⁻¹(u^(1/m)))`: the barrier factor the uniform draw `u` in
+/// `(0, 1)` stands for. For `m ≥ 2`, `u^(1/m)` rounds to exactly `1.0`
+/// once `u` is within about `m / 2` ulps of 1 — outside the probit's
+/// domain — so the quantile is clamped to the largest double below 1;
+/// every quantile under it keeps its bits.
+fn max_of_lognormals(sigma: f64, u: f64, machines: u32) -> f64 {
+    let m = machines.max(1) as f64;
+    let z = probit(u.powf(1.0 / m).min(BELOW_ONE));
+    (sigma * z).exp()
 }
 
 /// Acklam's rational approximation to the standard normal quantile
@@ -151,6 +163,22 @@ mod tests {
     }
 
     #[test]
+    fn a_draw_next_to_one_is_clamped_not_a_panic() {
+        // The largest draw `gen_range(MIN_POSITIVE..1.0)` can return:
+        // its cube root rounds to exactly 1.0, where the probit panics.
+        let u = BELOW_ONE;
+        assert_eq!(u.powf(1.0 / 3.0), 1.0);
+        for m in [1, 2, 3, 16, 512] {
+            let f = max_of_lognormals(0.1, u, m);
+            assert!(f.is_finite() && f > 1.0, "m={m}: {f}");
+        }
+        assert_eq!(
+            max_of_lognormals(0.1, u, 3).to_bits(),
+            (0.1 * probit(BELOW_ONE)).exp().to_bits()
+        );
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let mut a = Straggler::new(0.05, 9);
         let mut b = Straggler::new(0.05, 9);
@@ -175,6 +203,20 @@ mod proptests {
             prop_assume!((a - b).abs() > 1e-9);
             let (lo, hi) = if a < b { (a, b) } else { (b, a) };
             prop_assert!(probit(lo) < probit(hi));
+        }
+
+        /// The clamp only touches quantiles that round to 1: any draw
+        /// the unclamped formula could take keeps its bits.
+        #[test]
+        fn the_clamp_keeps_every_valid_quantile(
+            u in f64::MIN_POSITIVE..1.0,
+            m in 1u32..1024,
+            cv in 0.0f64..0.3,
+        ) {
+            let p = u.powf(1.0 / f64::from(m));
+            prop_assume!(p < 1.0);
+            let unclamped = (cv * probit(p)).exp();
+            prop_assert_eq!(max_of_lognormals(cv, u, m).to_bits(), unclamped.to_bits());
         }
 
         /// Barrier factors are positive for any machine count and cv.

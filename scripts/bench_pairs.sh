@@ -3,14 +3,18 @@
 # alternating parent/change runs of the benchmark, one workload and one
 # seed at a time, summarized per end-to-end metric.
 #
-# Usage: scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seconds S]
-#                              [--traced M1,M2,...] [workload...]
+# Usage: scripts/bench_pairs.sh <parent-ref> [--pairs N] [--first-seed F]
+#                              [--seconds S] [--traced M1,M2,...]
+#                              [workload...]
 #
 #   <parent-ref>  the commit to compare the working tree against. Its
 #                 files are unpacked (git archive) under
 #                 target/pairs/parent-<sha>/ — no worktree bookkeeping
 #                 is left in .git.
-#   --pairs N     pairs per workload, seeds 1..N (default 10)
+#   --pairs N     pairs per workload (default 10)
+#   --first-seed F
+#                 seeds F..F+N-1 (default 1); a claim made on seeds
+#                 1..10 is re-checked on fresh ones with --first-seed 11
 #   --seconds S   timed seconds per run (default: run_seconds in
 #                 BENCHMARK.json)
 #   --traced M1,M2,...
@@ -45,16 +49,18 @@ set -eu
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-[ $# -ge 1 ] || { sed -n '2,9p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,10p' "$0" >&2; exit 2; }
 PARENT_REF=$1
 shift
 PAIRS=10
+FIRST_SEED=1
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 WORKLOADS=""
 TRACED=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) PAIRS=$2; shift 2 ;;
+        --first-seed) FIRST_SEED=$2; shift 2 ;;
         --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
         --traced) TRACED=$2; shift 2 ;;
         --*) echo "unknown option: $1" >&2; exit 2 ;;
@@ -105,9 +111,9 @@ one_run() {
 }
 
 for w in $WORKLOADS; do
-    seed=1
-    while [ "$seed" -le "$PAIRS" ]; do
-        echo "==> $w pair $seed/$PAIRS" >&2
+    seed=$FIRST_SEED
+    while [ "$seed" -lt $((FIRST_SEED + PAIRS)) ]; do
+        echo "==> $w pair $((seed - FIRST_SEED + 1))/$PAIRS, seed $seed" >&2
         if [ $((seed % 2)) -eq 1 ]; then
             one_run parent "$PARENT_TREE" "$w" "$seed"
             one_run change "$ROOT" "$w" "$seed"
@@ -119,7 +125,7 @@ for w in $WORKLOADS; do
     done
 done
 
-echo "parent $SHA vs working tree: $PAIRS pairs, $SECONDS_PER_RUN s per run, $(nproc) cores"
+echo "parent $SHA vs working tree: $PAIRS pairs (seeds $FIRST_SEED..$((FIRST_SEED + PAIRS - 1))), $SECONDS_PER_RUN s per run, $(nproc) cores"
 printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
     function quantile(v, n, q,    pos, lo) {
         pos = (n - 1) * q + 1; lo = int(pos)
