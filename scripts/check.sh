@@ -5,7 +5,7 @@
 # (intra-doc links across the workspace: a rename must not leave a
 # dangling [`link`]), release build, the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
-# profile_props, schedule_props, golden_digests). The simulator's
+# profile_props, schedule_props, golden_digests, ps_goldens). The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
@@ -70,6 +70,10 @@ cargo test --release -q -p harmony-core --test profile_props
 echo "==> Algorithm 1 scan determinism gates (release)"
 cargo test --release -q -p harmony-core --test schedule_props
 cargo test --release -q -p harmony --test golden_digests
+# The PS runtime's executor threads race at release speed too; its
+# pinned model and loss digests must hold under either build.
+echo "==> PS training digests (release)"
+cargo test --release -q -p harmony --test ps_goldens
 
 if [ "$BENCH_SMOKE" = 1 ]; then
     echo "==> sim equivalence smoke (fast event path == reference bytes)"
