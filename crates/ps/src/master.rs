@@ -37,7 +37,7 @@ pub struct PsConfig {
     /// the COMM executors only see subtasks that hold the NIC, and APPLY.
     pub network_bytes_per_sec: Option<f64>,
     /// Execute iterations on the zero-copy pipelined runtime (pooled
-    /// buffers, striped apply, per-worker subtask chaining). `false`
+    /// buffers, ranged apply, per-worker subtask chaining). `false`
     /// falls back to the phase-barriered reference arm; both produce
     /// bit-identical models (`tests/ps_equivalence.rs`).
     pub fast_runtime: bool,

@@ -4,23 +4,25 @@
 //! Three changes over the phase-barriered reference arm, none of which
 //! may change a single output bit (`tests/ps_equivalence.rs`):
 //!
-//! 1. **Pooled buffers, one snapshot.** A job holds `2 + DoP`
-//!    model-sized buffers — the store, a persistent update buffer per
-//!    worker and one *snapshot*, the last `1 + DoP` drawn from the
-//!    cluster's [`BufferPool`](harmony_mem::BufferPool) — plus sparse
-//!    staging for the workers that ever ship sparse ([`SparseStage`]).
-//!    The model is quiescent from one apply barrier to the next, so
-//!    the master copies it into the snapshot once per iteration, at
-//!    the boundary, and everything that reads the model until the next
-//!    — loss check, COMPs, a migration's checkpoint — reads that copy.
-//!    Subtask closures are built once per job as [`Arc`]ed shared
-//!    tasks. After warmup a steady-state iteration performs zero heap
-//!    allocations (`tests/ps_alloc.rs`), and `run_jobs` returns with
-//!    every buffer back in the pool ([`JobRun::release_tasks`]).
-//! 2. **Striped apply.** Server-side aggregation runs as explicit
-//!    `APPLY` subtasks over a [`StripedModel`]: each apply task owns a
-//!    disjoint stripe range and folds every worker's staged delta into
-//!    it in worker-id order. f64 addition is not associative, so the
+//! 1. **Pooled buffers, one model.** A job holds `1 + DoP` model-sized
+//!    buffers, all drawn from the cluster's
+//!    [`BufferPool`](harmony_mem::BufferPool) — the model itself and a
+//!    persistent update buffer per worker — plus sparse staging for the
+//!    workers that ever ship sparse ([`SparseStage`]). Everything that
+//!    reads the model — COMPs, the loss check, a migration's
+//!    checkpoint, the report — reads it in place: the [`Synchronizer`]
+//!    keeps every COMP (read lock) apart from the folds (write lock),
+//!    so nothing copies it between iterations. Subtask closures are
+//!    built once per job as [`Arc`]ed shared tasks. After warmup a
+//!    steady-state iteration performs zero heap allocations
+//!    (`tests/ps_alloc.rs`), and `run_jobs` returns with every buffer
+//!    back in the pool ([`JobRun::release_tasks`]).
+//! 2. **Ranged apply.** Server-side aggregation runs as explicit
+//!    `APPLY` subtasks, `min(DoP, stripes)` of them: each owns a
+//!    disjoint range of whole [`DEFAULT_STRIPE_LEN`] stripes
+//!    ([`apply_range`]) and folds every worker's staged delta into it
+//!    in worker-id order, under the model's write lock — so one job's
+//!    APPLYs run in turn. f64 addition is not associative, so the
 //!    fixed fold *order* — not merely the fixed operand set — is what
 //!    keeps the result bit-identical to the reference arm's per-shard
 //!    fold however arrivals interleave.
@@ -34,10 +36,11 @@
 //!    to sit out never leaves the master ([`submit_comm`]).
 //!
 //! What is deliberately *not* pipelined: issuing the next PULL before
-//! the apply barrier would snapshot a stale model and break synchronous
-//! SGD — see DESIGN.md for the rejected variants.
+//! the apply barrier would let a COMP read a half-folded model and
+//! break synchronous SGD — see DESIGN.md for the rejected variants.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +56,7 @@ use crate::master::{
     dense_push_bytes_per_worker, finish_report, JobReport, MigrationRecord, PsCluster, PushVolume,
     TrainingJob, SPARSE_DENSITY_THRESHOLD, SPARSE_PAIR_BYTES,
 };
-use crate::shard::{StripedModel, DEFAULT_STRIPE_LEN};
+use crate::shard::{fold_dense, fold_sparse, DEFAULT_STRIPE_LEN};
 use crate::subtask::{SubtaskKind, SubtaskTiming, SyncAction, Synchronizer};
 
 /// A subtask closure built once per job and resubmitted every iteration
@@ -121,6 +124,27 @@ fn acquire_update_bufs(cluster: &PsCluster, model_len: usize, dop: usize) -> Upd
     Arc::new((0..dop).map(slot).collect())
 }
 
+/// Bytes of a `model_len`-slot model: what a PULL (or a dense PUSH)
+/// moves.
+fn model_bytes(model_len: usize) -> u64 {
+    (model_len * std::mem::size_of::<f64>()) as u64
+}
+
+/// APPLY subtasks per iteration for `dop` workers: one per worker, at
+/// most one per [`DEFAULT_STRIPE_LEN`] stripe.
+fn apply_count(dop: usize, model_len: usize) -> usize {
+    dop.min(model_len.div_ceil(DEFAULT_STRIPE_LEN))
+}
+
+/// The model slots APPLY task `n` of `apply_count` folds: a run of
+/// whole stripes, split as evenly as the stripe count allows, so the
+/// tasks' ranges are disjoint and cover the model.
+fn apply_range(n: usize, apply_count: usize, model_len: usize) -> Range<usize> {
+    let stripes = model_len.div_ceil(DEFAULT_STRIPE_LEN);
+    let at = |task: usize| (task * stripes / apply_count * DEFAULT_STRIPE_LEN).min(model_len);
+    at(n)..at(n + 1)
+}
+
 /// Mean per-example loss of `model` over the job's (idle) workers.
 fn mean_loss(
     workers: &[Arc<Mutex<Box<dyn PsAlgorithm>>>],
@@ -133,18 +157,16 @@ fn mean_loss(
 
 struct JobRun {
     name: String,
-    store: StripedModel,
+    model_len: usize,
     workers: Vec<Arc<Mutex<Box<dyn PsAlgorithm>>>>,
     update_bufs: UpdateBufs,
     /// Per-worker sparse PUSH staging; `None` when the sparse path is
     /// off for this job.
     sparse_stages: Option<SparseStages>,
-    /// The job-wide copy of the model that the COMP tasks (read lock),
-    /// the loss check and a migration's checkpoint read. The master
-    /// refills it in one place — the iteration boundary, when every
-    /// reader is provably idle — and once more only after
-    /// [`migrate_fast`] has rewritten the store.
-    snapshot: Arc<RwLock<PooledBuffer>>,
+    /// The job's one copy of the model: the APPLY tasks fold into it
+    /// (write lock); the COMP tasks (read lock), the loss check, a
+    /// migration's checkpoint and the report read it in place.
+    model: Arc<RwLock<PooledBuffer>>,
     /// Generation stamp read by in-flight tasks; only the master writes
     /// it, and only at iteration boundaries when no task is running.
     generation: Arc<AtomicU64>,
@@ -187,7 +209,7 @@ impl JobRun {
     fn release_tasks(&mut self) {
         self.tasks = TaskSet::default();
         let mut spins = 0u32;
-        while Arc::strong_count(&self.snapshot) > 1
+        while Arc::strong_count(&self.model) > 1
             || Arc::strong_count(&self.update_bufs) > 1
             || self.sparse_stages.iter().any(|s| Arc::strong_count(s) > 1)
         {
@@ -203,14 +225,14 @@ impl JobRun {
 
 /// One job's subtask closures, built once and resubmitted every
 /// iteration. Built at job setup and rebuilt by live migration for the
-/// new worker roster (new DoP), reusing the same snapshot/generation
+/// new worker roster (new DoP), reusing the same model/generation
 /// plumbing.
 #[derive(Default)]
 struct TaskSet {
     pull: Vec<SharedTask>,
     comp: Vec<SharedTask>,
     push: Vec<SharedTask>,
-    /// `(node, task)` pairs; each folds a disjoint stripe range.
+    /// `(node, task)` pairs; each folds a disjoint [`apply_range`].
     apply: Vec<(usize, SharedTask)>,
 }
 
@@ -219,16 +241,16 @@ fn build_tasks(
     cluster: &PsCluster,
     event_tx: &EventTx,
     j: usize,
-    store: &StripedModel,
+    model: &Arc<RwLock<PooledBuffer>>,
     workers: &[Arc<Mutex<Box<dyn PsAlgorithm>>>],
     update_bufs: &UpdateBufs,
-    snapshot: &Arc<RwLock<PooledBuffer>>,
     generation: &Arc<AtomicU64>,
     all_reduce: bool,
     sparse: Option<&SparseStages>,
 ) -> TaskSet {
     let dop = workers.len();
-    let apply_count = dop.min(store.stripe_count());
+    let model_len = model.read().len();
+    let apply_count = apply_count(dop, model_len);
     let bandwidth = cluster.config.network_bytes_per_sec;
     let net_delay = move |bytes: u64| -> Option<Duration> {
         bandwidth.map(|bw| Duration::from_secs_f64(bytes as f64 / bw))
@@ -239,10 +261,9 @@ fn build_tasks(
             let generation = Arc::clone(generation);
             let tx = event_tx.clone();
             let clock = Arc::clone(&cluster.clock);
-            let delay = net_delay(store.pull_bytes());
-            // The snapshot is already filled (the master refills it
-            // before submitting PULLs), so an in-process PULL moves
-            // no payload — only the (simulated) wire time remains.
+            let delay = net_delay(model_bytes(model_len));
+            // The COMPs read the model in place, so an in-process PULL
+            // moves no payload — only the (simulated) wire time remains.
             Arc::new(move || {
                 let t0 = clock.now();
                 if let Some(d) = delay {
@@ -258,7 +279,7 @@ fn build_tasks(
     let comp: Vec<SharedTask> = (0..dop)
         .map(|w| {
             let worker = Arc::clone(&workers[w]);
-            let input = Arc::clone(snapshot);
+            let input = Arc::clone(model);
             let slots = Arc::clone(update_bufs);
             let stages = sparse.map(Arc::clone);
             let pool = cluster.pool.clone();
@@ -318,7 +339,7 @@ fn build_tasks(
             // payload, only the (simulated) wire time remains. The
             // dense wire size is fixed per job; the sparse path sizes
             // each iteration from what its COMP actually staged.
-            let dense_bytes = dense_push_bytes_per_worker(store.pull_bytes(), dop, all_reduce);
+            let dense_bytes = dense_push_bytes_per_worker(model_bytes(model_len), dop, all_reduce);
             Arc::new(move || {
                 let t0 = clock.now();
                 let bytes = match &stages {
@@ -340,48 +361,49 @@ fn build_tasks(
 
     let apply: Vec<(usize, SharedTask)> = (0..apply_count)
         .map(|n| {
-            let store = store.clone();
+            let model = Arc::clone(model);
             let slots = Arc::clone(update_bufs);
             let stages = sparse.map(Arc::clone);
             let generation = Arc::clone(generation);
             let tx = event_tx.clone();
             let clock = Arc::clone(&cluster.clock);
-            let lo = n * store.stripe_count() / apply_count;
-            let hi = (n + 1) * store.stripe_count() / apply_count;
+            let range = apply_range(n, apply_count, model_len);
             let task = Arc::new(move || {
                 let t0 = clock.now();
-                for s in lo..hi {
-                    if all_reduce {
-                        // The ring reduction left every slot holding
-                        // the full sum; fold slot 0 once, exactly as
-                        // the reference pushes `buffers[0]`.
-                        let staged = slots[0].lock();
-                        let sum = staged.as_ref().expect("reduced update is resident");
-                        store.stripe_add(s, sum.as_ref());
-                    } else {
-                        // Worker-id order: the determinism contract.
-                        // A sparsely-staged worker scatter-folds just
-                        // its support (bit-identical — off-support
-                        // slots hold only signed zeros, which fold
-                        // bit-neutrally); a dense one folds the whole
-                        // stripe. Mixed rosters keep the same order.
-                        for (w, slot) in slots.iter().enumerate() {
-                            let nnz = stages
-                                .as_ref()
-                                .map_or(DENSE_PUSH, |stages| stages[w].lock().nnz);
-                            if nnz == DENSE_PUSH {
-                                let staged = slot.lock();
-                                let delta = staged.as_ref().expect("COMP preceded APPLY");
-                                store.stripe_add(s, delta.as_ref());
-                            } else {
-                                let stage = stages.as_ref().expect("sparse nnz")[w].lock();
-                                let (indices, values) =
-                                    stage.pairs.as_ref().expect("COMP staged the pairs");
-                                store.stripe_add_sparse(s, &indices[..nnz], &values[..nnz]);
-                            }
+                let mut model = model.write();
+                let folded = &mut model[range.clone()];
+                if all_reduce {
+                    // The ring reduction left every slot holding the
+                    // full sum; fold slot 0 once, exactly as the
+                    // reference pushes `buffers[0]`.
+                    let staged = slots[0].lock();
+                    let sum = staged.as_ref().expect("reduced update is resident");
+                    fold_dense(folded, &sum[range.clone()]);
+                } else {
+                    // Worker-id order: the determinism contract. A
+                    // sparsely-staged worker scatter-folds just the
+                    // part of its support inside the range
+                    // (bit-identical — off-support slots hold only
+                    // signed zeros, which fold bit-neutrally); a dense
+                    // one folds the whole range. Mixed rosters keep
+                    // the same order.
+                    for (w, slot) in slots.iter().enumerate() {
+                        let nnz = stages
+                            .as_ref()
+                            .map_or(DENSE_PUSH, |stages| stages[w].lock().nnz);
+                        if nnz == DENSE_PUSH {
+                            let staged = slot.lock();
+                            let delta = staged.as_ref().expect("COMP preceded APPLY");
+                            fold_dense(folded, &delta[range.clone()]);
+                        } else {
+                            let stage = stages.as_ref().expect("sparse nnz")[w].lock();
+                            let (indices, values) =
+                                stage.pairs.as_ref().expect("COMP staged the pairs");
+                            fold_sparse(folded, range.start, &indices[..nnz], &values[..nnz]);
                         }
                     }
                 }
+                drop(model);
                 let gen = generation.load(Ordering::SeqCst);
                 let dt = clock.subtask_elapsed(t0, j, n, SubtaskKind::Apply, gen);
                 let _ = tx.send((j, n, SubtaskKind::Apply, gen, dt));
@@ -403,8 +425,8 @@ fn build_tasks(
 /// With a simulated network it occupies one of node `w`'s two COMM
 /// executor slots for its wire time: the §IV-A discipline governs every
 /// subtask that holds the NIC. Without one it has no wire time to sit
-/// out and no payload to move (snapshot and update buffers are shared
-/// in process), so the master times it in place and queues the
+/// out and no payload to move (model and update buffers are shared in
+/// process), so the master times it in place and queues the
 /// completion on `ready`, which the event loop drains through the same
 /// handler before it blocks on the executors' channel: no thread
 /// hand-offs, and no COMP waiting behind another job's APPLY fold for a
@@ -428,7 +450,7 @@ fn submit_comm(
 }
 
 /// Opens `run`'s next iteration: new generation, then every worker's
-/// PULL of the snapshot the boundary just refilled.
+/// PULL of the model the last APPLYs left.
 fn begin_iteration(cluster: &PsCluster, ready: &mut VecDeque<Event>, j: usize, run: &mut JobRun) {
     run.iteration += 1;
     let gen = run.sync.begin_iteration();
@@ -439,34 +461,30 @@ fn begin_iteration(cluster: &PsCluster, ready: &mut VecDeque<Event>, j: usize, r
 }
 
 /// Executes `run`'s planned migration at the iteration boundary it just
-/// completed (§IV-B4): checkpoint the quiescent model bit-exactly (from
-/// the snapshot the boundary just refilled), restore through the
-/// serialized form, replay the new workers' pre-training pushes — the
-/// exact sequence a fresh restart from `JobBuilder::initial_model`
-/// runs — and rebuild the task set and barriers for the new DoP. The
-/// stripe layout is DoP-independent, so the model store is reused in
-/// place; the generation counter keeps running (no subtask is in flight
-/// at the boundary).
+/// completed (§IV-B4): checkpoint the quiescent model bit-exactly,
+/// restore it through the serialized form, replay the new workers'
+/// pre-training pushes into it — the exact sequence a fresh restart
+/// from `JobBuilder::initial_model` runs — and rebuild the task set and
+/// barriers for the new DoP. The APPLY ranges depend on the DoP only
+/// through the task count, and the model buffer is reused in place; the
+/// generation counter keeps running (no subtask is in flight at the
+/// boundary).
 fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut JobRun) {
     let plan = run.migration.take().expect("migration due");
     let t0 = cluster.clock.now();
-    let model_len = run.store.len();
     let checkpoint_bytes;
     {
-        let mut snap = run.snapshot.write();
-        let ckpt = Checkpoint::capture(snap.as_ref());
+        let mut model = run.model.write();
+        let ckpt = Checkpoint::capture(model.as_ref());
         checkpoint_bytes = ckpt.byte_len();
         cluster.migrations.lock().begin(checkpoint_bytes as f64);
-        ckpt.restore_into(snap.as_mut());
-        run.store.restore(snap.as_ref());
-    }
-    for w in &plan.workers {
-        if let Some(init) = w.initial_update() {
-            run.store.push(&init);
+        ckpt.restore_into(model.as_mut());
+        for w in &plan.workers {
+            if let Some(init) = w.initial_update() {
+                fold_dense(model.as_mut(), &init);
+            }
         }
     }
-    // The pushes rewrote the store: bring the snapshot back in step.
-    run.store.pull_into(run.snapshot.write().as_mut());
     let from_dop = run.workers.len();
     let new_dop = plan.workers.len();
     run.total_examples = plan.workers.iter().map(|w| w.num_examples()).sum();
@@ -476,22 +494,21 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
         .map(|w| Arc::new(Mutex::new(w)))
         .collect();
     run.release_tasks();
-    run.update_bufs = acquire_update_bufs(cluster, model_len, new_dop);
+    run.update_bufs = acquire_update_bufs(cluster, run.model_len, new_dop);
     run.sparse_stages = build_sparse_stages(cluster, new_dop, run.all_reduce);
     run.tasks = build_tasks(
         cluster,
         event_tx,
         j,
-        &run.store,
+        &run.model,
         &run.workers,
         &run.update_bufs,
-        &run.snapshot,
         &run.generation,
         run.all_reduce,
         run.sparse_stages.as_ref(),
     );
     run.sync
-        .reconfigure(new_dop, new_dop.min(run.store.stripe_count()));
+        .reconfigure(new_dop, apply_count(new_dop, run.model_len));
     run.migrated = Some(MigrationRecord {
         at_iteration: run.iteration,
         from_dop,
@@ -510,16 +527,16 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
     for (j, job) in jobs.into_iter().enumerate() {
         let dop = job.workers.len();
         let model_len = job.workers[0].model_len();
-        let store = StripedModel::new(model_len, DEFAULT_STRIPE_LEN);
+        let mut model = cluster.pool.acquire(model_len);
         match &job.initial_model {
-            Some(m) => store.restore(m),
-            None => store.restore(&job.workers[0].init_model(job.seed)),
+            Some(m) => model.copy_from_slice(m),
+            None => model.copy_from_slice(&job.workers[0].init_model(job.seed)),
         }
         // Pre-training pushes (e.g. LDA's random-assignment counts) —
         // sequential and in worker order, like the reference arm.
         for w in &job.workers {
             if let Some(init) = w.initial_update() {
-                store.push(&init);
+                fold_dense(&mut model, &init);
             }
         }
         let total_examples: usize = job.workers.iter().map(|w| w.num_examples()).sum();
@@ -528,14 +545,12 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             .into_iter()
             .map(|w| Arc::new(Mutex::new(w)))
             .collect();
-        let mut snapshot = cluster.pool.acquire(model_len);
-        store.pull_into(snapshot.as_mut());
-        let initial_loss = mean_loss(&workers, snapshot.as_ref(), total_examples);
+        let initial_loss = mean_loss(&workers, &model, total_examples);
 
-        let snapshot = Arc::new(RwLock::new(snapshot));
+        let model = Arc::new(RwLock::new(model));
         let update_bufs = acquire_update_bufs(cluster, model_len, dop);
         let generation = Arc::new(AtomicU64::new(0));
-        let apply_count = dop.min(store.stripe_count());
+        let apply_count = apply_count(dop, model_len);
         let all_reduce = job.all_reduce;
         let sparse_stages = build_sparse_stages(cluster, dop, all_reduce);
 
@@ -543,10 +558,9 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             cluster,
             &event_tx,
             j,
-            &store,
+            &model,
             &workers,
             &update_bufs,
-            &snapshot,
             &generation,
             all_reduce,
             sparse_stages.as_ref(),
@@ -555,11 +569,11 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
         let expected_events = (3 * dop + apply_count) as u64 * job.max_iterations.min(4096);
         runs.push(JobRun {
             name: job.name,
-            store,
+            model_len,
             workers,
             update_bufs,
             sparse_stages,
-            snapshot,
+            model,
             generation,
             sync: Synchronizer::new(dop, apply_count),
             tasks,
@@ -666,7 +680,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                 // before anything can resubmit a COMP.
                 let dop = run.workers.len();
                 let per_worker_dense =
-                    dense_push_bytes_per_worker(run.store.pull_bytes(), dop, run.all_reduce);
+                    dense_push_bytes_per_worker(model_bytes(run.model_len), dop, run.all_reduce);
                 let dense_total = per_worker_dense * dop as u64;
                 let bytes = match &run.sparse_stages {
                     Some(stages) => stages
@@ -684,14 +698,11 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                     dense_bytes: dense_total,
                 });
                 // All subtasks of the iteration have landed: the
-                // workers are idle and the model is quiescent. This is
-                // the iteration's one copy of it — the loss check reads
-                // it here, the next iteration's COMPs after their PULLs.
-                run.store.pull_into(run.snapshot.write().as_mut());
+                // workers are idle and the model is quiescent.
                 let at_check = run.iteration.is_multiple_of(run.check_every)
                     || run.iteration == run.max_iterations;
                 if at_check {
-                    let model = run.snapshot.read();
+                    let model = run.model.read();
                     let loss = mean_loss(&run.workers, model.as_ref(), run.total_examples);
                     run.loss_history.push((run.iteration, loss));
                     if run.loss_threshold.is_some_and(|t| loss <= t) {
@@ -719,7 +730,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
         .map(|mut run| {
             // `run_jobs` returns with the pool whole.
             run.release_tasks();
-            let final_model = run.store.pull();
+            let final_model = run.model.read().to_vec();
             let dop = run.workers.len();
             finish_report(
                 run.name,
@@ -736,4 +747,30 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn apply_ranges_tile_the_model_on_stripe_boundaries() {
+        const S: usize = DEFAULT_STRIPE_LEN;
+        for model_len in [1, S - 1, S, S + 1, 3 * S + 5, 1_000_000] {
+            for dop in 1..=8 {
+                let count = apply_count(dop, model_len);
+                assert!((1..=dop).contains(&count), "len {model_len} dop {dop}");
+                let mut next = 0;
+                for n in 0..count {
+                    let r = apply_range(n, count, model_len);
+                    let at = format!("len {model_len} dop {dop} task {n}: {r:?}");
+                    assert_eq!(r.start, next, "{at}: gap or overlap");
+                    assert_eq!(r.start % S, 0, "{at}: starts inside a stripe");
+                    assert!(r.start < r.end, "{at}: empty");
+                    next = r.end;
+                }
+                assert_eq!(next, model_len, "len {model_len} dop {dop}: not covered");
+            }
+        }
+    }
 }

@@ -192,21 +192,23 @@ impl std::fmt::Debug for ShardedModel {
 /// Default [`StripedModel`] stripe length: 8192 parameters (64 KiB),
 /// small enough that contended pushes from different workers rarely
 /// wait on the same lock, large enough that lock traffic stays
-/// negligible next to the adds.
+/// negligible next to the adds. The PS runtime splits a model among
+/// its APPLY tasks on multiples of it.
 pub const DEFAULT_STRIPE_LEN: usize = 8192;
 
-/// The fast PS runtime's global model: fixed-length stripes, each
-/// behind its own lock.
+/// A model vector in fixed-length stripes, each behind its own lock.
 ///
 /// Where [`ShardedModel`] mirrors the *placement* unit (one shard per
 /// server node), `StripedModel` sizes its lock granularity for
-/// *contention*: apply tasks working on disjoint stripe ranges never
-/// touch the same lock, so concurrent aggregation scales with stripes,
-/// not nodes. Determinism rule: every stripe folds contributor deltas
-/// in worker-id order (see [`StripedModel::stripe_add`] callers), so
-/// the aggregate is bit-identical no matter how PUSH arrivals raced —
-/// f64 addition is not associative, so the fold order, not just the
-/// operand set, must be fixed.
+/// *contention*: writers working on disjoint stripe ranges never touch
+/// the same lock, so concurrent folds scale with stripes, not nodes.
+/// Its adds run the same fold kernels as the PS runtime's APPLY
+/// subtasks, which fold into one contiguous model buffer over
+/// stripe-aligned ranges instead. Determinism rule for callers: fold
+/// contributor deltas into every stripe in one fixed (worker-id)
+/// order, so the aggregate is bit-identical however the contributions
+/// raced — f64 addition is not associative, so the fold order, not
+/// just the operand set, must be fixed.
 ///
 /// Cloning is cheap (shared `Arc`): clones refer to the same model.
 #[derive(Clone)]
@@ -296,10 +298,7 @@ impl StripedModel {
     pub fn stripe_add(&self, stripe: usize, delta: &[f64]) {
         assert_eq!(delta.len(), self.len, "delta length mismatch");
         let range = self.stripe_range(stripe);
-        let mut guard = self.stripes[stripe].write();
-        for (w, d) in guard.iter_mut().zip(&delta[range]) {
-            *w += d;
-        }
+        fold_dense(&mut self.stripes[stripe].write(), &delta[range]);
     }
 
     /// Scatter-adds a coordinate-sparse delta into one stripe, holding
@@ -307,7 +306,7 @@ impl StripedModel {
     /// coordinates and `values[k]` is the delta at `indices[k]`. Only
     /// the coordinates falling inside the stripe's range are applied
     /// (binary-searched, so a stripe crossed by none of the indices
-    /// costs `O(log nnz)`).
+    /// costs `O(log nnz)` plus its lock).
     ///
     /// Bit-equivalence contract with [`StripedModel::stripe_add`]: a
     /// dense delta whose off-support slots are all `±0.0` folds to the
@@ -322,27 +321,13 @@ impl StripedModel {
     ///
     /// # Panics
     ///
-    /// Panics if `stripe` is out of range, the slices' lengths differ,
-    /// or an index falls outside the model.
+    /// Panics if `stripe` is out of range or the slices' lengths differ.
     pub fn stripe_add_sparse(&self, stripe: usize, indices: &[u32], values: &[f64]) {
-        assert_eq!(indices.len(), values.len(), "sparse delta length mismatch");
-        let range = self.stripe_range(stripe);
-        let lo = indices.partition_point(|&i| (i as usize) < range.start);
-        let hi = indices.partition_point(|&i| (i as usize) < range.end);
-        if lo == hi {
-            return;
-        }
-        let mut guard = self.stripes[stripe].write();
-        for (&i, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
-            let at = i as usize;
-            assert!(at < self.len, "index {at} out of model length {}", self.len);
-            guard[at - range.start] += v;
-        }
+        let start = self.stripe_range(stripe).start;
+        fold_sparse(&mut self.stripes[stripe].write(), start, indices, values);
     }
 
-    /// Adds `delta` into the whole model, stripe by stripe (setup path;
-    /// steady-state aggregation goes through [`StripedModel::stripe_add`]
-    /// from parallel apply tasks).
+    /// Adds `delta` into the whole model, stripe by stripe.
     ///
     /// # Panics
     ///
@@ -375,6 +360,41 @@ impl std::fmt::Debug for StripedModel {
             .field("stripe_len", &self.stripe_len)
             .field("stripes", &self.stripes.len())
             .finish()
+    }
+}
+
+/// Adds `delta` into `model` slot by slot: the dense fold kernel behind
+/// [`StripedModel::stripe_add`] and the PS runtime's APPLY subtasks.
+///
+/// # Panics
+///
+/// Panics if `model` and `delta` differ in length.
+pub(crate) fn fold_dense(model: &mut [f64], delta: &[f64]) {
+    assert_eq!(model.len(), delta.len(), "fold length mismatch");
+    for (w, d) in model.iter_mut().zip(delta) {
+        *w += d;
+    }
+}
+
+/// Scatter-adds the part of a coordinate-sparse delta that falls inside
+/// `model`, a slice holding model-global slots `start..start +
+/// model.len()`: `indices` are sorted unique model-global coordinates
+/// and `values[k]` is the delta at `indices[k]`. The coordinates in
+/// range are found by binary search, so a range crossed by none costs
+/// `O(log nnz)`. The sparse kernel behind
+/// [`StripedModel::stripe_add_sparse`] and the PS runtime's APPLY
+/// subtasks; see there for why it folds to the dense kernel's bits.
+///
+/// # Panics
+///
+/// Panics if `indices` and `values` differ in length.
+pub(crate) fn fold_sparse(model: &mut [f64], start: usize, indices: &[u32], values: &[f64]) {
+    assert_eq!(indices.len(), values.len(), "sparse delta length mismatch");
+    let end = start + model.len();
+    let lo = indices.partition_point(|&i| (i as usize) < start);
+    let hi = indices.partition_point(|&i| (i as usize) < end);
+    for (&i, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+        model[i as usize - start] += v;
     }
 }
 
@@ -561,6 +581,32 @@ mod tests {
         assert_eq!(got[9], 2.0);
         m.stripe_add_sparse(1, &[7, 9], &[1.0, 2.0]);
         assert_eq!(m.pull()[7], 1.0);
+    }
+
+    #[test]
+    fn ranged_folds_match_stripe_folds() {
+        // One fold over a multi-stripe range (the runtime's APPLY) must
+        // give every slot the same additions, in the same order, as
+        // the stripe-by-stripe adds.
+        let len = 23;
+        let base: Vec<f64> = (0..len).map(|i| (i as f64) * 0.7 - 3.0).collect();
+        let dense: Vec<f64> = (0..len).map(|i| 0.1 * (i * i) as f64 - 1.3).collect();
+        let indices: Vec<u32> = vec![1, 4, 5, 9, 10, 14, 22];
+        let values: Vec<f64> = vec![0.5, -1.25, 3.0, -0.0, 2.5, 0.125, -7.0];
+        let striped = StripedModel::new(len, 5);
+        striped.restore(&base);
+        for s in 0..striped.stripe_count() {
+            striped.stripe_add(s, &dense);
+            striped.stripe_add_sparse(s, &indices, &values);
+        }
+        let mut flat = base.clone();
+        for range in [0..5, 5..20, 20..23] {
+            let part = &mut flat[range.clone()];
+            fold_dense(part, &dense[range.clone()]);
+            fold_sparse(part, range.start, &indices, &values);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&flat), bits(&striped.pull()));
     }
 
     #[test]

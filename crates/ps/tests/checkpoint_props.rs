@@ -99,9 +99,9 @@ proptest! {
         prop_assert_eq!(to_bits(&new.pull()), to_bits(&model));
     }
 
-    /// Same for the zero-copy runtime's `StripedModel`, which restripes
-    /// in place: odd stripe lengths leave a ragged tail stripe, and a
-    /// stripe longer than the model degenerates to a single stripe.
+    /// Same for `StripedModel`, restored in place: odd stripe lengths
+    /// leave a ragged tail stripe, and a stripe longer than the model
+    /// degenerates to a single stripe.
     #[test]
     fn striped_relayout_preserves_bits(
         model in nonempty_model(),

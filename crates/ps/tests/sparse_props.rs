@@ -107,7 +107,8 @@ fn expand(len: usize, raw: &RawWorker) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
 }
 
 /// Folds every worker into `store` stripe-major, worker-id order inside
-/// each stripe — the runtime's APPLY discipline. `sparse[w]` selects
+/// each stripe — per slot, the additions the runtime's APPLY makes, in
+/// its order. `sparse[w]` selects
 /// the wire form per worker (the density-adaptive mix).
 fn fold(
     store: &StripedModel,
@@ -356,7 +357,7 @@ fn support_crossing_the_cutoff_mid_run_stays_bit_identical() {
     }
     assert_eq!(dense.push_density(), 1.0);
 
-    // Both workers went sparse at some point: snapshot + 2 updates + 2
+    // Both workers went sparse at some point: the model + 2 updates + 2
     // staging pairs, each checked out once however often the wire form
     // flipped. A peer that never does holds no staging.
     assert_eq!((pool.allocations, pool.outstanding), (1 + 3 * 2, 0));

@@ -15,6 +15,21 @@
 # and go between runs. Keep runs at 30 s or longer, and compare shares
 # between profiles of equal length rather than ranks.
 #
+# What it cannot see. Where the kernel refuses the collector's interval
+# timer (as on the 2-core VM the profiles in DESIGN.md were taken on),
+# the experiment header warns "Collection interval timer period was
+# changed (10007 -> 0); profile data may be unreliable", and then only
+# the main thread is sampled, at about a tenth of the nominal 100 Hz: a
+# 30 s sim_long_jobs run yields about 3 s of sampled CPU. Every other
+# thread is invisible — the PS runtime's executor threads, where its
+# COMP and APPLY subtasks run, and Algorithm 1's scan helpers — so a
+# share of CPU samples is a share of the main thread's time, and the
+# PS runtime is attributed by the per-layer rows of
+# `scripts/bench_pairs.sh --traced` (ps.subtask.*,
+# ps.runtime.overhead_frac, ps.executor.cpu_idle_frac), not by
+# profiles. The script prints the collector's warnings and the sampled
+# threads before the tables, so each profile says which case it is.
+#
 # The benchmark package is built --offline with
 # CARGO_PROFILE_RELEASE_DEBUG=true into its own CARGO_TARGET_DIR,
 # target/profile/, so the optimized build the pair script measures is
@@ -52,6 +67,10 @@ echo "==> profiling $WORKLOAD, seed $SEED, $SECONDS_PER_RUN s" >&2
 gprofng collect app -O "$EXP" "$OUT/release/harmony-benchmark" \
     run --workload "$WORKLOAD" --seed "$SEED" --seconds "$SECONDS_PER_RUN" \
     --trace 0 >/dev/null
+
+# The collector's warnings and errors, then CPU time per sampled thread.
+gprofng display text -header "$EXP" | grep -i -e warning -e error || true
+gprofng display text -threads "$EXP"
 
 # Exclusive and inclusive CPU, hottest exclusive first.
 gprofng display text -metrics e.%totalcpu:i.%totalcpu -sort e.totalcpu \

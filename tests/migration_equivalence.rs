@@ -183,7 +183,7 @@ fn reference_runtime_migration_matches_restart() {
 
 #[test]
 fn fast_and_reference_agree_on_migrated_runs() {
-    // Cross-arm: the zero-copy runtime's in-place restripe and the
+    // Cross-arm: the zero-copy runtime's in-place restore and the
     // reference rebuild must land on the same bits.
     for algo in ["mlr", "lda"] {
         let fast = migrated_run(algo, 2, 4, 3, 6, true);

@@ -1,14 +1,15 @@
-//! Steady-state allocation audit for the fast PS runtime.
+//! Allocation audit for the fast PS runtime.
 //!
 //! Run with `cargo test --features alloc-count --test ps_alloc`. A
 //! counting `#[global_allocator]` tallies every heap allocation in the
-//! process; the test then compares total allocation *counts* of a short
-//! and a long training run on the same warmed cluster. Per-run setup
-//! (job construction, pooled-buffer checkout, task `Arc`s) costs the
-//! same number of allocations regardless of iteration count, so equal
-//! totals prove the extra iterations allocated nothing: pull buffers,
-//! update buffers, ML scratch, the ring reduction, and the event
-//! channel are all reused.
+//! process and the bytes it asked for. Two tests compare total
+//! allocation *counts* of a short and a long training run on the same
+//! warmed cluster. Per-run setup (job construction, pooled-buffer
+//! checkout, task `Arc`s) costs the same number of allocations
+//! regardless of iteration count, so equal totals prove the extra
+//! iterations allocated nothing: the model, update buffers, ML scratch,
+//! the ring reduction, and the event channel are all reused. A third
+//! holds the bytes a warmed run allocates to its model-sized budget.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,25 +17,31 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use harmony::ml::{synth, Lasso, Lda, PsAlgorithm};
-use harmony::ps::{JobBuilder, PsCluster, PsConfig};
+use harmony::ps::{JobBuilder, PsCluster, PsConfig, TrainingJob};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn tally(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -173,5 +180,55 @@ fn sparse_push_steady_state_allocates_nothing() {
     }
     panic!(
         "sparse-path iterations allocated memory: (short, long) counts per attempt = {attempts:?}"
+    );
+}
+
+/// Parameters of the byte audit's model: large enough that the job's
+/// model-sized buffers dwarf everything else a run allocates.
+const AUDIT_FEATURES: usize = 100_000;
+
+/// One 2-worker Lasso job over an `AUDIT_FEATURES`-parameter model. Its
+/// non-zero initial model makes every update dense.
+fn wide_lasso_job() -> TrainingJob {
+    let data = synth::regression(64, AUDIT_FEATURES, 0.001, 7);
+    JobBuilder::new("byte-audit")
+        .workers(
+            synth::partition(&data, 2).into_iter().map(|p| {
+                Box::new(Lasso::new(p, AUDIT_FEATURES, 0.05, 0.01)) as Box<dyn PsAlgorithm>
+            }),
+        )
+        .max_iterations(4)
+        .check_every(1_000_000)
+        .build()
+}
+
+#[test]
+fn a_warmed_run_allocates_two_model_sizes() {
+    let _audit = exclusive_audit();
+    let cluster = PsCluster::new(PsConfig {
+        nodes: 2,
+        network_bytes_per_sec: None,
+        fast_runtime: true,
+        live_migration: false,
+        sparse_push: true,
+    });
+    // Warmup: the pool then holds the model and both update buffers.
+    let _ = cluster.run_jobs(vec![wide_lasso_job()]);
+    assert_settled(&cluster);
+
+    // The pooled buffers come back from the pool, so what a run still
+    // allocates model-sized is the vector `init_model` returns and the
+    // report's `final_model` — nothing that holds a second copy of the
+    // model for the job's life.
+    let job = wide_lasso_job();
+    let b0 = BYTES.load(Ordering::Relaxed);
+    let report = cluster.run_jobs(vec![job]).remove(0);
+    let b1 = BYTES.load(Ordering::Relaxed);
+    assert_settled(&cluster);
+    assert_eq!(report.push_density(), 1.0, "every PUSH must be dense");
+    let model_sizes = (b1 - b0) as f64 / (AUDIT_FEATURES * std::mem::size_of::<f64>()) as f64;
+    assert!(
+        model_sizes < 2.5,
+        "a warmed run allocated {model_sizes:.3} model-sizes of bytes"
     );
 }

@@ -1,7 +1,7 @@
 //! Equivalence gate for the zero-copy pipelined PS runtime.
 //!
 //! `PsConfig::fast_runtime` (default on) must be a pure optimization:
-//! pooled buffers, striped apply, and per-worker pipelining may change
+//! pooled buffers, ranged apply, and per-worker pipelining may change
 //! *when* work happens, never *what* is computed. These tests run the
 //! same jobs through both arms and compare the final model and the loss
 //! trajectory **bit for bit** (`f64::to_bits`) — f64 addition is not
@@ -326,11 +326,11 @@ fn pool_reuses_buffers_across_runs() {
 
 #[test]
 fn a_job_draws_its_buffer_budget_and_no_more() {
-    // Beside the (unpooled) store a job holds one snapshot and one
-    // update buffer per worker, and index + value staging only for the
+    // A job draws its one model buffer and one update buffer per
+    // worker from the pool, and index + value staging only for the
     // workers that ever ship sparse: none for Lasso on its non-zero
     // init or for MLR (every PUSH falls back dense), all of them for
-    // LDA.
+    // LDA. Nothing else holds a copy of the model.
     for (algo, dop, draws) in [
         ("lasso", 2, 1 + 2),
         ("mlr", 4, 1 + 4),
