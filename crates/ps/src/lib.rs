@@ -53,6 +53,7 @@ pub mod checkpoint;
 pub mod clock;
 pub mod executor;
 pub mod feedback;
+mod fold;
 pub mod master;
 pub(crate) mod runtime;
 pub mod shard;

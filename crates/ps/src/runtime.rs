@@ -17,30 +17,34 @@
 //!    steady-state iteration performs zero heap allocations
 //!    (`tests/ps_alloc.rs`), and `run_jobs` returns with every buffer
 //!    back in the pool ([`JobRun::release_tasks`]).
-//! 2. **Ranged apply.** Server-side aggregation runs as explicit
-//!    `APPLY` subtasks, `min(DoP, stripes)` of them: each owns a
-//!    disjoint range of whole [`DEFAULT_STRIPE_LEN`] stripes
-//!    ([`apply_range`]) and folds every worker's staged delta into it
-//!    in worker-id order, under the model's write lock — so one job's
-//!    APPLYs run in turn. f64 addition is not associative, so the
-//!    fixed fold *order* — not merely the fixed operand set — is what
-//!    keeps the result bit-identical to the reference arm's per-shard
-//!    fold however arrivals interleave.
+//! 2. **One APPLY per job-iteration.** Server-side aggregation runs as
+//!    one explicit `APPLY` subtask, on node `j mod nodes`'s COMM
+//!    executor. It takes the model's write lock once and folds every
+//!    worker's staged delta in worker-id order in a single pass, two
+//!    consecutive dense workers at a time (`fold::fold_dense_pair`:
+//!    one store per slot for both). From
+//!    `fold::SPLIT_FOLD_MIN_SLOTS` slots up the locked model is split
+//!    into one disjoint part per worker, and every part after the first
+//!    is folded on a thread scoped to the APPLY (`fold::fold_split`).
+//!    f64 addition is not associative, so the fixed fold *order* — not
+//!    merely the fixed operand set — is what keeps the result
+//!    bit-identical to the reference arm's per-shard fold however
+//!    arrivals interleave; no slot's additions or their order depend on
+//!    the split or on the thread that runs them.
 //! 3. **Per-worker pipelining.** A worker's COMP is submitted the
 //!    moment *its own* PULL lands (and its PUSH the moment its COMP
 //!    lands) instead of waiting for the slowest peer at a global phase
 //!    barrier. Synchronous semantics are kept by the PUSH barrier
-//!    (reduce + apply) and the apply barrier (iteration end); the
+//!    (reduce + apply) and the APPLY's completion (iteration end); the
 //!    [`Synchronizer`]'s generation counter proves no subtask ever
 //!    crosses an iteration boundary. A PULL or PUSH with no wire time
 //!    to sit out never leaves the master ([`submit_comm`]).
 //!
 //! What is deliberately *not* pipelined: issuing the next PULL before
-//! the apply barrier would let a COMP read a half-folded model and
+//! the APPLY completes would let a COMP read a half-folded model and
 //! break synchronous SGD — see DESIGN.md for the rejected variants.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,11 +56,11 @@ use harmony_mem::{PooledBuffer, PooledIndexBuffer};
 use harmony_ml::PsAlgorithm;
 
 use crate::checkpoint::Checkpoint;
+use crate::fold::{fold_dense, fold_split, split_count, Delta, Roster};
 use crate::master::{
     dense_push_bytes_per_worker, finish_report, JobReport, MigrationRecord, PsCluster, PushVolume,
     TrainingJob, SPARSE_DENSITY_THRESHOLD, SPARSE_PAIR_BYTES,
 };
-use crate::shard::{fold_dense, fold_sparse, DEFAULT_STRIPE_LEN};
 use crate::subtask::{SubtaskKind, SubtaskTiming, SyncAction, Synchronizer};
 
 /// A subtask closure built once per job and resubmitted every iteration
@@ -75,11 +79,11 @@ const DENSE_PUSH: usize = usize::MAX;
 
 /// One worker's staged coordinate-sparse delta for the current
 /// iteration, written by its COMP task and read by its PUSH task (wire
-/// size), the APPLY tasks (scatter fold) and the master (byte
-/// accounting).
+/// size), the APPLY (scatter fold) and the master (byte accounting).
 ///
 /// No lock-order hazard with the update-buffer slots: the synchronizer
-/// guarantees a job's COMP and APPLY tasks never overlap in time.
+/// guarantees a job's COMP and APPLY tasks never overlap in time, and
+/// the APPLY and its fold helpers only ever read-lock either.
 struct SparseStage {
     /// `(indices, values)` at full model capacity, checked out of the
     /// cluster pool by this worker's COMP the first time its support
@@ -99,7 +103,7 @@ struct SparseStage {
 /// off, or an all-reduce job — the ring reduction needs dense
 /// operands), in which case every closure takes exactly the pre-sparse
 /// code path.
-type SparseStages = Arc<Vec<Mutex<SparseStage>>>;
+type SparseStages = Arc<Vec<RwLock<SparseStage>>>;
 
 /// Builds the per-worker sparse staging for a job when the sparse path
 /// applies to it. Nothing is checked out here: see [`SparseStage::pairs`].
@@ -111,16 +115,17 @@ fn build_sparse_stages(cluster: &PsCluster, dop: usize, all_reduce: bool) -> Opt
         pairs: None,
         nnz: DENSE_PUSH,
     };
-    Some(Arc::new((0..dop).map(|_| Mutex::new(empty())).collect()))
+    Some(Arc::new((0..dop).map(|_| RwLock::new(empty())).collect()))
 }
 
 /// Per-worker staged updates; shared with the COMP and APPLY tasks. A
-/// slot is only ever empty inside a ring reduction.
-type UpdateBufs = Arc<Vec<Mutex<Option<PooledBuffer>>>>;
+/// slot is only ever empty inside a ring reduction. Read-write locks,
+/// so every part of a split fold reads every worker's delta at once.
+type UpdateBufs = Arc<Vec<RwLock<Option<PooledBuffer>>>>;
 
 /// Checks one update buffer per worker out of the cluster pool.
 fn acquire_update_bufs(cluster: &PsCluster, model_len: usize, dop: usize) -> UpdateBufs {
-    let slot = |_| Mutex::new(Some(cluster.pool.acquire(model_len)));
+    let slot = |_| RwLock::new(Some(cluster.pool.acquire(model_len)));
     Arc::new((0..dop).map(slot).collect())
 }
 
@@ -130,19 +135,36 @@ fn model_bytes(model_len: usize) -> u64 {
     (model_len * std::mem::size_of::<f64>()) as u64
 }
 
-/// APPLY subtasks per iteration for `dop` workers: one per worker, at
-/// most one per [`DEFAULT_STRIPE_LEN`] stripe.
-fn apply_count(dop: usize, model_len: usize) -> usize {
-    dop.min(model_len.div_ceil(DEFAULT_STRIPE_LEN))
+/// What a job's APPLY folds: the first `len` workers' staged deltas,
+/// read in place — a sparsely staged worker's `(index, value)` pairs,
+/// else its dense update buffer. The pairs fold to the dense buffer's
+/// bits: its off-support slots hold only signed zeros, which fold
+/// bit-neutrally (`StripedModel::stripe_add_sparse`).
+struct Staged<'a> {
+    slots: &'a [RwLock<Option<PooledBuffer>>],
+    stages: Option<&'a [RwLock<SparseStage>]>,
+    /// Every worker, or 1 after a ring reduction, which left every slot
+    /// holding the full sum: slot 0 is folded once, exactly as the
+    /// reference pushes `buffers[0]`.
+    len: usize,
 }
 
-/// The model slots APPLY task `n` of `apply_count` folds: a run of
-/// whole stripes, split as evenly as the stripe count allows, so the
-/// tasks' ranges are disjoint and cover the model.
-fn apply_range(n: usize, apply_count: usize, model_len: usize) -> Range<usize> {
-    let stripes = model_len.div_ceil(DEFAULT_STRIPE_LEN);
-    let at = |task: usize| (task * stripes / apply_count * DEFAULT_STRIPE_LEN).min(model_len);
-    at(n)..at(n + 1)
+impl Roster for Staged<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn with_delta<R>(&self, w: usize, f: impl FnOnce(Delta<'_>) -> R) -> R {
+        if let Some(stages) = self.stages {
+            let stage = stages[w].read();
+            if stage.nnz != DENSE_PUSH {
+                let (indices, values) = stage.pairs.as_ref().expect("COMP staged the pairs");
+                return f(Delta::Sparse(&indices[..stage.nnz], &values[..stage.nnz]));
+            }
+        }
+        let staged = self.slots[w].read();
+        f(Delta::Dense(staged.as_ref().expect("COMP preceded APPLY")))
+    }
 }
 
 /// Mean per-example loss of `model` over the job's (idle) workers.
@@ -163,8 +185,8 @@ struct JobRun {
     /// Per-worker sparse PUSH staging; `None` when the sparse path is
     /// off for this job.
     sparse_stages: Option<SparseStages>,
-    /// The job's one copy of the model: the APPLY tasks fold into it
-    /// (write lock); the COMP tasks (read lock), the loss check, a
+    /// The job's one copy of the model: the APPLY folds into it (write
+    /// lock); the COMP tasks (read lock), the loss check, a
     /// migration's checkpoint and the report read it in place.
     model: Arc<RwLock<PooledBuffer>>,
     /// Generation stamp read by in-flight tasks; only the master writes
@@ -232,8 +254,9 @@ struct TaskSet {
     pull: Vec<SharedTask>,
     comp: Vec<SharedTask>,
     push: Vec<SharedTask>,
-    /// `(node, task)` pairs; each folds a disjoint [`apply_range`].
-    apply: Vec<(usize, SharedTask)>,
+    /// The iteration's one fold and the node it runs on; `None` only in
+    /// a released set.
+    apply: Option<(usize, SharedTask)>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -250,7 +273,6 @@ fn build_tasks(
 ) -> TaskSet {
     let dop = workers.len();
     let model_len = model.read().len();
-    let apply_count = apply_count(dop, model_len);
     let bandwidth = cluster.config.network_bytes_per_sec;
     let net_delay = move |bytes: u64| -> Option<Duration> {
         bandwidth.map(|bw| Duration::from_secs_f64(bytes as f64 / bw))
@@ -289,7 +311,7 @@ fn build_tasks(
             Arc::new(move || {
                 let t0 = clock.now();
                 let pulled = input.read();
-                let mut staged = slots[w].lock();
+                let mut staged = slots[w].write();
                 let out = staged.as_mut().expect("update buffer is resident");
                 let mut alg = worker.lock();
                 alg.compute_update_into(pulled.as_ref(), out.as_mut());
@@ -300,7 +322,7 @@ fn build_tasks(
                     // the dense form. Values are gathered from the
                     // dense update buffer just computed, so the bits a
                     // sparse fold applies are exactly the dense fold's.
-                    let mut stage = stages[w].lock();
+                    let mut stage = stages[w].write();
                     stage.nnz = DENSE_PUSH;
                     if let Some(support) = alg.sparse_support() {
                         let update = out.as_ref();
@@ -343,7 +365,7 @@ fn build_tasks(
             Arc::new(move || {
                 let t0 = clock.now();
                 let bytes = match &stages {
-                    Some(stages) => match stages[w].lock().nnz {
+                    Some(stages) => match stages[w].read().nnz {
                         DENSE_PUSH => dense_bytes,
                         nnz => nnz as u64 * SPARSE_PAIR_BYTES,
                     },
@@ -359,58 +381,29 @@ fn build_tasks(
         })
         .collect();
 
-    let apply: Vec<(usize, SharedTask)> = (0..apply_count)
-        .map(|n| {
-            let model = Arc::clone(model);
-            let slots = Arc::clone(update_bufs);
-            let stages = sparse.map(Arc::clone);
-            let generation = Arc::clone(generation);
-            let tx = event_tx.clone();
-            let clock = Arc::clone(&cluster.clock);
-            let range = apply_range(n, apply_count, model_len);
-            let task = Arc::new(move || {
-                let t0 = clock.now();
-                let mut model = model.write();
-                let folded = &mut model[range.clone()];
-                if all_reduce {
-                    // The ring reduction left every slot holding the
-                    // full sum; fold slot 0 once, exactly as the
-                    // reference pushes `buffers[0]`.
-                    let staged = slots[0].lock();
-                    let sum = staged.as_ref().expect("reduced update is resident");
-                    fold_dense(folded, &sum[range.clone()]);
-                } else {
-                    // Worker-id order: the determinism contract. A
-                    // sparsely-staged worker scatter-folds just the
-                    // part of its support inside the range
-                    // (bit-identical — off-support slots hold only
-                    // signed zeros, which fold bit-neutrally); a dense
-                    // one folds the whole range. Mixed rosters keep
-                    // the same order.
-                    for (w, slot) in slots.iter().enumerate() {
-                        let nnz = stages
-                            .as_ref()
-                            .map_or(DENSE_PUSH, |stages| stages[w].lock().nnz);
-                        if nnz == DENSE_PUSH {
-                            let staged = slot.lock();
-                            let delta = staged.as_ref().expect("COMP preceded APPLY");
-                            fold_dense(folded, &delta[range.clone()]);
-                        } else {
-                            let stage = stages.as_ref().expect("sparse nnz")[w].lock();
-                            let (indices, values) =
-                                stage.pairs.as_ref().expect("COMP staged the pairs");
-                            fold_sparse(folded, range.start, &indices[..nnz], &values[..nnz]);
-                        }
-                    }
-                }
-                drop(model);
-                let gen = generation.load(Ordering::SeqCst);
-                let dt = clock.subtask_elapsed(t0, j, n, SubtaskKind::Apply, gen);
-                let _ = tx.send((j, n, SubtaskKind::Apply, gen, dt));
-            }) as SharedTask;
-            (n, task)
-        })
-        .collect();
+    let apply = {
+        let model = Arc::clone(model);
+        let slots = Arc::clone(update_bufs);
+        let stages = sparse.map(Arc::clone);
+        let generation = Arc::clone(generation);
+        let tx = event_tx.clone();
+        let clock = Arc::clone(&cluster.clock);
+        let node = j % cluster.nodes.len();
+        let parts = split_count(dop, model_len);
+        let task = Arc::new(move || {
+            let t0 = clock.now();
+            let staged = Staged {
+                slots: &slots,
+                stages: stages.as_deref().map(Vec::as_slice),
+                len: if all_reduce { 1 } else { dop },
+            };
+            fold_split(&mut model.write(), parts, &staged);
+            let gen = generation.load(Ordering::SeqCst);
+            let dt = clock.subtask_elapsed(t0, j, node, SubtaskKind::Apply, gen);
+            let _ = tx.send((j, node, SubtaskKind::Apply, gen, dt));
+        }) as SharedTask;
+        Some((node, task))
+    };
 
     TaskSet {
         pull,
@@ -450,7 +443,7 @@ fn submit_comm(
 }
 
 /// Opens `run`'s next iteration: new generation, then every worker's
-/// PULL of the model the last APPLYs left.
+/// PULL of the model the last APPLY left.
 fn begin_iteration(cluster: &PsCluster, ready: &mut VecDeque<Event>, j: usize, run: &mut JobRun) {
     run.iteration += 1;
     let gen = run.sync.begin_iteration();
@@ -507,8 +500,7 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
         run.all_reduce,
         run.sparse_stages.as_ref(),
     );
-    run.sync
-        .reconfigure(new_dop, apply_count(new_dop, run.model_len));
+    run.sync.reconfigure(new_dop);
     run.migrated = Some(MigrationRecord {
         at_iteration: run.iteration,
         from_dop,
@@ -550,7 +542,6 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
         let model = Arc::new(RwLock::new(model));
         let update_bufs = acquire_update_bufs(cluster, model_len, dop);
         let generation = Arc::new(AtomicU64::new(0));
-        let apply_count = apply_count(dop, model_len);
         let all_reduce = job.all_reduce;
         let sparse_stages = build_sparse_stages(cluster, dop, all_reduce);
 
@@ -566,7 +557,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             sparse_stages.as_ref(),
         );
 
-        let expected_events = (3 * dop + apply_count) as u64 * job.max_iterations.min(4096);
+        let expected_events = (3 * dop + 1) as u64 * job.max_iterations.min(4096);
         runs.push(JobRun {
             name: job.name,
             model_len,
@@ -575,7 +566,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             sparse_stages,
             model,
             generation,
-            sync: Synchronizer::new(dop, apply_count),
+            sync: Synchronizer::new(dop),
             tasks,
             iteration: 0,
             max_iterations: job.max_iterations,
@@ -662,20 +653,19 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                     // nodes), then hand the buffers back to their slots.
                     run.ring_scratch.clear();
                     for slot in run.update_bufs.iter() {
-                        let buf = slot.lock().take().expect("COMP preceded reduce");
+                        let buf = slot.write().take().expect("COMP preceded reduce");
                         run.ring_scratch.push(buf);
                     }
                     crate::allreduce::ring_all_reduce(&mut run.ring_scratch);
                     for (slot, buf) in run.update_bufs.iter().zip(run.ring_scratch.drain(..)) {
-                        *slot.lock() = Some(buf);
+                        *slot.write() = Some(buf);
                     }
                 }
-                for (n, task) in &run.tasks.apply {
-                    cluster.nodes[*n].comm.submit_shared(task);
-                }
+                let (n, task) = run.tasks.apply.as_ref().expect("tasks are built");
+                cluster.nodes[*n].comm.submit_shared(task);
             }
             SyncAction::IterationComplete => {
-                // The apply barrier just cleared, so every stage still
+                // The APPLY just landed, so every stage still
                 // holds this iteration's wire decision — account for it
                 // before anything can resubmit a COMP.
                 let dop = run.workers.len();
@@ -685,7 +675,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                 let bytes = match &run.sparse_stages {
                     Some(stages) => stages
                         .iter()
-                        .map(|stage| match stage.lock().nnz {
+                        .map(|stage| match stage.read().nnz {
                             DENSE_PUSH => per_worker_dense,
                             nnz => nnz as u64 * SPARSE_PAIR_BYTES,
                         })
@@ -752,20 +742,21 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::split_range;
 
     #[test]
-    fn apply_ranges_tile_the_model_on_stripe_boundaries() {
-        const S: usize = DEFAULT_STRIPE_LEN;
-        for model_len in [1, S - 1, S, S + 1, 3 * S + 5, 1_000_000] {
+    fn split_ranges_are_disjoint_and_cover_the_model() {
+        const FLOOR: usize = crate::fold::SPLIT_FOLD_MIN_SLOTS;
+        for model_len in [1, FLOOR - 1, FLOOR, FLOOR + 1, 1_000_000] {
             for dop in 1..=8 {
-                let count = apply_count(dop, model_len);
-                assert!((1..=dop).contains(&count), "len {model_len} dop {dop}");
+                let parts = split_count(dop, model_len);
+                let want = if model_len < FLOOR { 1 } else { dop };
+                assert_eq!(parts, want, "len {model_len} dop {dop}");
                 let mut next = 0;
-                for n in 0..count {
-                    let r = apply_range(n, count, model_len);
-                    let at = format!("len {model_len} dop {dop} task {n}: {r:?}");
+                for n in 0..parts {
+                    let r = split_range(n, parts, model_len);
+                    let at = format!("len {model_len} dop {dop} part {n}: {r:?}");
                     assert_eq!(r.start, next, "{at}: gap or overlap");
-                    assert_eq!(r.start % S, 0, "{at}: starts inside a stripe");
                     assert!(r.start < r.end, "{at}: empty");
                     next = r.end;
                 }

@@ -11,6 +11,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::fold::{fold_dense, fold_sparse};
+
 /// A model vector sharded across nodes.
 ///
 /// Cloning is cheap (shared `Arc`s): clones refer to the same model.
@@ -192,8 +194,7 @@ impl std::fmt::Debug for ShardedModel {
 /// Default [`StripedModel`] stripe length: 8192 parameters (64 KiB),
 /// small enough that contended pushes from different workers rarely
 /// wait on the same lock, large enough that lock traffic stays
-/// negligible next to the adds. The PS runtime splits a model among
-/// its APPLY tasks on multiples of it.
+/// negligible next to the adds.
 pub const DEFAULT_STRIPE_LEN: usize = 8192;
 
 /// A model vector in fixed-length stripes, each behind its own lock.
@@ -202,13 +203,13 @@ pub const DEFAULT_STRIPE_LEN: usize = 8192;
 /// server node), `StripedModel` sizes its lock granularity for
 /// *contention*: writers working on disjoint stripe ranges never touch
 /// the same lock, so concurrent folds scale with stripes, not nodes.
-/// Its adds run the same fold kernels as the PS runtime's APPLY
-/// subtasks, which fold into one contiguous model buffer over
-/// stripe-aligned ranges instead. Determinism rule for callers: fold
-/// contributor deltas into every stripe in one fixed (worker-id)
-/// order, so the aggregate is bit-identical however the contributions
-/// raced — f64 addition is not associative, so the fold order, not
-/// just the operand set, must be fixed.
+/// Its adds run the same one-delta fold kernels as the PS runtime's
+/// APPLY subtasks, which fold into one contiguous model buffer instead
+/// (and two dense deltas at a time where they can). Determinism rule
+/// for callers: fold contributor deltas into every stripe in one fixed
+/// (worker-id) order, so the aggregate is bit-identical however the
+/// contributions raced — f64 addition is not associative, so the fold
+/// order, not just the operand set, must be fixed.
 ///
 /// Cloning is cheap (shared `Arc`): clones refer to the same model.
 #[derive(Clone)]
@@ -360,41 +361,6 @@ impl std::fmt::Debug for StripedModel {
             .field("stripe_len", &self.stripe_len)
             .field("stripes", &self.stripes.len())
             .finish()
-    }
-}
-
-/// Adds `delta` into `model` slot by slot: the dense fold kernel behind
-/// [`StripedModel::stripe_add`] and the PS runtime's APPLY subtasks.
-///
-/// # Panics
-///
-/// Panics if `model` and `delta` differ in length.
-pub(crate) fn fold_dense(model: &mut [f64], delta: &[f64]) {
-    assert_eq!(model.len(), delta.len(), "fold length mismatch");
-    for (w, d) in model.iter_mut().zip(delta) {
-        *w += d;
-    }
-}
-
-/// Scatter-adds the part of a coordinate-sparse delta that falls inside
-/// `model`, a slice holding model-global slots `start..start +
-/// model.len()`: `indices` are sorted unique model-global coordinates
-/// and `values[k]` is the delta at `indices[k]`. The coordinates in
-/// range are found by binary search, so a range crossed by none costs
-/// `O(log nnz)`. The sparse kernel behind
-/// [`StripedModel::stripe_add_sparse`] and the PS runtime's APPLY
-/// subtasks; see there for why it folds to the dense kernel's bits.
-///
-/// # Panics
-///
-/// Panics if `indices` and `values` differ in length.
-pub(crate) fn fold_sparse(model: &mut [f64], start: usize, indices: &[u32], values: &[f64]) {
-    assert_eq!(indices.len(), values.len(), "sparse delta length mismatch");
-    let end = start + model.len();
-    let lo = indices.partition_point(|&i| (i as usize) < start);
-    let hi = indices.partition_point(|&i| (i as usize) < end);
-    for (&i, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
-        model[i as usize - start] += v;
     }
 }
 

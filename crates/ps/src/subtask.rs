@@ -7,9 +7,9 @@ use std::time::Duration;
 ///
 /// `Pull` and `Push` are the network-dominant COMM subtasks; `Comp` is
 /// the CPU-dominant computation subtask. `Apply` is the server-side
-/// aggregation the fast runtime executes as explicit parallel tasks
-/// (the reference runtime folds updates inside the PUSH subtask
-/// instead, so it never emits `Apply` timings).
+/// aggregation the fast runtime executes as one explicit subtask per
+/// job-iteration (the reference runtime folds updates inside the PUSH
+/// subtask instead, so it never emits `Apply` timings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubtaskKind {
     /// Fetch the current model from the servers (COMM).
@@ -75,9 +75,9 @@ pub enum SyncAction {
     /// A worker's COMP landed: submit its PUSH.
     StartPush,
     /// Every worker's PUSH landed: reduce (all-reduce jobs) and submit
-    /// the apply tasks.
+    /// the APPLY.
     ReduceAndApply,
-    /// Every apply task landed: the iteration is complete.
+    /// The APPLY landed: the iteration is complete.
     IterationComplete,
     /// Other subtasks of this iteration are still in flight.
     InFlight,
@@ -87,7 +87,7 @@ pub enum SyncAction {
 ///
 /// The pipeline issues a worker's next subtask the moment its previous
 /// one completes — per-worker progress is independent until the PUSH
-/// barrier, then the apply barrier ends the iteration. The generation
+/// barrier, then the iteration's one APPLY ends it. The generation
 /// counter stamps every submitted subtask; completion events carry it
 /// back, so a stale event from a previous iteration (impossible under
 /// the current master loop, but the invariant that *proves* the
@@ -96,28 +96,24 @@ pub enum SyncAction {
 #[derive(Debug)]
 pub struct Synchronizer {
     dop: usize,
-    apply_tasks: usize,
     generation: u64,
     pushes_seen: usize,
-    applies_seen: usize,
+    applied: bool,
 }
 
 impl Synchronizer {
-    /// A synchronizer for `dop` workers and `apply_tasks` parallel
-    /// apply tasks per iteration.
+    /// A synchronizer for `dop` workers and one APPLY per iteration.
     ///
     /// # Panics
     ///
-    /// Panics if either count is zero.
-    pub fn new(dop: usize, apply_tasks: usize) -> Self {
+    /// Panics if `dop` is zero.
+    pub fn new(dop: usize) -> Self {
         assert!(dop > 0, "need at least one worker");
-        assert!(apply_tasks > 0, "need at least one apply task");
         Self {
             dop,
-            apply_tasks,
             generation: 0,
             pushes_seen: 0,
-            applies_seen: 0,
+            applied: false,
         }
     }
 
@@ -132,26 +128,24 @@ impl Synchronizer {
     pub fn begin_iteration(&mut self) -> u64 {
         self.generation += 1;
         self.pushes_seen = 0;
-        self.applies_seen = 0;
+        self.applied = false;
         self.generation
     }
 
-    /// Re-shapes the barrier for a migrated job: new worker count, new
-    /// apply-task count, *same* generation counter. Migration happens at
-    /// an iteration boundary (no subtasks in flight), so the generation
-    /// stream stays monotonic across the move and in-flight staleness
-    /// detection keeps working.
+    /// Re-shapes the barrier for a migrated job: new worker count,
+    /// *same* generation counter. Migration happens at an iteration
+    /// boundary (no subtasks in flight), so the generation stream stays
+    /// monotonic across the move and in-flight staleness detection keeps
+    /// working.
     ///
     /// # Panics
     ///
-    /// Panics if either count is zero.
-    pub fn reconfigure(&mut self, dop: usize, apply_tasks: usize) {
+    /// Panics if `dop` is zero.
+    pub fn reconfigure(&mut self, dop: usize) {
         assert!(dop > 0, "need at least one worker");
-        assert!(apply_tasks > 0, "need at least one apply task");
         self.dop = dop;
-        self.apply_tasks = apply_tasks;
         self.pushes_seen = 0;
-        self.applies_seen = 0;
+        self.applied = false;
     }
 
     /// Records one subtask completion and returns what to do next.
@@ -160,7 +154,8 @@ impl Synchronizer {
     ///
     /// Panics if `generation` is not the current one (a stale in-flight
     /// subtask crossed an iteration boundary — a pipeline bug), or if a
-    /// barrier overflows (more PUSH/APPLY events than workers/tasks).
+    /// barrier overflows (more PUSH events than workers, or a second
+    /// APPLY in one generation).
     pub fn on_subtask(&mut self, kind: SubtaskKind, generation: u64) -> SyncAction {
         assert_eq!(
             generation, self.generation,
@@ -180,16 +175,9 @@ impl Synchronizer {
                 }
             }
             SubtaskKind::Apply => {
-                self.applies_seen += 1;
-                assert!(
-                    self.applies_seen <= self.apply_tasks,
-                    "APPLY barrier overflow"
-                );
-                if self.applies_seen == self.apply_tasks {
-                    SyncAction::IterationComplete
-                } else {
-                    SyncAction::InFlight
-                }
+                assert!(!self.applied, "APPLY barrier overflow");
+                self.applied = true;
+                SyncAction::IterationComplete
             }
         }
     }
@@ -225,7 +213,7 @@ mod tests {
 
     #[test]
     fn one_full_iteration_of_two_workers() {
-        let mut sync = Synchronizer::new(2, 2);
+        let mut sync = Synchronizer::new(2);
         let g = sync.begin_iteration();
         assert_eq!(g, 1);
         assert_eq!(
@@ -244,7 +232,6 @@ mod tests {
             sync.on_subtask(SubtaskKind::Push, g),
             SyncAction::ReduceAndApply
         );
-        assert_eq!(sync.on_subtask(SubtaskKind::Apply, g), SyncAction::InFlight);
         assert_eq!(
             sync.on_subtask(SubtaskKind::Apply, g),
             SyncAction::IterationComplete
@@ -254,14 +241,13 @@ mod tests {
 
     #[test]
     fn reconfigure_preserves_generation_and_resizes_barriers() {
-        let mut sync = Synchronizer::new(2, 2);
+        let mut sync = Synchronizer::new(2);
         let g1 = sync.begin_iteration();
         let _ = sync.on_subtask(SubtaskKind::Push, g1);
         let _ = sync.on_subtask(SubtaskKind::Push, g1);
         let _ = sync.on_subtask(SubtaskKind::Apply, g1);
-        let _ = sync.on_subtask(SubtaskKind::Apply, g1);
         // Migrate 2 workers -> 3 at the boundary: generation continues.
-        sync.reconfigure(3, 1);
+        sync.reconfigure(3);
         assert_eq!(sync.generation(), g1);
         let g2 = sync.begin_iteration();
         assert_eq!(g2, g1 + 1);
@@ -280,7 +266,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale")]
     fn stale_generation_is_rejected() {
-        let mut sync = Synchronizer::new(1, 1);
+        let mut sync = Synchronizer::new(1);
         sync.begin_iteration();
         sync.begin_iteration();
         let _ = sync.on_subtask(SubtaskKind::Pull, 1);
@@ -289,9 +275,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "PUSH barrier overflow")]
     fn push_overflow_is_rejected() {
-        let mut sync = Synchronizer::new(1, 1);
+        let mut sync = Synchronizer::new(1);
         let g = sync.begin_iteration();
         let _ = sync.on_subtask(SubtaskKind::Push, g);
         let _ = sync.on_subtask(SubtaskKind::Push, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "APPLY barrier overflow")]
+    fn a_second_apply_in_one_generation_is_rejected() {
+        let mut sync = Synchronizer::new(2);
+        let g = sync.begin_iteration();
+        let _ = sync.on_subtask(SubtaskKind::Push, g);
+        let _ = sync.on_subtask(SubtaskKind::Push, g);
+        let _ = sync.on_subtask(SubtaskKind::Apply, g);
+        let _ = sync.on_subtask(SubtaskKind::Apply, g);
     }
 }

@@ -5,6 +5,9 @@
 //! and arbitrary stripe application orders — and, through the runtime
 //! itself, for a worker whose support crosses the density cutoff in
 //! both directions mid-run (its staging is checked out on demand).
+//! The APPLY's one-pass fold — dense workers two at a time, split into
+//! parts folded on scoped threads — is held to one fold per worker in
+//! worker-id order for any roster and any split count.
 //!
 //! The contract under test (see `StripedModel::stripe_add_sparse` and
 //! `PsAlgorithm::sparse_support`): a sparse PUSH may omit exactly the
@@ -31,6 +34,14 @@ use harmony_ml::PsAlgorithm;
 use harmony_ps::{
     JobBuilder, PsCluster, PsConfig, StripedModel, DEFAULT_STRIPE_LEN, SPARSE_DENSITY_THRESHOLD,
 };
+
+/// The runtime's fold module itself, compiled into this test: it is
+/// crate-private and depends on `std` alone.
+#[allow(dead_code)]
+#[path = "../src/fold.rs"]
+mod fold;
+
+use fold::{Delta, Roster};
 
 fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -303,7 +314,7 @@ impl PsAlgorithm for Flicker {
 
 #[test]
 fn support_crossing_the_cutoff_mid_run_stays_bit_identical() {
-    // Three stripes with a ragged tail, so two APPLY tasks fold.
+    // Three stripes with a ragged tail.
     let len = 2 * DEFAULT_STRIPE_LEN + 100;
     let cutoff = (SPARSE_DENSITY_THRESHOLD * len as f64) as usize;
     assert_eq!(cutoff as f64, SPARSE_DENSITY_THRESHOLD * len as f64);
@@ -363,4 +374,129 @@ fn support_crossing_the_cutoff_mid_run_stays_bit_identical() {
     assert_eq!((pool.allocations, pool.outstanding), (1 + 3 * 2, 0));
     let (_, pool) = run(true, &[scripts[0].clone(), vec![len; iters]]);
     assert_eq!((pool.allocations, pool.outstanding), (1 + 2 + 2, 0));
+}
+
+/// SplitMix64: a cheap deterministic stream, so a case can fill models
+/// of a quarter-million slots without drawing each one from the runner.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d1_049b_133b_11eb);
+    z ^ (z >> 31)
+}
+
+/// A value for the fold test: one in four a special — `±0.0`, a
+/// subnormal of either sign, `±∞` — the rest arbitrary non-NaN bit
+/// patterns. NaN inputs are left out: Rust leaves open which payload an
+/// addition of two NaNs keeps, so no formulation of a fold is
+/// bit-stable on them. `∞ + (-∞)` still makes NaNs here, all of them
+/// the one NaN the hardware produces.
+fn fold_value(seed: u64) -> f64 {
+    const SPECIAL: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 3.0,
+        -f64::MIN_POSITIVE / 7.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let z = mix(seed);
+    if z & 3 == 0 {
+        SPECIAL[(z >> 2) as usize % SPECIAL.len()]
+    } else {
+        let bits = mix(z);
+        match f64::from_bits(bits) {
+            // Clearing the exponent's top bit leaves a finite value.
+            v if v.is_nan() => f64::from_bits(bits & !(1 << 62)),
+            v => v,
+        }
+    }
+}
+
+/// One worker's staged delta in the fold test.
+enum Staged {
+    Dense(Vec<f64>),
+    Sparse(Vec<u32>, Vec<f64>),
+}
+
+/// The first `len` of `deltas`: every worker, or slot 0 alone after a
+/// ring all-reduce.
+struct TestRoster {
+    deltas: Vec<Staged>,
+    len: usize,
+}
+
+impl Roster for TestRoster {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn with_delta<R>(&self, w: usize, f: impl FnOnce(Delta<'_>) -> R) -> R {
+        f(match &self.deltas[w] {
+            Staged::Dense(d) => Delta::Dense(d),
+            Staged::Sparse(i, v) => Delta::Sparse(i, v),
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The one-pass fold gives the bits of one `fold_dense` or
+    /// `fold_sparse` per worker in worker-id order, for rosters of DoP
+    /// 1–8 mixing dense and sparse workers, an all-reduce slot, models
+    /// on both sides of the split floor and every split count 1–8.
+    #[test]
+    fn one_pass_split_fold_matches_per_worker_folds(
+        size in (0usize..4, 1usize..300),
+        dop in 1usize..9,
+        sparse_mask in 0u64..256,
+        all_reduce in any::<bool>(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        const FLOOR: usize = fold::SPLIT_FOLD_MIN_SLOTS;
+        let len = match size {
+            (0 | 1, n) => n,
+            (2, n) => FLOOR - n,
+            (_, n) => FLOOR + n,
+        };
+        let stream = |w: usize, salt: u64| mix(seed ^ ((w as u64) << 40) ^ (salt << 56));
+        let deltas: Vec<Staged> = (0..dop)
+            .map(|w| {
+                let s = stream(w, 1);
+                if (sparse_mask >> w) & 1 == 1 && !(all_reduce && w == 0) {
+                    let mut support: Vec<u32> = (0..mix(s) % 64)
+                        .map(|k| (mix(s ^ k) % len as u64) as u32)
+                        .collect();
+                    support.sort_unstable();
+                    support.dedup();
+                    let values = support.iter().map(|&i| fold_value(s ^ u64::from(i))).collect();
+                    Staged::Sparse(support, values)
+                } else {
+                    Staged::Dense((0..len as u64).map(|i| fold_value(s ^ i)).collect())
+                }
+            })
+            .collect();
+        let roster = TestRoster {
+            deltas,
+            len: if all_reduce { 1 } else { dop },
+        };
+        let model: Vec<f64> = (0..len as u64).map(|i| fold_value(stream(0, 2) ^ i)).collect();
+
+        let mut want = model.clone();
+        for delta in &roster.deltas[..roster.len] {
+            match delta {
+                Staged::Dense(d) => fold::fold_dense(&mut want, d),
+                Staged::Sparse(i, v) => fold::fold_sparse(&mut want, 0, i, v),
+            }
+        }
+        for parts in 1..=8 {
+            let mut got = model.clone();
+            fold::fold_split(&mut got, parts, &roster);
+            prop_assert!(
+                to_bits(&got) == to_bits(&want),
+                "len {len} dop {dop} mask {sparse_mask:#x} all-reduce {all_reduce} parts {parts}"
+            );
+        }
+    }
 }

@@ -4,8 +4,8 @@
 # seed at a time, summarized per end-to-end metric.
 #
 # Usage: scripts/bench_pairs.sh <parent-ref> [--pairs N] [--first-seed F]
-#                              [--seconds S] [--traced M1,M2,...]
-#                              [workload...]
+#                              [--seconds S] [--metric M]
+#                              [--traced M1,M2,...] [workload...]
 #
 #   <parent-ref>  the commit to compare the working tree against. Its
 #                 files are unpacked (git archive) under
@@ -17,6 +17,10 @@
 #                 1..10 is re-checked on fresh ones with --first-seed 11
 #   --seconds S   timed seconds per run (default: run_seconds in
 #                 BENCHMARK.json)
+#   --metric M    after the summary, one `seed  parent → change  ratio`
+#                 row per seed of end-to-end metric M, per workload: a
+#                 single disturbed seed can decide a median, and these
+#                 rows show which one did
 #   --traced M1,M2,...
 #                 after the pairs, one `--trace 1` run per side and
 #                 workload at seed 1, printed as `metric  parent → change`
@@ -57,12 +61,14 @@ FIRST_SEED=1
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 WORKLOADS=""
 TRACED=""
+METRIC=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) PAIRS=$2; shift 2 ;;
         --first-seed) FIRST_SEED=$2; shift 2 ;;
         --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
         --traced) TRACED=$2; shift 2 ;;
+        --metric) METRIC=$2; shift 2 ;;
         --*) echo "unknown option: $1" >&2; exit 2 ;;
         *) WORKLOADS="$WORKLOADS $1"; shift ;;
     esac
@@ -187,6 +193,24 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
             }
         }
     }' - "$RESULTS"
+
+if [ -n "$METRIC" ]; then
+    for w in $WORKLOADS; do
+        printf '\n%s — %s per seed\n' "$w" "$METRIC"
+        awk -F'\t' -v w="$w" -v m="$METRIC" -v first="$FIRST_SEED" -v pairs="$PAIRS" '
+            $1 == w && $4 == m { v[$2, $3] = $5 }
+            END {
+                for (seed = first; seed < first + pairs; seed++) {
+                    if (!((seed, "parent") in v) || !((seed, "change") in v)) {
+                        printf "  %4d  no value\n", seed
+                        continue
+                    }
+                    a = v[seed, "parent"]; b = v[seed, "change"]
+                    printf "  %4d  %.6g → %.6g  %s\n", seed, a, b, a != 0 ? sprintf("x%.3f", b / a) : "-"
+                }
+            }' "$RESULTS"
+    done
+fi
 
 [ -n "$TRACED" ] || exit 0
 

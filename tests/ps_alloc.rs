@@ -9,7 +9,9 @@
 //! regardless of iteration count, so equal totals prove the extra
 //! iterations allocated nothing: the model, update buffers, ML scratch,
 //! the ring reduction, and the event channel are all reused. A third
-//! holds the bytes a warmed run allocates to its model-sized budget.
+//! holds the bytes a warmed run allocates to its model-sized budget,
+//! and a fourth bounds what a model large enough for the APPLY to split
+//! its fold across scoped threads allocates per iteration.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,10 +23,17 @@ use harmony::ps::{JobBuilder, PsCluster, PsConfig, TrainingJob};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Allocations of [`LARGE_ALLOC`] bytes or more.
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+const LARGE_ALLOC: usize = 1024;
 
 fn tally(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    if bytes >= LARGE_ALLOC {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct CountingAllocator;
@@ -230,5 +239,81 @@ fn a_warmed_run_allocates_two_model_sizes() {
     assert!(
         model_sizes < 2.5,
         "a warmed run allocated {model_sizes:.3} model-sizes of bytes"
+    );
+}
+
+/// Parameters of the split audit's model: 2¹⁹, so its APPLY folds in
+/// two parts, the second on a thread scoped to the fold.
+const SPLIT_FEATURES: usize = 1 << 19;
+
+/// The most allocations one iteration of the split audit may make: the
+/// scoped spawn allocates a few small blocks (the scope's and the
+/// thread's shared state, the boxed closure), never a buffer.
+const SPLIT_ALLOCS_PER_ITER: u64 = 8;
+
+/// One 2-worker Lasso run over a `SPLIT_FEATURES`-parameter model.
+fn run_split_lasso(cluster: &PsCluster, iters: u64) {
+    let data = synth::regression(16, SPLIT_FEATURES, 0.000_1, 5);
+    let job =
+        JobBuilder::new("split-audit")
+            .workers(synth::partition(&data, 2).into_iter().map(|p| {
+                Box::new(Lasso::new(p, SPLIT_FEATURES, 0.05, 0.01)) as Box<dyn PsAlgorithm>
+            }))
+            .max_iterations(iters)
+            .check_every(1_000_000)
+            .build();
+    let _ = cluster.run_jobs(vec![job]);
+    assert_settled(cluster);
+}
+
+#[test]
+fn a_split_fold_allocates_a_few_small_blocks_per_iteration() {
+    let _audit = exclusive_audit();
+    let cluster = PsCluster::new(PsConfig {
+        nodes: 2,
+        network_bytes_per_sec: None,
+        fast_runtime: true,
+        live_migration: false,
+        sparse_push: true,
+    });
+    run_split_lasso(&cluster, 60);
+
+    // Per-run setup (the synthetic data, `init_model`, `final_model`,
+    // records sized by the iteration count — over `LARGE_ALLOC` bytes
+    // in both runs) is the same for both, so what the 50 extra
+    // iterations allocate is the difference: the same small count
+    // each, and not one block of `LARGE_ALLOC` bytes or more.
+    let extra = 50;
+    let mut attempts = Vec::new();
+    for _ in 0..3 {
+        let (a0, l0) = (
+            ALLOCS.load(Ordering::Relaxed),
+            LARGE.load(Ordering::Relaxed),
+        );
+        run_split_lasso(&cluster, 60);
+        let (a1, l1) = (
+            ALLOCS.load(Ordering::Relaxed),
+            LARGE.load(Ordering::Relaxed),
+        );
+        run_split_lasso(&cluster, 60 + extra);
+        let (a2, l2) = (
+            ALLOCS.load(Ordering::Relaxed),
+            LARGE.load(Ordering::Relaxed),
+        );
+
+        let (short, long) = (a1 - a0, a2 - a1);
+        let (large_short, large_long) = (l1 - l0, l2 - l1);
+        if large_long == large_short
+            && long >= short
+            && (long - short) % extra == 0
+            && long - short <= SPLIT_ALLOCS_PER_ITER * extra
+        {
+            return;
+        }
+        attempts.push((short, long, large_short, large_long));
+    }
+    panic!(
+        "split-fold iterations allocated more than a fixed few small blocks each: \
+         (short, long, short >= 1 KiB, long >= 1 KiB) counts per attempt = {attempts:?}"
     );
 }

@@ -411,21 +411,20 @@ fn zero_wire_matches_a_wire_through_the_comm_executors() {
     }
     assert!(local[5].aborted && local[5].iterations == 2);
 
-    // Every model here fits one stripe: one APPLY task per iteration,
-    // on node 0. A finished iteration also ran one PULL and one PUSH on
-    // each of its workers' nodes; the aborted job's doomed iteration,
-    // its PULLs alone.
-    let mut applies = 0;
+    // One APPLY per job-iteration, on node `job mod nodes`. A finished
+    // iteration also ran one PULL and one PUSH on each of its workers'
+    // nodes; the aborted job's doomed iteration, its PULLs alone.
+    let mut applies = [0usize; 4];
     let mut wire_subtasks = [0usize; 4];
-    for (spec, report) in specs().iter().zip(&local) {
-        applies += report.iterations as usize;
+    for (j, (spec, report)) in specs().iter().zip(&local).enumerate() {
+        applies[j % 4] += report.iterations as usize;
         for node in wire_subtasks.iter_mut().take(spec.workers) {
             *node += 2 * report.iterations as usize + usize::from(report.aborted);
         }
     }
     for (n, ((l_cpu, l_comm), (w_cpu, w_comm))) in local_stats.iter().zip(&wired_stats).enumerate()
     {
-        let folds = if n == 0 { applies } else { 0 };
+        let folds = applies[n];
         assert_eq!(l_comm.completed, folds, "node {n}: zero-wire COMM tasks");
         assert_eq!(
             w_comm.completed,
