@@ -27,12 +27,12 @@
 //! with behaviour.
 
 use harmony::core::oracle::OracleScheduler;
-use harmony::core::{AppKind, JobSpec, SyncKind};
+use harmony::core::{AppKind, JobSpec, SchedulerConfig, SyncKind};
 use harmony::mem::GcModel;
 use harmony::metrics::{OnlineStats, Timeline};
 use harmony::sim::{
-    CompShift, Driver, FaultKind, QueueCap, ReloadPolicy, RunReport, SchedulerKind, SimConfig,
-    UtilityThreshold, WorkloadGen, WorkloadGenConfig,
+    CompShift, Driver, FaultKind, FaultPlan, FaultRates, QueueCap, ReloadPolicy, RunReport,
+    SchedulerKind, SimConfig, UtilityThreshold, WorkloadGen, WorkloadGenConfig,
 };
 use harmony::trace::{faults, workload_with, WorkloadParams};
 
@@ -161,6 +161,7 @@ fn legacy_bytes(r: &RunReport) -> Vec<u8> {
 /// fingerprint format (`legacy_bytes`; frozen across commits) and of
 /// `canonical_bytes` as written since utilization timelines are stored
 /// as runs.
+#[derive(Clone, Copy)]
 struct Golden {
     legacy: u64,
     v2: u64,
@@ -538,6 +539,244 @@ fn churn_on_baselines() {
     }
 }
 
+/// `workload_with` at `epoch_scale`, its first `take` jobs: the small
+/// workloads of the cells below.
+fn tiny_specs(hyper_params: u32, epoch_scale: f64, take: usize) -> Vec<JobSpec> {
+    workload_with(WorkloadParams {
+        hyper_params,
+        epoch_scale,
+        ..WorkloadParams::default()
+    })
+    .into_iter()
+    .take(take)
+    .collect()
+}
+
+/// `machines` machines, seed 0, no straggler noise.
+fn tiny_cfg(machines: u32) -> SimConfig {
+    SimConfig {
+        machines,
+        straggler_cv: 0.0,
+        ..SimConfig::default()
+    }
+}
+
+/// The event-path and regrouper arms a cell runs on: the default, the
+/// regrouper without its term cache and saturation prune, and the
+/// reference arm (original event path, non-incremental regrouper,
+/// exhaustive candidate scans).
+fn arms(cfg: &SimConfig) -> [(&'static str, SimConfig); 3] {
+    [
+        ("default", cfg.clone()),
+        (
+            "non-incremental",
+            SimConfig {
+                incremental_resched: false,
+                ..cfg.clone()
+            },
+        ),
+        (
+            "reference",
+            SimConfig {
+                fast_event_path: false,
+                incremental_resched: false,
+                scheduler_config: SchedulerConfig {
+                    exact_prunes: false,
+                    ..cfg.scheduler_config
+                },
+                ..cfg.clone()
+            },
+        ),
+    ]
+}
+
+/// Runs one cell on every arm and holds each to its pinned digests.
+fn assert_cell(label: &str, cfg: SimConfig, jobs: &[JobSpec], arrivals: &[f64], want: Golden) {
+    for (arm, cfg) in arms(&cfg) {
+        let r = Driver::run(cfg, jobs.to_vec(), arrivals.to_vec());
+        assert_golden(&format!("{label} [{arm}]"), &r, want);
+    }
+}
+
+/// One profiled batch through regroup and completion, Harmony on 12
+/// machines.
+#[test]
+fn tiny_batch() {
+    let jobs = tiny_specs(1, 0.25, 6);
+    let arrivals = vec![0.0; jobs.len()];
+    assert_cell("tiny_batch", tiny_cfg(12), &jobs, &arrivals, TINY_BATCH);
+}
+
+/// The `tiny_batch` cell under the other scheduler kinds; the oracle
+/// also takes the non-reusing decision branch.
+#[test]
+fn tiny_batch_scheduler_kinds() {
+    let jobs = tiny_specs(1, 0.25, 6);
+    let arrivals = vec![0.0; jobs.len()];
+    for (label, scheduler, want) in [
+        (
+            "tiny_batch_oracle",
+            SchedulerKind::Oracle,
+            TINY_BATCH_ORACLE,
+        ),
+        (
+            "tiny_batch_isolated",
+            SchedulerKind::Isolated,
+            TINY_BATCH_ISOLATED,
+        ),
+        (
+            "tiny_batch_naive",
+            SchedulerKind::Naive {
+                jobs_per_group: 3,
+                seed: 4,
+            },
+            TINY_BATCH_NAIVE,
+        ),
+    ] {
+        let cfg = SimConfig {
+            scheduler,
+            ..tiny_cfg(12)
+        };
+        assert_cell(label, cfg, &jobs, &arrivals, want);
+    }
+}
+
+/// Arrivals 40 s apart with a backlog threshold of 2: the waiting
+/// reschedule and the arrival → profile → regroup pipeline fire across
+/// many instants.
+#[test]
+fn tiny_staggered_arrivals() {
+    let jobs = tiny_specs(2, 0.3, 12);
+    let arrivals = staggered(jobs.len(), 40.0);
+    let cfg = SimConfig {
+        waiting_reschedule_threshold: 2,
+        ..tiny_cfg(20)
+    };
+    assert_cell("tiny_staggered", cfg, &jobs, &arrivals, TINY_STAGGERED);
+}
+
+/// Straggler noise and profile-error injection perturb every float the
+/// driver caches.
+#[test]
+fn tiny_noisy_profiles() {
+    let jobs = tiny_specs(1, 0.3, 8);
+    let arrivals = vec![0.0; jobs.len()];
+    let cfg = SimConfig {
+        straggler_cv: 0.05,
+        error_injection: 0.15,
+        seed: 9,
+        ..tiny_cfg(16)
+    };
+    assert_cell("tiny_noisy", cfg, &jobs, &arrivals, TINY_NOISY);
+}
+
+/// One crash at 40 % of the fault-free makespan, then a
+/// crash/slowdown/abort plan: jobs detach, groups dissolve and regroup
+/// mid-flight.
+#[test]
+fn tiny_fault_scenarios() {
+    let jobs = tiny_specs(1, 0.3, 8);
+    let arrivals = vec![0.0; jobs.len()];
+    let horizon = Driver::run(tiny_cfg(16), jobs.clone(), arrivals.clone()).makespan;
+    let crash = SimConfig {
+        fault_plan: Some(FaultPlan::single_crash(42, horizon * 0.4)),
+        reload: ReloadPolicy::Adaptive,
+        ..tiny_cfg(16)
+    };
+    assert_cell(
+        "tiny_single_crash",
+        crash,
+        &jobs,
+        &arrivals,
+        TINY_SINGLE_CRASH,
+    );
+    let rates = FaultRates {
+        crash_mtbf_secs: Some(horizon * 0.5),
+        slowdown_mtbf_secs: Some(horizon * 0.4),
+        abort_mtbf_secs: Some(horizon * 0.8),
+        ..FaultRates::default()
+    };
+    let churn = SimConfig {
+        fault_plan: Some(FaultPlan::generate(7, horizon * 1.5, &rates)),
+        ..tiny_cfg(16)
+    };
+    assert_cell("tiny_churn", churn, &jobs, &arrivals, TINY_CHURN);
+}
+
+/// Arrivals 25 s apart under every scheduler kind, and Harmony under a
+/// crash/abort plan: the regrouper's term cache and saturation prune on
+/// each decision path.
+#[test]
+fn tiny_regroup_paths() {
+    let mk =
+        |scheduler: SchedulerKind, fault_plan: Option<FaultPlan>, threshold: usize| SimConfig {
+            scheduler,
+            fault_plan,
+            waiting_reschedule_threshold: threshold,
+            ..tiny_cfg(16)
+        };
+    let jobs = tiny_specs(1, 0.3, 8);
+    let horizon = Driver::run(
+        mk(SchedulerKind::Harmony, None, 8),
+        jobs.clone(),
+        vec![0.0; jobs.len()],
+    )
+    .makespan;
+    let rates = FaultRates {
+        crash_mtbf_secs: Some(horizon * 0.5),
+        abort_mtbf_secs: Some(horizon * 0.8),
+        ..FaultRates::default()
+    };
+    let churn = FaultPlan::generate(11, horizon * 1.5, &rates);
+    let naive = SchedulerKind::Naive {
+        jobs_per_group: 3,
+        seed: 4,
+    };
+    let arrivals = staggered(jobs.len(), 25.0);
+    for (label, cfg, want) in [
+        (
+            "regroup_harmony",
+            mk(SchedulerKind::Harmony, None, 2),
+            REGROUP_HARMONY,
+        ),
+        (
+            "regroup_oracle",
+            mk(SchedulerKind::Oracle, None, 8),
+            REGROUP_ORACLE,
+        ),
+        (
+            "regroup_isolated",
+            mk(SchedulerKind::Isolated, None, 8),
+            REGROUP_ISOLATED,
+        ),
+        ("regroup_naive", mk(naive, None, 8), REGROUP_NAIVE),
+        (
+            "regroup_harmony_churn",
+            mk(SchedulerKind::Harmony, Some(churn), 2),
+            REGROUP_HARMONY_CHURN,
+        ),
+    ] {
+        assert_cell(label, cfg, &jobs, &arrivals, want);
+    }
+}
+
+/// Six drawn configurations — `(seed, machines, jobs, backlog
+/// threshold, arrival spacing)` — over the first jobs of a
+/// two-hyper-parameter workload.
+#[test]
+fn tiny_random_draws() {
+    for (i, &(seed, machines, take, threshold, spacing, want)) in RANDOM_DRAWS.iter().enumerate() {
+        let jobs = tiny_specs(2, 0.25, take);
+        let arrivals = staggered(jobs.len(), spacing);
+        let cfg = SimConfig {
+            seed,
+            waiting_reschedule_threshold: threshold,
+            ..tiny_cfg(machines)
+        };
+        assert_cell(&format!("random_draw_{i}"), cfg, &jobs, &arrivals, want);
+    }
+}
+
 const CLOSED_BATCH_HARMONY: Golden = Golden {
     legacy: 0x3a32_8ca9_68b8_c29e,
     v2: 0xeab1_64ae_b7bd_a9f0,
@@ -605,3 +844,127 @@ const CHURN_NAIVE: Golden = Golden {
     legacy: 0xd59f_7cc9_9473_d278,
     v2: 0x140e_ba84_f3eb_1460,
 };
+
+// Captured from the reference arm (original event path,
+// non-incremental regrouper, exhaustive candidate scans).
+const TINY_BATCH: Golden = Golden {
+    legacy: 0xe392_a660_c963_0fc6,
+    v2: 0x0137_1900_2bda_2603,
+};
+const TINY_BATCH_ORACLE: Golden = Golden {
+    legacy: 0x91c2_17e0_862f_3869,
+    v2: 0x117d_3fbb_811d_2c69,
+};
+const TINY_BATCH_ISOLATED: Golden = Golden {
+    legacy: 0x0dd1_b559_71e0_0fc0,
+    v2: 0xd2ae_bc97_3dc0_e75c,
+};
+const TINY_BATCH_NAIVE: Golden = Golden {
+    legacy: 0xeea9_615d_d570_06a8,
+    v2: 0x1b67_d92f_1601_9181,
+};
+const TINY_STAGGERED: Golden = Golden {
+    legacy: 0xa41a_7faa_2a5f_48db,
+    v2: 0x1fc2_ddb0_d899_014b,
+};
+const TINY_NOISY: Golden = Golden {
+    legacy: 0xe1fe_4540_a8a7_2e97,
+    v2: 0xd45b_7188_a753_4e89,
+};
+const TINY_SINGLE_CRASH: Golden = Golden {
+    legacy: 0x10da_647d_aec8_e71a,
+    v2: 0x5d5b_2d15_65c4_5945,
+};
+const TINY_CHURN: Golden = Golden {
+    legacy: 0x7be1_d1e1_9963_cf20,
+    v2: 0x018d_f099_418b_8ec6,
+};
+const REGROUP_HARMONY: Golden = Golden {
+    legacy: 0x271d_40e3_20df_88d5,
+    v2: 0x0a5f_35a3_3438_d41e,
+};
+const REGROUP_ORACLE: Golden = Golden {
+    legacy: 0x79ff_b969_a4b3_d0e2,
+    v2: 0xbfce_7b2a_de25_c459,
+};
+const REGROUP_ISOLATED: Golden = Golden {
+    legacy: 0x028f_19bd_865f_b38a,
+    v2: 0xea15_01eb_0d67_b85e,
+};
+const REGROUP_NAIVE: Golden = Golden {
+    legacy: 0x209d_610d_666f_380b,
+    v2: 0x9e92_f636_3ae4_0755,
+};
+const REGROUP_HARMONY_CHURN: Golden = Golden {
+    legacy: 0x0f46_6e26_b700_281f,
+    v2: 0xbfeb_ea9f_830e_fa81,
+};
+// The six draws `proptest!` made from the name `random_workloads_match`.
+const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
+    (
+        334,
+        20,
+        4,
+        4,
+        15.616337777340226,
+        Golden {
+            legacy: 0xb091_27a0_1fe7_ed82,
+            v2: 0x4cac_f428_c1bc_b8a6,
+        },
+    ),
+    (
+        7,
+        23,
+        10,
+        3,
+        31.092200991272605,
+        Golden {
+            legacy: 0x9b9e_2980_290b_95db,
+            v2: 0xb507_862b_b090_a033,
+        },
+    ),
+    (
+        382,
+        18,
+        6,
+        3,
+        24.481156380830996,
+        Golden {
+            legacy: 0xf60d_1e63_4287_e3dc,
+            v2: 0x7ee2_cd8a_e167_3996,
+        },
+    ),
+    (
+        944,
+        20,
+        6,
+        3,
+        1.3320362932268548,
+        Golden {
+            legacy: 0x5a0a_8fd1_3c61_03e8,
+            v2: 0xa79a_fd77_a7d9_969c,
+        },
+    ),
+    (
+        212,
+        31,
+        9,
+        1,
+        49.65869376626082,
+        Golden {
+            legacy: 0xf098_0a36_0b83_227b,
+            v2: 0xa909_4fe0_7f01_7a5d,
+        },
+    ),
+    (
+        572,
+        26,
+        10,
+        5,
+        62.288563397649376,
+        Golden {
+            legacy: 0xb374_dc24_852d_a9fa,
+            v2: 0x8146_375c_d758_1d04,
+        },
+    ),
+];

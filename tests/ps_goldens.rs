@@ -18,7 +18,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use harmony::ml::{synth, Lasso, Lda, Mlr, Nmf, PsAlgorithm};
-use harmony::ps::{JobBuilder, JobReport, PsCluster, PsConfig, SubtaskKind, VirtualClock};
+use harmony::ps::{
+    JobBuilder, JobReport, PsCluster, PsConfig, SubtaskKind, TrainingJob, VirtualClock,
+};
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -164,24 +166,8 @@ impl Cell {
         s
     }
 
-    fn run(&self, fast_runtime: bool, sparse_push: bool) -> JobReport {
-        let nodes = self.dop.max(self.migrate.map_or(0, |(_, to)| to));
-        // Durations depend on (job, node, kind, iteration) only, so the
-        // timing records replay exactly however threads interleave.
-        let clock = VirtualClock::new(|job, node, kind, iter| {
-            let base = if kind == SubtaskKind::Comp { 900 } else { 70 };
-            Duration::from_micros(base + 100 * job as u64 + 10 * node as u64 + iter)
-        });
-        let cluster = PsCluster::with_clock(
-            PsConfig {
-                nodes,
-                network_bytes_per_sec: None,
-                fast_runtime,
-                live_migration: self.migrate.is_some(),
-                sparse_push,
-            },
-            Arc::new(clock),
-        );
+    /// The cell's job: six iterations, the loss checked every second.
+    fn job(&self) -> TrainingJob {
         let mut b = JobBuilder::new(self.label())
             .workers(workers(self.algo, self.dop, self.size))
             .max_iterations(6)
@@ -195,62 +181,96 @@ impl Cell {
         if let Some((at, to)) = self.migrate {
             b = b.migrate_after(at, workers(self.algo, to, self.size));
         }
-        cluster.run_jobs(vec![b.build()]).remove(0)
+        b.build()
     }
+
+    fn run(&self, fast_runtime: bool, sparse_push: bool) -> JobReport {
+        let nodes = self.dop.max(self.migrate.map_or(0, |(_, to)| to));
+        let live_migration = self.migrate.is_some();
+        cluster(nodes, fast_runtime, live_migration, sparse_push)
+            .run_jobs(vec![self.job()])
+            .remove(0)
+    }
+}
+
+/// A cluster timed by a `VirtualClock`: durations depend on (job, node,
+/// kind, iteration) only, so the timing records replay exactly however
+/// threads interleave.
+fn cluster(nodes: usize, fast_runtime: bool, live_migration: bool, sparse_push: bool) -> PsCluster {
+    let clock = VirtualClock::new(|job, node, kind, iter| {
+        let base = if kind == SubtaskKind::Comp { 900 } else { 70 };
+        Duration::from_micros(base + 100 * job as u64 + 10 * node as u64 + iter)
+    });
+    PsCluster::with_clock(
+        PsConfig {
+            nodes,
+            network_bytes_per_sec: None,
+            fast_runtime,
+            live_migration,
+            sparse_push,
+        },
+        Arc::new(clock),
+    )
 }
 
 /// A cell and its pinned `(iterations, model digest, loss digest)`.
 type Row = (Cell, u64, u64, u64);
 
-/// Runs each cell on the reference arm and on the fast arm with sparse
-/// PUSH on and off, and holds every arm to the cell's pinned outcome.
+/// The arms every cell runs on: `(name, fast_runtime, sparse_push)`.
+const ARMS: [(&str, bool, bool); 3] = [
+    ("reference", false, false),
+    ("fast-dense", true, false),
+    ("fast-sparse", true, true),
+];
+
+/// Holds one arm's report to a row's pinned outcome, or prints it
+/// under `GOLDEN_PRINT`.
+fn assert_report(row: &Row, arm: &str, sparse_push: bool, r: &JobReport) {
+    let &(cell, iterations, model, loss) = row;
+    let label = cell.label();
+    let (got_model, got_loss) = (model_digest(&r.final_model), loss_digest(&r.loss_history));
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        println!(
+            "golden {label} [{arm}]: iterations {}, model {got_model:#018x}, loss {got_loss:#018x}",
+            r.iterations
+        );
+        return;
+    }
+    assert_eq!(r.iterations, iterations, "{label} [{arm}]: iterations");
+    assert_eq!(
+        got_model, model,
+        "{label} [{arm}]: final model moved ({got_model:#018x}, pinned {model:#018x})"
+    );
+    assert_eq!(
+        got_loss, loss,
+        "{label} [{arm}]: loss history moved ({got_loss:#018x}, pinned {loss:#018x})"
+    );
+    // The sparse arm must take the sparse wire whenever the workload
+    // is sparse enough, or the cell tests nothing.
+    if sparse_push && cell.algo == "lda" && !cell.all_reduce && r.iterations > 0 {
+        assert!(
+            r.push_density() < 1.0,
+            "{label}: the sparse PUSH path never engaged"
+        );
+    }
+}
+
+/// Runs each cell on every arm and holds each to the cell's pinned
+/// outcome.
 fn assert_rows(rows: &[Row]) {
-    for &(cell, iterations, model, loss) in rows {
-        let label = cell.label();
-        let arms = [
-            ("reference", cell.run(false, false)),
-            ("fast-dense", cell.run(true, false)),
-            ("fast-sparse", cell.run(true, true)),
-        ];
-        for (arm, r) in &arms {
-            let (got_model, got_loss) =
-                (model_digest(&r.final_model), loss_digest(&r.loss_history));
-            if std::env::var_os("GOLDEN_PRINT").is_some() {
-                println!(
-                    "golden {label} [{arm}]: iterations {}, model {got_model:#018x}, loss {got_loss:#018x}",
-                    r.iterations
-                );
-                continue;
-            }
-            assert_eq!(r.iterations, iterations, "{label} [{arm}]: iterations");
-            assert_eq!(
-                got_model, model,
-                "{label} [{arm}]: final model moved ({got_model:#018x}, pinned {model:#018x})"
-            );
-            assert_eq!(
-                got_loss, loss,
-                "{label} [{arm}]: loss history moved ({got_loss:#018x}, pinned {loss:#018x})"
-            );
-        }
-        // The reference arm has no sparse wire; the fast arm must take
-        // it whenever the workload is sparse enough, or the cell tests
-        // nothing.
-        let sparse = &arms[2].1;
-        if cell.algo == "lda" && !cell.all_reduce && sparse.iterations > 0 {
-            assert!(
-                sparse.push_density() < 1.0,
-                "{label}: the sparse PUSH path never engaged"
-            );
+    for row in rows {
+        for (arm, fast_runtime, sparse_push) in ARMS {
+            assert_report(row, arm, sparse_push, &row.0.run(fast_runtime, sparse_push));
         }
     }
 }
 
-/// Every algorithm at DoP 1, 2 and 4 on one-stripe models. LDA's
-/// PUSHes go sparse on the fast arm.
-#[test]
-fn algorithms_across_dop() {
+/// Every algorithm at DoP 1, 2, 4 and 8 on one-stripe models: the
+/// solo runs that `colocated_jobs_match_their_solo_runs` holds
+/// co-located jobs to. LDA's PUSHes go sparse on the sparse arm.
+fn solo_rows() -> Vec<Row> {
     let c = Cell::new;
-    assert_rows(&[
+    vec![
         (c("mlr", 1), 6, 0x2911_15ea_b44d_0ea0, 0x320b_e233_b404_7e8c),
         (c("mlr", 2), 6, 0x9780_c57d_7900_1668, 0x14e1_2762_d38b_5ce6),
         (c("mlr", 4), 6, 0x3d76_fa61_ff17_67ae, 0x1e52_c3bd_8841_c65f),
@@ -278,7 +298,45 @@ fn algorithms_across_dop() {
         (c("lda", 1), 6, 0x6b45_01ec_95a5_2607, 0xc749_09ab_33ad_1cd0),
         (c("lda", 2), 6, 0x9d5f_64bb_2414_9846, 0xeb26_6d1d_8980_73cb),
         (c("lda", 4), 6, 0xfa75_8851_5857_a5b8, 0x99a4_d82c_cc84_cfc4),
-    ]);
+        (c("mlr", 8), 6, 0x1576_f79d_252a_48f5, 0xe74e_8332_333d_a342),
+        (
+            c("lasso", 8),
+            6,
+            0x9c19_c7d9_2368_6fee,
+            0xbdd5_0387_76e9_7952,
+        ),
+        (c("nmf", 8), 6, 0x0bac_aba3_354f_0d00, 0x254c_cfaa_deea_4e3d),
+        (c("lda", 8), 6, 0x94fa_00b0_86a1_432f, 0xfeb0_b8de_463d_a0b7),
+    ]
+}
+
+#[test]
+fn algorithms_across_dop() {
+    assert_rows(&solo_rows());
+}
+
+/// Co-location multiplexes the executors but never the numerics: two
+/// pairs train together on one four-node cluster, a dense pair and a
+/// pair on the sparse wire, and each job hits its solo row's digests.
+/// The `VirtualClock` moves timings with the job index, never results.
+#[test]
+fn colocated_jobs_match_their_solo_runs() {
+    let solo = solo_rows();
+    let row = |algo: &str, dop: usize| {
+        solo.iter()
+            .find(|(c, ..)| c.algo == algo && c.dop == dop)
+            .expect("a solo row")
+    };
+    for (arm, fast_runtime, sparse_push) in ARMS {
+        let cluster = cluster(4, fast_runtime, false, sparse_push);
+        for pair in [[("mlr", 4), ("lasso", 2)], [("lda", 2), ("nmf", 2)]] {
+            let rows = pair.map(|(algo, dop)| row(algo, dop));
+            let reports = cluster.run_jobs(rows.iter().map(|r| r.0.job()).collect());
+            for (row, report) in rows.iter().zip(&reports) {
+                assert_report(row, &format!("{arm}, co-located"), sparse_push, report);
+            }
+        }
+    }
 }
 
 /// Models of 9 000 to 20 000 parameters span two or three
@@ -362,6 +420,8 @@ fn all_reduce() {
             0x35e9_984f_84a6_4a0a,
             0x15cf_c904_0f6c_e9f5,
         ),
+        (c("mlr", 4), 6, 0x13cd_2118_8bbc_c13f, 0x1e52_c3bd_8841_c65f),
+        (c("mlr", 8), 6, 0xd87c_5fd8_568a_9394, 0xe74e_8332_333d_a342),
     ]);
 }
 
@@ -397,6 +457,12 @@ fn abort_mid_iteration() {
             3,
             0x4315_6e96_13ff_7d6f,
             0x5752_a40e_cdd7_d6ae,
+        ),
+        (
+            c("lda", 4, 4),
+            3,
+            0x6356_0d7d_1822_769e,
+            0x329a_efe3_11f2_87a0,
         ),
     ]);
 }
@@ -434,6 +500,18 @@ fn live_migration() {
             6,
             0xc025_33f0_30cf_1815,
             0x1d72_c9fe_a5c0_1373,
+        ),
+        (
+            c("mlr", 2, 3, 4),
+            6,
+            0xb19a_804e_6eef_ea7f,
+            0xd98c_9ddc_3457_3118,
+        ),
+        (
+            c("lda", 2, 3, 4),
+            6,
+            0x4623_c305_5cb2_11cc,
+            0x95ed_aeec_8108_00de,
         ),
     ]);
 }
