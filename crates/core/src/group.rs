@@ -72,7 +72,7 @@ impl JobGroup {
         self.jobs.contains(&job)
     }
 
-    /// Adds a job (used by incremental regrouping).
+    /// Adds a job at the end of the group's job list.
     pub fn push_job(&mut self, job: JobId) {
         debug_assert!(!self.contains(job), "job {job} already in group");
         self.jobs.push(job);

@@ -86,7 +86,7 @@ pub fn group_iteration_time(profiles: &[&JobProfile], m: u32) -> f64 {
 /// when `charge_apply` is set, each job's measured server-side APPLY
 /// seconds ([`JobProfile::tapply`]) are charged to the CPU term on top
 /// of Eq. 2's worker COMP — the paper folds APPLY into PUSH, but the
-/// fast PS runtime measures it separately and it burns server CPU, not
+/// PS runtime measures it separately and it burns server CPU, not
 /// wire time. With `charge_apply` false this is bit-identical to
 /// [`group_iteration_time`] (equivalence-gate pattern).
 pub fn group_iteration_time_charged(profiles: &[&JobProfile], m: u32, charge_apply: bool) -> f64 {

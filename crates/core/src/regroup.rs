@@ -17,20 +17,19 @@
 //!   set of involved groups, preferring decisions that involve fewer
 //!   jobs unless a larger decision is ≥ 5% better.
 //!
-//! With [`Regrouper::with_incremental`] the decision paths run
-//! incrementally — per-group Eq. 3 terms are frozen once per call and
-//! refolded per candidate, and the escalation ladder is skipped
-//! outright when the current grouping already saturates the acceptance
-//! gate (no candidate can score past `base × (1 + threshold)` when
-//! that bound exceeds the provable score ceiling). Both shortcuts are
-//! decision-neutral: the incremental arm returns bit-identical
-//! decisions, which `tests/sim_equivalence.rs` asserts end-to-end.
+//! The decision paths run incrementally: per-group Eq. 3 terms are
+//! frozen once per call and refolded per candidate, and the escalation
+//! ladder is skipped outright when the current grouping already
+//! saturates the acceptance gate (no candidate can score past
+//! `base × (1 + threshold)` when that bound exceeds the provable score
+//! ceiling). Both shortcuts are decision-neutral: a refold walks the
+//! same group order with the same arithmetic as a whole-cluster
+//! recomputation, so scores are bit-identical to it, and the simulator's
+//! goldens (`tests/golden_digests.rs`) pin that end to end.
 
 use crate::group::{GroupId, Grouping};
 use crate::job::JobId;
-use crate::model::{
-    cluster_utilization, cluster_utilization_from_terms, group_utilization, Utilization,
-};
+use crate::model::{cluster_utilization_from_terms, group_utilization, Utilization};
 use crate::profile::{JobProfile, ProfileStore};
 use crate::schedule::{ScheduleOutcome, Scheduler, SCORE_CEILING};
 use crate::scratch::{ProfileCache, ScheduleScratch};
@@ -81,8 +80,7 @@ pub enum RegroupDecision {
 
 /// Per-group Eq. 3 term cache for the incremental candidate scans:
 /// one entry per group in grouping order, `None` for job-less groups
-/// (the Eq. 4 fold skips them entirely, matching
-/// [`Regrouper::utilization_of`]'s filter).
+/// (the Eq. 4 fold skips them entirely).
 type GroupTerms = Vec<Option<(Utilization, u32)>>;
 
 /// Regrouping policy around a [`Scheduler`].
@@ -96,7 +94,6 @@ type GroupTerms = Vec<Option<(Utilization, u32)>>;
 #[derive(Debug, Clone, Default)]
 pub struct Regrouper {
     scheduler: Scheduler,
-    incremental: bool,
     /// Profiles of the job set being scheduled.
     jobs: Vec<JobProfile>,
     cache: ProfileCache,
@@ -128,17 +125,6 @@ impl Regrouper {
             .schedule_reusing(&self.jobs, machines, &mut self.cache, &mut self.scratch)
     }
 
-    /// Enables (or disables) the incremental decision paths: the
-    /// saturation prune on escalation and the per-group term refolds.
-    /// Both are provably decision-neutral — every answer is
-    /// bit-identical to the non-incremental arm — but the flag keeps
-    /// the original code path alive as the equivalence oracle, per the
-    /// house equivalence-gate style.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
     /// Whether no proposal can clear the acceptance gate over `base`:
     /// every achievable cluster score is `<= SCORE_CEILING` (see the
     /// ceiling proof at [`SCORE_CEILING`] — Eq. 3 ratios are exact
@@ -149,16 +135,14 @@ impl Regrouper {
     /// `base == 0.0` bypasses the gate, so a saturated prune also
     /// requires a positive base.
     fn saturated(&self, base: f64) -> bool {
-        self.incremental
-            && base > 0.0
-            && base * (1.0 + self.scheduler.config().improvement_threshold) >= SCORE_CEILING
+        base > 0.0 && base * (1.0 + self.scheduler.config().improvement_threshold) >= SCORE_CEILING
     }
 
     /// Builds the per-group Eq. 3 term cache for `grouping`: the exact
-    /// values [`Self::utilization_of`] would feed the Eq. 4 fold, in
-    /// the same group order, so refolding any subset of them is
-    /// bit-identical to rebuilding that subset's cluster utilization
-    /// from scratch.
+    /// values a whole-cluster [`crate::model::cluster_utilization`]
+    /// would feed the Eq. 4 fold, in the same group order, so refolding
+    /// any subset of them is bit-identical to rebuilding that subset's
+    /// cluster utilization from scratch.
     fn group_terms(&self, grouping: &Grouping, profiles: &ProfileStore) -> GroupTerms {
         grouping
             .groups()
@@ -176,22 +160,6 @@ impl Regrouper {
     /// Relative difference `|a - b| / max(|b|, ε)`.
     fn rel_diff(a: f64, b: f64) -> f64 {
         (a - b).abs() / b.abs().max(1e-12)
-    }
-
-    /// Cluster utilization of a grouping under `profiles`. Jobs without
-    /// a (warm) profile — e.g. still-profiling piggybackers — are
-    /// skipped: the model cannot see them yet.
-    fn utilization_of(&self, grouping: &Grouping, profiles: &ProfileStore) -> Utilization {
-        let groups: Vec<_> = grouping
-            .groups()
-            .iter()
-            .filter(|g| !g.jobs().is_empty())
-            .map(|g| {
-                let profs: Vec<_> = g.jobs().iter().filter_map(|&j| profiles.get(j)).collect();
-                (profs, g.dop())
-            })
-            .collect();
-        cluster_utilization(&groups)
     }
 
     /// Handles a job that just finished profiling (case 1 of §IV-B4).
@@ -229,58 +197,36 @@ impl Regrouper {
 
         let threshold = self.scheduler.config().improvement_threshold;
         let cpu_weight = self.scheduler.config().cpu_weight;
-        // Incremental arm: cache every group's Eq. 3 term once, then
-        // score each "add the job to group g" candidate by refolding
-        // the cached terms with only g's term re-derived — O(groups)
-        // per candidate instead of a grouping clone plus a full
-        // cluster recomputation. The refold walks the same group
-        // order with the same arithmetic, so scores are bit-identical
-        // to the non-incremental arm.
-        let terms = self
-            .incremental
-            .then(|| self.group_terms(&view.grouping, profiles));
-        let base = match &terms {
-            Some(terms) => {
-                cluster_utilization_from_terms(terms.iter().flatten().copied()).score(cpu_weight)
-            }
-            None => self
-                .utilization_of(&view.grouping, profiles)
-                .score(cpu_weight),
-        };
+        // Cache every group's Eq. 3 term once, then score each "add
+        // the job to group g" candidate by refolding the cached terms
+        // with only g's term re-derived — O(groups) per candidate
+        // instead of a grouping clone plus a full cluster
+        // recomputation, with bit-identical scores.
+        let terms = self.group_terms(&view.grouping, profiles);
+        let base =
+            cluster_utilization_from_terms(terms.iter().flatten().copied()).score(cpu_weight);
         if self.saturated(base) {
             return RegroupDecision::NoChange;
         }
 
         let mut best: Option<(GroupId, f64)> = None;
         for (gi, g) in view.grouping.groups().iter().enumerate() {
-            let score = match &terms {
-                Some(terms) => {
-                    // `push_job` appends, so the candidate group's
-                    // profile list is its old list plus the new job's
-                    // profile at the end — and a previously job-less
-                    // group (term `None`) enters the fold.
-                    let mut profs: Vec<_> =
-                        g.jobs().iter().filter_map(|&j| profiles.get(j)).collect();
-                    profs.extend(profiles.get(job));
-                    let term = Some((group_utilization(&profs, g.dop()), g.dop()));
-                    cluster_utilization_from_terms(terms.iter().enumerate().filter_map(|(i, t)| {
-                        if i == gi {
-                            term
-                        } else {
-                            *t
-                        }
-                    }))
-                    .score(cpu_weight)
-                }
-                None => {
-                    let mut candidate = view.grouping.clone();
-                    candidate
-                        .group_mut(g.id())
-                        .expect("group exists")
-                        .push_job(job);
-                    self.utilization_of(&candidate, profiles).score(cpu_weight)
-                }
-            };
+            // The candidate group's profile list is its old list plus
+            // the new job's profile at the end, as `push_job` would
+            // append it — and a previously job-less group (term `None`)
+            // enters the fold.
+            let mut profs: Vec<_> = g.jobs().iter().filter_map(|&j| profiles.get(j)).collect();
+            profs.extend(profiles.get(job));
+            let term = Some((group_utilization(&profs, g.dop()), g.dop()));
+            let score =
+                cluster_utilization_from_terms(terms.iter().enumerate().filter_map(|(i, t)| {
+                    if i == gi {
+                        term
+                    } else {
+                        *t
+                    }
+                }))
+                .score(cpu_weight);
             if best.is_none_or(|(_, s)| score > s) {
                 best = Some((g.id(), score));
             }
@@ -461,20 +407,12 @@ impl Regrouper {
     ) -> RegroupDecision {
         let cpu_weight = self.scheduler.config().cpu_weight;
         let threshold = self.scheduler.config().improvement_threshold;
-        // Incremental arm: freeze every group's Eq. 3 term once; each
-        // rung of the ladder refolds the cached terms of untouched
-        // groups with only the proposal's terms re-derived.
-        let terms = self
-            .incremental
-            .then(|| self.group_terms(&view.grouping, profiles));
-        let base_score = match &terms {
-            Some(terms) => {
-                cluster_utilization_from_terms(terms.iter().flatten().copied()).score(cpu_weight)
-            }
-            None => self
-                .utilization_of(&view.grouping, profiles)
-                .score(cpu_weight),
-        };
+        // Freeze every group's Eq. 3 term once; each rung of the
+        // ladder refolds the cached terms of untouched groups with only
+        // the proposal's terms re-derived.
+        let terms = self.group_terms(&view.grouping, profiles);
+        let base_score =
+            cluster_utilization_from_terms(terms.iter().flatten().copied()).score(cpu_weight);
         // The ladder runs Algorithm 1 once per rung over a growing job
         // set — the per-event cost that scales with jobs × machines.
         // When the current grouping already saturates the acceptance
@@ -507,46 +445,25 @@ impl Regrouper {
                 continue;
             }
             // Score the whole cluster: untouched groups + the proposal.
-            let score = match &terms {
-                Some(terms) => cluster_utilization_from_terms(
-                    view.grouping
-                        .groups()
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, g)| {
-                            if involved.contains(&g.id()) || g.jobs().is_empty() {
-                                None
-                            } else {
-                                terms[i]
-                            }
-                        })
-                        .chain(outcome.grouping.groups().iter().map(|g| {
-                            let profs: Vec<_> =
-                                g.jobs().iter().filter_map(|&j| profiles.get(j)).collect();
-                            (group_utilization(&profs, g.dop()), g.dop())
-                        })),
-                )
-                .score(cpu_weight),
-                None => {
-                    let mut whole: Vec<(Vec<&crate::profile::JobProfile>, u32)> = Vec::new();
-                    for g in view.grouping.groups() {
+            let score = cluster_utilization_from_terms(
+                view.grouping
+                    .groups()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, g)| {
                         if involved.contains(&g.id()) || g.jobs().is_empty() {
-                            continue;
+                            None
+                        } else {
+                            terms[i]
                         }
-                        whole.push((
-                            g.jobs().iter().filter_map(|&j| profiles.get(j)).collect(),
-                            g.dop(),
-                        ));
-                    }
-                    for g in outcome.grouping.groups() {
-                        whole.push((
-                            g.jobs().iter().filter_map(|&j| profiles.get(j)).collect(),
-                            g.dop(),
-                        ));
-                    }
-                    cluster_utilization(&whole).score(cpu_weight)
-                }
-            };
+                    })
+                    .chain(outcome.grouping.groups().iter().map(|g| {
+                        let profs: Vec<_> =
+                            g.jobs().iter().filter_map(|&j| profiles.get(j)).collect();
+                        (group_utilization(&profs, g.dop()), g.dop())
+                    })),
+            )
+            .score(cpu_weight);
             let moved = outcome.grouping.total_jobs();
             // Prefer fewer moved jobs unless a bigger decision is ≥5%
             // better than the current best.

@@ -93,7 +93,7 @@ pub struct SchedulerConfig {
     /// ([`JobProfile::tapply`]) as a fourth subtask class in the Eq. 1
     /// group-time model: the CPU term becomes `Σ (Tcpu(m) + Tapply)`
     /// and a job's own pipeline `Tcpu(m) + Tapply + Tnet`. The paper
-    /// folds APPLY into PUSH; the fast PS runtime measures it
+    /// folds APPLY into PUSH; the PS runtime measures it
     /// separately, and it burns server CPU rather than wire time. Off
     /// by default — with the flag off (or with profiles that carry no
     /// APPLY measurements) every decision is **byte-identical** to the

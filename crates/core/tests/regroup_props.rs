@@ -173,11 +173,10 @@ proptest! {
     fn a_warm_regrouper_decides_like_a_fresh_one(
         seed in 0u64..u64::MAX,
         calls in 1usize..10,
-        incremental in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let scheduler = Scheduler::new(SchedulerConfig::default());
-        let mut warm = Regrouper::new(scheduler.clone()).with_incremental(incremental);
+        let mut warm = Regrouper::new(scheduler.clone());
         let population = rng.gen_range(1u64..80);
         let (mut view, mut store) = cluster(&mut rng, population);
         for call in 0..calls {
@@ -213,7 +212,7 @@ proptest! {
                 rng.gen_range(0.05..20.0),
             );
             let got = decide(&mut warm, &view, &store, pick);
-            let mut fresh = Regrouper::new(scheduler.clone()).with_incremental(incremental);
+            let mut fresh = Regrouper::new(scheduler.clone());
             prop_assert_eq!(&got, &decide(&mut fresh, &view, &store, pick), "call {}", call);
             if let RegroupDecision::PartialReschedule { involved_groups, outcome } = got {
                 let (jobs, machines) = rescheduled_input(&view, &store, &involved_groups, pick.2);

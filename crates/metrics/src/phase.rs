@@ -2,7 +2,7 @@
 //!
 //! The PS runtime times every subtask it executes (PULL, COMP, PUSH,
 //! APPLY). Aggregating those samples must itself be allocation-free —
-//! the whole point of the fast runtime is a zero-allocation steady
+//! the whole point of the runtime's design is a zero-allocation steady
 //! state — so this accumulator is a fixed array of counters indexed by
 //! a caller-defined phase number, sized once up front.
 

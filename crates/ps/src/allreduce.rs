@@ -48,7 +48,7 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
 /// worker's buffer. Returns the transfer statistics.
 ///
 /// Generic over the buffer representation (`Vec<f64>`, `Box<[f64]>`,
-/// `harmony_mem::PooledBuffer`, …) so the fast PS runtime can reduce
+/// `harmony_mem::PooledBuffer`, …) so the PS runtime can reduce
 /// pooled buffers in place. Each transfer borrows source and
 /// destination disjointly (`src != dst` always holds on a ring of
 /// `k >= 2`), so no payload is ever copied to a temporary.

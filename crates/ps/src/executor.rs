@@ -181,7 +181,7 @@ impl Executor {
 
     /// Enqueues a long-lived shared task. Unlike [`Executor::submit`],
     /// resubmitting the same `Arc` every iteration performs no heap
-    /// allocation — the fast PS runtime builds each worker's subtask
+    /// allocation — the PS runtime builds each worker's subtask
     /// closures once and re-enqueues them for the job's whole lifetime.
     ///
     /// # Panics

@@ -3,8 +3,8 @@
 //!
 //! This crate is the "real system" counterpart to the discrete-event
 //! simulator: jobs train actual models (from `harmony-ml`) on real
-//! threads, with the model sharded across per-node parameter servers and
-//! worker iterations decomposed into PULL → COMP → PUSH *subtasks*.
+//! threads, with each job's model held server-side and worker iterations
+//! decomposed into PULL → COMP → PUSH → APPLY *subtasks*.
 //!
 //! The runtime reproduces the paper's executor discipline faithfully:
 //!
@@ -68,5 +68,5 @@ pub use master::{
     JobBuilder, JobReport, MigrationRecord, PlannedMigration, PsCluster, PsConfig, PushVolume,
     TrainingJob, SPARSE_DENSITY_THRESHOLD,
 };
-pub use shard::{ShardedModel, StripedModel, DEFAULT_STRIPE_LEN};
+pub use shard::{StripedModel, DEFAULT_STRIPE_LEN};
 pub use subtask::{SubtaskKind, SubtaskTiming, SyncAction, Synchronizer};

@@ -7,21 +7,16 @@
 //! jobs run through the same executors simultaneously, which is exactly
 //! how Harmony multiplexes complementary subtasks.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
 use harmony_mem::BufferPool;
 use harmony_metrics::{CommStats, MigrationStats, PhaseTimes};
 use harmony_ml::PsAlgorithm;
 
-use crate::checkpoint::Checkpoint;
 use crate::clock::{Clock, WallClock};
 use crate::executor::{Executor, ExecutorStats};
-use crate::shard::ShardedModel;
 use crate::subtask::{SubtaskKind, SubtaskTiming};
 
 /// Configuration of an in-process PS cluster.
@@ -33,30 +28,18 @@ pub struct PsConfig {
     /// Simulated NIC bandwidth in bytes/second. When set, every COMM
     /// subtask sleeps `transferred_bytes / bandwidth` to emulate the
     /// paper's 1.1 Gbps network; `None` disables the delay (fast tests),
-    /// and the fast runtime then completes PULL and PUSH on the master:
-    /// the COMM executors only see subtasks that hold the NIC, and APPLY.
+    /// and the runtime then completes PULL and PUSH on the master: the
+    /// COMM executors only see subtasks that hold the NIC, and APPLY.
     pub network_bytes_per_sec: Option<f64>,
-    /// Execute iterations on the zero-copy pipelined runtime (pooled
-    /// buffers, ranged apply, per-worker subtask chaining). `false`
-    /// falls back to the phase-barriered reference arm; both produce
-    /// bit-identical models (`tests/ps_equivalence.rs`).
-    pub fast_runtime: bool,
-    /// Honor [`JobBuilder::migrate_after`] plans: pause the job at the
-    /// scheduled iteration boundary, checkpoint the model bit-exactly,
-    /// swap in the new worker set (the new DoP) and resume — the live
-    /// §IV-B4 migration path. Off (the default), submitting a job with
-    /// a migration plan panics and nothing else changes, so flag-off
-    /// runs stay byte-identical (`tests/migration_equivalence.rs`).
-    pub live_migration: bool,
     /// Ship PUSH traffic as coordinate-sparse `(index, value)` pairs
     /// when a worker's update support
     /// ([`PsAlgorithm::sparse_support`]) is below
     /// [`SPARSE_DENSITY_THRESHOLD`], falling back to the dense wire
-    /// form otherwise — fast runtime only, and bit-identical to the
-    /// dense path either way (`tests/ps_equivalence.rs`,
-    /// `crates/ps/tests/sparse_props.rs`). Off, the runtime never
-    /// touches the sparse machinery, so flag-off runs are byte-exact
-    /// replays of the pre-sparse code path.
+    /// form otherwise — bit-identical to the dense path either way
+    /// (`tests/ps_goldens.rs` runs every cell both ways,
+    /// `crates/ps/tests/sparse_props.rs` holds the scatter to the dense
+    /// fold). Off, the runtime never touches the sparse machinery: the
+    /// dense wire is the spec the sparse one is checked against.
     pub sparse_push: bool,
 }
 
@@ -65,8 +48,6 @@ impl Default for PsConfig {
         Self {
             nodes: 2,
             network_bytes_per_sec: None,
-            fast_runtime: true,
-            live_migration: false,
             sparse_push: true,
         }
     }
@@ -89,8 +70,8 @@ pub(crate) const SPARSE_PAIR_BYTES: u64 = 12;
 
 /// What one worker's dense PUSH moves: the full model for a PS push, or
 /// the ring all-reduce volume `2(k-1)/k` of the model per rank. Shared
-/// by both runtime arms and the report accounting so the arithmetic
-/// cannot drift between them.
+/// by the PUSH subtasks' wire delay and the report accounting so the
+/// arithmetic cannot drift between them.
 pub(crate) fn dense_push_bytes_per_worker(model_bytes: u64, dop: usize, all_reduce: bool) -> u64 {
     if all_reduce {
         let k = dop.max(1) as f64;
@@ -204,16 +185,16 @@ impl JobBuilder {
         }
     }
 
-    /// Schedules a live migration: when iteration `after_iteration`
-    /// completes, checkpoint the model, replace the worker set with
-    /// `workers` (whose count is the new DoP) and keep training.
-    /// Requires [`PsConfig::live_migration`] on the cluster the job is
-    /// submitted to.
+    /// Schedules a live migration (§IV-B4): when iteration
+    /// `after_iteration` completes, pause the job, checkpoint the model
+    /// bit-exactly, replace the worker set with `workers` (whose count
+    /// is the new DoP) and keep training. The plan is the opt-in: a job
+    /// without one never pauses.
     ///
     /// # Panics
     ///
-    /// Panics if `after_iteration` is zero or `workers` is empty
-    /// (checked in [`JobBuilder::build`]).
+    /// Panics if `after_iteration` is zero. [`JobBuilder::build`]
+    /// checks the rest of the plan.
     pub fn migrate_after(
         mut self,
         after_iteration: u64,
@@ -230,8 +211,8 @@ impl JobBuilder {
     /// Injects a fault: the job aborts as its `iteration`-th iteration
     /// begins (its in-flight PULLs are drained, no COMP of that
     /// iteration runs), leaving the model exactly as of iteration
-    /// `iteration - 1`. Deterministic in both runtime arms, so the
-    /// equivalence gate covers mid-iteration teardown.
+    /// `iteration - 1`. Deterministic, so `tests/ps_goldens.rs` pins
+    /// mid-iteration teardown.
     ///
     /// # Panics
     ///
@@ -301,23 +282,58 @@ impl JobBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no workers were supplied.
+    /// Panics if:
+    /// - no workers were supplied;
+    /// - two workers disagree on [`PsAlgorithm::model_len`];
+    /// - [`JobBuilder::initial_model`] has a different length;
+    /// - a [`JobBuilder::migrate_after`] plan has no workers, has a
+    ///   worker of a different model length, never fires within
+    ///   [`JobBuilder::max_iterations`], or migrates an all-reduce job.
     pub fn build(self) -> TrainingJob {
-        assert!(!self.workers.is_empty(), "a job needs at least one worker");
+        let name = &self.name;
+        assert!(
+            !self.workers.is_empty(),
+            "job '{name}': a job needs at least one worker"
+        );
+        let len = self.workers[0].model_len();
+        for (i, w) in self.workers.iter().enumerate() {
+            assert_eq!(
+                w.model_len(),
+                len,
+                "job '{name}': worker {i} has {} model slots, worker 0 has {len}",
+                w.model_len()
+            );
+        }
+        if let Some(m) = &self.initial_model {
+            assert_eq!(
+                m.len(),
+                len,
+                "job '{name}': the initial model has {} slots, the workers' model has {len}",
+                m.len()
+            );
+        }
         if let Some(m) = &self.migration {
             assert!(
                 !m.workers.is_empty(),
-                "a migration needs at least one worker"
+                "job '{name}': a migration needs at least one worker"
             );
+            for (i, w) in m.workers.iter().enumerate() {
+                assert_eq!(
+                    w.model_len(),
+                    len,
+                    "job '{name}': migration worker {i} has {} model slots, the job's model has {len}",
+                    w.model_len()
+                );
+            }
             assert!(
                 m.after_iteration < self.max_iterations,
-                "migration after iteration {} never fires within {} iterations",
+                "job '{name}': migration after iteration {} never fires within {} iterations",
                 m.after_iteration,
                 self.max_iterations
             );
             assert!(
                 !self.all_reduce,
-                "live migration of all-reduce jobs is not supported"
+                "job '{name}': live migration of all-reduce jobs is not supported"
             );
         }
         TrainingJob {
@@ -379,8 +395,9 @@ pub struct JobReport {
     pub mean_tcpu: f64,
     /// Mean per-iteration COMM (PULL+PUSH) seconds — the profiled `Tnet`.
     pub mean_tnet: f64,
-    /// Mean per-iteration server-side APPLY seconds (per node). Zero on
-    /// the reference runtime, which folds updates inside PUSH.
+    /// Mean per-iteration server-side APPLY seconds (per node): the one
+    /// APPLY that folds an iteration's updates, normalized by the DoP
+    /// like every other phase.
     pub mean_tapply: f64,
     /// Degree of parallelism the job ran with (worker count) — the `m`
     /// the timings were measured at, needed to normalize samples via
@@ -397,9 +414,9 @@ pub struct JobReport {
     /// Whether an [`JobBuilder::abort_after`] fault tore the job down
     /// before it finished.
     pub aborted: bool,
-    /// Per-iteration PUSH wire volumes, in iteration order. Both
-    /// runtime arms record them; on the reference arm (and with
-    /// [`PsConfig::sparse_push`] off) every entry is fully dense.
+    /// Per-iteration PUSH wire volumes, in iteration order. With
+    /// [`PsConfig::sparse_push`] off, or for an all-reduce job, every
+    /// entry is fully dense.
     pub push_volumes: Vec<PushVolume>,
 }
 
@@ -432,9 +449,7 @@ pub(crate) fn phase_index(kind: SubtaskKind) -> usize {
     }
 }
 
-/// Builds the final [`JobReport`] from a finished run's raw records —
-/// shared by both runtime arms so the aggregation arithmetic cannot
-/// drift between them.
+/// Builds the final [`JobReport`] from a finished run's raw records.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_report(
     name: String,
@@ -549,7 +564,7 @@ impl PsCluster {
     }
 
     /// The cluster's working-buffer pool statistics (allocation vs
-    /// reuse counters for the fast runtime's pooled buffers).
+    /// reuse counters for the runtime's pooled buffers).
     pub fn pool_stats(&self) -> harmony_mem::PoolStats {
         self.pool.stats()
     }
@@ -586,14 +601,10 @@ impl PsCluster {
     /// this cluster's executors, and returns one report per job (same
     /// order).
     ///
-    /// Dispatches to the zero-copy pipelined runtime
-    /// ([`PsConfig::fast_runtime`], the default) or to the
-    /// phase-barriered reference arm; both produce bit-identical models
-    /// and loss trajectories.
-    ///
     /// # Panics
     ///
-    /// Panics if a job has more workers than the cluster has nodes.
+    /// Panics if a job has more workers, or migrates to more workers,
+    /// than the cluster has nodes.
     pub fn run_jobs(&self, jobs: Vec<TrainingJob>) -> Vec<JobReport> {
         for job in &jobs {
             assert!(
@@ -605,11 +616,6 @@ impl PsCluster {
             );
             if let Some(m) = &job.migration {
                 assert!(
-                    self.config.live_migration,
-                    "job '{}' schedules a migration but PsConfig::live_migration is off",
-                    job.name
-                );
-                assert!(
                     m.workers.len() <= self.nodes.len(),
                     "job '{}' migrates to {} workers but the cluster has {} nodes",
                     job.name,
@@ -618,11 +624,7 @@ impl PsCluster {
                 );
             }
         }
-        let reports = if self.config.fast_runtime {
-            crate::runtime::run_jobs_fast(self, jobs)
-        } else {
-            self.run_jobs_reference(jobs)
-        };
+        let reports = crate::runtime::run_jobs(self, jobs);
         let mut comm = self.comm.lock();
         for r in &reports {
             for v in &r.push_volumes {
@@ -631,377 +633,6 @@ impl PsCluster {
         }
         drop(comm);
         reports
-    }
-
-    /// The flag-off arm: phase-barriered (all PULLs, then all COMPs,
-    /// then all PUSHes), freshly-allocated buffers each iteration.
-    /// Retained as the measurement baseline and equivalence oracle.
-    ///
-    /// PUSH aggregation is deterministic here too: updates stay staged
-    /// in per-worker slots and the last PUSH to arrive at each shard
-    /// folds all workers' deltas in worker-id order — f64 addition is
-    /// not associative, so a fixed fold order (not just a fixed operand
-    /// set) is what makes the two arms byte-comparable.
-    fn run_jobs_reference(&self, jobs: Vec<TrainingJob>) -> Vec<JobReport> {
-        /// One worker's staged buffer slot (pulled model or update).
-        type Slot = Arc<Mutex<Option<Vec<f64>>>>;
-        struct JobRun {
-            name: String,
-            model: ShardedModel,
-            workers: Vec<Arc<Mutex<Box<dyn PsAlgorithm>>>>,
-            pulled: Vec<Slot>,
-            /// Per-worker staged updates, `Arc`-shared as a whole so
-            /// every PUSH task can fold *all* workers' deltas.
-            updates: Arc<Vec<Slot>>,
-            /// Per-shard PUSH arrival counters; the arrival that
-            /// completes a shard's count performs its ordered fold.
-            shard_arrivals: Arc<Vec<AtomicUsize>>,
-            iteration: u64,
-            pending: usize,
-            kind: SubtaskKind,
-            max_iterations: u64,
-            loss_threshold: Option<f64>,
-            check_every: u64,
-            abort_after: Option<u64>,
-            total_examples: usize,
-            all_reduce: bool,
-            migration: Option<PlannedMigration>,
-            migrated: Option<MigrationRecord>,
-            timings: Vec<SubtaskTiming>,
-            loss_history: Vec<(u64, f64)>,
-            initial_loss: f64,
-            /// Per-iteration PUSH wire volumes (always dense here).
-            push_volumes: Vec<PushVolume>,
-            done: bool,
-            converged: bool,
-            aborting: bool,
-        }
-
-        let (event_tx, event_rx) = unbounded::<(usize, usize, SubtaskKind, u64, Duration)>();
-
-        let mut runs: Vec<JobRun> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let dop = job.workers.len();
-            let model_len = job.workers[0].model_len();
-            let model = ShardedModel::new(model_len, dop);
-            match &job.initial_model {
-                Some(m) => model.restore(m),
-                None => model.restore(&job.workers[0].init_model(job.seed)),
-            }
-            // Pre-training pushes (e.g. LDA's random-assignment counts).
-            for w in &job.workers {
-                if let Some(init) = w.initial_update() {
-                    model.push(&init);
-                }
-            }
-            let total_examples: usize = job.workers.iter().map(|w| w.num_examples()).sum();
-            let workers: Vec<_> = job
-                .workers
-                .into_iter()
-                .map(|w| Arc::new(Mutex::new(w)))
-                .collect();
-            let initial_loss = {
-                let snapshot = model.pull();
-                let sum: f64 = workers.iter().map(|w| w.lock().loss(&snapshot)).sum();
-                sum / total_examples.max(1) as f64
-            };
-            let shard_count = model.shard_count();
-            runs.push(JobRun {
-                name: job.name,
-                model,
-                pulled: (0..dop).map(|_| Arc::new(Mutex::new(None))).collect(),
-                updates: Arc::new((0..dop).map(|_| Arc::new(Mutex::new(None))).collect()),
-                shard_arrivals: Arc::new((0..shard_count).map(|_| AtomicUsize::new(0)).collect()),
-                workers,
-                iteration: 0,
-                pending: 0,
-                kind: SubtaskKind::Push, // advances to Pull on kickoff
-                max_iterations: job.max_iterations,
-                loss_threshold: job.loss_threshold,
-                check_every: job.check_every,
-                abort_after: job.abort_after,
-                total_examples,
-                all_reduce: job.all_reduce,
-                migration: job.migration,
-                migrated: None,
-                timings: Vec::new(),
-                loss_history: vec![(0, initial_loss)],
-                initial_loss,
-                push_volumes: Vec::new(),
-                done: false,
-                converged: false,
-                aborting: false,
-            });
-        }
-
-        let net_delay = |bytes: u64| -> Option<Duration> {
-            self.config
-                .network_bytes_per_sec
-                .map(|bw| Duration::from_secs_f64(bytes as f64 / bw))
-        };
-
-        // Executes `run`'s planned migration at the iteration boundary
-        // it just completed: checkpoint the quiescent model bit-exactly
-        // (staged through a pooled buffer), rebuild the shards for the
-        // new DoP, restore, and replay the new workers' pre-training
-        // pushes — the exact sequence a fresh restart from
-        // `JobBuilder::initial_model` would run, which is what the
-        // migration-equivalence gate asserts.
-        let migrate = |run: &mut JobRun| {
-            let plan = run.migration.take().expect("migration due");
-            let t0 = self.clock.now();
-            let model_len = run.model.len();
-            let mut stage = self.pool.acquire(model_len);
-            run.model.pull_into(stage.as_mut());
-            let ckpt = Checkpoint::capture(stage.as_ref());
-            self.migrations.lock().begin(ckpt.byte_len() as f64);
-            let from_dop = run.workers.len();
-            let new_dop = plan.workers.len();
-            run.model = ShardedModel::new(model_len, new_dop);
-            ckpt.restore_into(stage.as_mut());
-            run.model.restore(stage.as_ref());
-            for w in &plan.workers {
-                if let Some(init) = w.initial_update() {
-                    run.model.push(&init);
-                }
-            }
-            run.total_examples = plan.workers.iter().map(|w| w.num_examples()).sum();
-            run.workers = plan
-                .workers
-                .into_iter()
-                .map(|w| Arc::new(Mutex::new(w)))
-                .collect();
-            run.pulled = (0..new_dop).map(|_| Arc::new(Mutex::new(None))).collect();
-            run.updates = Arc::new((0..new_dop).map(|_| Arc::new(Mutex::new(None))).collect());
-            run.shard_arrivals = Arc::new(
-                (0..run.model.shard_count())
-                    .map(|_| AtomicUsize::new(0))
-                    .collect(),
-            );
-            run.migrated = Some(MigrationRecord {
-                at_iteration: run.iteration,
-                from_dop,
-                checkpoint_bytes: ckpt.byte_len(),
-            });
-            let latency = self.clock.now().saturating_sub(t0).as_secs_f64();
-            self.migrations.lock().finish(latency);
-        };
-
-        // Enqueues kind `kind` subtasks of job `j` on all its nodes.
-        let enqueue = |run: &mut JobRun, j: usize, kind: SubtaskKind| {
-            run.kind = kind;
-            run.pending = run.workers.len();
-            if kind == SubtaskKind::Push && !run.all_reduce {
-                // No PUSH of this round is in flight yet (the COMP
-                // barrier just cleared), so resetting the arrival
-                // counters here races with nothing.
-                for a in run.shard_arrivals.iter() {
-                    a.store(0, Ordering::SeqCst);
-                }
-            }
-            for node in 0..run.workers.len() {
-                let tx = event_tx.clone();
-                let iter = run.iteration;
-                let clock = Arc::clone(&self.clock);
-                match kind {
-                    SubtaskKind::Pull => {
-                        let model = run.model.clone();
-                        let slot = Arc::clone(&run.pulled[node]);
-                        let delay = net_delay(run.model.pull_bytes());
-                        self.nodes[node].comm.submit(move || {
-                            let t0 = clock.now();
-                            let snapshot = model.pull();
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            *slot.lock() = Some(snapshot);
-                            let dt = clock.subtask_elapsed(t0, j, node, SubtaskKind::Pull, iter);
-                            let _ = tx.send((j, node, SubtaskKind::Pull, iter, dt));
-                        });
-                    }
-                    SubtaskKind::Comp => {
-                        let worker = Arc::clone(&run.workers[node]);
-                        let input = Arc::clone(&run.pulled[node]);
-                        let output = Arc::clone(&run.updates[node]);
-                        self.nodes[node].cpu.submit(move || {
-                            let t0 = clock.now();
-                            let model = input.lock().take().expect("PULL preceded COMP");
-                            let update = worker.lock().compute_update(&model);
-                            *output.lock() = Some(update);
-                            let dt = clock.subtask_elapsed(t0, j, node, SubtaskKind::Comp, iter);
-                            let _ = tx.send((j, node, SubtaskKind::Comp, iter, dt));
-                        });
-                    }
-                    SubtaskKind::Push => {
-                        let model = run.model.clone();
-                        let slots = Arc::clone(&run.updates);
-                        let arrivals = Arc::clone(&run.shard_arrivals);
-                        let all_reduce = run.all_reduce;
-                        let dop = run.workers.len();
-                        // All-reduce moves 2(k-1)/k of the model per rank.
-                        let bytes =
-                            dense_push_bytes_per_worker(run.model.pull_bytes(), dop, all_reduce);
-                        let delay = net_delay(bytes);
-                        self.nodes[node].comm.submit(move || {
-                            let t0 = clock.now();
-                            if !all_reduce {
-                                // Updates stay staged in their per-worker
-                                // slots; the PUSH that reaches each shard
-                                // last folds *all* workers' deltas into it
-                                // in worker-id order, so the result is
-                                // bit-identical however pushes interleave
-                                // (f64 addition is not associative).
-                                for s in 0..model.shard_count() {
-                                    if arrivals[s].fetch_add(1, Ordering::SeqCst) + 1 == dop {
-                                        let range = model.shard_range(s);
-                                        for slot in slots.iter() {
-                                            let staged = slot.lock();
-                                            let update =
-                                                staged.as_ref().expect("COMP preceded PUSH");
-                                            model.push_shard(s, &update[range.clone()]);
-                                        }
-                                    }
-                                }
-                            }
-                            // With all-reduce the update stays staged; the
-                            // ring reduction runs at the barrier once all
-                            // ranks have contributed.
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            let dt = clock.subtask_elapsed(t0, j, node, SubtaskKind::Push, iter);
-                            let _ = tx.send((j, node, SubtaskKind::Push, iter, dt));
-                        });
-                    }
-                    SubtaskKind::Apply => {
-                        unreachable!("the reference runtime never enqueues APPLY")
-                    }
-                }
-            }
-        };
-
-        // Kick off iteration 1 of every job.
-        let mut active = 0usize;
-        for (j, run) in runs.iter_mut().enumerate() {
-            if run.max_iterations == 0 {
-                run.done = true;
-                continue;
-            }
-            run.iteration = 1;
-            enqueue(run, j, SubtaskKind::Pull);
-            active += 1;
-        }
-
-        // The subtask synchronizer: advance each job's state machine as
-        // its distributed subtasks report completion.
-        while active > 0 {
-            let (j, node, kind, iter, elapsed) =
-                event_rx.recv().expect("executors alive while jobs active");
-            let run = &mut runs[j];
-            if run.aborting || run.abort_after == Some(iter) {
-                // Fault injection: the first PULL of the doomed iteration
-                // trips the abort; the remaining in-flight PULLs are
-                // drained without scheduling any COMP, so the model stays
-                // exactly as of the previous iteration.
-                if !run.aborting {
-                    debug_assert_eq!(kind, SubtaskKind::Pull);
-                    run.aborting = true;
-                    run.iteration -= 1;
-                }
-                run.pending -= 1;
-                if run.pending == 0 {
-                    run.done = true;
-                    active -= 1;
-                }
-                continue;
-            }
-            debug_assert_eq!(kind, run.kind);
-            run.timings.push(SubtaskTiming {
-                kind,
-                node,
-                iteration: iter,
-                elapsed,
-            });
-            run.pending -= 1;
-            if run.pending > 0 {
-                continue; // barrier not reached yet
-            }
-            match kind {
-                SubtaskKind::Pull => enqueue(run, j, SubtaskKind::Comp),
-                SubtaskKind::Comp => enqueue(run, j, SubtaskKind::Push),
-                SubtaskKind::Push => {
-                    if run.all_reduce {
-                        // All ranks contributed: reduce around the ring
-                        // and apply the summed update once.
-                        let mut buffers: Vec<Vec<f64>> = run
-                            .updates
-                            .iter()
-                            .map(|slot| slot.lock().take().expect("COMP preceded PUSH"))
-                            .collect();
-                        crate::allreduce::ring_all_reduce(&mut buffers);
-                        run.model.push(&buffers[0]);
-                    }
-                    // The reference arm always ships dense updates.
-                    let dop = run.workers.len();
-                    let per_worker =
-                        dense_push_bytes_per_worker(run.model.pull_bytes(), dop, run.all_reduce);
-                    run.push_volumes.push(PushVolume {
-                        iteration: run.iteration,
-                        bytes: per_worker * dop as u64,
-                        dense_bytes: per_worker * dop as u64,
-                    });
-                    // Iteration boundary: evaluate, then stop or go on.
-                    let at_check = run.iteration.is_multiple_of(run.check_every)
-                        || run.iteration == run.max_iterations;
-                    if at_check {
-                        let snapshot = run.model.pull();
-                        let sum: f64 = run.workers.iter().map(|w| w.lock().loss(&snapshot)).sum();
-                        let loss = sum / run.total_examples.max(1) as f64;
-                        run.loss_history.push((run.iteration, loss));
-                        if run.loss_threshold.is_some_and(|t| loss <= t) {
-                            run.converged = true;
-                        }
-                    }
-                    if run.converged || run.iteration >= run.max_iterations {
-                        run.done = true;
-                        active -= 1;
-                    } else {
-                        if run
-                            .migration
-                            .as_ref()
-                            .is_some_and(|m| m.after_iteration == run.iteration)
-                        {
-                            migrate(run);
-                        }
-                        run.iteration += 1;
-                        enqueue(run, j, SubtaskKind::Pull);
-                    }
-                }
-                SubtaskKind::Apply => {
-                    unreachable!("the reference runtime never receives APPLY events")
-                }
-            }
-        }
-
-        runs.into_iter()
-            .map(|run| {
-                let final_model = run.model.pull();
-                let dop = run.workers.len();
-                finish_report(
-                    run.name,
-                    run.iteration,
-                    run.initial_loss,
-                    run.loss_history,
-                    run.timings,
-                    dop,
-                    final_model,
-                    run.migrated,
-                    run.converged,
-                    run.aborting,
-                    run.push_volumes,
-                )
-            })
-            .collect()
     }
 }
 
@@ -1018,6 +649,7 @@ impl std::fmt::Debug for PsCluster {
 mod tests {
     use super::*;
     use harmony_ml::{synth, Lasso, Lda, Mlr, Nmf};
+    use std::time::Duration;
 
     fn mlr_job(name: &str, nodes: usize, iters: u64) -> TrainingJob {
         let data = synth::classification(120, 16, 3, 0.3, 5);
@@ -1173,6 +805,80 @@ mod tests {
         let _ = JobBuilder::new("empty").build();
     }
 
+    /// MLR workers over `features` features and 3 classes: a model of
+    /// `3 * features` slots.
+    fn mlr_workers(features: usize, nodes: usize) -> Vec<Box<dyn PsAlgorithm>> {
+        let data = synth::classification(40, features, 3, 0.3, 3);
+        synth::partition(&data, nodes)
+            .into_iter()
+            .map(|p| Box::new(Mlr::new(p, features, 3, 0.5)) as Box<dyn PsAlgorithm>)
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "job 'ragged': worker 1 has 24 model slots, worker 0 has 48")]
+    fn build_rejects_workers_of_different_model_lengths() {
+        let mut workers = mlr_workers(16, 1);
+        workers.extend(mlr_workers(8, 1));
+        let _ = JobBuilder::new("ragged").workers(workers).build();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "job 'resume': the initial model has 4 slots, the workers' model has 48"
+    )]
+    fn build_rejects_an_initial_model_of_another_length() {
+        let _ = JobBuilder::new("resume")
+            .workers(mlr_workers(16, 2))
+            .initial_model(vec![0.0; 4])
+            .build();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "job 'move': migration worker 0 has 24 model slots, the job's model has 48"
+    )]
+    fn build_rejects_migration_workers_of_another_length() {
+        let _ = JobBuilder::new("move")
+            .workers(mlr_workers(16, 2))
+            .migrate_after(2, mlr_workers(8, 2))
+            .max_iterations(5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "job 'empty-move': a migration needs at least one worker")]
+    fn build_rejects_a_migration_without_workers() {
+        let _ = JobBuilder::new("empty-move")
+            .workers(mlr_workers(16, 2))
+            .migrate_after(2, Vec::new())
+            .max_iterations(5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "job 'late': migration after iteration 5 never fires within 5 iterations"
+    )]
+    fn build_rejects_a_migration_that_never_fires() {
+        let _ = JobBuilder::new("late")
+            .workers(mlr_workers(16, 2))
+            .migrate_after(5, mlr_workers(16, 4))
+            .max_iterations(5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "job 'ring': live migration of all-reduce jobs is not supported")]
+    fn build_rejects_migrating_an_all_reduce_job() {
+        let _ = JobBuilder::new("ring")
+            .workers(mlr_workers(16, 2))
+            .all_reduce()
+            .migrate_after(2, mlr_workers(16, 4))
+            .max_iterations(5)
+            .build();
+    }
+
     #[test]
     #[should_panic(expected = "wants 3 workers")]
     fn job_cannot_exceed_cluster() {
@@ -1325,38 +1031,5 @@ mod tests {
         assert!((r.mean_tcpu - 4.0).abs() < 1e-12);
         assert_eq!(r.dop, 2, "dop reflects the post-migration group");
         assert_eq!(r.migrated.unwrap().from_dop, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "live_migration is off")]
-    fn migration_requires_the_flag() {
-        let cluster = PsCluster::new(PsConfig::default());
-        let data = synth::classification(40, 8, 2, 0.3, 3);
-        let mk = || {
-            synth::partition(&data, 1)
-                .into_iter()
-                .map(|p| Box::new(Mlr::new(p, 8, 2, 0.5)) as Box<dyn PsAlgorithm>)
-                .collect::<Vec<_>>()
-        };
-        let job = JobBuilder::new("flagless")
-            .workers(mk())
-            .migrate_after(2, mk())
-            .max_iterations(5)
-            .build();
-        let _ = cluster.run_jobs(vec![job]);
-    }
-
-    #[test]
-    fn reference_runtime_reports_zero_tapply() {
-        // The reference arm folds updates inside PUSH: it never runs an
-        // APPLY subtask, so the profiled mean must be exactly zero.
-        let cluster = PsCluster::new(PsConfig {
-            fast_runtime: false,
-            ..PsConfig::default()
-        });
-        let report = cluster.run_jobs(vec![mlr_job("ref", 2, 5)]).remove(0);
-        assert_eq!(report.mean_tapply, 0.0);
-        assert!(report.timings.iter().all(|t| t.kind != SubtaskKind::Apply));
-        assert_eq!(report.dop, 2);
     }
 }

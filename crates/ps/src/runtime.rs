@@ -1,8 +1,9 @@
-//! The zero-copy pipelined PS runtime — the [`PsConfig::fast_runtime`]
-//! arm (default on).
+//! The PS runtime: zero-copy, one APPLY per job-iteration, pipelined
+//! per worker.
 //!
-//! Three changes over the phase-barriered reference arm, none of which
-//! may change a single output bit (`tests/ps_equivalence.rs`):
+//! Three design choices, none of which may change a single output bit:
+//! `tests/ps_goldens.rs` pins the final model and loss history of every
+//! algorithm across DoP, all-reduce, abort, migration and co-location.
 //!
 //! 1. **Pooled buffers, one model.** A job holds `1 + DoP` model-sized
 //!    buffers, all drawn from the cluster's
@@ -28,9 +29,8 @@
 //!    is folded on a thread scoped to the APPLY (`fold::fold_split`).
 //!    f64 addition is not associative, so the fixed fold *order* — not
 //!    merely the fixed operand set — is what keeps the result
-//!    bit-identical to the reference arm's per-shard fold however
-//!    arrivals interleave; no slot's additions or their order depend on
-//!    the split or on the thread that runs them.
+//!    bit-identical however arrivals interleave; no slot's additions or
+//!    their order depend on the split or on the thread that runs them.
 //! 3. **Per-worker pipelining.** A worker's COMP is submitted the
 //!    moment *its own* PULL lands (and its PUSH the moment its COMP
 //!    lands) instead of waiting for the slowest peer at a global phase
@@ -144,8 +144,7 @@ struct Staged<'a> {
     slots: &'a [RwLock<Option<PooledBuffer>>],
     stages: Option<&'a [RwLock<SparseStage>]>,
     /// Every worker, or 1 after a ring reduction, which left every slot
-    /// holding the full sum: slot 0 is folded once, exactly as the
-    /// reference pushes `buffers[0]`.
+    /// holding the full sum: slot 0 is folded once.
     len: usize,
 }
 
@@ -462,7 +461,7 @@ fn begin_iteration(cluster: &PsCluster, ready: &mut VecDeque<Event>, j: usize, r
 /// through the task count, and the model buffer is reused in place; the
 /// generation counter keeps running (no subtask is in flight at the
 /// boundary).
-fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut JobRun) {
+fn migrate(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut JobRun) {
     let plan = run.migration.take().expect("migration due");
     let t0 = cluster.clock.now();
     let checkpoint_bytes;
@@ -510,9 +509,9 @@ fn migrate_fast(cluster: &PsCluster, event_tx: &EventTx, j: usize, run: &mut Job
     cluster.migrations.lock().finish(latency);
 }
 
-/// Runs `jobs` on the pipelined zero-copy runtime. Semantics (and every
-/// output bit) match [`PsCluster::run_jobs`] with `fast_runtime: false`.
-pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<JobReport> {
+/// Runs `jobs` to completion on `cluster`'s executors: the body of
+/// [`PsCluster::run_jobs`].
+pub(crate) fn run_jobs(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<JobReport> {
     let (event_tx, event_rx) = unbounded::<Event>();
 
     let mut runs: Vec<JobRun> = Vec::with_capacity(jobs.len());
@@ -525,7 +524,8 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
             None => model.copy_from_slice(&job.workers[0].init_model(job.seed)),
         }
         // Pre-training pushes (e.g. LDA's random-assignment counts) —
-        // sequential and in worker order, like the reference arm.
+        // sequential and in worker order, as a restart from a
+        // checkpoint replays them.
         for w in &job.workers {
             if let Some(init) = w.initial_update() {
                 fold_dense(&mut model, &init);
@@ -707,7 +707,7 @@ pub(crate) fn run_jobs_fast(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<
                         .as_ref()
                         .is_some_and(|m| m.after_iteration == run.iteration)
                     {
-                        migrate_fast(cluster, &event_tx, j, run);
+                        migrate(cluster, &event_tx, j, run);
                     }
                     begin_iteration(cluster, &mut ready, j, run);
                 }

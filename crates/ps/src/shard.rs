@@ -1,11 +1,9 @@
-//! The sharded global model.
+//! A striped model store over the runtime's fold kernels.
 //!
-//! The model vector is split into contiguous ranges, one per node, each
-//! guarded by its own lock — workers PULL by snapshotting every shard
-//! and PUSH by adding deltas into every shard, exactly the PS push/pull
-//! API shape. Per-shard locking means pushes from different jobs (or to
-//! different shards) proceed in parallel, like independent server
-//! processes.
+//! The PS runtime keeps each job's model in one buffer and folds
+//! updates into it with `fold.rs`'s kernels. [`StripedModel`] wraps the
+//! same kernels behind per-stripe locks; it is kept so the benchmark
+//! can time those kernels on their own (its `ps.shard.*` rows).
 
 use std::sync::Arc;
 
@@ -13,199 +11,21 @@ use parking_lot::RwLock;
 
 use crate::fold::{fold_dense, fold_sparse};
 
-/// A model vector sharded across nodes.
-///
-/// Cloning is cheap (shared `Arc`s): clones refer to the same model.
-///
-/// # Examples
-///
-/// ```
-/// use harmony_ps::ShardedModel;
-///
-/// let model = ShardedModel::new(10, 3);
-/// model.push(&vec![1.0; 10]);
-/// let snapshot = model.pull();
-/// assert_eq!(snapshot, vec![1.0; 10]);
-/// ```
-#[derive(Clone)]
-pub struct ShardedModel {
-    shards: Arc<Vec<RwLock<Vec<f64>>>>,
-    ranges: Arc<Vec<std::ops::Range<usize>>>,
-    len: usize,
-}
-
-impl ShardedModel {
-    /// Creates a zero model of `len` parameters across `nodes` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` or `nodes` is zero.
-    pub fn new(len: usize, nodes: usize) -> Self {
-        assert!(len > 0, "model length must be non-zero");
-        assert!(nodes > 0, "shard count must be non-zero");
-        let nodes = nodes.min(len);
-        let base = len / nodes;
-        let extra = len % nodes;
-        let mut ranges = Vec::with_capacity(nodes);
-        let mut cursor = 0;
-        for i in 0..nodes {
-            let size = base + usize::from(i < extra);
-            ranges.push(cursor..cursor + size);
-            cursor += size;
-        }
-        let shards = ranges
-            .iter()
-            .map(|r| RwLock::new(vec![0.0; r.len()]))
-            .collect();
-        Self {
-            shards: Arc::new(shards),
-            ranges: Arc::new(ranges),
-            len,
-        }
-    }
-
-    /// Total parameter count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the model has no parameters (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Bytes a full PULL transfers (all shards).
-    pub fn pull_bytes(&self) -> u64 {
-        (self.len * std::mem::size_of::<f64>()) as u64
-    }
-
-    /// Snapshots the full model (a PULL of every shard).
-    pub fn pull(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len];
-        self.pull_into(&mut out);
-        out
-    }
-
-    /// Snapshots the full model into `out` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the model length.
-    pub fn pull_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.len, "pull buffer length mismatch");
-        for (shard, range) in (0..self.shards.len()).zip(self.ranges.iter()) {
-            self.pull_shard_into(shard, &mut out[range.clone()]);
-        }
-    }
-
-    /// The contiguous range of model indices held by `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_range(&self, shard: usize) -> std::ops::Range<usize> {
-        self.ranges[shard].clone()
-    }
-
-    /// Snapshots one shard (a partial PULL). Returns the shard's range
-    /// and values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn pull_shard(&self, shard: usize) -> (std::ops::Range<usize>, Vec<f64>) {
-        let range = self.ranges[shard].clone();
-        let mut out = vec![0.0; range.len()];
-        self.pull_shard_into(shard, &mut out);
-        (range, out)
-    }
-
-    /// Copies one shard's values into `out` — a partial PULL without the
-    /// allocation `pull_shard` pays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or `out.len()` differs from the
-    /// shard's length.
-    pub fn pull_shard_into(&self, shard: usize, out: &mut [f64]) {
-        let guard = self.shards[shard].read();
-        assert_eq!(out.len(), guard.len(), "shard buffer length mismatch");
-        out.copy_from_slice(&guard);
-    }
-
-    /// Adds `delta` (indexed from the shard's own start) into one shard
-    /// — a partial PUSH. Holding only this shard's lock, pushes to
-    /// other shards proceed in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or `delta.len()` differs from
-    /// the shard's length.
-    pub fn push_shard(&self, shard: usize, delta: &[f64]) {
-        let mut guard = self.shards[shard].write();
-        assert_eq!(delta.len(), guard.len(), "shard delta length mismatch");
-        for (w, d) in guard.iter_mut().zip(delta) {
-            *w += d;
-        }
-    }
-
-    /// Adds `delta` into the model (a PUSH to every shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta.len()` differs from the model length.
-    pub fn push(&self, delta: &[f64]) {
-        assert_eq!(delta.len(), self.len, "delta length mismatch");
-        for (shard, range) in self.shards.iter().zip(self.ranges.iter()) {
-            let mut guard = shard.write();
-            for (w, d) in guard.iter_mut().zip(&delta[range.clone()]) {
-                *w += d;
-            }
-        }
-    }
-
-    /// Replaces the model contents (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the model length.
-    pub fn restore(&self, values: &[f64]) {
-        assert_eq!(values.len(), self.len, "restore length mismatch");
-        for (shard, range) in self.shards.iter().zip(self.ranges.iter()) {
-            shard.write().copy_from_slice(&values[range.clone()]);
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardedModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedModel")
-            .field("len", &self.len)
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
 /// Default [`StripedModel`] stripe length: 8192 parameters (64 KiB),
 /// small enough that contended pushes from different workers rarely
 /// wait on the same lock, large enough that lock traffic stays
 /// negligible next to the adds.
 pub const DEFAULT_STRIPE_LEN: usize = 8192;
 
-/// A model vector in fixed-length stripes, each behind its own lock.
+/// A model vector in fixed-length stripes, each behind its own lock: a
+/// thin wrapper over the one-delta fold kernels of `fold.rs`, kept so
+/// the benchmark's `ps.shard.*` rows can time
+/// [`StripedModel::stripe_add`] and [`StripedModel::stripe_add_sparse`].
 ///
-/// Where [`ShardedModel`] mirrors the *placement* unit (one shard per
-/// server node), `StripedModel` sizes its lock granularity for
-/// *contention*: writers working on disjoint stripe ranges never touch
-/// the same lock, so concurrent folds scale with stripes, not nodes.
-/// Its adds run the same one-delta fold kernels as the PS runtime's
-/// APPLY subtasks, which fold into one contiguous model buffer instead
-/// (and two dense deltas at a time where they can). Determinism rule
+/// The PS runtime does not use it: its APPLY subtasks run the same
+/// kernels over one contiguous model buffer (and two dense deltas at a
+/// time where they can). Writers on disjoint stripes never touch the
+/// same lock, so concurrent folds scale with stripes. Determinism rule
 /// for callers: fold contributor deltas into every stripe in one fixed
 /// (worker-id) order, so the aggregate is bit-identical however the
 /// contributions raced — f64 addition is not associative, so the fold
@@ -367,95 +187,6 @@ impl std::fmt::Debug for StripedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_ranges_cover_model() {
-        let m = ShardedModel::new(10, 3);
-        assert_eq!(m.shard_count(), 3);
-        let mut covered = [false; 10];
-        for s in 0..3 {
-            let (range, vals) = m.pull_shard(s);
-            assert_eq!(vals.len(), range.len());
-            for i in range {
-                assert!(!covered[i], "overlap at {i}");
-                covered[i] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn push_then_pull_roundtrips() {
-        let m = ShardedModel::new(7, 2);
-        let delta: Vec<f64> = (0..7).map(|i| i as f64).collect();
-        m.push(&delta);
-        m.push(&delta);
-        let got = m.pull();
-        let want: Vec<f64> = delta.iter().map(|d| d * 2.0).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn pushes_are_additive_across_threads() {
-        let m = ShardedModel::new(64, 4);
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let m = m.clone();
-                std::thread::spawn(move || m.push(&vec![1.0; 64]))
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert!(m.pull().iter().all(|&v| (v - 8.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn restore_overwrites() {
-        let m = ShardedModel::new(4, 2);
-        m.push(&[1.0, 2.0, 3.0, 4.0]);
-        m.restore(&[9.0, 9.0, 9.0, 9.0]);
-        assert_eq!(m.pull(), vec![9.0; 4]);
-    }
-
-    #[test]
-    fn more_nodes_than_params_is_clamped() {
-        let m = ShardedModel::new(2, 8);
-        assert_eq!(m.shard_count(), 2);
-        assert_eq!(m.pull().len(), 2);
-    }
-
-    #[test]
-    fn pull_bytes_accounts_f64() {
-        let m = ShardedModel::new(100, 2);
-        assert_eq!(m.pull_bytes(), 800);
-    }
-
-    #[test]
-    fn pull_shard_into_matches_pull_shard() {
-        let m = ShardedModel::new(10, 3);
-        let delta: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        m.push(&delta);
-        for s in 0..m.shard_count() {
-            let (range, vals) = m.pull_shard(s);
-            assert_eq!(range, m.shard_range(s));
-            let mut out = vec![0.0; range.len()];
-            m.pull_shard_into(s, &mut out);
-            assert_eq!(out, vals);
-        }
-    }
-
-    #[test]
-    fn push_shard_targets_one_shard_only() {
-        let m = ShardedModel::new(10, 3);
-        let range = m.shard_range(1);
-        m.push_shard(1, &vec![2.0; range.len()]);
-        let got = m.pull();
-        for (i, &v) in got.iter().enumerate() {
-            let want = if range.contains(&i) { 2.0 } else { 0.0 };
-            assert_eq!(v, want, "element {i}");
-        }
-    }
 
     #[test]
     fn striped_ranges_cover_model() {

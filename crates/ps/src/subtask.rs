@@ -7,9 +7,8 @@ use std::time::Duration;
 ///
 /// `Pull` and `Push` are the network-dominant COMM subtasks; `Comp` is
 /// the CPU-dominant computation subtask. `Apply` is the server-side
-/// aggregation the fast runtime executes as one explicit subtask per
-/// job-iteration (the reference runtime folds updates inside the PUSH
-/// subtask instead, so it never emits `Apply` timings).
+/// aggregation, one explicit subtask per job-iteration that folds every
+/// worker's update into the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubtaskKind {
     /// Fetch the current model from the servers (COMM).
@@ -18,8 +17,7 @@ pub enum SubtaskKind {
     Comp,
     /// Send the update back to the servers (COMM).
     Push,
-    /// Fold the received updates into the server shards (COMM side,
-    /// fast runtime only).
+    /// Fold the received updates into the model (COMM side).
     Apply,
 }
 
@@ -83,7 +81,7 @@ pub enum SyncAction {
     InFlight,
 }
 
-/// Per-job barrier state for the pipelined fast runtime.
+/// Per-job barrier state for the pipelined runtime.
 ///
 /// The pipeline issues a worker's next subtask the moment its previous
 /// one completes — per-worker progress is independent until the PUSH

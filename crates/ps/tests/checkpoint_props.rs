@@ -1,15 +1,15 @@
 //! Property tests: checkpoint serialization is a lossless bit-level
 //! round trip for *every* f64 bit pattern — NaNs with payloads, signed
-//! zeros, subnormals, infinities — and composes with the sharded and
-//! striped model stores at any layout, including empty models and
-//! odd-sized stripes. This is the foundation the migration-equivalence
-//! gate stands on: if any bit pattern failed to survive
-//! capture → wire → restore, migrate-at-boundary could not be
-//! bit-identical to checkpoint → fresh-restart.
+//! zeros, subnormals, infinities — and composes with the striped model
+//! store at any layout, including empty models and odd-sized stripes.
+//! This is the foundation the migration-equivalence gate stands on: if
+//! any bit pattern failed to survive capture → wire → restore,
+//! migrate-at-boundary could not be bit-identical to checkpoint →
+//! fresh-restart.
 
 use proptest::prelude::*;
 
-use harmony_ps::{Checkpoint, ShardedModel, StripedModel};
+use harmony_ps::{Checkpoint, StripedModel};
 
 fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -81,27 +81,9 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 
-    /// The migration path stages the checkpoint through a
-    /// `ShardedModel` rebuilt at an arbitrary new DoP: pull → capture →
-    /// restore into the new layout → pull must be a bit-identity
-    /// regardless of how the shards split the vector.
-    #[test]
-    fn sharded_relayout_preserves_bits(
-        model in nonempty_model(),
-        old_nodes in 1usize..9,
-        new_nodes in 1usize..9,
-    ) {
-        let old = ShardedModel::new(model.len(), old_nodes);
-        old.restore(&model);
-        let ckpt = Checkpoint::capture(&old.pull());
-        let new = ShardedModel::new(ckpt.param_count(), new_nodes);
-        new.restore(&ckpt.restore());
-        prop_assert_eq!(to_bits(&new.pull()), to_bits(&model));
-    }
-
-    /// Same for `StripedModel`, restored in place: odd stripe lengths
-    /// leave a ragged tail stripe, and a stripe longer than the model
-    /// degenerates to a single stripe.
+    /// A `StripedModel` restored in place through a checkpoint keeps
+    /// every bit: odd stripe lengths leave a ragged tail stripe, and a
+    /// stripe longer than the model degenerates to a single stripe.
     #[test]
     fn striped_relayout_preserves_bits(
         model in nonempty_model(),

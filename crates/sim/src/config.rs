@@ -167,33 +167,6 @@ pub struct SimConfig {
     /// place), plan-driven crashes permanently remove machines and
     /// exercise the regrouper's recovery paths.
     pub fault_plan: Option<FaultPlan>,
-    /// Route hot events through the allocation-free fast path: wake
-    /// dedup via per-group pending markers, the incremental
-    /// active-scheduled counter, and reschedules that reuse a
-    /// persistent scratch instead of rebuilding a `ProfileStore` and
-    /// fresh buffers per invocation. The fast path is equivalence-gated:
-    /// `RunReport::canonical_bytes` is bit-identical with the flag off
-    /// (asserted by `tests/sim_equivalence.rs`), so disabling it only
-    /// serves as the reference arm of that comparison.
-    pub fast_event_path: bool,
-    /// Incremental rescheduling: kill the per-event O(jobs × machines)
-    /// term with provably outcome-preserving cuts. (1) The regrouper
-    /// freezes per-group Eq. 3 terms once per decision and refolds
-    /// Eq. 4 over them, so a targeted pass re-derives only the touched
-    /// group — see
-    /// [`harmony_core::regroup::Regrouper::with_incremental`]. (2) When
-    /// the incumbent utilization already saturates the score ceiling,
-    /// the regrouper's escalation ladder (one full Algorithm 1 pass per
-    /// rung) is skipped outright: no candidate can clear the
-    /// improvement threshold. Neither the profile cache nor the event
-    /// queue is the flag's business: every pass over reused buffers
-    /// brings the cache up to date in place with
-    /// [`harmony_core::scratch::ProfileCache::sync`], and both arms
-    /// run on the one `EventQueue` (`crates/sim/src/events.rs`).
-    /// Equivalence-gated like `fast_event_path`:
-    /// `RunReport::canonical_bytes` is bit-identical with the flag off
-    /// (asserted by `tests/sim_equivalence.rs`).
-    pub incremental_resched: bool,
     /// Closed-loop online profiling (§IV-B4): pin every running job's
     /// profile to the estimate its current schedule was computed with,
     /// and trigger a reschedule when the smoothed measurement drifts
@@ -212,7 +185,7 @@ pub struct SimConfig {
     /// top of the input reload. Off by default; with the flag off the
     /// drift path full-reschedules exactly as before, so
     /// `RunReport::canonical_bytes` is byte-identical to a build
-    /// without the feature (`tests/sim_equivalence.rs`).
+    /// without the feature (`tests/golden_digests.rs`).
     pub live_migration: bool,
     /// Iterations a freshly migrated job runs before its drift trigger
     /// re-arms. The smoothed profile estimate needs several samples to
@@ -251,15 +224,14 @@ pub struct SimConfig {
     /// ([`harmony_core::schedule::Scheduler::schedule_release`]), so
     /// freed capacity never idles behind the deferral.
     ///
-    /// Unlike `fast_event_path`/`incremental_resched` this mode is
-    /// equivalence-*relaxed*, not equivalence-gated: decisions
-    /// legitimately differ from the exact arm. The acceptance story is
-    /// quantified instead — `tests/coalesce_acceptance.rs` holds mean
-    /// JCT and final utilization within 1% of the exact arm across the
-    /// equivalence matrix, and `RunReport::coalesce_staleness` proves
-    /// no deferred decision ever waits longer than the window. Off by
-    /// default; with the flag off the event path never consults the
-    /// window machinery, so existing equivalence suites stay
+    /// This mode is equivalence-*relaxed*: decisions legitimately
+    /// differ from the exact arm. The acceptance story is quantified
+    /// instead — `tests/coalesce_acceptance.rs` holds mean JCT and
+    /// final utilization within 1% of the exact arm across a matrix of
+    /// schedulers and faults, and `RunReport::coalesce_staleness`
+    /// proves no deferred decision ever waits longer than the window.
+    /// Off by default; with the flag off the event path never consults
+    /// the window machinery, so the exact arm's goldens stay
     /// byte-identical.
     pub coalesced_passes: bool,
     /// Virtual seconds a coalescing window stays open before flushing
@@ -311,8 +283,6 @@ impl Default for SimConfig {
             record_spans: false,
             failure_mtbf_secs: None,
             fault_plan: None,
-            fast_event_path: true,
-            incremental_resched: true,
             profile_feedback: false,
             live_migration: false,
             migration_settle_iters: 8,

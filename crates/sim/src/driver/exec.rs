@@ -127,15 +127,13 @@ impl Driver {
             }
         }
         if let Some(t) = next {
-            if self.cfg.fast_event_path {
-                if grp.pending_wake == Some((gen, t)) {
-                    // An identical wake is already sitting in the heap;
-                    // processing the duplicate would be a no-op (same
-                    // instant, same generation), so skip the enqueue.
-                    return;
-                }
-                grp.pending_wake = Some((gen, t));
+            if grp.pending_wake == Some((gen, t)) {
+                // An identical wake is already sitting in the heap;
+                // processing the duplicate would be a no-op (same
+                // instant, same generation), so skip the enqueue.
+                return;
             }
+            grp.pending_wake = Some((gen, t));
             let group = grp.id;
             self.push_event(t, EventKind::Wake { group, gen });
         }

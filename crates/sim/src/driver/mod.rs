@@ -174,7 +174,7 @@ pub struct Driver {
     dead_jobs: usize,
     /// Live jobs currently attached to a group — maintained at every
     /// attach/detach/terminal transition so utilization sampling never
-    /// scans the job table (fast event path).
+    /// scans the job table.
     active_scheduled: usize,
     /// Scratch arena: member snapshots taken while a group is mutated.
     scratch_members: Vec<usize>,
@@ -231,8 +231,7 @@ impl Driver {
         Self {
             noise: Straggler::new(cfg.straggler_cv, cfg.seed ^ 0x5u64),
             scheduler: Scheduler::new(cfg.scheduler_config),
-            regrouper: Regrouper::new(Scheduler::new(cfg.scheduler_config))
-                .with_incremental(cfg.incremental_resched),
+            regrouper: Regrouper::new(Scheduler::new(cfg.scheduler_config)),
             oracle: OracleScheduler::new(cfg.scheduler_config),
             free_machines: cfg.machines,
             mem,
@@ -685,23 +684,16 @@ impl Driver {
             cpu += grp.cpu.usage() * mf;
             net += grp.net.usage() * mf;
         }
-        let active = if self.cfg.fast_event_path {
-            // Debug cross-check of the counter (a full walk on purpose).
-            debug_assert_eq!(
-                self.active_scheduled,
-                self.jobs
-                    .iter()
-                    .filter(|j| j.group.is_some() && j.is_live())
-                    .count(),
-                "active-scheduled counter out of sync"
-            );
-            self.active_scheduled
-        } else {
-            self.arrived_live
+        // Debug cross-check of the counter (a full walk on purpose).
+        debug_assert_eq!(
+            self.active_scheduled,
+            self.jobs
                 .iter()
-                .filter(|&j| self.jobs[j].group.is_some())
-                .count()
-        };
+                .filter(|j| j.group.is_some() && j.is_live())
+                .count(),
+            "active-scheduled counter out of sync"
+        );
+        let active = self.active_scheduled;
         ((cpu / total).min(1.0), (net / total).min(1.0), active)
     }
 

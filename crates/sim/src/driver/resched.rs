@@ -545,22 +545,7 @@ impl Driver {
             SimJobState::Running,
         ];
         let mut ss = std::mem::take(&mut self.sched_scratch);
-        if self.cfg.fast_event_path {
-            self.gather_ordered(&CLASSES, &mut ss.class, &mut ss.full.profiles);
-        } else {
-            // The reference arm: same order, but the profiles come out
-            // of a freshly built store and are scheduled from cold.
-            let store = self.profile_store();
-            ss.full.profiles.clear();
-            for state in CLASSES {
-                self.class_ordered(state, &mut ss.class);
-                let stored = ss
-                    .class
-                    .iter()
-                    .filter_map(|&(_, j)| store.get(JobId::new(j as u64)));
-                ss.full.profiles.extend(stored.cloned());
-            }
-        }
+        self.gather_ordered(&CLASSES, &mut ss.class, &mut ss.full.profiles);
         let profiling_held: u32 = self
             .alive_groups()
             .filter(|&g| self.group_is_actively_profiling(g))
@@ -581,13 +566,12 @@ impl Driver {
                 );
                 d.oracle.schedule(&buf.profiles, machines)
             }
-            _ if d.cfg.fast_event_path => d.scheduler.schedule_reusing(
+            _ => d.scheduler.schedule_reusing(
                 &buf.profiles,
                 machines,
                 &mut buf.cache,
                 &mut buf.scratch,
             ),
-            _ => d.scheduler.schedule(&buf.profiles, machines),
         });
         self.sched_scratch = ss;
         let involved: Vec<usize> = self

@@ -307,7 +307,7 @@ pub struct GroupSim {
     /// The `(gen, time)` of this group's wake event currently sitting
     /// in the driver's heap, if any — set on push, cleared on the
     /// matching pop, so re-arming an identical wake can skip the
-    /// duplicate enqueue entirely (fast event path).
+    /// duplicate enqueue entirely.
     pub pending_wake: Option<(u64, f64)>,
     /// Conservative "some member may still be loading": set wherever a
     /// member's `exec` becomes [`ExecPhase::Idle`] (attach, restart in

@@ -11,17 +11,16 @@
 # bytes across commits.
 #
 # Usage: scripts/check.sh [--bench-smoke] [--bench]
-#   --bench-smoke  additionally run the simulator fast-event-path,
-#                  incremental-resched, coalesced-pass and
+#   --bench-smoke  additionally run the simulator coalesced-pass and
 #                  open-loop-admission acceptance gates and the PS
-#                  fast-runtime, sparse-wire and live-migration
-#                  equivalence gates at tiny scale, the PS steady-state
-#                  allocation audit (counting global allocator,
-#                  `alloc-count` feature), and build, smoke-run and
-#                  test the standalone benchmark package (benchmark/,
-#                  the BENCHMARK.json gate): it binds to the crates'
-#                  public API from outside the workspace, so only this
-#                  step notices a change that stops it compiling.
+#                  sparse-wire and live-migration gates at tiny scale,
+#                  the PS steady-state allocation audit (counting
+#                  global allocator, `alloc-count` feature), and
+#                  build, smoke-run and test the standalone benchmark
+#                  package (benchmark/, the BENCHMARK.json gate): it
+#                  binds to the crates' public API from outside the
+#                  workspace, so only this step notices a change that
+#                  stops it compiling.
 #   --bench        additionally run the regression gate: a full
 #                  benchmark set (3 runs per workload, seeds 1..3,
 #                  about 6 minutes) compared against the committed
@@ -76,25 +75,13 @@ echo "==> PS training digests (release)"
 cargo test --release -q -p harmony --test ps_goldens
 
 if [ "$BENCH_SMOKE" = 1 ]; then
-    echo "==> sim equivalence smoke (fast event path == reference bytes)"
-    cargo test --release -q -p harmony --test sim_equivalence \
-        tiny_scale_fast_path_matches_reference
-
-    echo "==> incremental-resched equivalence smoke (dirty-set path == full-pass bytes)"
-    cargo test --release -q -p harmony --test sim_equivalence \
-        incremental_resched_matches_across_schedulers_and_faults
-
     echo "==> coalesced-pass acceptance gate (1% JCT/utilization bound + flag-off bit-identity)"
     cargo test --release -q -p harmony --test coalesce_acceptance
 
     echo "==> open-loop admission acceptance gate (capture byte-identity + churn matrix + admission books)"
     cargo test --release -q -p harmony --test open_loop_acceptance
 
-    echo "==> PS runtime equivalence smoke (fast runtime == reference bytes)"
-    cargo test --release -q -p harmony --test ps_equivalence \
-        tiny_scale_fast_runtime_matches_reference
-
-    echo "==> PS sparse-wire equivalence smoke (sparse PUSH == dense bytes, smaller wire)"
+    echo "==> PS sparse-wire smoke (smaller wire on sparse workloads; ps_goldens holds its bits)"
     cargo test --release -q -p harmony --test ps_equivalence \
         sparse_push_shrinks_the_wire_on_sparse_workloads
 

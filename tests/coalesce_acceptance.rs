@@ -1,18 +1,16 @@
 //! Quantified acceptance gate for coalesced reschedule passes
 //! (`SimConfig::coalesced_passes`).
 //!
-//! Unlike `fast_event_path` / `incremental_resched` — which are
-//! bit-exact and gated byte-for-byte in `tests/sim_equivalence.rs` —
-//! the coalesced mode deliberately gives up bit-identity: deferring
+//! The exact arm's bytes are pinned by `tests/golden_digests.rs`; the
+//! coalesced mode deliberately gives up bit-identity: deferring
 //! finish-mandated passes into windows produces *different* (not
 //! wrong) decisions. Its admission story is quantified instead: across
-//! the same matrix the equivalence suite covers (schedulers ×
-//! arrivals × noise × fault plans), mean JCT and final cluster
-//! utilization must stay within 1% of the exact arm, every job must
-//! still complete, and the window accounting must balance (no finish
-//! lost, staleness bounded by the window). Schedulers whose finish
-//! path never consults the window machinery (Isolated, Naive) must
-//! stay byte-identical with the flag on.
+//! a matrix of schedulers × arrivals × noise × fault plans, mean JCT
+//! and final cluster utilization must stay within 1% of the exact arm,
+//! every job must still complete, and the window accounting must
+//! balance (no finish lost, staleness bounded by the window).
+//! Schedulers whose finish path never consults the window machinery
+//! (Isolated, Naive) must stay byte-identical with the flag on.
 
 use harmony::core::JobSpec;
 use harmony::sim::{Driver, FaultPlan, ReloadPolicy, RunReport, SchedulerKind, SimConfig};

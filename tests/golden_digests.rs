@@ -1,18 +1,18 @@
 //! Frozen output digests: FNV-1a over a run report's fingerprint for
-//! a handful of small scenarios, one per driver regime.
+//! small scenarios, one per driver regime.
 //!
-//! The equivalence suites (`sim_equivalence`, `migration_equivalence`)
-//! compare two arms of the *same* build, so a refactor that moves both
-//! arms together passes them. These constants pin the bytes across
-//! commits instead: they were captured on the commit before the
-//! driver's scans moved onto the live-job and alive-group indices
-//! (DESIGN.md §7 "O(active) driver state") and must not change unless a
-//! PR deliberately changes simulated behaviour. A second batch —
-//! oracle and baseline schedulers, profile-error injection, MTBF
-//! failures, drift-driven live migration, stragglers under the
-//! static-fit reload policy — was captured on the commit before
-//! `driver.rs` became `driver/` and the scheduling entry points were
-//! merged, to cover what that refactor moved. A PR that does mean to
+//! These constants are the spec of simulated behaviour: a change that
+//! means to keep it must leave every one alone. The first batch was
+//! captured on the commit before the driver's scans moved onto the
+//! live-job and alive-group indices (DESIGN.md §7 "O(active) driver
+//! state"). A second batch — oracle and baseline schedulers,
+//! profile-error injection, MTBF failures, drift-driven live migration,
+//! stragglers under the static-fit reload policy — was captured on the
+//! commit before `driver.rs` became `driver/` and the scheduling entry
+//! points were merged. The `tiny_*` cells were captured from the
+//! simulator's reference arms — the original event path, the
+//! whole-cluster regrouper and exhaustive candidate scans — and held on
+//! every arm before those arms were retired. A PR that does mean to
 //! change behaviour re-captures them (`GOLDEN_PRINT=1 cargo test --test
 //! golden_digests -- --nocapture`) and says why.
 //!
@@ -27,7 +27,7 @@
 //! with behaviour.
 
 use harmony::core::oracle::OracleScheduler;
-use harmony::core::{AppKind, JobSpec, SchedulerConfig, SyncKind};
+use harmony::core::{AppKind, JobSpec, SyncKind};
 use harmony::mem::GcModel;
 use harmony::metrics::{OnlineStats, Timeline};
 use harmony::sim::{
@@ -395,8 +395,9 @@ fn error_injection_coalesced() {
     assert_golden("error_injection_coalesced", &r, ERROR_INJECTION_COALESCED);
 }
 
-/// Error injection on the reference arms (`fast_event_path` and
-/// `incremental_resched` off): the store-backed full pass.
+/// Error injection under staggered arrivals on a smaller cluster: the
+/// biased profiles reach the regrouper's decisions as well as the full
+/// passes.
 #[test]
 fn error_injection_reference_arms() {
     let jobs = specs(2, 12);
@@ -404,8 +405,6 @@ fn error_injection_reference_arms() {
     let r = Driver::run(
         SimConfig {
             error_injection: 0.3,
-            fast_event_path: false,
-            incremental_resched: false,
             ..cfg(16)
         },
         jobs,
@@ -561,41 +560,10 @@ fn tiny_cfg(machines: u32) -> SimConfig {
     }
 }
 
-/// The event-path and regrouper arms a cell runs on: the default, the
-/// regrouper without its term cache and saturation prune, and the
-/// reference arm (original event path, non-incremental regrouper,
-/// exhaustive candidate scans).
-fn arms(cfg: &SimConfig) -> [(&'static str, SimConfig); 3] {
-    [
-        ("default", cfg.clone()),
-        (
-            "non-incremental",
-            SimConfig {
-                incremental_resched: false,
-                ..cfg.clone()
-            },
-        ),
-        (
-            "reference",
-            SimConfig {
-                fast_event_path: false,
-                incremental_resched: false,
-                scheduler_config: SchedulerConfig {
-                    exact_prunes: false,
-                    ..cfg.scheduler_config
-                },
-                ..cfg.clone()
-            },
-        ),
-    ]
-}
-
-/// Runs one cell on every arm and holds each to its pinned digests.
+/// Runs one cell and holds it to its pinned digests.
 fn assert_cell(label: &str, cfg: SimConfig, jobs: &[JobSpec], arrivals: &[f64], want: Golden) {
-    for (arm, cfg) in arms(&cfg) {
-        let r = Driver::run(cfg, jobs.to_vec(), arrivals.to_vec());
-        assert_golden(&format!("{label} [{arm}]"), &r, want);
-    }
+    let r = Driver::run(cfg, jobs.to_vec(), arrivals.to_vec());
+    assert_golden(label, &r, want);
 }
 
 /// One profiled batch through regroup and completion, Harmony on 12
@@ -845,8 +813,8 @@ const CHURN_NAIVE: Golden = Golden {
     v2: 0x140e_ba84_f3eb_1460,
 };
 
-// Captured from the reference arm (original event path,
-// non-incremental regrouper, exhaustive candidate scans).
+// Captured from the reference arms (original event path, whole-cluster
+// regrouper, exhaustive candidate scans), since retired.
 const TINY_BATCH: Golden = Golden {
     legacy: 0xe392_a660_c963_0fc6,
     v2: 0x0137_1900_2bda_2603,

@@ -9,19 +9,19 @@
 //! only holds because both paths restore through the same serialized
 //! checkpoint form and replay the new workers' pre-training pushes in
 //! the same worker order; the gate pins that invariant for all four
-//! algorithms, DoP transitions within 1–8 workers, and both the fast
-//! and reference runtimes, replayed twice for determinism.
+//! algorithms and DoP transitions within 1–8 workers, replayed twice
+//! for determinism. `tests/ps_goldens.rs` pins the migrated runs' bits
+//! across commits, and `fast_and_reference_agree_on_migrated_runs`
+//! holds two of them to the retired reference runtime's outcome.
 
 use harmony::ml::{synth, Lasso, Lda, Mlr, Nmf, PsAlgorithm};
-use harmony::ps::{JobBuilder, JobReport, PsCluster, PsConfig};
+use harmony::ps::{JobBuilder, JobReport, MigrationRecord, PsCluster, PsConfig};
 
-fn cluster(nodes: usize, fast_runtime: bool, live_migration: bool) -> PsCluster {
+fn cluster(nodes: usize, sparse_push: bool) -> PsCluster {
     PsCluster::new(PsConfig {
         nodes,
-        network_bytes_per_sec: None,
-        fast_runtime,
-        live_migration,
-        sparse_push: true,
+        sparse_push,
+        ..PsConfig::default()
     })
 }
 
@@ -67,16 +67,17 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// One job that live-migrates from `w1` to `w2` workers after
-/// `boundary` iterations and runs to `total`.
+/// `boundary` iterations and runs to `total`, on the sparse or the
+/// dense PUSH wire.
 fn migrated_run(
     algo: &str,
     w1: usize,
     w2: usize,
     boundary: u64,
     total: u64,
-    fast: bool,
+    sparse_push: bool,
 ) -> JobReport {
-    let c = cluster(w1.max(w2), fast, true);
+    let c = cluster(w1.max(w2), sparse_push);
     let job = JobBuilder::new(format!("{algo}-{w1}to{w2}"))
         .workers(workers(algo, w1))
         .migrate_after(boundary, workers(algo, w2))
@@ -105,15 +106,8 @@ fn migrated_run(
 
 /// The reference semantics: stop at the boundary, restart a fresh job
 /// from the checkpointed model with the new worker set.
-fn restart_run(
-    algo: &str,
-    w1: usize,
-    w2: usize,
-    boundary: u64,
-    total: u64,
-    fast: bool,
-) -> Vec<f64> {
-    let c = cluster(w1.max(w2), fast, false);
+fn restart_run(algo: &str, w1: usize, w2: usize, boundary: u64, total: u64) -> Vec<f64> {
+    let c = cluster(w1.max(w2), true);
     let first = c
         .run_jobs(vec![JobBuilder::new(format!("{algo}-phase1"))
             .workers(workers(algo, w1))
@@ -133,17 +127,10 @@ fn restart_run(
     second.final_model
 }
 
-fn assert_migration_matches_restart(
-    algo: &str,
-    w1: usize,
-    w2: usize,
-    boundary: u64,
-    total: u64,
-    fast: bool,
-) {
-    let tag = format!("{algo} {w1}->{w2} @{boundary}/{total} fast={fast}");
-    let migrated = migrated_run(algo, w1, w2, boundary, total, fast);
-    let restarted = restart_run(algo, w1, w2, boundary, total, fast);
+fn assert_migration_matches_restart(algo: &str, w1: usize, w2: usize, boundary: u64, total: u64) {
+    let tag = format!("{algo} {w1}->{w2} @{boundary}/{total}");
+    let migrated = migrated_run(algo, w1, w2, boundary, total, true);
+    let restarted = restart_run(algo, w1, w2, boundary, total);
     assert_eq!(
         bits(&migrated.final_model),
         bits(&restarted),
@@ -155,65 +142,96 @@ fn assert_migration_matches_restart(
 /// lasso job migrated 2->4 workers, compared against its restart twin.
 #[test]
 fn tiny_scale_migration_matches_restart() {
-    assert_migration_matches_restart("lasso", 2, 4, 2, 4, true);
+    assert_migration_matches_restart("lasso", 2, 4, 2, 4);
 }
 
 #[test]
 fn all_algorithms_match_restart_across_dop_transitions() {
     for algo in ["mlr", "lasso", "nmf", "lda"] {
         // Scale-out, scale-in, identity, and ragged-partition moves,
-        // all within the 1–8 worker envelope.
-        for (w1, w2) in [(1, 2), (2, 4), (4, 2), (8, 3), (3, 3)] {
-            assert_migration_matches_restart(algo, w1, w2, 3, 6, true);
+        // all within the 1–8 worker envelope, including the fourfold
+        // ones.
+        for (w1, w2) in [
+            (1, 2),
+            (2, 4),
+            (4, 2),
+            (8, 3),
+            (3, 3),
+            (1, 4),
+            (4, 1),
+            (2, 8),
+        ] {
+            assert_migration_matches_restart(algo, w1, w2, 3, 6);
         }
     }
 }
 
-#[test]
-fn reference_runtime_migration_matches_restart() {
-    // The single-threaded reference arm shares the checkpoint path but
-    // rebuilds `ShardedModel` shards instead of restriping in place —
-    // the equivalence must hold there too.
-    for algo in ["mlr", "lasso", "nmf", "lda"] {
-        for (w1, w2) in [(1, 4), (4, 1), (2, 8)] {
-            assert_migration_matches_restart(algo, w1, w2, 3, 6, false);
-        }
-    }
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
 fn fast_and_reference_agree_on_migrated_runs() {
-    // Cross-arm: the zero-copy runtime's in-place restore and the
-    // reference rebuild must land on the same bits.
-    for algo in ["mlr", "lda"] {
-        let fast = migrated_run(algo, 2, 4, 3, 6, true);
-        let reference = migrated_run(algo, 2, 4, 3, 6, false);
-        assert_eq!(
-            bits(&fast.final_model),
-            bits(&reference.final_model),
-            "{algo}: fast vs reference migrated model"
-        );
-        assert_eq!(fast.migrated, reference.migrated);
+    // The runtime's in-place restore must land on the bits the retired
+    // reference runtime's shard rebuild did, on either PUSH wire:
+    // final-model and loss-history digests (FNV-1a of the `to_bits`,
+    // as in `tests/ps_goldens.rs`) and the migration record, captured
+    // from it.
+    for (algo, model, loss, checkpoint_bytes) in [
+        ("mlr", 0xb19a_804e_6eef_ea7f, 0xd98c_9ddc_3457_3118, 288),
+        ("lda", 0x4623_c305_5cb2_11cc, 0x95ed_aeec_8108_00de, 2904),
+    ] {
+        for sparse_push in [true, false] {
+            let tag = format!("{algo} sparse_push={sparse_push}");
+            let report = migrated_run(algo, 2, 4, 3, 6, sparse_push);
+            let got_model = fnv1a(
+                report
+                    .final_model
+                    .iter()
+                    .flat_map(|x| x.to_bits().to_le_bytes()),
+            );
+            let got_loss =
+                fnv1a(report.loss_history.iter().flat_map(|&(i, l)| {
+                    i.to_le_bytes().into_iter().chain(l.to_bits().to_le_bytes())
+                }));
+            assert_eq!(
+                got_model, model,
+                "{tag}: migrated model diverged from the reference ({got_model:#018x})"
+            );
+            assert_eq!(
+                got_loss, loss,
+                "{tag}: migrated loss trajectory diverged from the reference ({got_loss:#018x})"
+            );
+            assert_eq!(
+                report.migrated,
+                Some(MigrationRecord {
+                    at_iteration: 3,
+                    from_dop: 2,
+                    checkpoint_bytes,
+                }),
+                "{tag}: migration record"
+            );
+        }
     }
 }
 
 #[test]
 fn migrated_replay_is_deterministic() {
-    // Replay each arm twice: identical bits, loss trajectories, and
-    // migration records both times.
-    for fast in [true, false] {
-        let a = migrated_run("nmf", 2, 3, 2, 5, fast);
-        let b = migrated_run("nmf", 2, 3, 2, 5, fast);
-        assert_eq!(bits(&a.final_model), bits(&b.final_model));
-        let traj = |r: &JobReport| -> Vec<(u64, u64)> {
-            r.loss_history
-                .iter()
-                .map(|&(i, l)| (i, l.to_bits()))
-                .collect()
-        };
-        assert_eq!(traj(&a), traj(&b), "fast={fast}: loss trajectory");
-        assert_eq!(a.migrated, b.migrated);
-    }
+    // Replay twice: identical bits, loss trajectories, and migration
+    // records both times.
+    let a = migrated_run("nmf", 2, 3, 2, 5, true);
+    let b = migrated_run("nmf", 2, 3, 2, 5, true);
+    assert_eq!(bits(&a.final_model), bits(&b.final_model));
+    let traj = |r: &JobReport| -> Vec<(u64, u64)> {
+        r.loss_history
+            .iter()
+            .map(|&(i, l)| (i, l.to_bits()))
+            .collect()
+    };
+    assert_eq!(traj(&a), traj(&b), "loss trajectory");
+    assert_eq!(a.migrated, b.migrated);
 }
 
 #[test]
@@ -221,6 +239,6 @@ fn migration_at_first_and_penultimate_boundary() {
     // Edge boundaries: right after the first iteration, and with a
     // single iteration left to run on the new workers.
     for boundary in [1, 5] {
-        assert_migration_matches_restart("mlr", 4, 2, boundary, 6, true);
+        assert_migration_matches_restart("mlr", 4, 2, boundary, 6);
     }
 }

@@ -268,7 +268,6 @@ fn drifted_jobs_actually_move_mid_run() {
     let cluster = PsCluster::with_clock(
         PsConfig {
             nodes: DOP,
-            live_migration: true,
             ..PsConfig::default()
         },
         Arc::new(VirtualClock::new(drift_script)),

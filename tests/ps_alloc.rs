@@ -1,4 +1,4 @@
-//! Allocation audit for the fast PS runtime.
+//! Allocation audit for the PS runtime.
 //!
 //! Run with `cargo test --features alloc-count --test ps_alloc`. A
 //! counting `#[global_allocator]` tallies every heap allocation in the
@@ -103,8 +103,6 @@ fn steady_state_iterations_allocate_nothing() {
     let cluster = PsCluster::new(PsConfig {
         nodes: 4,
         network_bytes_per_sec: None,
-        fast_runtime: true,
-        live_migration: false,
         sparse_push: true,
     });
 
@@ -161,8 +159,6 @@ fn sparse_push_steady_state_allocates_nothing() {
     let cluster = PsCluster::new(PsConfig {
         nodes: 4,
         network_bytes_per_sec: None,
-        fast_runtime: true,
-        live_migration: false,
         sparse_push: true,
     });
 
@@ -217,8 +213,6 @@ fn a_warmed_run_allocates_two_model_sizes() {
     let cluster = PsCluster::new(PsConfig {
         nodes: 2,
         network_bytes_per_sec: None,
-        fast_runtime: true,
-        live_migration: false,
         sparse_push: true,
     });
     // Warmup: the pool then holds the model and both update buffers.
@@ -272,8 +266,6 @@ fn a_split_fold_allocates_a_few_small_blocks_per_iteration() {
     let cluster = PsCluster::new(PsConfig {
         nodes: 2,
         network_bytes_per_sec: None,
-        fast_runtime: true,
-        live_migration: false,
         sparse_push: true,
     });
     run_split_lasso(&cluster, 60);

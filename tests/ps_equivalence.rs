@@ -1,18 +1,14 @@
-//! Equivalence gate for the zero-copy pipelined PS runtime.
+//! What the PS runtime does beyond its digests: wire volumes, buffer
+//! budgets, APPLY timings, aborts, and a zero-length wire that must
+//! match a wire through the COMM executors bit for bit.
 //!
-//! `PsConfig::fast_runtime` (default on) must be a pure optimization:
-//! pooled buffers, ranged apply, and per-worker pipelining may change
-//! *when* work happens, never *what* is computed. These tests run the
-//! same jobs through both arms and compare the final model and the loss
-//! trajectory **bit for bit** (`f64::to_bits`) — f64 addition is not
-//! associative, so byte-identity only holds because both arms fold
-//! worker updates in the same (worker-id) order per element.
-//!
-//! `PsConfig::sparse_push` (default on) is held to the same bar: every
-//! pairing runs the fast arm twice — coordinate-sparse PUSH and forced
-//! dense — and both must match the dense reference bit for bit. The
-//! sparse scatter may skip only slots holding signed zeros, which fold
-//! bit-neutrally (see `StripedModel::stripe_add_sparse`).
+//! The bits of training itself — final model and loss history for every
+//! algorithm across DoP, all-reduce, abort, migration and co-location,
+//! with sparse PUSH on and off — are pinned in `tests/ps_goldens.rs`,
+//! under a `VirtualClock`. The `*_matches*` tests here hold the same
+//! cells to the retired phase-barriered reference runtime's outcome on
+//! the wall clock, where executor threads interleave as they will: the
+//! numerics must not depend on the clock.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,13 +20,10 @@ use harmony::ps::{
     VirtualClock,
 };
 
-fn cluster(nodes: usize, fast_runtime: bool, sparse_push: bool) -> PsCluster {
+fn cluster(nodes: usize) -> PsCluster {
     PsCluster::new(PsConfig {
         nodes,
-        network_bytes_per_sec: None,
-        fast_runtime,
-        live_migration: false,
-        sparse_push,
+        ..PsConfig::default()
     })
 }
 
@@ -53,8 +46,8 @@ impl Spec {
         }
     }
 
-    /// Builds the job fresh for each arm — synth data and worker seeds
-    /// are deterministic, so both arms see identical inputs.
+    /// Builds the job fresh for each run — synth data and worker seeds
+    /// are deterministic, so every run sees identical inputs.
     fn job(&self) -> TrainingJob {
         let w = self.workers;
         let mut b = JobBuilder::new(format!("{}-{}w", self.algo, w));
@@ -110,13 +103,13 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn assert_identical(tag: &str, fast: &JobReport, reference: &JobReport) {
-    assert_eq!(fast.iterations, reference.iterations, "{tag}: iterations");
-    assert_eq!(fast.converged, reference.converged, "{tag}: converged");
-    assert_eq!(fast.aborted, reference.aborted, "{tag}: aborted");
+fn assert_identical(tag: &str, a: &JobReport, b: &JobReport) {
+    assert_eq!(a.iterations, b.iterations, "{tag}: iterations");
+    assert_eq!(a.converged, b.converged, "{tag}: converged");
+    assert_eq!(a.aborted, b.aborted, "{tag}: aborted");
     assert_eq!(
-        bits(&fast.final_model),
-        bits(&reference.final_model),
+        bits(&a.final_model),
+        bits(&b.final_model),
         "{tag}: final model diverged"
     );
     let traj = |r: &JobReport| -> Vec<(u64, u64)> {
@@ -125,31 +118,69 @@ fn assert_identical(tag: &str, fast: &JobReport, reference: &JobReport) {
             .map(|&(i, l)| (i, l.to_bits()))
             .collect()
     };
-    assert_eq!(
-        traj(fast),
-        traj(reference),
-        "{tag}: loss trajectory diverged"
-    );
+    assert_eq!(traj(a), traj(b), "{tag}: loss trajectory diverged");
 }
 
-fn run_pair(spec: Spec) {
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the final model's and of the loss history's `to_bits`, as
+/// `tests/ps_goldens.rs` computes them.
+fn digests(r: &JobReport) -> (u64, u64) {
+    let model = fnv1a(r.final_model.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+    let loss = fnv1a(
+        r.loss_history
+            .iter()
+            .flat_map(|&(i, l)| i.to_le_bytes().into_iter().chain(l.to_bits().to_le_bytes())),
+    );
+    (model, loss)
+}
+
+/// A cell's outcome on the reference runtime, captured before it was
+/// retired: `(iterations, model digest, loss digest)`.
+type Reference = (u64, u64, u64);
+
+/// Runs `spec` with sparse PUSH on and off and holds both runs to the
+/// reference runtime's outcome.
+fn assert_matches_reference(spec: Spec, (iterations, model, loss): Reference) {
     let tag = format!(
         "{} workers={} all_reduce={} abort={:?}",
         spec.algo, spec.workers, spec.all_reduce, spec.abort_after
     );
-    let sparse = cluster(spec.workers, true, true)
+    let run = |sparse_push| {
+        PsCluster::new(PsConfig {
+            nodes: spec.workers,
+            sparse_push,
+            ..PsConfig::default()
+        })
         .run_jobs(vec![spec.job()])
-        .remove(0);
-    let dense = cluster(spec.workers, true, false)
-        .run_jobs(vec![spec.job()])
-        .remove(0);
-    let reference = cluster(spec.workers, false, false)
-        .run_jobs(vec![spec.job()])
-        .remove(0);
-    assert_identical(&format!("{tag} [sparse]"), &sparse, &reference);
-    assert_identical(&format!("{tag} [dense]"), &dense, &reference);
+        .remove(0)
+    };
+    let sparse = run(true);
+    let dense = run(false);
+    for (arm, r) in [("sparse", &sparse), ("dense", &dense)] {
+        assert_eq!(r.iterations, iterations, "{tag} [{arm}]: iterations");
+        assert!(!r.converged, "{tag} [{arm}]: converged");
+        assert_eq!(
+            r.aborted,
+            spec.abort_after.is_some(),
+            "{tag} [{arm}]: aborted"
+        );
+        let (got_model, got_loss) = digests(r);
+        assert_eq!(
+            got_model, model,
+            "{tag} [{arm}]: final model diverged ({got_model:#018x}, reference {model:#018x})"
+        );
+        assert_eq!(
+            got_loss, loss,
+            "{tag} [{arm}]: loss trajectory diverged ({got_loss:#018x}, reference {loss:#018x})"
+        );
+    }
     // The flag never inflates the wire: sparse iterations are counted
-    // against the same dense denominator both arms report.
+    // against the same dense denominator both wires report.
     assert!(
         sparse.total_push_bytes() <= dense.total_push_bytes(),
         "{tag}: wire grew"
@@ -157,56 +188,89 @@ fn run_pair(spec: Spec) {
     assert_eq!(
         dense.push_density(),
         1.0,
-        "{tag}: dense arm must report unit density"
+        "{tag}: dense wire must report unit density"
     );
 }
 
-/// The cheap gate `scripts/check.sh --bench-smoke` runs: one small
-/// job, both arms, bit-compared.
+/// The cheap gate: one small job, both wire forms.
 #[test]
 fn tiny_scale_fast_runtime_matches_reference() {
-    run_pair(Spec::new("lasso", 2, 4));
+    assert_matches_reference(
+        Spec::new("lasso", 2, 4),
+        (4, 0xc11d_b000_a23e_48d3, 0xc0d0_f1d8_2bf1_8afd),
+    );
 }
 
 #[test]
 fn all_algorithms_match_across_worker_counts() {
-    for algo in ["mlr", "lasso", "nmf", "lda"] {
-        for workers in [1usize, 2, 4, 8] {
-            run_pair(Spec::new(algo, workers, 6));
-        }
+    for (algo, workers, model, loss) in [
+        ("mlr", 1, 0x2911_15ea_b44d_0ea0, 0x320b_e233_b404_7e8c),
+        ("mlr", 2, 0x9780_c57d_7900_1668, 0x14e1_2762_d38b_5ce6),
+        ("mlr", 4, 0x3d76_fa61_ff17_67ae, 0x1e52_c3bd_8841_c65f),
+        ("mlr", 8, 0x1576_f79d_252a_48f5, 0xe74e_8332_333d_a342),
+        ("lasso", 1, 0x8be6_1fad_1581_83d1, 0xbd8d_8011_734c_add5),
+        ("lasso", 2, 0x5a74_4738_c9c6_4e76, 0x2719_b72d_4549_a25c),
+        ("lasso", 4, 0x6a14_7f5f_e3fd_767a, 0xe964_bff5_b0c6_30ae),
+        ("lasso", 8, 0x9c19_c7d9_2368_6fee, 0xbdd5_0387_76e9_7952),
+        ("nmf", 1, 0x21eb_5694_cb6c_d49e, 0x1ee7_d503_c91a_0706),
+        ("nmf", 2, 0xa6de_35cf_0209_7edc, 0x1ff3_9f08_f780_3a86),
+        ("nmf", 4, 0x75b0_2944_f404_63e3, 0xfa7a_7a99_3c4c_dd4a),
+        ("nmf", 8, 0x0bac_aba3_354f_0d00, 0x254c_cfaa_deea_4e3d),
+        ("lda", 1, 0x6b45_01ec_95a5_2607, 0xc749_09ab_33ad_1cd0),
+        ("lda", 2, 0x9d5f_64bb_2414_9846, 0xeb26_6d1d_8980_73cb),
+        ("lda", 4, 0xfa75_8851_5857_a5b8, 0x99a4_d82c_cc84_cfc4),
+        ("lda", 8, 0x94fa_00b0_86a1_432f, 0xfeb0_b8de_463d_a0b7),
+    ] {
+        assert_matches_reference(Spec::new(algo, workers, 6), (6, model, loss));
     }
 }
 
 #[test]
 fn all_reduce_synchronization_matches() {
-    for workers in [2usize, 4, 8] {
-        run_pair(Spec {
-            all_reduce: true,
-            ..Spec::new("mlr", workers, 6)
-        });
+    for (workers, model, loss) in [
+        (2, 0x5194_f3be_d00c_34ee, 0x2917_cd62_6313_67a3),
+        (4, 0x13cd_2118_8bbc_c13f, 0x1e52_c3bd_8841_c65f),
+        (8, 0xd87c_5fd8_568a_9394, 0xe74e_8332_333d_a342),
+    ] {
+        assert_matches_reference(
+            Spec {
+                all_reduce: true,
+                ..Spec::new("mlr", workers, 6)
+            },
+            (6, model, loss),
+        );
     }
 }
 
 #[test]
 fn abort_mid_iteration_matches() {
-    // Mid-run abort: the doomed iteration's PULLs are drained in both
-    // arms, leaving the model exactly as of the previous iteration.
-    for algo in ["mlr", "lda"] {
-        run_pair(Spec {
-            abort_after: Some(4),
-            ..Spec::new(algo, 4, 8)
-        });
+    // Mid-run abort: the doomed iteration's PULLs are drained, leaving
+    // the model exactly as of the previous iteration.
+    for (algo, model, loss) in [
+        ("mlr", 0xe902_0b81_7584_d9f0, 0x4bd3_44b3_e6bf_3ab8),
+        ("lda", 0x6356_0d7d_1822_769e, 0x329a_efe3_11f2_87a0),
+    ] {
+        assert_matches_reference(
+            Spec {
+                abort_after: Some(4),
+                ..Spec::new(algo, 4, 8)
+            },
+            (3, model, loss),
+        );
     }
     // Abort as the very first iteration begins: no COMP ever runs.
-    run_pair(Spec {
-        abort_after: Some(1),
-        ..Spec::new("lasso", 2, 8)
-    });
+    assert_matches_reference(
+        Spec {
+            abort_after: Some(1),
+            ..Spec::new("lasso", 2, 8)
+        },
+        (0, 0xb1a0_1776_b50e_866c, 0xb21e_45a5_75cb_6b4c),
+    );
 }
 
 #[test]
 fn aborted_job_reports_truncated_progress() {
-    let report = cluster(4, true, true)
+    let report = cluster(4)
         .run_jobs(vec![Spec {
             abort_after: Some(3),
             ..Spec::new("lasso", 4, 10)
@@ -219,42 +283,27 @@ fn aborted_job_reports_truncated_progress() {
 }
 
 #[test]
-fn colocated_jobs_match_their_solo_runs() {
-    // Co-location multiplexes executors but must not perturb results:
-    // run two jobs together on each arm and bit-compare across arms.
-    let jobs = || vec![Spec::new("mlr", 4, 6).job(), Spec::new("lasso", 2, 6).job()];
-    let fast = cluster(4, true, true).run_jobs(jobs());
-    let reference = cluster(4, false, false).run_jobs(jobs());
-    for (f, r) in fast.iter().zip(&reference) {
-        assert_identical(&format!("colocated {}", f.name), f, r);
-    }
-}
-
-#[test]
 fn fast_runtime_reports_apply_phase_times() {
-    let fast = cluster(2, true, true)
+    // Server-side aggregation surfaces as one APPLY subtask per
+    // iteration.
+    let report = cluster(2)
         .run_jobs(vec![Spec::new("mlr", 2, 6).job()])
         .remove(0);
-    let reference = cluster(2, false, false)
-        .run_jobs(vec![Spec::new("mlr", 2, 6).job()])
-        .remove(0);
-    // The fast arm surfaces server-side aggregation as APPLY subtasks;
-    // the reference folds inside PUSH and reports none.
-    assert!(fast
+    let applies = report
         .timings
         .iter()
-        .any(|t| format!("{}", t.kind) == "APPLY"));
-    assert!(fast.mean_tapply > 0.0);
-    assert_eq!(reference.mean_tapply, 0.0);
+        .filter(|t| t.kind == SubtaskKind::Apply);
+    assert_eq!(applies.count(), 6);
+    assert!(report.mean_tapply > 0.0);
 }
 
 #[test]
 fn sparse_push_shrinks_the_wire_on_sparse_workloads() {
     // LDA and NMF updates touch a small fraction of the model: the
-    // sparse arm must move measurably fewer bytes while (per run_pair)
-    // computing identical bits. MLR is naturally dense — its fallback
-    // must keep the exact dense byte count.
-    let lda = cluster(4, true, true)
+    // sparse wire must move measurably fewer bytes (the digests in
+    // `ps_goldens` hold its bits to the dense wire's). MLR is naturally
+    // dense — its fallback must keep the exact dense byte count.
+    let lda = cluster(4)
         .run_jobs(vec![Spec::new("lda", 4, 6).job()])
         .remove(0);
     assert!(
@@ -268,7 +317,7 @@ fn sparse_push_shrinks_the_wire_on_sparse_workloads() {
     // the factor-row support Spec::new's 30-item matrix is too dense
     // to show (every item is locally rated there, a correct fallback).
     let ratings = synth::ratings(24, 400, 5, 3, 7);
-    let nmf = cluster(4, true, true)
+    let nmf = cluster(4)
         .run_jobs(vec![JobBuilder::new("nmf-wide")
             .workers(
                 synth::partition(&ratings, 4)
@@ -283,7 +332,7 @@ fn sparse_push_shrinks_the_wire_on_sparse_workloads() {
         "nmf: density {} not sparse",
         nmf.push_density()
     );
-    let mlr = cluster(4, true, true)
+    let mlr = cluster(4)
         .run_jobs(vec![Spec::new("mlr", 4, 6).job()])
         .remove(0);
     assert_eq!(mlr.push_density(), 1.0, "mlr: dense fallback engaged");
@@ -291,7 +340,7 @@ fn sparse_push_shrinks_the_wire_on_sparse_workloads() {
 
 #[test]
 fn cluster_comm_stats_aggregate_push_volumes() {
-    let c = cluster(4, true, true);
+    let c = cluster(4);
     let reports = c.run_jobs(vec![
         Spec::new("lda", 4, 4).job(),
         Spec::new("mlr", 4, 4).job(),
@@ -310,7 +359,7 @@ fn pool_reuses_buffers_across_runs() {
     // `run_jobs` waits for the executor threads to let go of the last
     // task `Arc`s before it returns, so the pool is whole the moment it
     // does — no settling time between runs.
-    let c = cluster(2, true, true);
+    let c = cluster(2);
     let _ = c.run_jobs(vec![Spec::new("lasso", 2, 4).job()]);
     let first = c.pool_stats();
     assert_eq!(first.outstanding, 0, "buffers still out: {first:?}");
@@ -336,7 +385,7 @@ fn a_job_draws_its_buffer_budget_and_no_more() {
         ("mlr", 4, 1 + 4),
         ("lda", 4, 1 + 3 * 4),
     ] {
-        let c = cluster(dop, true, true);
+        let c = cluster(dop);
         let report = c.run_jobs(vec![Spec::new(algo, dop, 4).job()]).remove(0);
         assert_eq!(
             report.push_density() < 1.0,

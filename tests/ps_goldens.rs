@@ -1,18 +1,17 @@
 //! Frozen PS training digests: FNV-1a over the `to_bits` of each job's
-//! final model and of its loss history, captured from the reference
-//! runtime arm (`PsConfig::fast_runtime` off) under a `VirtualClock`.
+//! final model and of its loss history, under a `VirtualClock`.
 //!
-//! `ps_equivalence` and `migration_equivalence` compare two arms of the
-//! *same* build, so a change that moves both arms together passes them.
-//! These constants pin the bits across commits instead, so a PS arm can
-//! be changed or retired against them. The matrix covers MLR, Lasso, NMF
-//! and LDA at DoP 1, 2 and 4 on one-stripe models, on models spanning
+//! These constants are the spec of the PS runtime's numerics. They were
+//! captured from the phase-barriered reference runtime, since retired,
+//! and held on every runtime arm until it went; a change to the runtime
+//! is checked against them alone. The matrix covers MLR, Lasso, NMF and
+//! LDA at DoP 1, 2, 4 and 8 on one-stripe models, on models spanning
 //! several stripes and on models of more than 2¹⁹ parameters, plus
-//! all-reduce, a mid-iteration abort and a live migration. Every cell runs the
-//! reference arm and the fast arm with sparse PUSH on and off; all three
-//! must hit the pinned digests. A change meant to alter training
-//! numerics re-captures them (`GOLDEN_PRINT=1 cargo test --test
-//! ps_goldens -- --nocapture`) and says why.
+//! all-reduce, mid-iteration aborts, live migrations and two co-located
+//! pairs. Every cell runs with sparse PUSH on and off; both must hit the
+//! pinned digests. A change meant to alter training numerics
+//! re-captures them (`GOLDEN_PRINT=1 cargo test --test ps_goldens --
+//! --nocapture`) and says why.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +51,7 @@ enum Size {
 }
 
 /// Deterministic workers: same synth data and seeds on every call, so
-/// each arm builds identical inputs.
+/// each run builds identical inputs.
 fn workers(algo: &str, w: usize, size: Size) -> Vec<Box<dyn PsAlgorithm>> {
     match algo {
         "mlr" => {
@@ -184,10 +183,9 @@ impl Cell {
         b.build()
     }
 
-    fn run(&self, fast_runtime: bool, sparse_push: bool) -> JobReport {
+    fn run(&self, sparse_push: bool) -> JobReport {
         let nodes = self.dop.max(self.migrate.map_or(0, |(_, to)| to));
-        let live_migration = self.migrate.is_some();
-        cluster(nodes, fast_runtime, live_migration, sparse_push)
+        cluster(nodes, sparse_push)
             .run_jobs(vec![self.job()])
             .remove(0)
     }
@@ -196,7 +194,7 @@ impl Cell {
 /// A cluster timed by a `VirtualClock`: durations depend on (job, node,
 /// kind, iteration) only, so the timing records replay exactly however
 /// threads interleave.
-fn cluster(nodes: usize, fast_runtime: bool, live_migration: bool, sparse_push: bool) -> PsCluster {
+fn cluster(nodes: usize, sparse_push: bool) -> PsCluster {
     let clock = VirtualClock::new(|job, node, kind, iter| {
         let base = if kind == SubtaskKind::Comp { 900 } else { 70 };
         Duration::from_micros(base + 100 * job as u64 + 10 * node as u64 + iter)
@@ -205,8 +203,6 @@ fn cluster(nodes: usize, fast_runtime: bool, live_migration: bool, sparse_push: 
         PsConfig {
             nodes,
             network_bytes_per_sec: None,
-            fast_runtime,
-            live_migration,
             sparse_push,
         },
         Arc::new(clock),
@@ -216,14 +212,10 @@ fn cluster(nodes: usize, fast_runtime: bool, live_migration: bool, sparse_push: 
 /// A cell and its pinned `(iterations, model digest, loss digest)`.
 type Row = (Cell, u64, u64, u64);
 
-/// The arms every cell runs on: `(name, fast_runtime, sparse_push)`.
-const ARMS: [(&str, bool, bool); 3] = [
-    ("reference", false, false),
-    ("fast-dense", true, false),
-    ("fast-sparse", true, true),
-];
+/// The wire forms every cell runs with: `(name, sparse_push)`.
+const ARMS: [(&str, bool); 2] = [("dense", false), ("sparse", true)];
 
-/// Holds one arm's report to a row's pinned outcome, or prints it
+/// Holds one run's report to a row's pinned outcome, or prints it
 /// under `GOLDEN_PRINT`.
 fn assert_report(row: &Row, arm: &str, sparse_push: bool, r: &JobReport) {
     let &(cell, iterations, model, loss) = row;
@@ -245,7 +237,7 @@ fn assert_report(row: &Row, arm: &str, sparse_push: bool, r: &JobReport) {
         got_loss, loss,
         "{label} [{arm}]: loss history moved ({got_loss:#018x}, pinned {loss:#018x})"
     );
-    // The sparse arm must take the sparse wire whenever the workload
+    // The sparse run must take the sparse wire whenever the workload
     // is sparse enough, or the cell tests nothing.
     if sparse_push && cell.algo == "lda" && !cell.all_reduce && r.iterations > 0 {
         assert!(
@@ -255,19 +247,19 @@ fn assert_report(row: &Row, arm: &str, sparse_push: bool, r: &JobReport) {
     }
 }
 
-/// Runs each cell on every arm and holds each to the cell's pinned
-/// outcome.
+/// Runs each cell with either wire form and holds both to the cell's
+/// pinned outcome.
 fn assert_rows(rows: &[Row]) {
     for row in rows {
-        for (arm, fast_runtime, sparse_push) in ARMS {
-            assert_report(row, arm, sparse_push, &row.0.run(fast_runtime, sparse_push));
+        for (arm, sparse_push) in ARMS {
+            assert_report(row, arm, sparse_push, &row.0.run(sparse_push));
         }
     }
 }
 
 /// Every algorithm at DoP 1, 2, 4 and 8 on one-stripe models: the
 /// solo runs that `colocated_jobs_match_their_solo_runs` holds
-/// co-located jobs to. LDA's PUSHes go sparse on the sparse arm.
+/// co-located jobs to. LDA's PUSHes go sparse on the sparse wire.
 fn solo_rows() -> Vec<Row> {
     let c = Cell::new;
     vec![
@@ -327,8 +319,8 @@ fn colocated_jobs_match_their_solo_runs() {
             .find(|(c, ..)| c.algo == algo && c.dop == dop)
             .expect("a solo row")
     };
-    for (arm, fast_runtime, sparse_push) in ARMS {
-        let cluster = cluster(4, fast_runtime, false, sparse_push);
+    for (arm, sparse_push) in ARMS {
+        let cluster = cluster(4, sparse_push);
         for pair in [[("mlr", 4), ("lasso", 2)], [("lda", 2), ("nmf", 2)]] {
             let rows = pair.map(|(algo, dop)| row(algo, dop));
             let reports = cluster.run_jobs(rows.iter().map(|r| r.0.job()).collect());
@@ -341,7 +333,7 @@ fn colocated_jobs_match_their_solo_runs() {
 
 /// Models of 9 000 to 20 000 parameters span two or three
 /// `DEFAULT_STRIPE_LEN` stripes; the NMF and LDA cells fold sparse
-/// supports across the reference arm's shard boundaries.
+/// supports that cross the stripe boundaries.
 #[test]
 fn wide_models_across_apply_tasks() {
     let c = |algo, dop| Cell::new(algo, dop).wide();
