@@ -28,7 +28,7 @@ pub struct IterationSample {
     /// COMM (PULL+PUSH) seconds per node for this iteration.
     pub tnet: f64,
     /// Server-side APPLY seconds for this iteration (`0.0` where the
-    /// runtime folds APPLY into PUSH, e.g. the reference PS arm).
+    /// runtime folds APPLY into PUSH, as the paper's does).
     pub tapply: f64,
     /// Byte-weighted PUSH density of this iteration relative to a dense
     /// push: `1.0` for a dense wire, lower when the runtime shipped

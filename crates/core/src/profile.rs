@@ -128,8 +128,8 @@ impl JobProfile {
 
     /// Feeds one measured iteration including the server-side APPLY
     /// charge — the full `(tcpu, tnet, tapply, dop)` sample the closed
-    /// profiling loop produces (`tapply` may legitimately be `0.0`, e.g.
-    /// from the reference PS runtime, which folds updates inside PUSH).
+    /// profiling loop produces (`tapply` may legitimately be `0.0`,
+    /// from a runtime that folds updates inside PUSH).
     ///
     /// # Panics
     ///
