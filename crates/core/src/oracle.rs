@@ -12,7 +12,7 @@
 use crate::cluster::MachineId;
 use crate::group::{GroupId, Grouping, JobGroup};
 use crate::job::JobId;
-use crate::model::{cluster_utilization, Utilization};
+use crate::model::{cluster_utilization_from_terms, group_utilization, Utilization};
 use crate::profile::JobProfile;
 use crate::schedule::{ScheduleOutcome, SchedulerConfig};
 
@@ -73,10 +73,7 @@ impl OracleScheduler {
             };
         }
 
-        let mut best: Option<BestPartition> = None;
-        let mut partition = vec![0usize; jobs.len()];
-        self.visit_at(jobs, machines, &mut partition, 0, 1, &mut best);
-        let (groups, alloc, utilization, _) = best.expect("non-empty job set has partitions");
+        let (groups, alloc, utilization, _) = self.search(jobs, machines);
 
         let mut grouping = Grouping::new();
         let mut next = 0u32;
@@ -97,36 +94,24 @@ impl OracleScheduler {
         }
     }
 
-    /// Recursively enumerates set partitions in restricted-growth-string
-    /// form: job `idx` may join any existing block or open a new one.
-    fn visit_at(
-        &self,
-        jobs: &[JobProfile],
-        machines: u32,
-        assign: &mut Vec<usize>,
-        idx: usize,
-        blocks: usize,
-        best: &mut Option<BestPartition>,
-    ) {
-        if idx == jobs.len() {
-            if blocks as u32 > machines {
-                return; // each group needs a machine
-            }
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); blocks];
-            for (j, &b) in assign.iter().enumerate() {
-                groups[b].push(j);
-            }
-            self.evaluate_partition(jobs, machines, &groups, best);
-            return;
-        }
-        let max_block = if idx == 0 { 0 } else { blocks };
-        for b in 0..=max_block.min(blocks) {
-            let new_blocks = blocks.max(b + 1);
-            assign[idx] = b;
-            self.visit_at(jobs, machines, assign, idx + 1, new_blocks, best);
-        }
+    /// The utilization-maximizing `(groups, allocation)` over every set
+    /// partition of `jobs` into at most `machines` groups.
+    fn search(&self, jobs: &[JobProfile], machines: u32) -> BestPartition {
+        let mut best = None;
+        for_each_partition(jobs.len(), machines, &mut |groups| {
+            self.evaluate_partition(jobs, machines, groups, &mut best);
+        });
+        best.expect("non-empty job set has partitions")
     }
 
+    /// Scores every composition of `machines` over `groups`, in
+    /// lexicographic order, or the greedy allocation alone once there
+    /// are more than the budget. A group's Eq. 3 term depends only on
+    /// its machine count, so it is computed once per `(group, m)` and
+    /// folded with [`cluster_utilization_from_terms`], which makes each
+    /// score bit-identical to [`crate::model::cluster_utilization`]
+    /// over the same allocation. Ties within 1e-12 go to fewer groups,
+    /// then to the earlier candidate.
     fn evaluate_partition(
         &self,
         jobs: &[JobProfile],
@@ -135,19 +120,31 @@ impl OracleScheduler {
         best: &mut Option<BestPartition>,
     ) {
         let ng = groups.len();
-        let states = composition_count(machines, ng as u32);
-        let allocations: Vec<Vec<u32>> = if states <= self.composition_budget as u128 {
-            enumerate_compositions(machines, ng as u32)
+        let members: Vec<Vec<&JobProfile>> = groups
+            .iter()
+            .map(|g| g.iter().map(|&i| &jobs[i]).collect())
+            .collect();
+        // The largest part a composition gives one group.
+        let span = machines as usize - ng + 1;
+        let enumerate = composition_count(machines, ng as u32) <= self.composition_budget as u128;
+        let mut alloc = if enumerate {
+            let mut first = vec![1u32; ng];
+            first[ng - 1] = span as u32;
+            first
         } else {
-            vec![greedy_alloc(jobs, groups, machines)]
+            greedy_alloc(jobs, groups, machines)
         };
-        for alloc in allocations {
-            let refs: Vec<(Vec<&JobProfile>, u32)> = groups
-                .iter()
-                .zip(&alloc)
-                .map(|(members, m)| (members.iter().map(|&i| &jobs[i]).collect(), *m))
-                .collect();
-            let u = cluster_utilization(&refs);
+        // The greedy fallback scores one allocation and caches nothing.
+        let mut terms = vec![None; if enumerate { ng * span } else { 0 }];
+        loop {
+            let u = cluster_utilization_from_terms(alloc.iter().enumerate().map(|(g, &m)| {
+                let fresh = || group_utilization(&members[g], m);
+                let term = match terms.get_mut(g * span + m as usize - 1) {
+                    Some(t) => *t.get_or_insert_with(fresh),
+                    None => fresh(),
+                };
+                (term, m)
+            }));
             let score = u.score(self.cfg.cpu_weight);
             let better = match best {
                 None => true,
@@ -156,10 +153,45 @@ impl OracleScheduler {
                 }
             };
             if better {
-                *best = Some((groups.to_vec(), alloc, u, score));
+                *best = Some((groups.to_vec(), alloc.clone(), u, score));
+            }
+            if !enumerate || !next_composition(&mut alloc) {
+                return;
             }
         }
     }
+}
+
+/// Calls `f` with every set partition of `0..n` into at most
+/// `max_blocks` blocks, each block's members in increasing order. The
+/// partitions come in restricted-growth-string order: item `idx` joins
+/// an existing block or opens the next one.
+fn for_each_partition(n: usize, max_blocks: u32, f: &mut impl FnMut(&[Vec<usize>])) {
+    fn visit<F: FnMut(&[Vec<usize>])>(
+        assign: &mut [usize],
+        idx: usize,
+        blocks: usize,
+        max: usize,
+        f: &mut F,
+    ) {
+        if blocks > max {
+            return; // each group needs a machine, and blocks only grow
+        }
+        if idx == assign.len() {
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); blocks];
+            for (j, &b) in assign.iter().enumerate() {
+                groups[b].push(j);
+            }
+            f(&groups);
+            return;
+        }
+        let max_block = if idx == 0 { 0 } else { blocks };
+        for b in 0..=max_block {
+            assign[idx] = b;
+            visit(assign, idx + 1, blocks.max(b + 1), max, f);
+        }
+    }
+    visit(&mut vec![0; n], 0, 1, max_blocks as usize, f);
 }
 
 /// Number of compositions of `m` into `k` positive parts:
@@ -180,27 +212,23 @@ fn composition_count(m: u32, k: u32) -> u128 {
     result
 }
 
-/// Enumerates all compositions of `m` into `k` positive parts.
-fn enumerate_compositions(m: u32, k: u32) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(k as usize);
-    fn rec(m: u32, k: u32, current: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
-        if k == 1 {
-            current.push(m);
-            out.push(current.clone());
-            current.pop();
-            return;
+/// Steps `parts` to the next composition of its sum into as many
+/// positive parts, in lexicographic order; `false` after the last.
+fn next_composition(parts: &mut [u32]) -> bool {
+    let k = parts.len();
+    // Sum and count of the parts after position `i`.
+    let mut suffix = parts[k - 1];
+    for i in (0..k - 1).rev() {
+        let after = (k - 1 - i) as u32;
+        if suffix > after {
+            parts[i] += 1;
+            parts[i + 1..k - 1].fill(1);
+            parts[k - 1] = suffix - after;
+            return true;
         }
-        for part in 1..=(m - (k - 1)) {
-            current.push(part);
-            rec(m - part, k - 1, current, out);
-            current.pop();
-        }
+        suffix += parts[i];
     }
-    if k >= 1 && k <= m {
-        rec(m, k, &mut current, &mut out);
-    }
-    out
+    false
 }
 
 /// Greedy machine allocation mirroring the main scheduler's (used when
@@ -233,7 +261,9 @@ fn greedy_alloc(jobs: &[JobProfile], groups: &[Vec<usize>], machines: u32) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::cluster_utilization;
     use crate::schedule::Scheduler;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn prof(i: u64, tcpu1: f64, tnet: f64) -> JobProfile {
         JobProfile::from_reference(JobId::new(i), tcpu1, tnet)
@@ -247,13 +277,116 @@ mod tests {
         assert_eq!(composition_count(10, 3), 36);
     }
 
+    /// Every composition of `m` into `k` positive parts, built one
+    /// `Vec` each: the enumerator the oracle used before it stepped
+    /// through compositions in place.
+    fn enumerate_compositions(m: u32, k: u32) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        let mut current = Vec::with_capacity(k as usize);
+        fn rec(m: u32, k: u32, current: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+            if k == 1 {
+                current.push(m);
+                out.push(current.clone());
+                current.pop();
+                return;
+            }
+            for part in 1..=(m - (k - 1)) {
+                current.push(part);
+                rec(m - part, k - 1, current, out);
+                current.pop();
+            }
+        }
+        if k >= 1 && k <= m {
+            rec(m, k, &mut current, &mut out);
+        }
+        out
+    }
+
+    /// The oracle's search as it was before the per-`(group, m)` term
+    /// cache: every composition from [`enumerate_compositions`], each
+    /// scored by a fresh [`cluster_utilization`].
+    fn reference_search(oracle: &OracleScheduler, jobs: &[JobProfile], m: u32) -> BestPartition {
+        let mut best: Option<BestPartition> = None;
+        for_each_partition(jobs.len(), m, &mut |groups| {
+            let ng = groups.len();
+            let allocations =
+                if composition_count(m, ng as u32) <= oracle.composition_budget as u128 {
+                    enumerate_compositions(m, ng as u32)
+                } else {
+                    vec![greedy_alloc(jobs, groups, m)]
+                };
+            for alloc in allocations {
+                let refs: Vec<(Vec<&JobProfile>, u32)> = groups
+                    .iter()
+                    .zip(&alloc)
+                    .map(|(members, m)| (members.iter().map(|&i| &jobs[i]).collect(), *m))
+                    .collect();
+                let u = cluster_utilization(&refs);
+                let score = u.score(oracle.cfg.cpu_weight);
+                let better = match &best {
+                    None => true,
+                    Some((bg, _, _, bs)) => {
+                        score > *bs + 1e-12 || (score > *bs - 1e-12 && ng < bg.len())
+                    }
+                };
+                if better {
+                    best = Some((groups.to_vec(), alloc, u, score));
+                }
+            }
+        });
+        best.expect("non-empty job set has partitions")
+    }
+
     #[test]
-    fn compositions_enumerate_exactly() {
-        let cs = enumerate_compositions(4, 2);
-        assert_eq!(cs.len(), 3);
-        for c in &cs {
-            assert_eq!(c.iter().sum::<u32>(), 4);
-            assert!(c.iter().all(|&x| x >= 1));
+    fn compositions_step_in_lexicographic_order() {
+        for m in 1..=9 {
+            for k in 1..=m {
+                let mut parts = enumerate_compositions(m, k)[0].clone();
+                let mut stepped = vec![parts.clone()];
+                while next_composition(&mut parts) {
+                    stepped.push(parts.clone());
+                }
+                assert_eq!(stepped, enumerate_compositions(m, k), "m {m}, k {k}");
+                assert_eq!(stepped.len() as u128, composition_count(m, k));
+            }
+        }
+    }
+
+    /// The cached in-place search picks the very grouping, allocation
+    /// and utilization bits the per-composition enumerator did, on
+    /// random profiles and on profiles with many exact ties, with and
+    /// without the greedy fallback.
+    #[test]
+    fn search_matches_the_per_composition_enumerator() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for case in 0..60 {
+            let n = rng.gen_range(1..=7usize);
+            let m = rng.gen_range(1..=16u32);
+            let jobs: Vec<JobProfile> = if case % 2 == 0 {
+                (0..n as u64)
+                    .map(|i| prof(i, rng.gen_range(0.5..20.0), rng.gen_range(0.1..10.0)))
+                    .collect()
+            } else {
+                let kinds = [(8.0, 2.0), (2.0, 8.0), (5.0, 5.0)];
+                (0..n as u64)
+                    .map(|i| {
+                        let (cpu, net) = kinds[rng.gen_range(0..kinds.len())];
+                        prof(i, cpu, net)
+                    })
+                    .collect()
+            };
+            let mut oracle = OracleScheduler::default();
+            if case % 3 == 0 {
+                oracle.composition_budget = 20;
+            }
+            let (groups, alloc, u, score) = oracle.search(&jobs, m);
+            let (ref_groups, ref_alloc, ref_u, ref_score) = reference_search(&oracle, &jobs, m);
+            let tag = format!("case {case}: n {n}, M {m}");
+            assert_eq!(groups, ref_groups, "{tag}: grouping");
+            assert_eq!(alloc, ref_alloc, "{tag}: allocation");
+            assert_eq!(u.cpu.to_bits(), ref_u.cpu.to_bits(), "{tag}: cpu");
+            assert_eq!(u.net.to_bits(), ref_u.net.to_bits(), "{tag}: net");
+            assert_eq!(score.to_bits(), ref_score.to_bits(), "{tag}: score");
         }
     }
 
