@@ -36,10 +36,22 @@
 # (workload, seed, side, metric, value); the summary prints, per
 # workload and end-to-end metric, each side's median and quartiles
 # (linear interpolation between order statistics), the ratio of the
-# medians, the pairs the change won (ties count for neither side), and
-# on how many seeds `canonical_digest` matched, with each side's
-# failed/attempted totals. A run whose checks fail is reported and still
-# counted.
+# medians, the pairs the change won (ties count for neither side), a
+# verdict, and on how many seeds `canonical_digest` matched, with each
+# side's failed/attempted totals. A run whose checks fail is reported
+# and still counted.
+#
+# The verdict applies choosing-metrics §6.5 and §8 with the metric's
+# `bound` from BENCHMARK.json, the first that holds:
+#   beyond bound  the change's median is worse than the parent's by more
+#                 than the bound;
+#   unresolved    the parent's own quartile spread, over its median, is
+#                 wider than the bound, and not every change run reads
+#                 better than every parent run;
+#   better        the change won at least nine tenths of the pairs and
+#                 the medians differ by more than the parent's quartile
+#                 spread;
+#   within bound  otherwise.
 #
 # The digest hashes the report's fingerprint, so it also differs when
 # only the fingerprint's format changed. The line after it says on how
@@ -77,10 +89,12 @@ if [ -z "$WORKLOADS" ]; then
     WORKLOADS=$(awk '/"workloads"/ {on = 1} /"end_to_end"/ {on = 0}
         on && /"name"/ {gsub(/[",]/, ""); print $2}' BENCHMARK.json)
 fi
-# "name direction" per end-to-end metric, as BENCHMARK.json declares them.
+# "name direction bound" per end-to-end metric, as BENCHMARK.json
+# declares them.
 METRICS=$(awk '/"end_to_end"/ {on = 1} /"per_layer"/ {on = 0}
     on && /"name"/ {gsub(/[",]/, ""); name = $2}
-    on && /"better"/ {gsub(/[",]/, ""); print name, $2}' BENCHMARK.json)
+    on && /"better"/ {gsub(/[",]/, ""); better = $2}
+    on && /"bound"/ {gsub(/[",]/, ""); print name, better, $2}' BENCHMARK.json)
 
 SHA=$(git rev-parse --verify "$PARENT_REF^{commit}")
 PAIR_DIR=$ROOT/target/pairs
@@ -137,14 +151,28 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
         pos = (n - 1) * q + 1; lo = int(pos)
         return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
     }
-    # Sorts the values of one (workload, metric, side) and sets med/q1/q3.
+    # Sorts the values of one (workload, metric, side) and sets
+    # med/q1/q3 and the extremes lo/hi.
     function summarize(key, n,    i, j, t, v) {
         for (i = 1; i <= n; i++) v[i] = val[key, i]
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
         med = quantile(v, n, 0.5); q1 = quantile(v, n, 0.25); q3 = quantile(v, n, 0.75)
+        lo = v[1]; hi = v[n]
     }
-    NR == FNR { split($0, f, " "); order[++nm] = f[1]; better[f[1]] = f[2]; next }
+    # x relative to the parent median pm; a zero median makes any
+    # non-zero x infinitely large.
+    function rel(x, pm) { return pm != 0 ? x / (pm < 0 ? -pm : pm) : (x == 0 ? 0 : (x > 0 ? 1e300 : -1e300)) }
+    # The verdict on one metric (see the header of this script).
+    function verdict(m, pm, pq1, pq3, plo, phi, cm, clo, chi, won, total,    apart, gain) {
+        if (rel(better[m] == "lower" ? cm - pm : pm - cm, pm) > bound[m] + 0) return "beyond bound"
+        apart = better[m] == "lower" ? chi < plo : clo > phi
+        if (rel(pq3 - pq1, pm) > bound[m] + 0 && !apart) return "unresolved"
+        gain = better[m] == "lower" ? pm - cm : cm - pm
+        if (10 * won >= 9 * total && gain > pq3 - pq1) return "better"
+        return "within bound"
+    }
+    NR == FNR { split($0, f, " "); order[++nm] = f[1]; better[f[1]] = f[2]; bound[f[1]] = f[3]; next }
     $4 == "canonical_digest" { digest[$1, $2, $3] = $5; seeds[$1, $2] = 1; next }
     { k = $1 SUBSEP $4 SUBSEP $3; val[k, ++cnt[k]] = $5; at[$1, $4, $3, $2] = $5; seeds[$1, $2] = 1 }
     END {
@@ -175,7 +203,7 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
                 printf "%s %s %d of %d seeds", (ei > 1 ? ";" : ""), m, equal, total
             }
             printf "\n"
-            printf "  %-16s %-38s %-38s %7s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "pairs won"
+            printf "  %-16s %-38s %-38s %7s  %-36s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "pairs won", "verdict"
             for (mi = 1; mi <= nm; mi++) {
                 m = order[mi]; won = 0; lost = 0
                 for (key in seeds) {
@@ -185,11 +213,14 @@ printf '%s\n' "$METRICS" | awk -F'\t' -v workloads="$WORKLOADS" '
                     if (better[m] == "lower") { t = a; a = b; b = t }
                     if (b > a) won++; else if (b < a) lost++
                 }
-                summarize(w SUBSEP m SUBSEP "parent", cnt[w, m, "parent"]); pm = med; pq1 = q1; pq3 = q3
+                summarize(w SUBSEP m SUBSEP "parent", cnt[w, m, "parent"])
+                pm = med; pq1 = q1; pq3 = q3; plo = lo; phi = hi
                 summarize(w SUBSEP m SUBSEP "change", cnt[w, m, "change"])
-                printf "  %-16s %-38s %-38s %7s  %d/%d (lost %d; %s is better)\n", m,
+                printf "  %-16s %-38s %-38s %7s  %-36s %s (bound %s)\n", m,
                     sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3), sprintf("%.6g [%.6g, %.6g]", med, q1, q3),
-                    pm != 0 ? sprintf("x%.3f", med / pm) : "-", won, total, lost, better[m]
+                    pm != 0 ? sprintf("x%.3f", med / pm) : "-",
+                    sprintf("%d/%d (lost %d; %s is better)", won, total, lost, better[m]),
+                    verdict(m, pm, pq1, pq3, plo, phi, med, lo, hi, won, total), bound[m]
             }
         }
     }' - "$RESULTS"
