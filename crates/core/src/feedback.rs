@@ -18,7 +18,7 @@ use crate::profile::{JobProfile, ProfileStore};
 
 /// One measured training iteration, as produced by the PS runtime or
 /// the simulator: per-node COMP seconds, COMM (PULL+PUSH) seconds, the
-/// server-side APPLY seconds, and the DoP the job ran at.
+/// PUSH density, and the DoP the job ran at.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationSample {
     /// The job the measurement belongs to.
@@ -27,9 +27,6 @@ pub struct IterationSample {
     pub tcpu: f64,
     /// COMM (PULL+PUSH) seconds per node for this iteration.
     pub tnet: f64,
-    /// Server-side APPLY seconds for this iteration (`0.0` where the
-    /// runtime folds APPLY into PUSH, as the paper's does).
-    pub tapply: f64,
     /// Byte-weighted PUSH density of this iteration relative to a dense
     /// push: `1.0` for a dense wire, lower when the runtime shipped
     /// coordinate-sparse deltas (see `harmony_ps::PushVolume`).
@@ -53,14 +50,15 @@ impl ProfileSink for JobProfile {
     ///
     /// Panics (in debug builds) if the sample belongs to a different
     /// job, and on the same input violations as
-    /// [`JobProfile::observe_sample`].
+    /// [`JobProfile::observe_iteration`] and
+    /// [`JobProfile::observe_push_density`].
     fn record(&mut self, sample: IterationSample) {
         debug_assert_eq!(
             sample.job,
             self.job(),
             "sample routed to the wrong job's profile"
         );
-        self.observe_sample(sample.tcpu, sample.tnet, sample.tapply, sample.dop);
+        self.observe_iteration(sample.tcpu, sample.tnet, sample.dop);
         self.observe_push_density(sample.density);
     }
 }
@@ -68,7 +66,7 @@ impl ProfileSink for JobProfile {
 impl ProfileSink for ProfileStore {
     fn record(&mut self, sample: IterationSample) {
         let p = self.entry(sample.job);
-        p.observe_sample(sample.tcpu, sample.tnet, sample.tapply, sample.dop);
+        p.observe_iteration(sample.tcpu, sample.tnet, sample.dop);
         p.observe_push_density(sample.density);
     }
 }
@@ -86,7 +84,7 @@ impl ProfileSink for ProfileStore {
 ///
 /// let mut fb = FeedbackLoop::new(0.05);
 /// let j = JobId::new(0);
-/// let sample = |tcpu| IterationSample { job: j, tcpu, tnet: 2.0, tapply: 0.0, density: 1.0, dop: 1 };
+/// let sample = |tcpu| IterationSample { job: j, tcpu, tnet: 2.0, density: 1.0, dop: 1 };
 /// fb.record(sample(10.0));
 /// fb.mark_scheduled([j]); // a schedule was computed from tcpu_ref = 10
 /// fb.record(sample(10.1)); // ~0.3% smoothed move: no drift
@@ -202,7 +200,6 @@ mod tests {
             job: JobId::new(job),
             tcpu,
             tnet,
-            tapply: 0.0,
             density: 1.0,
             dop: 1,
         }
@@ -224,12 +221,10 @@ mod tests {
             job: JobId::new(9),
             tcpu: 6.0,
             tnet: 2.0,
-            tapply: 0.25,
             density: 0.4,
             dop: 2,
         });
         assert_eq!(p.tcpu_at(1), 12.0);
-        assert_eq!(p.tapply(), 0.25);
         assert_eq!(p.push_density(), 0.4);
     }
 

@@ -4,7 +4,9 @@
 //! by whichever of three quantities is largest (Eq. 1):
 //!
 //! - the total CPU demand of the group, `Σ_j Tcpu_j` (CPU-bound case);
-//! - the total network demand, `Σ_j Tnet_j` (network-bound case);
+//! - the total network demand, `Σ_j Tnet_j` (network-bound case), each
+//!   job's `Tnet` priced at its trusted PUSH density
+//!   ([`JobProfile::priced_tnet`]);
 //! - the slowest individual job, `max_j Tj_itr_j` (job-bound case,
 //!   Figure 8b) — one job's own pipeline `Tcpu_j + Tnet_j` cannot be
 //!   compressed by multiplexing because its subtasks are sequentially
@@ -82,34 +84,6 @@ pub fn group_iteration_time(profiles: &[&JobProfile], m: u32) -> f64 {
     group_bounds(profiles, m).0
 }
 
-/// [`group_iteration_time`] with the optional fourth subtask class:
-/// when `charge_apply` is set, each job's measured server-side APPLY
-/// seconds ([`JobProfile::tapply`]) are charged to the CPU term on top
-/// of Eq. 2's worker COMP — the paper folds APPLY into PUSH, but the
-/// PS runtime measures it separately and it burns server CPU, not
-/// wire time. With `charge_apply` false this is bit-identical to
-/// [`group_iteration_time`] (equivalence-gate pattern).
-pub fn group_iteration_time_charged(profiles: &[&JobProfile], m: u32, charge_apply: bool) -> f64 {
-    group_bounds_modeled(profiles, m, charge_apply, false).0
-}
-
-/// The fully flag-gated Eq. 1 model: [`group_iteration_time_charged`]
-/// plus the density-aware COMM charge. When `charge_sparse_comm` is
-/// set, each job's COMM term is scaled by its measured PUSH density
-/// ([`JobProfile::push_density`]): the wire moves `density ×` the dense
-/// byte volume, and `Tnet` is proportional to bytes on the wire. With
-/// the flag off — or for profiles with no density measurement, which
-/// read `1.0` — this is bit-identical to the uncharged model
-/// (`x * 1.0` is an exact identity for finite `x`).
-pub fn group_iteration_time_modeled(
-    profiles: &[&JobProfile],
-    m: u32,
-    charge_apply: bool,
-    charge_sparse_comm: bool,
-) -> f64 {
-    group_bounds_modeled(profiles, m, charge_apply, charge_sparse_comm).0
-}
-
 /// Like [`group_iteration_time`], also reporting which term dominated.
 pub fn group_iteration_time_with_bound(profiles: &[&JobProfile], m: u32) -> (f64, BoundKind) {
     let (t, kind, _, _) = group_bounds(profiles, m);
@@ -117,35 +91,13 @@ pub fn group_iteration_time_with_bound(profiles: &[&JobProfile], m: u32) -> (f64
 }
 
 fn group_bounds(profiles: &[&JobProfile], m: u32) -> (f64, BoundKind, f64, f64) {
-    group_bounds_modeled(profiles, m, false, false)
-}
-
-fn group_bounds_modeled(
-    profiles: &[&JobProfile],
-    m: u32,
-    charge_apply: bool,
-    charge_sparse_comm: bool,
-) -> (f64, BoundKind, f64, f64) {
     assert!(m > 0, "DoP must be at least 1");
     let mut sum_cpu = 0.0;
     let mut sum_net = 0.0;
     let mut max_itr = 0.0f64;
     for p in profiles {
-        // Branch instead of adding 0.0: `x + 0.0` can flip the sign of
-        // a negative zero, and the flag-off arm must stay bit-identical.
-        let tcpu = if charge_apply {
-            p.tcpu_at(m) + p.tapply()
-        } else {
-            p.tcpu_at(m)
-        };
-        // Branch for symmetry with the APPLY charge above, although
-        // `tnet * 1.0` would be exact: the flag-off arm must not even
-        // read the density.
-        let tnet = if charge_sparse_comm {
-            p.tnet() * p.push_density_trusted()
-        } else {
-            p.tnet()
-        };
+        let tcpu = p.tcpu_at(m);
+        let tnet = p.priced_tnet();
         sum_cpu += tcpu;
         sum_net += tnet;
         max_itr = max_itr.max(tcpu + tnet);
@@ -323,97 +275,39 @@ mod tests {
     }
 
     #[test]
-    fn apply_charge_extends_the_cpu_term() {
-        let mut a = JobProfile::new(JobId::new(0));
-        a.observe_sample(10.0, 1.0, 0.5, 1);
-        let mut b = JobProfile::new(JobId::new(1));
-        b.observe_sample(8.0, 1.0, 0.25, 1);
-        let ps = [&a, &b];
-        // Flag off: APPLY is invisible, exactly the legacy model.
-        let off = group_iteration_time_charged(&ps, 1, false);
-        assert_eq!(off.to_bits(), group_iteration_time(&ps, 1).to_bits());
-        assert_eq!(off, 18.0);
-        // Flag on: the CPU-bound term grows by the APPLY charges.
-        assert_eq!(group_iteration_time_charged(&ps, 1, true), 18.75);
-    }
-
-    #[test]
-    fn apply_charge_without_measurements_is_identity() {
-        // Profiles that never saw an APPLY sample read tapply() == 0.0,
-        // so even the flag-on arm reproduces the legacy time bit-for-bit.
-        let a = prof(0, 10.0, 1.0);
-        let b = prof(1, 8.0, 1.0);
-        let ps = [&a, &b];
-        assert_eq!(
-            group_iteration_time_charged(&ps, 2, true).to_bits(),
-            group_iteration_time(&ps, 2).to_bits()
-        );
-    }
-
-    #[test]
-    fn sparse_comm_charge_scales_the_network_term() {
-        // Two net-bound jobs; one pushes at density 0.25 (measured
-        // often enough to be trusted). Charged, the group's Σ Tnet
-        // shrinks by that job's saved wire time.
+    fn trusted_density_scales_the_network_term() {
+        // Two net-bound jobs; one pushes at density 0.25, measured
+        // often enough to be trusted: the group's Σ Tnet shrinks by
+        // that job's saved wire time.
         let mut a = JobProfile::from_reference(JobId::new(10), 2.0, 8.0);
         for _ in 0..JobProfile::DENSITY_TRUST_ITERS {
             a.observe_push_density(0.25);
         }
         let b = JobProfile::from_reference(JobId::new(11), 2.0, 8.0);
-        let ps = [&a, &b];
-        let off = group_iteration_time_modeled(&ps, 1, false, false);
-        assert_eq!(off, 16.0); // network bound: 8 + 8
-        let on = group_iteration_time_modeled(&ps, 1, false, true);
-        assert_eq!(on, 10.0); // 8 * 0.25 + 8
+        assert_eq!(group_iteration_time(&[&b, &b], 1), 16.0); // 8 + 8
+        assert_eq!(group_iteration_time(&[&a, &b], 1), 10.0); // 8 * 0.25 + 8
     }
 
     #[test]
-    fn sparse_comm_charge_without_measurements_is_identity() {
-        // Cold density reads 1.0 and `tnet * 1.0` is exact, so even the
-        // flag-on arm reproduces the legacy time bit-for-bit.
-        let a = prof(0, 10.0, 1.0);
-        let b = prof(1, 8.0, 3.0);
-        let ps = [&a, &b];
-        for m in [1u32, 2, 4] {
-            assert_eq!(
-                group_iteration_time_modeled(&ps, m, false, true).to_bits(),
-                group_iteration_time(&ps, m).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_comm_charge_off_ignores_measurements() {
-        let mut a = JobProfile::from_reference(JobId::new(12), 4.0, 6.0);
-        a.observe_push_density(0.1);
-        let b = JobProfile::from_reference(JobId::new(13), 4.0, 6.0);
-        assert_eq!(
-            group_iteration_time_modeled(&[&a], 1, false, false).to_bits(),
-            group_iteration_time(&[&b], 1).to_bits()
-        );
-    }
-
-    #[test]
-    fn sparse_comm_charge_prices_untrusted_density_dense() {
+    fn untrusted_density_is_priced_dense() {
         // A young sparse job (fewer than DENSITY_TRUST_ITERS
-        // measurements) is charged as if dense — never under-charged —
-        // even with the flag on.
+        // measurements) is priced exactly like one with no density
+        // measurement at all — never under-charged.
         let mut a = JobProfile::from_reference(JobId::new(14), 4.0, 6.0);
         for _ in 0..JobProfile::DENSITY_TRUST_ITERS - 1 {
             a.observe_push_density(0.1);
         }
         let b = JobProfile::from_reference(JobId::new(15), 4.0, 6.0);
-        assert_eq!(
-            group_iteration_time_modeled(&[&a], 1, false, true).to_bits(),
-            group_iteration_time(&[&b], 1).to_bits()
-        );
+        for m in [1u32, 2, 4] {
+            assert_eq!(
+                group_iteration_time(&[&a], m).to_bits(),
+                group_iteration_time(&[&b], m).to_bits()
+            );
+        }
         // One more measurement crosses the trust threshold and the
-        // charge engages.
+        // density engages.
         a.observe_push_density(0.1);
-        assert!(
-            group_iteration_time_modeled(&[&a], 1, false, true)
-                < group_iteration_time_modeled(&[&b], 1, false, true)
-        );
+        assert!(group_iteration_time(&[&a], 1) < group_iteration_time(&[&b], 1));
     }
 
     #[test]

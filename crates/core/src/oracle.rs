@@ -241,7 +241,7 @@ fn greedy_alloc(jobs: &[JobProfile], groups: &[Vec<usize>], machines: u32) -> Ve
         .iter()
         .map(|members| {
             let cpu: f64 = members.iter().map(|&i| jobs[i].tcpu_at(1)).sum();
-            let net: f64 = members.iter().map(|&i| jobs[i].tnet()).sum();
+            let net: f64 = members.iter().map(|&i| jobs[i].priced_tnet()).sum();
             (cpu, net)
         })
         .collect();

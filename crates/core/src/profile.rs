@@ -40,11 +40,6 @@ pub struct JobProfile {
     tcpu_ref: Ewma,
     /// COMM (PULL+PUSH) seconds per iteration (DoP-invariant).
     tnet: Ewma,
-    /// Server-side APPLY seconds per iteration (DoP-invariant: the
-    /// stripes cover the whole model however many workers run). Cold
-    /// when observations arrive through [`JobProfile::observe_iteration`],
-    /// which predates the APPLY measurement.
-    tapply: Ewma,
     /// Byte-weighted PUSH density relative to a dense push (`1.0` =
     /// fully dense wire, lower when the runtime ships coordinate-sparse
     /// deltas). Cold when observations arrive through
@@ -75,7 +70,6 @@ impl JobProfile {
             job,
             tcpu_ref: Ewma::default(),
             tnet: Ewma::default(),
-            tapply: Ewma::default(),
             push_density: Ewma::default(),
             scheduled_basis: None,
             last_dop: 1,
@@ -126,24 +120,6 @@ impl JobProfile {
         self.observations += 1;
     }
 
-    /// Feeds one measured iteration including the server-side APPLY
-    /// charge — the full `(tcpu, tnet, tapply, dop)` sample the closed
-    /// profiling loop produces (`tapply` may legitimately be `0.0`,
-    /// from a runtime that folds updates inside PUSH).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dop` is zero or any duration is negative or
-    /// non-finite.
-    pub fn observe_sample(&mut self, tcpu: f64, tnet: f64, tapply: f64, dop: u32) {
-        assert!(
-            tapply.is_finite() && tapply >= 0.0,
-            "durations must be finite and non-negative"
-        );
-        self.observe_iteration(tcpu, tnet, dop);
-        self.tapply.observe(tapply);
-    }
-
     /// Feeds one iteration's measured PUSH density: bytes actually
     /// pushed divided by the dense wire volume for the same iteration
     /// (`1.0` for a dense push, `0.0` for an empty one).
@@ -163,8 +139,7 @@ impl JobProfile {
 
     /// Smoothed PUSH density, `1.0` when no density observation has
     /// been folded in (cold EWMA) — a wire of unknown shape is charged
-    /// as dense, so profiles that predate the measurement schedule
-    /// exactly as before.
+    /// as dense.
     pub fn push_density(&self) -> f64 {
         self.push_density.value().unwrap_or(1.0)
     }
@@ -185,10 +160,10 @@ impl JobProfile {
 
     /// The smoothed PUSH density once at least
     /// [`Self::DENSITY_TRUST_ITERS`] measurements back it, `1.0`
-    /// (dense) before that. This is the value every Eq. 1 pricing site
-    /// reads (`SchedulerConfig::charge_sparse_comm`): a cold or
-    /// young profile is *never under-charged* — its wire is priced
-    /// dense until the EWMA has converged on the measured shape.
+    /// (dense) before that: a cold or young profile is *never
+    /// under-charged* — its wire is priced dense until the EWMA has
+    /// converged on the measured shape. [`Self::priced_tnet`] is the
+    /// one place the scheduler reads it.
     pub fn push_density_trusted(&self) -> f64 {
         if self.density_observations >= Self::DENSITY_TRUST_ITERS {
             self.push_density()
@@ -275,12 +250,19 @@ impl JobProfile {
         self.tnet.value().expect("profile has no observations yet")
     }
 
-    /// Measured server-side APPLY time per iteration, `0.0` when no
-    /// APPLY observation has been folded in (cold EWMA) — the paper's
-    /// model charges APPLY inside PUSH, so absence is a valid state, not
-    /// an error like a cold `tnet`.
-    pub fn tapply(&self) -> f64 {
-        self.tapply.value().unwrap_or(0.0)
+    /// COMM time per iteration as Eq. 1 prices it: [`Self::tnet`]
+    /// scaled by [`Self::push_density_trusted`], since `Tnet` is
+    /// proportional to the bytes on the wire and a coordinate-sparse
+    /// PUSH moves `density ×` the dense volume. Every Eq. 1 pricing
+    /// site — the model, the scheduler's profile cache, the oracle's
+    /// machine allocation — reads this. A profile with no trusted
+    /// density prices exactly [`Self::tnet`] (`x * 1.0` is exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is cold.
+    pub fn priced_tnet(&self) -> f64 {
+        self.tnet() * self.push_density_trusted()
     }
 
     /// Predicted single-job iteration time at DoP `m`:
@@ -439,13 +421,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
-    fn non_finite_tapply_is_rejected() {
-        let mut p = JobProfile::new(JobId::new(42));
-        p.observe_sample(1.0, 1.0, f64::NEG_INFINITY, 1);
-    }
-
-    #[test]
     fn rejected_sample_leaves_profile_cold() {
         let mut p = JobProfile::new(JobId::new(43));
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -455,19 +430,6 @@ mod tests {
         // The count and the averages stay in sync: still cold.
         assert!(!p.is_warm());
         assert_eq!(p.observations(), 0);
-    }
-
-    #[test]
-    fn observe_sample_folds_apply_charge() {
-        let mut p = JobProfile::new(JobId::new(44));
-        assert_eq!(p.tapply(), 0.0); // cold APPLY reads as absent
-        p.observe_sample(10.0, 3.0, 0.5, 2);
-        assert_eq!(p.tcpu_at(1), 20.0);
-        assert_eq!(p.tnet(), 3.0);
-        assert_eq!(p.tapply(), 0.5);
-        // Plain observe_iteration keeps the APPLY average untouched.
-        p.observe_iteration(10.0, 3.0, 2);
-        assert_eq!(p.tapply(), 0.5);
     }
 
     #[test]
@@ -499,10 +461,12 @@ mod tests {
             );
         }
         // ...and flips to the smoothed estimate at exactly K samples.
+        assert_eq!(p.priced_tnet().to_bits(), p.tnet().to_bits());
         p.observe_push_density(0.4);
         assert_eq!(p.density_observations(), JobProfile::DENSITY_TRUST_ITERS);
         assert_eq!(p.push_density_trusted(), p.push_density());
         assert!(p.push_density_trusted() < 1.0);
+        assert_eq!(p.priced_tnet(), p.tnet() * p.push_density());
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use crate::cluster::MachineId;
 use crate::group::{GroupId, Grouping, JobGroup};
 use crate::job::JobId;
-use crate::model::{group_iteration_time_modeled, Utilization};
+use crate::model::{group_iteration_time, Utilization};
 use crate::profile::JobProfile;
 use crate::scratch::{ProfileCache, ScheduleScratch};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -89,44 +89,6 @@ pub struct SchedulerConfig {
     /// exists so equivalence tests can compare the pruned scan against
     /// the pristine exhaustive one.
     pub exact_prunes: bool,
-    /// Charges each job's measured server-side APPLY seconds
-    /// ([`JobProfile::tapply`]) as a fourth subtask class in the Eq. 1
-    /// group-time model: the CPU term becomes `Σ (Tcpu(m) + Tapply)`
-    /// and a job's own pipeline `Tcpu(m) + Tapply + Tnet`. The paper
-    /// folds APPLY into PUSH; the PS runtime measures it
-    /// separately, and it burns server CPU rather than wire time. Off
-    /// by default — with the flag off (or with profiles that carry no
-    /// APPLY measurements) every decision is **byte-identical** to the
-    /// unflagged scheduler, following the repo's equivalence-gate
-    /// pattern. The charge affects candidate *scoring* and the
-    /// predicted iteration times; the L6 group-count seed, swap
-    /// imbalance metric and machine allocation deliberately stay
-    /// APPLY-free (APPLY is DoP-invariant, so it shifts neither the
-    /// `Tcpu(m) = Tnet` balance point those heuristics search for, nor
-    /// the marginal value of an extra machine).
-    pub charge_apply: bool,
-    /// Prices each job's COMM charge at its *measured* wire volume:
-    /// the profile cache's `Tnet` is scaled by the job's trusted PUSH
-    /// density ([`JobProfile::push_density_trusted`]) before any part
-    /// of Algorithm 1 reads it, so the L6 group-count seed, the swap
-    /// deltas, the machine allocation and the Eq. 3/4 scoring all see
-    /// the bytes the sparse runtime actually moves. Unlike APPLY —
-    /// a separate additive subtask class — density multiplies the
-    /// existing COMM term (`Tnet ∝ bytes` on the wire), so the charge
-    /// belongs in every balance computation: a coordinate-sparse job's
-    /// true `Tcpu(m) = Tnet` break-point sits at a higher DoP, and
-    /// with the charge on the scheduler gives it the extra machines.
-    ///
-    /// **On by default**, behind a trust policy: the density only
-    /// prices the wire once at least
-    /// [`JobProfile::DENSITY_TRUST_ITERS`] measured iterations back
-    /// the EWMA — a cold or freshly-started job reads `1.0` and is
-    /// charged dense, so it can never be *under*-charged off a noisy
-    /// first sample. With the flag off — or for profiles whose density
-    /// is untrusted — every decision is **byte-identical** to the
-    /// unflagged scheduler, following the repo's equivalence-gate
-    /// pattern.
-    pub charge_sparse_comm: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -138,8 +100,6 @@ impl Default for SchedulerConfig {
             min_loop_improvement: 0.01,
             max_jobs_per_group: None,
             exact_prunes: true,
-            charge_apply: false,
-            charge_sparse_comm: true,
         }
     }
 }
@@ -459,7 +419,7 @@ impl Scheduler {
         if let Some(out) = trivial_outcome(jobs, machines) {
             return out;
         }
-        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        cache.sync(jobs);
         let (prefixes, mut slots) = take_scan_buffers(scratch, jobs.len());
         let mut scan = ScanState::new(&mut slots);
         while !scan.done {
@@ -498,7 +458,7 @@ impl Scheduler {
         if jobs.is_empty() || machines == 0 {
             return CandidatePrice::default();
         }
-        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        cache.sync(jobs);
         let nj = jobs.len();
         CandidatePrice {
             score_with: self.eval_seeded(cache, scratch, nj, machines).score,
@@ -513,14 +473,15 @@ impl Scheduler {
     }
 
     /// Evaluates the grouping Algorithm 1 would produce for *exactly*
-    /// this job set (no incremental selection). Used by the regrouper
-    /// when repairing specific groups and by the oracle comparison.
+    /// this job set (no incremental selection). No scheduling path
+    /// calls it: it exists for the tests and for the comparisons
+    /// against [`OracleScheduler`](crate::oracle::OracleScheduler).
     pub fn schedule_exact(&self, jobs: &[JobProfile], machines: u32) -> ScheduleOutcome {
         if let Some(out) = trivial_outcome(jobs, machines) {
             return out;
         }
         let (mut cache, mut scratch) = (ProfileCache::empty(), ScheduleScratch::new());
-        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        cache.sync(jobs);
         let ev = self.eval_prefix(&cache, &mut scratch, jobs.len(), machines);
         self.outcome_of(ev, jobs, machines, &cache, &mut scratch)
     }
@@ -540,7 +501,7 @@ impl Scheduler {
         if let Some(out) = trivial_outcome(jobs, machines) {
             return out;
         }
-        cache.sync(jobs, self.cfg.charge_sparse_comm);
+        cache.sync(jobs);
         let scan = self.scan_prefixes(jobs.len(), machines, workers, cache, scratch);
         debug_assert!(
             scan.evaluated < scan.folded + workers.max(1),
@@ -895,23 +856,19 @@ impl Scheduler {
         // across swaps afterwards.
         s.gcpu.clear();
         s.gnet.clear();
-        s.gapply.clear();
         for gi in 0..ng {
             let (lo, hi) = (s.bounds[gi], s.bounds[gi + 1]);
             if dense {
-                let (mut c, mut t, mut a) = (0.0f64, 0.0f64, 0.0f64);
+                let (mut c, mut t) = (0.0f64, 0.0f64);
                 for &p in &s.members[lo..hi] {
                     c += s.pcpu[p as usize];
                     t += s.pnet[p as usize];
-                    a += s.papply[p as usize];
                 }
                 s.gcpu.push(c);
                 s.gnet.push(t);
-                s.gapply.push(a);
             } else {
                 s.gcpu.push(s.ps_cpu[hi] - s.ps_cpu[lo]);
                 s.gnet.push(s.ps_net[hi] - s.ps_net[lo]);
-                s.gapply.push(s.ps_apply[hi] - s.ps_apply[lo]);
             }
         }
 
@@ -1047,10 +1004,8 @@ impl Scheduler {
                     let (pa, pb) = (a as usize, b as usize);
                     s.gcpu[g1] += s.pcpu[pb] - s.pcpu[pa];
                     s.gnet[g1] += s.pnet[pb] - s.pnet[pa];
-                    s.gapply[g1] += s.papply[pb] - s.papply[pa];
                     s.gcpu[g2] += s.pcpu[pa] - s.pcpu[pb];
                     s.gnet[g2] += s.pnet[pa] - s.pnet[pb];
-                    s.gapply[g2] += s.papply[pa] - s.papply[pb];
                     stale = Some((g1, g2));
                 }
                 None => break, // no improving swap remains
@@ -1067,29 +1022,17 @@ impl Scheduler {
         );
 
         // Eq. 4: machine-weighted average of per-group Eq. 3
-        // utilizations, straight off the flat arrays. Under
-        // `charge_apply` the CPU-side terms carry the measured APPLY
-        // charge; the branches (never `x + 0.0`) keep the flag-off arm
-        // bit-identical to the unflagged scheduler.
-        let charge = self.cfg.charge_apply;
+        // utilizations, straight off the flat arrays.
         let mut total_m = 0.0;
         let mut cpu = 0.0;
         let mut net = 0.0;
         for gi in 0..ng {
             let mf = f64::from(s.alloc[gi]);
-            let sum_cpu = if charge {
-                s.gcpu[gi] / mf + s.gapply[gi]
-            } else {
-                s.gcpu[gi] / mf
-            };
+            let sum_cpu = s.gcpu[gi] / mf;
             let sum_net = s.gnet[gi];
             let mut max_itr = 0.0f64;
             for &p in &s.members[s.bounds[gi]..s.bounds[gi + 1]] {
-                let t = if charge {
-                    (s.pcpu[p as usize] / mf + s.papply[p as usize]) + s.pnet[p as usize]
-                } else {
-                    s.pcpu[p as usize] / mf + s.pnet[p as usize]
-                };
+                let t = s.pcpu[p as usize] / mf + s.pnet[p as usize];
                 if t > max_itr {
                     max_itr = t;
                 }
@@ -1141,12 +1084,7 @@ impl Scheduler {
                 .map(|&p| &jobs[s.sub_size[p as usize] as usize])
                 .collect();
             let m = s.alloc[gi];
-            predicted.push(group_iteration_time_modeled(
-                &profs,
-                m,
-                self.cfg.charge_apply,
-                self.cfg.charge_sparse_comm,
-            ));
+            predicted.push(group_iteration_time(&profs, m));
             let ids: Vec<MachineId> = (next_machine..next_machine + m)
                 .map(MachineId::new)
                 .collect();
@@ -1551,130 +1489,42 @@ mod tests {
         }
     }
 
-    /// A profile carrying a measured APPLY charge on top of `prof`.
-    fn prof_apply(i: u64, tcpu1: f64, tnet: f64, tapply: f64) -> JobProfile {
-        let mut p = JobProfile::new(JobId::new(i));
-        p.observe_sample(tcpu1, tnet, tapply, 1);
-        p
-    }
-
-    #[test]
-    fn charge_apply_off_is_byte_identical() {
-        // Profiles with APPLY measurements scheduled by the default
-        // (flag-off) scheduler must decide exactly as if the
-        // measurements did not exist — the equivalence gate for the
-        // fourth subtask class.
-        let plain = Scheduler::default();
-        let jobs_apply: Vec<JobProfile> = (0..12)
-            .map(|i| {
-                prof_apply(
-                    i,
-                    3.0 + (i * 13 % 50) as f64,
-                    1.0 + (i * 7 % 9) as f64,
-                    0.25 + (i % 3) as f64,
-                )
-            })
-            .collect();
-        let jobs_plain: Vec<JobProfile> = (0..12)
-            .map(|i| prof(i, 3.0 + (i * 13 % 50) as f64, 1.0 + (i * 7 % 9) as f64))
-            .collect();
-        for machines in [3u32, 8, 24] {
-            let a = plain.schedule(&jobs_apply, machines);
-            let b = plain.schedule(&jobs_plain, machines);
-            assert_eq!(a.grouping, b.grouping, "machines={machines}");
-            assert_eq!(
-                a.utilization.cpu.to_bits(),
-                b.utilization.cpu.to_bits(),
-                "machines={machines}"
-            );
-            assert_eq!(a.utilization.net.to_bits(), b.utilization.net.to_bits());
-            let pa: Vec<u64> = a.predicted_iteration.iter().map(|t| t.to_bits()).collect();
-            let pb: Vec<u64> = b.predicted_iteration.iter().map(|t| t.to_bits()).collect();
-            assert_eq!(pa, pb, "machines={machines}");
-        }
-    }
-
-    #[test]
-    fn charge_apply_on_without_measurements_is_byte_identical() {
-        // The flag costs nothing when no profile ever saw an APPLY
-        // sample: tapply() reads 0.0 and the charged expressions
-        // reproduce the unflagged arithmetic bit-for-bit.
-        let plain = Scheduler::default();
-        let charged = Scheduler::new(SchedulerConfig {
-            charge_apply: true,
-            ..SchedulerConfig::default()
-        });
-        let jobs: Vec<JobProfile> = (0..10)
-            .map(|i| prof(i, 5.0 + (i % 3) as f64 * 30.0, 1.0 + (i % 4) as f64 * 4.0))
-            .collect();
-        let a = charged.schedule(&jobs, 20);
-        let b = plain.schedule(&jobs, 20);
-        assert_eq!(a.grouping, b.grouping);
-        assert_eq!(a.utilization.cpu.to_bits(), b.utilization.cpu.to_bits());
-        assert_eq!(a.utilization.net.to_bits(), b.utilization.net.to_bits());
-    }
-
-    #[test]
-    fn charge_apply_raises_predicted_iteration() {
-        // Same grouping, but the per-group Eq. 1 prediction grows by
-        // the APPLY charge when the flag is on.
-        let jobs = vec![prof_apply(0, 16.0, 2.0, 1.0), prof_apply(1, 4.0, 8.0, 1.0)];
-        let off = Scheduler::default().schedule(&jobs, 2);
-        let on = Scheduler::new(SchedulerConfig {
-            charge_apply: true,
-            ..SchedulerConfig::default()
-        })
-        .schedule(&jobs, 2);
-        let off_total: f64 = off.predicted_iteration.iter().sum();
-        let on_total: f64 = on.predicted_iteration.iter().sum();
-        assert!(
-            on_total > off_total,
-            "APPLY charge should lengthen predictions: on={on_total} off={off_total}"
-        );
-    }
-
-    /// A profile carrying a *trusted* measured PUSH density on top of
-    /// `prof` (repeated identical samples: the EWMA reads exactly
-    /// `density` once warm).
-    fn prof_density(i: u64, tcpu1: f64, tnet: f64, density: f64) -> JobProfile {
+    /// `prof` with `samples` PUSH-density measurements of `density`
+    /// (repeated identical samples: the EWMA reads exactly `density`).
+    /// Fewer than [`JobProfile::DENSITY_TRUST_ITERS`] leave it priced
+    /// dense.
+    fn prof_density(i: u64, tcpu1: f64, tnet: f64, density: f64, samples: u64) -> JobProfile {
         let mut p = prof(i, tcpu1, tnet);
-        for _ in 0..JobProfile::DENSITY_TRUST_ITERS {
+        for _ in 0..samples {
             p.observe_push_density(density);
         }
         p
     }
 
-    /// A scheduler with the sparse-COMM charge explicitly off (the
-    /// pre-flip default).
-    fn uncharged() -> Scheduler {
-        Scheduler::new(SchedulerConfig {
-            charge_sparse_comm: false,
-            ..SchedulerConfig::default()
-        })
-    }
-
     #[test]
-    fn charge_sparse_comm_off_is_byte_identical() {
-        // Profiles with density measurements scheduled by a flag-off
-        // scheduler must decide exactly as if the measurements did not
-        // exist.
-        let plain = uncharged();
-        let jobs_dense: Vec<JobProfile> = (0..12)
-            .map(|i| prof(i, 3.0 + (i * 13 % 50) as f64, 1.0 + (i * 7 % 9) as f64))
+    fn untrusted_density_is_byte_identical_to_none() {
+        // Until DENSITY_TRUST_ITERS measurements back the EWMA the
+        // trusted density reads 1.0, and `tnet * 1.0` is an exact
+        // identity: young sparse profiles decide exactly like profiles
+        // that never measured their wire.
+        let s = Scheduler::default();
+        let jobs_plain: Vec<JobProfile> = (0..10)
+            .map(|i| prof(i, 5.0 + (i % 3) as f64 * 30.0, 1.0 + (i % 4) as f64 * 4.0))
             .collect();
-        let jobs_sparse: Vec<JobProfile> = (0..12)
+        let jobs_young: Vec<JobProfile> = (0..10)
             .map(|i| {
                 prof_density(
                     i,
-                    3.0 + (i * 13 % 50) as f64,
-                    1.0 + (i * 7 % 9) as f64,
+                    5.0 + (i % 3) as f64 * 30.0,
+                    1.0 + (i % 4) as f64 * 4.0,
                     0.1 + (i % 5) as f64 * 0.2,
+                    i % JobProfile::DENSITY_TRUST_ITERS,
                 )
             })
             .collect();
-        for machines in [3u32, 8, 24] {
-            let a = plain.schedule(&jobs_sparse, machines);
-            let b = plain.schedule(&jobs_dense, machines);
+        for machines in [3u32, 8, 20] {
+            let a = s.schedule(&jobs_young, machines);
+            let b = s.schedule(&jobs_plain, machines);
             assert_eq!(a.grouping, b.grouping, "machines={machines}");
             assert_eq!(a.utilization.cpu.to_bits(), b.utilization.cpu.to_bits());
             assert_eq!(a.utilization.net.to_bits(), b.utilization.net.to_bits());
@@ -1685,46 +1535,24 @@ mod tests {
     }
 
     #[test]
-    fn charge_sparse_comm_on_without_measurements_is_byte_identical() {
-        // Cold density EWMAs read 1.0, and `tnet * 1.0` is an exact
-        // identity, so the flag costs nothing until the runtime
-        // actually measures a sparse wire.
-        let plain = uncharged();
-        let charged = Scheduler::new(SchedulerConfig {
-            charge_sparse_comm: true,
-            ..SchedulerConfig::default()
-        });
-        let jobs: Vec<JobProfile> = (0..10)
-            .map(|i| prof(i, 5.0 + (i % 3) as f64 * 30.0, 1.0 + (i % 4) as f64 * 4.0))
-            .collect();
-        let a = charged.schedule(&jobs, 20);
-        let b = plain.schedule(&jobs, 20);
-        assert_eq!(a.grouping, b.grouping);
-        assert_eq!(a.utilization.cpu.to_bits(), b.utilization.cpu.to_bits());
-        assert_eq!(a.utilization.net.to_bits(), b.utilization.net.to_bits());
-    }
-
-    #[test]
-    fn charge_sparse_comm_grants_sparse_jobs_a_higher_dop() {
+    fn trusted_sparse_density_grants_a_higher_dop() {
         // Two jobs with identical raw (tcpu1, tnet); job 0 pushes
-        // coordinate-sparse deltas at density 0.1. Uncharged, the
-        // scheduler cannot tell them apart and splits the machines
-        // evenly. Charged, the sparse job's effective Tnet collapses,
-        // its Tcpu(m) = Tnet balance point moves to a much higher DoP,
-        // and the machine allocation follows (Eq. 2: extra machines
-        // shrink Tcpu but not Tnet, so they belong with the now
-        // CPU-bound sparse job) — its predicted iteration drops below
-        // the density-blind schedule's.
-        let jobs = vec![
-            prof_density(0, 40.0, 10.0, 0.1),
-            prof_density(1, 40.0, 10.0, 1.0),
+        // coordinate-sparse deltas at a trusted density of 0.1.
+        // Without density measurements the scheduler cannot tell them
+        // apart and treats them alike. With them, the sparse job's
+        // priced Tnet collapses, its Tcpu(m) = Tnet balance point moves
+        // to a much higher DoP, and the machine allocation follows
+        // (Eq. 2: extra machines shrink Tcpu but not Tnet, so they
+        // belong with the now CPU-bound sparse job) — its predicted
+        // iteration drops below the density-blind schedule's.
+        let s = Scheduler::default();
+        let sparse = vec![
+            prof_density(0, 40.0, 10.0, 0.1, JobProfile::DENSITY_TRUST_ITERS),
+            prof_density(1, 40.0, 10.0, 1.0, JobProfile::DENSITY_TRUST_ITERS),
         ];
-        let on = Scheduler::new(SchedulerConfig {
-            charge_sparse_comm: true,
-            ..SchedulerConfig::default()
-        })
-        .schedule_exact(&jobs, 16);
-        let off = uncharged().schedule_exact(&jobs, 16);
+        let blind = vec![prof(0, 40.0, 10.0), prof(1, 40.0, 10.0)];
+        let on = s.schedule_exact(&sparse, 16);
+        let off = s.schedule_exact(&blind, 16);
         let group_of = |out: &ScheduleOutcome, j: u64| {
             out.grouping
                 .group_of(JobId::new(j))
@@ -1734,7 +1562,7 @@ mod tests {
         assert_eq!(
             on.grouping.len(),
             2,
-            "charged, the jobs are no longer complementary: {}",
+            "priced sparse, the jobs are no longer complementary: {}",
             on.grouping
         );
         let sparse_dop = group_of(&on, 0).dop();
@@ -1743,8 +1571,9 @@ mod tests {
             sparse_dop > dense_dop,
             "sparse job should out-DoP the dense job: {sparse_dop} vs {dense_dop}"
         );
-        // The blind arm cannot tell the jobs apart: whatever it does,
-        // it does symmetrically (shared group, or equal DoPs).
+        // Without measurements the jobs are identical: whatever the
+        // scheduler does, it does symmetrically (shared group, or
+        // equal DoPs).
         let off_sparse = group_of(&off, 0);
         let off_dense = group_of(&off, 1);
         assert!(
@@ -1753,14 +1582,15 @@ mod tests {
             off.grouping
         );
         // Lower predicted JCT for the sparse job: its group's Eq. 1
-        // prediction under the charged schedule beats the blind one.
+        // prediction under the density-priced schedule beats the blind
+        // one.
         let predicted_of = |out: &ScheduleOutcome, j: u64| {
             let gi = group_of(out, j).id().index() as usize;
             out.predicted_iteration[gi]
         };
         assert!(
             predicted_of(&on, 0) < predicted_of(&off, 0),
-            "sparse job should iterate faster under the charged schedule: {} vs {}",
+            "sparse job should iterate faster when its wire is priced: {} vs {}",
             predicted_of(&on, 0),
             predicted_of(&off, 0)
         );
@@ -1807,13 +1637,6 @@ mod tests {
             .collect()
     }
 
-    /// A fresh cache over `jobs`, priced as `s` prices COMM.
-    fn synced(jobs: &[JobProfile], s: &Scheduler) -> ProfileCache {
-        let mut cache = ProfileCache::empty();
-        cache.sync(jobs, s.cfg.charge_sparse_comm);
-        cache
-    }
-
     fn same_prefix(a: &PrefixEval, b: &PrefixEval) -> bool {
         (a.nj, a.ng, a.score.to_bits()) == (b.nj, b.ng, b.score.to_bits())
             && a.utilization == b.utilization
@@ -1828,7 +1651,7 @@ mod tests {
         let s = Scheduler::default();
         let jobs = saturating(150);
         let machines = 6;
-        let cache = synced(&jobs, &s);
+        let cache = ProfileCache::build(&jobs);
         let mut scratch = ScheduleScratch::new();
         let seq = s.scan_prefixes(jobs.len(), machines, 1, &cache, &mut scratch);
         let prefixes = scratch.prefixes.len();
@@ -1855,7 +1678,7 @@ mod tests {
         // More threads than prefixes: the count is clamped, the bound
         // holds against the clamped count.
         let few = saturating(3);
-        let cache = synced(&few, &s);
+        let cache = ProfileCache::build(&few);
         let seq = s.scan_prefixes(few.len(), 1, 1, &cache, &mut scratch);
         let par = s.scan_prefixes(few.len(), 1, 8, &cache, &mut scratch);
         assert!(same_prefix(&par.best, &seq.best));
@@ -1872,7 +1695,7 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let jobs = saturating(100);
-        let cache = synced(&jobs, &s);
+        let cache = ProfileCache::build(&jobs);
         let mut scratch = ScheduleScratch::new();
         for w in [1usize, 3] {
             let scan = s.scan_prefixes(jobs.len(), 6, w, &cache, &mut scratch);

@@ -42,20 +42,12 @@ use crate::schedule::PrefixEval;
 pub struct ProfileCache {
     /// `Tcpu(1)` per job, indexed by position in the caller's job slice.
     pub(crate) tcpu1: Vec<f64>,
-    /// *Effective* `Tnet` per job, indexed by position. Under
-    /// [`SchedulerConfig::charge_sparse_comm`](crate::schedule::SchedulerConfig)
-    /// this is the measured `Tnet` scaled by the job's observed PUSH
-    /// density (`Tnet` is proportional to bytes on the wire); otherwise
-    /// the raw measurement. Scaling *here* — rather than branching at
-    /// every use — keeps the L6 seed, the swap deltas, the machine
-    /// allocation and the Eq. 3/4 scoring mutually consistent: they all
-    /// price the wire the job actually uses.
+    /// Priced `Tnet` per job ([`JobProfile::priced_tnet`]), indexed by
+    /// position. Pricing *here* — rather than at every use — keeps the
+    /// L6 seed, the swap deltas, the machine allocation and the Eq. 3/4
+    /// scoring mutually consistent: they all price the wire the job
+    /// actually uses.
     pub(crate) tnet: Vec<f64>,
-    /// Measured server-side APPLY seconds per job (DoP-invariant, `0.0`
-    /// when unmeasured). Only read when
-    /// [`SchedulerConfig::charge_apply`](crate::schedule::SchedulerConfig)
-    /// is set; always cached so the flag costs nothing to flip.
-    pub(crate) tapply: Vec<f64>,
     /// `JobId` per position (sort tie-breaker).
     pub(crate) id: Vec<JobId>,
     /// Job positions sorted by `Tcpu(1) + Tnet` descending (single-
@@ -84,20 +76,6 @@ pub struct ProfileCache {
     dirty_mask: Vec<bool>,
     /// Scratch: merge output buffer for order repair.
     merged: Vec<u32>,
-}
-
-/// Job `p`'s COMM seconds as the scheduler prices them: scaled by the
-/// *trusted* PUSH density ([`JobProfile::push_density_trusted`] — dense
-/// until at least `DENSITY_TRUST_ITERS` measurements back the EWMA, so
-/// cold jobs are never under-charged) when `charge_sparse_comm` is
-/// set. A branch although `tnet * 1.0` would be exact: the flag-off
-/// arm must not even read the density.
-fn effective_tnet(p: &JobProfile, charge_sparse_comm: bool) -> f64 {
-    if charge_sparse_comm {
-        p.tnet() * p.push_density_trusted()
-    } else {
-        p.tnet()
-    }
 }
 
 /// Sanitized balance break-point `tcpu1 / tnet` (never NaN).
@@ -140,8 +118,9 @@ fn by_ratio<'a>(
 }
 
 impl ProfileCache {
-    /// Builds the cache with raw (density-blind) COMM seconds: two
-    /// O(n log n) sorts and three linear passes.
+    /// Builds the cache with priced COMM seconds
+    /// ([`JobProfile::priced_tnet`]): two O(n log n) sorts and three
+    /// linear passes.
     ///
     /// # Panics
     ///
@@ -149,7 +128,7 @@ impl ProfileCache {
     /// [`JobProfile::tcpu_at`]).
     pub fn build(jobs: &[JobProfile]) -> Self {
         let mut cache = Self::empty();
-        cache.sync(jobs, false);
+        cache.sync(jobs);
         cache
     }
 
@@ -170,12 +149,9 @@ impl ProfileCache {
     /// the cache keeps its generation, so a paired scratch skips its
     /// prefix gathers too. A shape change rebuilds everything.
     ///
-    /// With `charge_sparse_comm` each job's cached `Tnet` is scaled by
-    /// its trusted PUSH density. With the flag off — or for profiles
-    /// whose density is untrusted, which read `1.0` — the cache is
-    /// bit-identical to the density-blind one (`x * 1.0` is an exact
-    /// identity for finite `x`). Flipping the flag between calls is a
-    /// value change like any other.
+    /// Each job's cached `Tnet` is [`JobProfile::priced_tnet`], so a
+    /// density crossing the trust threshold between calls is a value
+    /// change like any other.
     ///
     /// **Byte-identity:** both comparators are strict total orders
     /// (`total_cmp` on the key, `JobId` tie-break — ids are distinct),
@@ -191,25 +167,22 @@ impl ProfileCache {
     ///
     /// Panics if any profile is cold (same contract as
     /// [`JobProfile::tcpu_at`]).
-    pub fn sync(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
+    pub fn sync(&mut self, jobs: &[JobProfile]) {
         let n = jobs.len();
         if n != self.len() || jobs.iter().zip(&self.id).any(|(p, &id)| p.job() != id) {
-            self.rebuild(jobs, charge_sparse_comm);
+            self.rebuild(jobs);
             return;
         }
 
         self.dirty.clear();
         for (i, p) in jobs.iter().enumerate() {
             let tcpu1 = p.tcpu_at(1);
-            let tnet = effective_tnet(p, charge_sparse_comm);
-            let tapply = p.tapply();
+            let tnet = p.priced_tnet();
             if tcpu1.to_bits() != self.tcpu1[i].to_bits()
                 || tnet.to_bits() != self.tnet[i].to_bits()
-                || tapply.to_bits() != self.tapply[i].to_bits()
             {
                 self.tcpu1[i] = tcpu1;
                 self.tnet[i] = tnet;
-                self.tapply[i] = tapply;
                 self.ratio_key[i] = ratio_key_of(tcpu1, tnet);
                 self.dirty.push(i as u32);
             }
@@ -248,16 +221,14 @@ impl ProfileCache {
     }
 
     /// The full rebuild behind [`Self::sync`]'s shape-change fallback.
-    fn rebuild(&mut self, jobs: &[JobProfile], charge_sparse_comm: bool) {
+    fn rebuild(&mut self, jobs: &[JobProfile]) {
         let n = jobs.len();
         self.tcpu1.clear();
         self.tnet.clear();
-        self.tapply.clear();
         self.id.clear();
         for p in jobs {
             self.tcpu1.push(p.tcpu_at(1));
-            self.tnet.push(effective_tnet(p, charge_sparse_comm));
-            self.tapply.push(p.tapply());
+            self.tnet.push(p.priced_tnet());
             self.id.push(p.job());
         }
 
@@ -326,9 +297,6 @@ impl ProfileCache {
         for v in &self.tnet {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        for v in &self.tapply {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
         for v in &self.id {
             out.extend_from_slice(&v.index().to_le_bytes());
         }
@@ -372,17 +340,12 @@ pub struct ScheduleScratch {
     pub(crate) pcpu: Vec<f64>,
     /// `tnet` gathered in `sub_size` order.
     pub(crate) pnet: Vec<f64>,
-    /// `tapply` gathered in `sub_size` order (read only under
-    /// `charge_apply`).
-    pub(crate) papply: Vec<f64>,
     /// `JobId` gathered in `sub_size` order (sort tie-breaker).
     pub(crate) pid: Vec<JobId>,
     /// Prefix sums of `tcpu1` over `sub_size` (length `nj + 1`).
     pub(crate) ps_cpu: Vec<f64>,
     /// Prefix sums of `tnet` over `sub_size`.
     pub(crate) ps_net: Vec<f64>,
-    /// Prefix sums of `tapply` over `sub_size`.
-    pub(crate) ps_apply: Vec<f64>,
     /// Sort-key scratch for [`Self::sort_prefix_by_dop`], indexed by
     /// cache position (prefix positions are always `< nj`).
     pub(crate) sort_key: Vec<f64>,
@@ -405,8 +368,6 @@ pub struct ScheduleScratch {
     pub(crate) gcpu: Vec<f64>,
     /// `Σ Tnet` per group, maintained incrementally across swaps.
     pub(crate) gnet: Vec<f64>,
-    /// `Σ Tapply` per group (only filled/read under `charge_apply`).
-    pub(crate) gapply: Vec<f64>,
     /// Per-position swap deltas `tcpu1/dop − tnet` for the current
     /// candidate's uniform DoP.
     pub(crate) delta: Vec<f64>,
@@ -538,28 +499,21 @@ impl ScheduleScratch {
     fn rebuild_prefix_views(&mut self, cache: &ProfileCache) {
         self.pcpu.clear();
         self.pnet.clear();
-        self.papply.clear();
         self.pid.clear();
         self.ps_cpu.clear();
         self.ps_net.clear();
-        self.ps_apply.clear();
         self.ps_cpu.push(0.0);
         self.ps_net.push(0.0);
-        self.ps_apply.push(0.0);
-        let (mut c, mut t, mut a) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut c, mut t) = (0.0f64, 0.0f64);
         for &p in &self.sub_size {
             let (c0, t0) = (cache.tcpu1[p as usize], cache.tnet[p as usize]);
-            let a0 = cache.tapply[p as usize];
             self.pcpu.push(c0);
             self.pnet.push(t0);
-            self.papply.push(a0);
             self.pid.push(cache.id[p as usize]);
             c += c0;
             t += t0;
-            a += a0;
             self.ps_cpu.push(c);
             self.ps_net.push(t);
-            self.ps_apply.push(a);
         }
     }
 
@@ -648,18 +602,18 @@ mod tests {
 
         // Nothing changed: the cache keeps its generation, so a scratch
         // whose `loaded_gen` matches can skip `load_prefix` entirely.
-        cache.sync(&jobs, false);
+        cache.sync(&jobs);
         assert_eq!(cache.generation, g0);
 
         // A real value change bumps it.
         jobs[1] = prof(1, 9.0, 1.0);
-        cache.sync(&jobs, false);
+        cache.sync(&jobs);
         assert_eq!(cache.generation, g0 + 1);
         assert_eq!(cache.size_order, vec![1, 0]);
 
         // So does a shape change, which rebuilds everything.
         jobs.pop();
-        cache.sync(&jobs, false);
+        cache.sync(&jobs);
         assert_eq!(cache.generation, g0 + 2);
         assert_eq!(cache.size_order, vec![0]);
     }

@@ -8,49 +8,50 @@
 //! (`Scheduler::schedule_reusing`, the release pass, admission
 //! pricing): the simulator's golden digests only prove end-to-end
 //! runs; these tests pin the cache layer in isolation, including the
-//! shape-change fallback, a flipped density charge and the
-//! density-charged variant.
+//! shape-change fallback and a PUSH density crossing the trust
+//! threshold, which moves a job's priced `Tnet`.
 
 use harmony_core::job::JobId;
 use harmony_core::profile::JobProfile;
 use harmony_core::scratch::ProfileCache;
 use proptest::prelude::*;
 
-/// A warm profile seeded from reference durations, with optional extra
-/// samples so `tapply` and `push_density` carry real values too.
-fn seed_profile(i: u64, tcpu1: f64, tnet: f64, tapply: f64, density: f64) -> JobProfile {
+/// A warm profile seeded from reference durations, one density
+/// measurement short of trusted: the next touch of the job makes its
+/// density price the wire.
+fn seed_profile(i: u64, tcpu1: f64, tnet: f64, density: f64) -> JobProfile {
     let mut p = JobProfile::from_reference(JobId::new(i), tcpu1, tnet);
-    p.observe_sample(tcpu1, tnet, tapply, 1);
-    p.observe_push_density(density);
+    for _ in 1..JobProfile::DENSITY_TRUST_ITERS {
+        p.observe_push_density(density);
+    }
     p
 }
 
 /// A cache synced from empty: the from-scratch state every reused
 /// cache is compared against.
-fn fresh_cache(jobs: &[JobProfile], charged: bool) -> ProfileCache {
+fn fresh_cache(jobs: &[JobProfile]) -> ProfileCache {
     let mut cache = ProfileCache::empty();
-    cache.sync(jobs, charged);
+    cache.sync(jobs);
     cache
 }
 
-/// One re-observation of an existing job: `(which, tcpu, tnet, tapply,
-/// dop, density)` — `which` is reduced modulo the population.
-type Touch = (usize, f64, f64, f64, u32, f64);
+/// One re-observation of an existing job: `(which, tcpu, tnet, dop,
+/// density)` — `which` is reduced modulo the population.
+type Touch = (usize, f64, f64, u32, f64);
 
 fn apply_touches(jobs: &mut [JobProfile], touches: &[Touch]) {
-    for &(which, tcpu, tnet, tapply, dop, density) in touches {
+    for &(which, tcpu, tnet, dop, density) in touches {
         let p = &mut jobs[which % jobs.len()];
-        p.observe_sample(tcpu / f64::from(dop), tnet, tapply, dop);
+        p.observe_iteration(tcpu / f64::from(dop), tnet, dop);
         p.observe_push_density(density);
     }
 }
 
-fn seeds() -> impl Strategy<Value = Vec<(f64, f64, f64, f64)>> {
+fn seeds() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
     prop::collection::vec(
         (
             0.01f64..100.0, // tcpu1
             0.0f64..10.0,   // tnet (zero allowed: exercises the ∞/0 ratio keys)
-            0.0f64..5.0,    // tapply
             0.05f64..1.0,   // push density
         ),
         1..40,
@@ -63,12 +64,19 @@ fn touches() -> impl Strategy<Value = Vec<Touch>> {
             0usize..usize::MAX,
             0.01f64..100.0,
             0.0f64..10.0,
-            0.0f64..5.0,
             1u32..32,
             0.05f64..1.0,
         ),
         0..30,
     )
+}
+
+fn seeded(seeds: &[(f64, f64, f64)]) -> Vec<JobProfile> {
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &(c, t, d))| seed_profile(i as u64, c, t, d))
+        .collect()
 }
 
 proptest! {
@@ -77,33 +85,26 @@ proptest! {
     /// The core identity: seed a population, build the cache, touch an
     /// arbitrary subset of jobs (possibly none, possibly all of them,
     /// possibly several times each), then `sync` — the cache
-    /// state must equal a from-scratch build bit for bit, under both
-    /// the plain and the density-charged COMM pricing.
+    /// state must equal a from-scratch build bit for bit.
     #[test]
     fn dirty_rebuild_matches_full_build(
         seeds in seeds(),
         touches in touches(),
-        charged in any::<bool>(),
     ) {
-        let mut jobs: Vec<JobProfile> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
-            .collect();
-        let mut cache = fresh_cache(&jobs, charged);
+        let mut jobs = seeded(&seeds);
+        let mut cache = fresh_cache(&jobs);
 
         apply_touches(&mut jobs, &touches);
-        cache.sync(&jobs, charged);
+        cache.sync(&jobs);
 
-        let fresh = fresh_cache(&jobs, charged);
+        let fresh = fresh_cache(&jobs);
         prop_assert_eq!(
             cache.state_bytes(),
             fresh.state_bytes(),
             "incremental repair diverged from a full build \
-             ({} jobs, {} touches, charged={})",
+             ({} jobs, {} touches)",
             jobs.len(),
             touches.len(),
-            charged,
         );
     }
 
@@ -115,18 +116,13 @@ proptest! {
     fn chained_dirty_rebuilds_stay_identical(
         seeds in seeds(),
         rounds in prop::collection::vec(touches(), 1..4),
-        charged in any::<bool>(),
     ) {
-        let mut jobs: Vec<JobProfile> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
-            .collect();
-        let mut cache = fresh_cache(&jobs, charged);
+        let mut jobs = seeded(&seeds);
+        let mut cache = fresh_cache(&jobs);
         for (round, batch) in rounds.iter().enumerate() {
             apply_touches(&mut jobs, batch);
-            cache.sync(&jobs, charged);
-            let fresh = fresh_cache(&jobs, charged);
+            cache.sync(&jobs);
+            let fresh = fresh_cache(&jobs);
             prop_assert_eq!(
                 cache.state_bytes(),
                 fresh.state_bytes(),
@@ -137,53 +133,53 @@ proptest! {
     }
 
     /// Shape changes — the job *list* differs, not just the values —
-    /// and a flipped density charge must land on the state of a cache
-    /// synced from empty: a shorter list, a longer one, the same
-    /// length with one id swapped, a permutation of the same ids, and
-    /// the same list priced the other way.
+    /// and a density crossing the trust threshold must land on the
+    /// state of a cache synced from empty: a shorter list, a longer
+    /// one, the same length with one id swapped, a permutation of the
+    /// same ids, and the same list with one job's priced `Tnet` moved
+    /// by its density becoming trusted.
     #[test]
-    fn shape_and_charge_changes_match_a_fresh_sync(
+    fn shape_and_density_changes_match_a_fresh_sync(
         seeds in seeds(),
         change in 0u8..5,
         at in 0usize..usize::MAX,
-        charged in any::<bool>(),
     ) {
-        let mut jobs: Vec<JobProfile> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, t, a, d))| {
-                let mut p = seed_profile(i as u64, c, t, a, d);
-                // Trusted densities, so the charge really moves `Tnet`.
-                for _ in 0..JobProfile::DENSITY_TRUST_ITERS {
-                    p.observe_push_density(d);
-                }
-                p
-            })
-            .collect();
-        let mut cache = fresh_cache(&jobs, charged);
+        let mut jobs = seeded(&seeds);
         let at = at % jobs.len();
-        let mut charged_after = charged;
+        // Every job but `at` trusts its density, so the priced `Tnet`
+        // really differs from the raw one.
+        for (i, (p, &(_, _, d))) in jobs.iter_mut().zip(&seeds).enumerate() {
+            if i != at {
+                p.observe_push_density(d);
+            }
+        }
+        let mut cache = fresh_cache(&jobs);
         match change {
             0 if jobs.len() > 1 => {
                 jobs.remove(at);
             }
-            0 | 1 => jobs.push(seed_profile(jobs.len() as u64, 7.0, 3.0, 0.5, 0.5)),
-            2 => jobs[at] = seed_profile(1_000 + at as u64, 7.0, 3.0, 0.5, 0.5),
+            0 | 1 => jobs.push(seed_profile(jobs.len() as u64, 7.0, 3.0, 0.5)),
+            2 => jobs[at] = seed_profile(1_000 + at as u64, 7.0, 3.0, 0.5),
             3 => jobs.rotate_left(at),
-            _ => charged_after = !charged,
+            _ => {
+                let before = jobs[at].priced_tnet();
+                jobs[at].observe_push_density(seeds[at].2);
+                prop_assert!(
+                    before == 0.0 || jobs[at].priced_tnet() != before,
+                    "crossing the trust threshold must move the priced Tnet"
+                );
+            }
         }
-        cache.sync(&jobs, charged_after);
+        cache.sync(&jobs);
 
-        let fresh = fresh_cache(&jobs, charged_after);
+        let fresh = fresh_cache(&jobs);
         prop_assert_eq!(
             cache.state_bytes(),
             fresh.state_bytes(),
-            "change {} at {} of {} jobs, charged {} -> {}",
+            "change {} at {} of {} jobs",
             change,
             at,
             jobs.len(),
-            charged,
-            charged_after,
         );
     }
 
@@ -203,11 +199,7 @@ proptest! {
         use harmony_core::schedule::Scheduler;
         use harmony_core::scratch::ScheduleScratch;
 
-        let mut jobs: Vec<JobProfile> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, t, a, d))| seed_profile(i as u64, c, t, a, d))
-            .collect();
+        let mut jobs = seeded(&seeds);
         let sched = Scheduler::default();
         let mut cache = ProfileCache::empty();
         let mut scratch = ScheduleScratch::new();

@@ -6,44 +6,16 @@
 //! pulled FIFO from a crossbeam channel; the executor records peak
 //! observed concurrency so tests can assert the discipline held.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
 
-/// A task body: boxed one-shot closures for ordinary submissions, or a
-/// shared `Arc` closure for [`Executor::submit_shared`] — resubmitting
-/// the latter only bumps a refcount, so a steady-state training
-/// iteration enqueues tasks without heap allocation.
-enum TaskBody {
-    Once(Box<dyn FnOnce() + Send + 'static>),
-    Shared(Arc<dyn Fn() + Send + Sync + 'static>),
-}
-
-impl TaskBody {
-    /// Runs the body and hands a shared one back undropped: the worker
-    /// books the completion *before* it lets go of the `Arc`, so whoever
-    /// sees the last clone released also sees the counters settled.
-    fn run(self) -> Option<Arc<dyn Fn() + Send + Sync + 'static>> {
-        match self {
-            TaskBody::Once(f) => {
-                f();
-                None
-            }
-            TaskBody::Shared(f) => {
-                f();
-                Some(f)
-            }
-        }
-    }
-}
-
-struct Task {
-    /// Set by an [`AbortHandle`]; checked once, at dequeue time.
-    abort: Option<Arc<AtomicBool>>,
-    run: TaskBody,
-}
+/// A task: a shared closure, so resubmitting it only bumps a refcount
+/// and a steady-state training iteration enqueues tasks without heap
+/// allocation.
+type Task = Arc<dyn Fn() + Send + Sync + 'static>;
 
 /// Runtime statistics of one executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,41 +24,18 @@ pub struct ExecutorStats {
     pub completed: usize,
     /// Highest number of tasks that ever ran concurrently.
     pub peak_concurrency: usize,
-    /// Tasks dropped before starting because their handle was aborted
-    /// (a fault cancelled the subtask while it sat in the queue).
+    /// Always `0`: the executor has no way to cancel a queued task.
+    /// Kept so reports that sum it stay well-formed.
     pub aborted: usize,
-    /// Failed attempts that were retried by [`Executor::submit_with_retry`].
+    /// Always `0`: the executor never re-attempts a task. Kept so
+    /// reports that sum it stay well-formed.
     pub retries: usize,
-}
-
-/// Cancels a not-yet-started task submitted with
-/// [`Executor::submit_abortable`]. Abort is checked when the task is
-/// dequeued: a task already running is not interrupted (subtasks are
-/// the atom of work — §IV-A), but a queued one is dropped and counted
-/// in [`ExecutorStats::aborted`].
-#[derive(Debug, Clone)]
-pub struct AbortHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl AbortHandle {
-    /// Requests cancellation of the associated task.
-    pub fn abort(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`AbortHandle::abort`] has been called.
-    pub fn is_aborted(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 struct Shared {
     running: AtomicUsize,
     peak: AtomicUsize,
     completed: AtomicUsize,
-    aborted: AtomicUsize,
-    retries: AtomicUsize,
 }
 
 /// A fixed-concurrency FIFO task executor.
@@ -94,11 +43,14 @@ struct Shared {
 /// # Examples
 ///
 /// ```
+/// use std::sync::{mpsc, Arc};
+///
 /// use harmony_ps::Executor;
 ///
 /// let exec = Executor::new("cpu", 1);
-/// let (tx, rx) = std::sync::mpsc::channel();
-/// exec.submit(move || tx.send(21 * 2).unwrap());
+/// let (tx, rx) = mpsc::channel();
+/// let task: Arc<dyn Fn() + Send + Sync> = Arc::new(move || tx.send(21 * 2).unwrap());
+/// exec.submit_shared(&task);
 /// assert_eq!(rx.recv().unwrap(), 42);
 /// exec.shutdown();
 /// ```
@@ -122,8 +74,6 @@ impl Executor {
             running: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
-            aborted: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
         });
         let mut threads = Vec::with_capacity(concurrency);
         for i in 0..concurrency {
@@ -135,20 +85,15 @@ impl Executor {
                     .name(thread_name)
                     .spawn(move || {
                         while let Ok(task) = rx.recv() {
-                            if task
-                                .abort
-                                .as_ref()
-                                .is_some_and(|f| f.load(Ordering::SeqCst))
-                            {
-                                shared.aborted.fetch_add(1, Ordering::SeqCst);
-                                continue;
-                            }
                             let now = shared.running.fetch_add(1, Ordering::SeqCst) + 1;
                             shared.peak.fetch_max(now, Ordering::SeqCst);
-                            let spent = task.run.run();
+                            task();
                             shared.running.fetch_sub(1, Ordering::SeqCst);
                             shared.completed.fetch_add(1, Ordering::SeqCst);
-                            drop(spent);
+                            // Book the completion *before* letting go of
+                            // the `Arc`: whoever sees the last clone
+                            // released also sees the counters settled.
+                            drop(task);
                         }
                     })
                     .expect("spawning executor thread"),
@@ -167,83 +112,20 @@ impl Executor {
         self.concurrency
     }
 
-    /// Enqueues a task; it runs as soon as a worker thread frees up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`Executor::shutdown`].
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        self.send(Task {
-            abort: None,
-            run: TaskBody::Once(Box::new(task)),
-        });
-    }
-
-    /// Enqueues a long-lived shared task. Unlike [`Executor::submit`],
-    /// resubmitting the same `Arc` every iteration performs no heap
-    /// allocation — the PS runtime builds each worker's subtask
-    /// closures once and re-enqueues them for the job's whole lifetime.
+    /// Enqueues a long-lived shared task; it runs as soon as a worker
+    /// thread frees up. Resubmitting the same `Arc` every iteration
+    /// performs no heap allocation — the PS runtime builds each
+    /// worker's subtask closures once and re-enqueues them for the
+    /// job's whole lifetime.
     ///
     /// # Panics
     ///
     /// Panics if called after [`Executor::shutdown`].
     pub fn submit_shared(&self, task: &Arc<dyn Fn() + Send + Sync + 'static>) {
-        self.send(Task {
-            abort: None,
-            run: TaskBody::Shared(Arc::clone(task)),
-        });
-    }
-
-    /// Enqueues a task that can still be cancelled while it waits for a
-    /// worker. Returns the handle; see [`AbortHandle`] for semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`Executor::shutdown`].
-    pub fn submit_abortable(&self, task: impl FnOnce() + Send + 'static) -> AbortHandle {
-        let flag = Arc::new(AtomicBool::new(false));
-        self.send(Task {
-            abort: Some(Arc::clone(&flag)),
-            run: TaskBody::Once(Box::new(task)),
-        });
-        AbortHandle { flag }
-    }
-
-    /// Enqueues a fallible task that is re-attempted (in place, on the
-    /// same worker) until it returns `true` or `max_attempts` is
-    /// exhausted. Each failed-then-repeated attempt counts once in
-    /// [`ExecutorStats::retries`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero or the executor was shut down.
-    pub fn submit_with_retry(
-        &self,
-        max_attempts: usize,
-        mut task: impl FnMut() -> bool + Send + 'static,
-    ) {
-        assert!(max_attempts > 0, "need at least one attempt");
-        let shared = Arc::clone(&self.shared);
-        self.send(Task {
-            abort: None,
-            run: TaskBody::Once(Box::new(move || {
-                for attempt in 1..=max_attempts {
-                    if task() {
-                        return;
-                    }
-                    if attempt < max_attempts {
-                        shared.retries.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            })),
-        });
-    }
-
-    fn send(&self, task: Task) {
         self.sender
             .as_ref()
             .expect("executor was shut down")
-            .send(task)
+            .send(Arc::clone(task))
             .expect("executor threads alive");
     }
 
@@ -252,8 +134,8 @@ impl Executor {
         ExecutorStats {
             completed: self.shared.completed.load(Ordering::SeqCst),
             peak_concurrency: self.shared.peak.load(Ordering::SeqCst),
-            aborted: self.shared.aborted.load(Ordering::SeqCst),
-            retries: self.shared.retries.load(Ordering::SeqCst),
+            aborted: 0,
+            retries: 0,
         }
     }
 
@@ -295,13 +177,17 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    fn task(f: impl Fn() + Send + Sync + 'static) -> Task {
+        Arc::new(f)
+    }
+
     #[test]
     fn runs_all_tasks() {
         let exec = Executor::new("t", 2);
         let (tx, rx) = mpsc::channel();
         for i in 0..10 {
             let tx = tx.clone();
-            exec.submit(move || tx.send(i).unwrap());
+            exec.submit_shared(&task(move || tx.send(i).unwrap()));
         }
         drop(tx);
         let mut got: Vec<i32> = rx.iter().collect();
@@ -314,15 +200,14 @@ mod tests {
     fn single_thread_never_overlaps() {
         let exec = Executor::new("cpu", 1);
         let (tx, rx) = mpsc::channel();
+        let sleepy = task(move || {
+            std::thread::sleep(Duration::from_millis(2));
+            tx.send(()).unwrap();
+        });
         for _ in 0..8 {
-            let tx = tx.clone();
-            exec.submit(move || {
-                std::thread::sleep(Duration::from_millis(2));
-                tx.send(()).unwrap();
-            });
+            exec.submit_shared(&sleepy);
         }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 8);
+        assert_eq!(rx.iter().take(8).count(), 8);
         let stats = exec.shutdown();
         assert_eq!(stats.peak_concurrency, 1);
         assert_eq!(stats.completed, 8);
@@ -332,31 +217,19 @@ mod tests {
     fn two_threads_reach_but_never_exceed_two() {
         let exec = Executor::new("comm", 2);
         let (tx, rx) = mpsc::channel();
+        let sleepy = task(move || {
+            std::thread::sleep(Duration::from_millis(3));
+            tx.send(()).unwrap();
+        });
         for _ in 0..16 {
-            let tx = tx.clone();
-            exec.submit(move || {
-                std::thread::sleep(Duration::from_millis(3));
-                tx.send(()).unwrap();
-            });
+            exec.submit_shared(&sleepy);
         }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 16);
-        let peak = exec.shutdown().peak_concurrency;
+        assert_eq!(rx.iter().take(16).count(), 16);
+        let stats = exec.shutdown();
+        let peak = stats.peak_concurrency;
         assert!(peak <= 2, "peak {peak}");
         assert_eq!(peak, 2, "secondary slot never engaged");
-    }
-
-    #[test]
-    fn shared_task_runs_on_every_submission() {
-        let exec = Executor::new("shared", 1);
-        let (tx, rx) = mpsc::channel();
-        let task: Arc<dyn Fn() + Send + Sync> = Arc::new(move || tx.send(1).unwrap());
-        for _ in 0..5 {
-            exec.submit_shared(&task);
-        }
-        assert_eq!(rx.iter().take(5).sum::<i32>(), 5);
-        let stats = exec.shutdown();
-        assert_eq!(stats.completed, 5);
+        assert_eq!((stats.aborted, stats.retries), (0, 0));
     }
 
     #[test]
@@ -365,7 +238,7 @@ mod tests {
         {
             let exec = Executor::new("d", 1);
             let tx = tx.clone();
-            exec.submit(move || tx.send(1).unwrap());
+            exec.submit_shared(&task(move || tx.send(1).unwrap()));
             // exec dropped here; drop must drain the queue first.
         }
         drop(tx);
@@ -376,66 +249,5 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_concurrency_rejected() {
         let _ = Executor::new("bad", 0);
-    }
-
-    #[test]
-    fn aborted_queued_task_never_runs() {
-        let exec = Executor::new("abort", 1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        // Occupy the only worker so the next submission stays queued.
-        exec.submit(move || {
-            let _ = gate_rx.recv();
-        });
-        let (tx, rx) = mpsc::channel();
-        let handle = exec.submit_abortable(move || tx.send(()).unwrap());
-        handle.abort();
-        assert!(handle.is_aborted());
-        gate_tx.send(()).unwrap();
-        let stats = exec.shutdown();
-        assert_eq!(rx.try_recv().ok(), None, "aborted task still ran");
-        assert_eq!(stats.aborted, 1);
-        assert_eq!(stats.completed, 1); // only the gate task
-    }
-
-    #[test]
-    fn unaborted_abortable_task_runs_normally() {
-        let exec = Executor::new("abort", 1);
-        let (tx, rx) = mpsc::channel();
-        let handle = exec.submit_abortable(move || tx.send(7).unwrap());
-        assert_eq!(rx.recv().unwrap(), 7);
-        assert!(!handle.is_aborted());
-        let stats = exec.shutdown();
-        assert_eq!(stats.aborted, 0);
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn retry_repeats_until_success() {
-        let exec = Executor::new("retry", 1);
-        let (tx, rx) = mpsc::channel();
-        let mut failures_left = 2;
-        exec.submit_with_retry(5, move || {
-            if failures_left > 0 {
-                failures_left -= 1;
-                return false;
-            }
-            tx.send(()).unwrap();
-            true
-        });
-        rx.recv().unwrap();
-        let stats = exec.shutdown();
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn retry_gives_up_after_max_attempts() {
-        let exec = Executor::new("retry", 1);
-        exec.submit_with_retry(3, || false);
-        let stats = exec.shutdown();
-        // 3 attempts, 2 of which were retries; the wrapper itself
-        // completes.
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.completed, 1);
     }
 }

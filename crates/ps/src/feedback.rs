@@ -30,8 +30,11 @@ fn kind_rank(kind: SubtaskKind) -> u8 {
 }
 
 /// One profiling sample per executed iteration of `report`, attributed
-/// to `job`: per-node `(tcpu, tnet, tapply)` seconds at the DoP the job
-/// ran with, in iteration order.
+/// to `job`: per-node `(tcpu, tnet)` seconds and the PUSH density at
+/// the DoP the job ran with, in iteration order. APPLY records are not
+/// sampled — no scheduler path prices them — but still open the
+/// iteration's sample; [`JobReport::mean_tapply`] and
+/// [`JobReport::timings`] report them.
 ///
 /// A migrated job (`JobReport::migrated`) changed DoP mid-run, so each
 /// iteration is normalized by — and stamped with — the DoP it actually
@@ -65,25 +68,24 @@ pub fn iteration_samples(report: &JobReport, job: JobId) -> Vec<IterationSample>
         .iter()
         .map(|v| (v.iteration, v.density()))
         .collect();
-    let mut per_iter: BTreeMap<u64, (f64, f64, f64)> = BTreeMap::new();
+    let mut per_iter: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
     for ((iter, rank, _node), secs) in canonical {
-        let slot = per_iter.entry(iter).or_insert((0.0, 0.0, 0.0));
+        let slot = per_iter.entry(iter).or_insert((0.0, 0.0));
         match rank {
             1 => slot.0 += secs,     // COMP    → tcpu
             0 | 2 => slot.1 += secs, // PULL/PUSH → tnet
-            _ => slot.2 += secs,     // APPLY   → tapply
+            _ => {}                  // APPLY: reported, not sampled
         }
     }
     per_iter
         .into_iter()
-        .map(|(iter, (tcpu, tnet, tapply))| {
+        .map(|(iter, (tcpu, tnet))| {
             let dop = dop_at(iter);
             let dop_f = dop as f64;
             IterationSample {
                 job,
                 tcpu: tcpu / dop_f,
                 tnet: tnet / dop_f,
-                tapply: tapply / dop_f,
                 density: density_at.get(&iter).copied().unwrap_or(1.0),
                 dop: dop as u32,
             }
@@ -160,8 +162,8 @@ mod tests {
             assert_eq!(s.job, JobId::new(7));
             assert_eq!(s.dop, 2);
             assert!((s.tcpu - 4.0).abs() < 1e-12);
+            // APPLY (0.125 s per node) stays out of both terms.
             assert!((s.tnet - 0.5).abs() < 1e-12);
-            assert!((s.tapply - 0.125).abs() < 1e-12);
         }
     }
 
@@ -186,7 +188,7 @@ mod tests {
         let key = |timings: Vec<SubtaskTiming>| {
             iteration_samples(&report_with(timings, 3, 3), JobId::new(0))
                 .iter()
-                .flat_map(|s| [s.tcpu.to_bits(), s.tnet.to_bits(), s.tapply.to_bits()])
+                .flat_map(|s| [s.tcpu.to_bits(), s.tnet.to_bits()])
                 .collect::<Vec<u64>>()
         };
         let ka = key(a);
@@ -253,6 +255,5 @@ mod tests {
         // tcpu_ref folds Eq. 2: per-node 4.0 s at dop 2 → 8.0 reference.
         assert!((p.tcpu_at(1) - 8.0).abs() < 1e-9);
         assert!((p.tnet() - 0.5).abs() < 1e-9);
-        assert!((p.tapply() - 0.125).abs() < 1e-9);
     }
 }

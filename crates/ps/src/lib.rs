@@ -26,7 +26,7 @@
 //! Every subtask is timed through an injectable [`Clock`] (the scripted
 //! [`VirtualClock`] makes timing-dependent tests bit-reproducible), and
 //! [`iteration_samples`] turns a finished [`JobReport`] into canonical
-//! per-iteration `(Tcpu, Tnet, Tapply, DoP)` samples for the
+//! per-iteration `(Tcpu, Tnet, density, DoP)` samples for the
 //! scheduler's closed profiling loop (`harmony_core::FeedbackLoop`).
 //!
 //! # Examples
@@ -62,7 +62,7 @@ pub mod subtask;
 pub use allreduce::{ring_all_reduce, AllReduceStats};
 pub use checkpoint::Checkpoint;
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use executor::{AbortHandle, Executor, ExecutorStats};
+pub use executor::{Executor, ExecutorStats};
 pub use feedback::{iteration_samples, record_report};
 pub use master::{
     JobBuilder, JobReport, MigrationRecord, PlannedMigration, PsCluster, PsConfig, PushVolume,

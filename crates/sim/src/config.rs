@@ -68,8 +68,9 @@ pub struct CompShift {
 /// (see `harmony_ps::PushVolume`). The simulator scales the job's PUSH
 /// subtask cost accordingly — PULL stays dense, because the server
 /// broadcasts the full model either way. As with [`CompShift`], the
-/// scheduler is never told directly; with `charge_sparse_comm` on it
-/// can learn the density through closed-loop measurements.
+/// scheduler is never told directly: the simulator records no density,
+/// so its profiles see the cheaper wire only as a shorter measured
+/// `Tnet`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushDensity {
     /// Index of the sparse job in the workload's spec order.

@@ -3,7 +3,10 @@
 #
 # Always: cargo fmt --check, clippy -D warnings, rustdoc -D warnings
 # (intra-doc links across the workspace: a rename must not leave a
-# dangling [`link`]), release build, the whole test suite, then release
+# dangling [`link`]), release build, a `cargo check` of the standalone
+# benchmark/ package (it binds to the crates' public API from outside
+# the workspace, so a public-API deletion that breaks it must fail
+# here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
 # profile_props, schedule_props, golden_digests, ps_goldens). The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
@@ -17,10 +20,7 @@
 #                  the PS steady-state allocation audit (counting
 #                  global allocator, `alloc-count` feature), and
 #                  build, smoke-run and test the standalone benchmark
-#                  package (benchmark/, the BENCHMARK.json gate): it
-#                  binds to the crates' public API from outside the
-#                  workspace, so only this step notices a change that
-#                  stops it compiling.
+#                  package (benchmark/, the BENCHMARK.json gate).
 #   --bench        additionally run the regression gate: a full
 #                  benchmark set (3 runs per workload, seeds 1..3,
 #                  about 6 minutes) compared against the committed
@@ -52,6 +52,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --workspace --release
+
+echo "==> cargo check benchmark/ (public-API consumer outside the workspace)"
+cargo check --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test"
 cargo test --workspace --quiet

@@ -9,14 +9,32 @@ use harmony::core::model::{cluster_utilization, group_iteration_time, group_util
 use harmony::core::{JobId, JobProfile, Scheduler, SchedulerConfig};
 
 /// Strategy: a job population of 1–24 jobs with positive, bounded
-/// subtask times.
+/// subtask times. Some jobs also carry a trusted PUSH density: exactly
+/// [`JobProfile::DENSITY_TRUST_ITERS`] measurements in `[0.05, 1.0]`,
+/// so Eq. 1 prices their `Tnet` below the raw measurement.
 fn jobs_strategy() -> impl Strategy<Value = Vec<JobProfile>> {
-    prop::collection::vec((0.1f64..500.0, 0.1f64..100.0), 1..24).prop_map(|raw| {
+    let trust = JobProfile::DENSITY_TRUST_ITERS as usize;
+    let densities = prop::collection::vec(0.05f64..=1.0, trust..trust + 1);
+    let job = (0.1f64..500.0, 0.1f64..100.0, any::<bool>(), densities);
+    prop::collection::vec(job, 1..24).prop_map(|raw| {
         raw.into_iter()
             .enumerate()
-            .map(|(i, (tcpu, tnet))| JobProfile::from_reference(JobId::new(i as u64), tcpu, tnet))
+            .map(|(i, (tcpu, tnet, sparse, densities))| {
+                let mut p = JobProfile::from_reference(JobId::new(i as u64), tcpu, tnet);
+                if sparse {
+                    for d in densities {
+                        p.observe_push_density(d);
+                    }
+                }
+                p
+            })
             .collect()
     })
+}
+
+/// A job's own pipeline `Tcpu(m) + Tnet` as Eq. 1 prices it.
+fn priced_iter_time(p: &JobProfile, m: u32) -> f64 {
+    p.tcpu_at(m) + p.priced_tnet()
 }
 
 proptest! {
@@ -27,8 +45,8 @@ proptest! {
         let refs: Vec<&JobProfile> = jobs.iter().collect();
         let t = group_iteration_time(&refs, m);
         let sum_cpu: f64 = refs.iter().map(|p| p.tcpu_at(m)).sum();
-        let sum_net: f64 = refs.iter().map(|p| p.tnet()).sum();
-        let max_itr = refs.iter().map(|p| p.iter_time_at(m)).fold(0.0f64, f64::max);
+        let sum_net: f64 = refs.iter().map(|p| p.priced_tnet()).sum();
+        let max_itr = refs.iter().map(|p| priced_iter_time(p, m)).fold(0.0f64, f64::max);
         // Tg is exactly the max of its three lower bounds...
         prop_assert!(t >= sum_cpu - 1e-9);
         prop_assert!(t >= sum_net - 1e-9);
@@ -45,7 +63,7 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-9).contains(&u.net));
         // At least one resource is fully utilized unless job-bound.
         let t = group_iteration_time(&refs, m);
-        let max_itr = refs.iter().map(|p| p.iter_time_at(m)).fold(0.0f64, f64::max);
+        let max_itr = refs.iter().map(|p| priced_iter_time(p, m)).fold(0.0f64, f64::max);
         if (t - max_itr).abs() > 1e-9 {
             prop_assert!(u.cpu > 1.0 - 1e-9 || u.net > 1.0 - 1e-9);
         }
@@ -95,6 +113,37 @@ proptest! {
         // when anything was scheduled).
         if !outcome.grouping.is_empty() {
             prop_assert_eq!(outcome.grouping.total_machines(), machines as usize);
+        }
+        // One Eq. 1: the decision's own score and predictions are the
+        // model's, evaluated on the grouping it returns — sparse
+        // profiles included.
+        let by_id = |j: JobId| &jobs[j.index() as usize];
+        let groups: Vec<(Vec<&JobProfile>, u32)> = outcome
+            .grouping
+            .groups()
+            .iter()
+            .map(|g| (g.jobs().iter().map(|&j| by_id(j)).collect(), g.dop()))
+            .collect();
+        let model = cluster_utilization(&groups);
+        for (got, want) in [
+            (outcome.utilization.cpu, model.cpu),
+            (outcome.utilization.net, model.net),
+        ] {
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * want.abs(),
+                "scheduler scored {:?}, the model {:?}",
+                outcome.utilization,
+                model
+            );
+        }
+        prop_assert_eq!(outcome.predicted_iteration.len(), groups.len());
+        for (gi, (profs, m)) in groups.iter().enumerate() {
+            prop_assert_eq!(
+                outcome.predicted_iteration[gi].to_bits(),
+                group_iteration_time(profs, *m).to_bits(),
+                "group {}",
+                gi
+            );
         }
     }
 

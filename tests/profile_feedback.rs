@@ -130,7 +130,7 @@ fn run_pipeline() -> PipelineRun {
         assert_eq!(per_job.len() as u64, ITERS);
         for s in &per_job[..WARM as usize] {
             fb.record(*s);
-            fingerprint.extend([s.tcpu.to_bits(), s.tnet.to_bits(), s.tapply.to_bits()]);
+            fingerprint.extend([s.tcpu.to_bits(), s.tnet.to_bits(), s.density.to_bits()]);
         }
     }
 
@@ -149,7 +149,7 @@ fn run_pipeline() -> PipelineRun {
     for per_job in &samples {
         for s in &per_job[WARM as usize..] {
             fb.record(*s);
-            fingerprint.extend([s.tcpu.to_bits(), s.tnet.to_bits(), s.tapply.to_bits()]);
+            fingerprint.extend([s.tcpu.to_bits(), s.tnet.to_bits(), s.density.to_bits()]);
         }
     }
     let drifted = fb.take_drifted();
@@ -236,7 +236,7 @@ fn virtual_clock_samples_are_bit_reproducible() {
             .iter()
             .enumerate()
             .flat_map(|(j, r)| iteration_samples(r, JobId::new(j as u64)))
-            .flat_map(|s| [s.tcpu.to_bits(), s.tnet.to_bits(), s.tapply.to_bits()])
+            .flat_map(|s| [s.tcpu.to_bits(), s.tnet.to_bits(), s.density.to_bits()])
             .collect()
     };
     let a = train_under_virtual_clock();
