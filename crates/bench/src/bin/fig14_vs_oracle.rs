@@ -1,15 +1,16 @@
-//! Figure 14 + §V-F: Harmony vs the exhaustive-search Oracle.
+//! Figure 14 + §V-F: Harmony vs the exact Oracle.
 //!
-//! The oracle enumerates every set partition of the jobs (and every
-//! machine split within a search budget), so — exactly as in the paper —
-//! it is only tractable on a reduced instance. We compare resource
-//! utilization, mean JCT and makespan on a 10-job / 24-machine slice of
-//! the workload, and report scheduling-decision latency for both.
+//! The oracle finds the best grouping over every set partition of the
+//! jobs and every machine split, so — exactly as in the paper — it is
+//! only tractable on a reduced instance: its cost grows as 3ⁿ in the
+//! job count. We compare resource utilization, mean JCT and makespan on
+//! an 8-job / 16-machine slice of the workload, and report
+//! scheduling-decision latency for both.
 //!
 //! The second table is §V-F's scalability claim: one full Algorithm 1
 //! decision on growing instances (the paper reports ~1.2 s for 80 jobs
 //! / 100 machines and < 5 s for 8K jobs on 10K machines) against the
-//! exhaustive search on the few sizes where it terminates.
+//! exact oracle on small instances.
 
 use std::time::Instant;
 
@@ -40,8 +41,8 @@ fn profiles(n: usize) -> Vec<JobProfile> {
 }
 
 /// §V-F: median decision latency of Algorithm 1 at the paper's scales,
-/// and of the exhaustive search on small instances only (Bell-number
-/// growth: the 10-job case alone takes tens of seconds).
+/// and of the exact oracle on small instances only (3ⁿ growth in the
+/// job count, capped at [`OracleScheduler::MAX_JOBS`]).
 fn latency_table() -> TextTable {
     const REPS: usize = 7;
     let mut table = TextTable::new(["jobs", "machines", "scheduler", "decision time"]);
@@ -81,7 +82,7 @@ fn latency_table() -> TextTable {
         table.row([
             jobs.to_string(),
             machines.to_string(),
-            "oracle (exhaustive)".to_string(),
+            "oracle (exact)".to_string(),
             format!("{dt:.2?}"),
         ]);
     }
@@ -89,8 +90,8 @@ fn latency_table() -> TextTable {
 }
 
 fn main() {
-    // A representative 10-job slice: one variant of every Table I row,
-    // plus two extras for imbalance.
+    // A representative 8-job slice: one variant of every Table I
+    // (app, dataset) row.
     let base = base_specs();
     let mut specs: Vec<JobSpec> = Vec::new();
     for (i, j) in base.iter().enumerate() {
@@ -137,7 +138,7 @@ fn main() {
         rows.push(r);
     }
     println!(
-        "Figure 14: Harmony vs exhaustive search (Oracle), {} jobs on {} machines\n",
+        "Figure 14: Harmony vs the exact Oracle, {} jobs on {} machines\n",
         specs.len(),
         machines
     );
@@ -154,7 +155,7 @@ fn main() {
     println!(
         "Paper finding reproduced when: the gaps are small, and Harmony's \
          decision time stays within seconds up to 8K jobs / 10K machines \
-         while the exhaustive search grows combinatorially (the paper's \
+         while the exact search grows exponentially in the job count (the paper's \
          oracle: 13.8 min per decision at 80 jobs, ~10 h at 4K jobs)."
     );
 }

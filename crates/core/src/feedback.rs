@@ -132,11 +132,6 @@ impl FeedbackLoop {
         &self.store
     }
 
-    /// Mutable access to the profiles (e.g. to set memory footprints).
-    pub fn store_mut(&mut self) -> &mut ProfileStore {
-        &mut self.store
-    }
-
     /// The drift threshold this loop flags at.
     pub fn threshold(&self) -> f64 {
         self.threshold

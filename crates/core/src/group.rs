@@ -87,11 +87,6 @@ impl JobGroup {
             false
         }
     }
-
-    /// Replaces the machine allocation.
-    pub fn set_machines(&mut self, machines: Vec<MachineId>) {
-        self.machines = machines;
-    }
 }
 
 /// A complete grouping decision: the set of job groups.
@@ -119,11 +114,6 @@ impl Grouping {
     /// The job groups.
     pub fn groups(&self) -> &[JobGroup] {
         &self.groups
-    }
-
-    /// Mutable access to the job groups (used by regrouping).
-    pub fn groups_mut(&mut self) -> &mut [JobGroup] {
-        &mut self.groups
     }
 
     /// Appends a group.
@@ -164,16 +154,6 @@ impl Grouping {
     /// Finds a group by ID.
     pub fn group(&self, id: GroupId) -> Option<&JobGroup> {
         self.groups.iter().find(|g| g.id() == id)
-    }
-
-    /// Mutable lookup of the group containing `job`.
-    pub fn group_of_mut(&mut self, job: JobId) -> Option<&mut JobGroup> {
-        self.groups.iter_mut().find(|g| g.contains(job))
-    }
-
-    /// Mutable lookup of a group by ID.
-    pub fn group_mut(&mut self, id: GroupId) -> Option<&mut JobGroup> {
-        self.groups.iter_mut().find(|g| g.id() == id)
     }
 
     /// Drops groups that have become empty of jobs, freeing machines.

@@ -23,8 +23,8 @@
 //!   allocation (§IV-B3);
 //! - [`regroup`]: dynamic regrouping on job arrival/completion with the
 //!   5% similarity/benefit thresholds and minimal job movement (§IV-B4);
-//! - [`oracle`]: the exhaustive-search scheduler used as ground truth in
-//!   §V-F;
+//! - [`oracle`]: the exact scheduler (a subset dynamic program over
+//!   Eq. 4) used as ground truth in §V-F;
 //! - [`baseline`]: the `Isolated` and `Naively co-located` baselines of
 //!   §V-A.
 //!

@@ -210,11 +210,6 @@ impl SparseVector {
     pub fn norm_sq(&self) -> f64 {
         self.entries.iter().map(|&(_, v)| v * v).sum()
     }
-
-    /// Approximate serialized size in bytes (used for Table I sizing).
-    pub fn approx_bytes(&self) -> u64 {
-        (self.entries.len() * (4 + 8)) as u64
-    }
 }
 
 #[cfg(test)]

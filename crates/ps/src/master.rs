@@ -584,11 +584,6 @@ impl PsCluster {
         *self.comm.lock()
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Per-node `(cpu, comm)` executor statistics.
     pub fn executor_stats(&self) -> Vec<(ExecutorStats, ExecutorStats)> {
         self.nodes

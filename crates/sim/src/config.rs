@@ -12,9 +12,8 @@ pub enum SchedulerKind {
     /// The full Harmony scheduler: profiling, Algorithm 1, dynamic
     /// regrouping.
     Harmony,
-    /// Harmony's machinery but with the exhaustive-search oracle making
-    /// the grouping decision (only tractable for small job counts;
-    /// §V-F).
+    /// Harmony's machinery but with the exact oracle making the
+    /// grouping decision (only tractable for small job counts; §V-F).
     Oracle,
     /// Dedicated resources per job at its CPU-utilization-maximizing
     /// "knee" DoP (Optimus/SLAQ-like).

@@ -90,41 +90,29 @@ impl Driver {
         // ...or the earliest pending input-load completion: a member
         // still loading needs a wake at its ready time, and generation
         // bumps may have invalidated the wake pushed when it attached.
-        if self.coalesce_active() {
-            // The lazy ready-heap replaces the full member scan (the
-            // scan runs on every event, so it is O(events × members)
-            // across a run). Stale tops — the job left, finished its
-            // load, or its ready time passed — are popped on sight;
-            // a valid top is only peeked, so the wake re-arms until
-            // the load event actually fires.
-            let ready = loop {
-                let Some(&std::cmp::Reverse((bits, j))) = grp.ready_heap.peek() else {
-                    break None;
-                };
-                let ra = f64::from_bits(bits);
-                let live = ra > self.now
-                    && self.jobs[j].group == Some(grp.id)
-                    && matches!(
-                        self.jobs[j].exec,
-                        ExecPhase::Idle { ready_at } if ready_at.to_bits() == bits
-                    )
-                    && executes(self.jobs[j].state);
-                if live {
-                    break Some(ra);
-                }
-                grp.ready_heap.pop();
+        // The lazy ready-heap answers that without an O(members) scan
+        // on every event. Stale tops (the job left, finished its load,
+        // or its ready time passed) are popped on sight; a valid top is
+        // only peeked, so the wake re-arms until the load event fires.
+        let ready = loop {
+            let Some(&std::cmp::Reverse((bits, j))) = grp.ready_heap.peek() else {
+                break None;
             };
-            if let Some(ra) = ready {
-                next = Some(next.map_or(ra, |t| t.min(ra)));
+            let ra = f64::from_bits(bits);
+            let live = ra > self.now
+                && self.jobs[j].group == Some(grp.id)
+                && matches!(
+                    self.jobs[j].exec,
+                    ExecPhase::Idle { ready_at } if ready_at.to_bits() == bits
+                )
+                && executes(self.jobs[j].state);
+            if live {
+                break Some(ra);
             }
-        } else if grp.loading {
-            for &j in &grp.jobs {
-                if let ExecPhase::Idle { ready_at } = self.jobs[j].exec {
-                    if ready_at > self.now && executes(self.jobs[j].state) {
-                        next = Some(next.map_or(ready_at, |t| t.min(ready_at)));
-                    }
-                }
-            }
+            grp.ready_heap.pop();
+        };
+        if let Some(ra) = ready {
+            next = Some(next.map_or(ra, |t| t.min(ra)));
         }
         if let Some(t) = next {
             if grp.pending_wake == Some((gen, t)) {

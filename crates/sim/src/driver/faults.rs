@@ -88,8 +88,7 @@ impl Driver {
             ready_at: self.now + reload,
         };
         grp.loading = true;
-        if self.coalesce_active() && reload > 0.0 {
-            let grp = self.groups[g].as_mut().expect("alive");
+        if reload > 0.0 {
             grp.ready_heap
                 .push(std::cmp::Reverse(((self.now + reload).to_bits(), j)));
         }

@@ -133,7 +133,7 @@ impl Driver {
         self.finalize_prediction_of(&mut grp);
         grp.jobs.push(j);
         grp.loading = true;
-        if self.coalesce_active() && delay > 0.0 {
+        if delay > 0.0 {
             grp.ready_heap
                 .push(std::cmp::Reverse(((self.now + delay).to_bits(), j)));
         }
@@ -171,15 +171,6 @@ impl Driver {
 
     /// Removes a job from its group; dissolves the group when empty.
     pub(super) fn detach_job(&mut self, j: usize) {
-        self.detach_job_with_replan(j, true);
-    }
-
-    /// [`Self::detach_job`] with the memory re-plan optionally skipped.
-    /// The pause-and-dissolve loop of a coalesced full pass detaches
-    /// every member of a doomed group in turn; re-planning a k-member
-    /// group after each one is O(k²) of work the dissolution throws
-    /// away.
-    pub(super) fn detach_job_with_replan(&mut self, j: usize, replan: bool) {
         let Some(g) = self.jobs[j].group.take() else {
             return;
         };
@@ -196,7 +187,7 @@ impl Driver {
         self.jobs[j].exec = ExecPhase::Idle { ready_at: self.now };
         if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
             self.dissolve_group(g);
-        } else if replan {
+        } else {
             self.recompute_group_memory(g);
             self.bump_and_wake(g);
         }

@@ -25,7 +25,7 @@
 
 // The sibling files start with `use super::*`: what several of them
 // need is imported here once.
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
 use harmony_core::group::GroupId;
@@ -466,6 +466,22 @@ impl Driver {
         })
     }
 
+    /// Debug cross-check, run after every event: every member still
+    /// loading (`Idle` with a ready time ahead) has its `(ready_at
+    /// bits, job)` entry in its group's [`GroupSim::ready_heap`], so the
+    /// wake re-arm that consults only the heap misses no load.
+    fn ready_heaps_cover_loading_members(&self) -> bool {
+        self.groups.iter().flatten().all(|grp| {
+            let queued: HashSet<(u64, usize)> = grp.ready_heap.iter().map(|e| e.0).collect();
+            grp.jobs.iter().all(|&j| match self.jobs[j].exec {
+                ExecPhase::Idle { ready_at } if ready_at > self.now => {
+                    queued.contains(&(ready_at.to_bits(), j))
+                }
+                _ => true,
+            })
+        })
+    }
+
     fn live_jobs(&self) -> usize {
         // Debug cross-check of the dead-job counter (a full walk on
         // purpose: not-yet-arrived jobs are live too).
@@ -655,6 +671,11 @@ impl Driver {
             self.loading_flags_cover_idle_members(),
             "an Idle member sits in a group whose loading flag is clear"
         );
+        debug_assert!(
+            self.ready_heaps_cover_loading_members(),
+            "a loading member has no entry in its group's ready heap at t={}",
+            self.now
+        );
     }
 
     /// Ids of alive groups, without materializing a vector. Callers
@@ -737,7 +758,7 @@ impl Driver {
     }
 
     /// Whether the equivalence-relaxed coalesced machinery (windows,
-    /// batch group builds, cached aggregates, ready-heap wakes) is in
+    /// batch group builds and teardowns, cached aggregates) is in
     /// force. The flag must stay inert for schedulers whose finish
     /// path never consults the window (Isolated, Naive), so the fast
     /// paths gate on this, not on the raw flag.

@@ -327,10 +327,11 @@ pub struct GroupSim {
     /// pricing), maintained alongside `mem_base_bytes`.
     pub alpha_input_bytes: f64,
     /// Lazy min-heap of `(ready_at bits, job)` for members still
-    /// loading input — coalesced mode's wake re-arm consults the top
-    /// instead of scanning every member (the scan is O(members) and
-    /// runs on every event). Entries go stale in place (job left,
-    /// re-loaded, or its ready time passed) and are popped on sight.
+    /// loading input, pushed wherever a member goes `Idle` with a ready
+    /// time ahead (attach, restart in place). The wake re-arm consults
+    /// the top instead of scanning every member on every event.
+    /// Entries go stale in place (job left, re-loaded, or its ready
+    /// time passed) and are popped on sight.
     pub ready_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
 }
 

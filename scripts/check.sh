@@ -18,9 +18,11 @@
 #                  open-loop-admission acceptance gates and the PS
 #                  sparse-wire and live-migration gates at tiny scale,
 #                  the PS steady-state allocation audit (counting
-#                  global allocator, `alloc-count` feature), and
-#                  build, smoke-run and test the standalone benchmark
-#                  package (benchmark/, the BENCHMARK.json gate).
+#                  global allocator, `alloc-count` feature), one run
+#                  of the fig14_vs_oracle experiment binary (the exact
+#                  oracle at 10 jobs), and build, smoke-run and
+#                  test the standalone benchmark package (benchmark/,
+#                  the BENCHMARK.json gate).
 #   --bench        additionally run the regression gate: a full
 #                  benchmark set (3 runs per workload, seeds 1..3,
 #                  about 6 minutes) compared against the committed
@@ -94,6 +96,9 @@ if [ "$BENCH_SMOKE" = 1 ]; then
 
     echo "==> PS steady-state allocation audit (alloc-count)"
     cargo test --release -q -p harmony --features alloc-count --test ps_alloc
+
+    echo "==> Figure 14 vs the exact oracle (experiment binary, release)"
+    cargo run --release -q -p harmony-bench --bin fig14_vs_oracle >/dev/null
 
     echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
     cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null

@@ -301,7 +301,7 @@ fn staggered(n: usize, gap: f64) -> Vec<f64> {
     (0..n).map(|i| gap * i as f64).collect()
 }
 
-/// The exhaustive oracle in place of Algorithm 1 on every full pass.
+/// The exact oracle in place of Algorithm 1 on every full pass.
 #[test]
 fn oracle_staggered() {
     let jobs = specs(1, 8);

@@ -72,7 +72,7 @@ fn schedule_scales_to_thousands_of_jobs_quickly() {
 #[test]
 fn oracle_never_loses_to_the_heuristic() {
     let cfg = SchedulerConfig::default();
-    for n in [4usize, 6, 8] {
+    for n in [4usize, 6, 8, 10, 12] {
         let profiles = profiles_from_workload(n);
         let heuristic = Scheduler::new(cfg).schedule_exact(&profiles, 12);
         let oracle = OracleScheduler::new(cfg).schedule(&profiles, 12);
