@@ -55,6 +55,7 @@
 
 pub mod baseline;
 pub mod cluster;
+pub mod discipline;
 pub mod error;
 pub mod feedback;
 pub mod group;

@@ -1,23 +1,27 @@
 //! Per-node subtask executors.
 //!
-//! Each node runs one CPU executor with a single worker thread (one COMP
-//! subtask at a time) and one COMM executor with two worker threads
-//! (primary + secondary network subtask, §IV-A). Tasks are closures
-//! pulled FIFO from a crossbeam channel; the executor records peak
-//! observed concurrency so tests can assert the discipline held.
+//! Each node runs three slot threads: one COMP slot and the primary and
+//! secondary COMM slots of §IV-A. Which queued subtask starts in which
+//! slot is decided by one [`SubtaskDiscipline`] — the type the
+//! simulator's groups dispatch through — behind the node's mutex; each
+//! slot thread sleeps on its own condvar until it is handed a start. A
+//! finishing thread releases its slot and takes its own next start under
+//! the same lock, with no hand-off. The executor also counts, around
+//! each task body, how many tasks of a lane run at once, so tests can
+//! check the discipline held independently of the type that enforces it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
+use harmony_core::discipline::{Lane, Slot, SubtaskDiscipline};
 
 /// A task: a shared closure, so resubmitting it only bumps a refcount
 /// and a steady-state training iteration enqueues tasks without heap
 /// allocation.
 type Task = Arc<dyn Fn() + Send + Sync + 'static>;
 
-/// Runtime statistics of one executor.
+/// Runtime statistics of one lane of a node's executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecutorStats {
     /// Tasks executed to completion.
@@ -32,142 +36,149 @@ pub struct ExecutorStats {
     pub retries: usize,
 }
 
+/// The node's slots, one thread each; a slot's thread is
+/// `lane as usize + index`.
+const SLOTS: [Slot; 3] = [Slot::COMP, Slot::PRIMARY, Slot::SECONDARY];
+
+const POISONED: &str = "a slot thread panicked holding the executor lock";
+
+struct State {
+    lanes: SubtaskDiscipline<Task>,
+    /// The start handed to each slot's thread and not yet taken.
+    handed: [Option<Task>; 3],
+    shut: bool,
+}
+
 struct Shared {
-    running: AtomicUsize,
-    peak: AtomicUsize,
-    completed: AtomicUsize,
+    state: Mutex<State>,
+    wake: [Condvar; 3],
+    /// Per lane, counted around the task bodies.
+    running: [AtomicUsize; 2],
+    peak: [AtomicUsize; 2],
+    completed: [AtomicUsize; 2],
 }
 
-/// A fixed-concurrency FIFO task executor.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::{mpsc, Arc};
-///
-/// use harmony_ps::Executor;
-///
-/// let exec = Executor::new("cpu", 1);
-/// let (tx, rx) = mpsc::channel();
-/// let task: Arc<dyn Fn() + Send + Sync> = Arc::new(move || tx.send(21 * 2).unwrap());
-/// exec.submit_shared(&task);
-/// assert_eq!(rx.recv().unwrap(), 42);
-/// exec.shutdown();
-/// ```
-pub struct Executor {
-    sender: Option<Sender<Task>>,
-    threads: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
-    concurrency: usize,
-}
-
-impl Executor {
-    /// Spawns an executor with `concurrency` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `concurrency` is zero.
-    pub fn new(name: &str, concurrency: usize) -> Self {
-        assert!(concurrency > 0, "executor needs at least one thread");
-        let (sender, receiver) = unbounded::<Task>();
-        let shared = Arc::new(Shared {
-            running: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-        });
-        let mut threads = Vec::with_capacity(concurrency);
-        for i in 0..concurrency {
-            let rx = receiver.clone();
-            let shared = Arc::clone(&shared);
-            let thread_name = format!("{name}-{i}");
-            threads.push(
-                std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            let now = shared.running.fetch_add(1, Ordering::SeqCst) + 1;
-                            shared.peak.fetch_max(now, Ordering::SeqCst);
-                            task();
-                            shared.running.fetch_sub(1, Ordering::SeqCst);
-                            shared.completed.fetch_add(1, Ordering::SeqCst);
-                            // Book the completion *before* letting go of
-                            // the `Arc`: whoever sees the last clone
-                            // released also sees the counters settled.
-                            drop(task);
-                        }
-                    })
-                    .expect("spawning executor thread"),
-            );
-        }
-        Self {
-            sender: Some(sender),
-            threads,
-            shared,
-            concurrency,
+impl Shared {
+    /// Hands every start the discipline allows to its slot's thread,
+    /// waking each one except `me`, the caller.
+    fn hand_out(&self, st: &mut State, me: Option<usize>) {
+        while let Some(start) = st.lanes.next_start() {
+            let k = start.slot.lane as usize + start.slot.index;
+            st.handed[k] = Some(start.item);
+            if me != Some(k) {
+                self.wake[k].notify_one();
+            }
         }
     }
 
-    /// Number of worker threads (the concurrency cap).
-    pub fn concurrency(&self) -> usize {
-        self.concurrency
-    }
-
-    /// Enqueues a long-lived shared task; it runs as soon as a worker
-    /// thread frees up. Resubmitting the same `Arc` every iteration
-    /// performs no heap allocation — the PS runtime builds each
-    /// worker's subtask closures once and re-enqueues them for the
-    /// job's whole lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`Executor::shutdown`].
-    pub fn submit_shared(&self, task: &Arc<dyn Fn() + Send + Sync + 'static>) {
-        self.sender
-            .as_ref()
-            .expect("executor was shut down")
-            .send(Arc::clone(task))
-            .expect("executor threads alive");
-    }
-
-    /// Snapshot of the executor's statistics.
-    pub fn stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            completed: self.shared.completed.load(Ordering::SeqCst),
-            peak_concurrency: self.shared.peak.load(Ordering::SeqCst),
-            aborted: 0,
-            retries: 0,
-        }
-    }
-
-    /// Drains outstanding tasks, joins the worker threads, and returns
-    /// the final statistics.
-    pub fn shutdown(mut self) -> ExecutorStats {
-        self.shutdown_inner();
-        self.stats()
-    }
-
-    fn shutdown_inner(&mut self) {
-        if let Some(sender) = self.sender.take() {
-            drop(sender); // closes the channel; workers drain and exit
-            for t in self.threads.drain(..) {
-                let _ = t.join();
+    /// Slot thread `k`: runs what it is handed until shutdown.
+    fn run_slot(&self, k: usize) {
+        let slot = SLOTS[k];
+        let lane = slot.lane as usize;
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            if let Some(task) = st.handed[k].take() {
+                drop(st);
+                let now = self.running[lane].fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak[lane].fetch_max(now, Ordering::SeqCst);
+                task();
+                self.running[lane].fetch_sub(1, Ordering::SeqCst);
+                self.completed[lane].fetch_add(1, Ordering::SeqCst);
+                // Book the completion *before* letting go of the `Arc`:
+                // whoever sees the last clone released also sees the
+                // counters settled.
+                drop(task);
+                st = self.state.lock().expect(POISONED);
+                st.lanes.release(slot);
+                self.hand_out(&mut st, Some(k));
+            } else if st.shut {
+                return;
+            } else {
+                st = self.wake[k].wait(st).expect(POISONED);
             }
         }
     }
 }
 
-impl Drop for Executor {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+/// One node's executor: a COMP slot and two COMM slots under §IV-A.
+pub(crate) struct NodeExecutor {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl NodeExecutor {
+    /// Spawns node `node`'s three slot threads.
+    pub(crate) fn new(node: usize) -> Self {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                lanes: SubtaskDiscipline::new(1, 2),
+                handed: [None, None, None],
+                shut: false,
+            }),
+            wake: Default::default(),
+            running: Default::default(),
+            peak: Default::default(),
+            completed: Default::default(),
+        });
+        let threads = (0..SLOTS.len())
+            .map(|k| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("{:?}{}-{node}", SLOTS[k].lane, SLOTS[k].index))
+                    .spawn(move || shared.run_slot(k))
+                    .expect("spawning executor thread")
+            })
+            .collect();
+        Self { shared, threads }
+    }
+
+    /// Enqueues a long-lived shared task on `lane`; it runs as soon as
+    /// the discipline gives it a slot. Resubmitting the same `Arc` every
+    /// iteration performs no heap allocation — the PS runtime builds
+    /// each worker's subtask closures once and re-enqueues them for the
+    /// job's whole lifetime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after [`NodeExecutor::shutdown`].
+    pub(crate) fn submit(&self, lane: Lane, task: &Task) {
+        let mut st = self.shared.state.lock().expect(POISONED);
+        assert!(!st.shut, "executor was shut down");
+        st.lanes.enqueue(lane, Arc::clone(task));
+        self.shared.hand_out(&mut st, None);
+    }
+
+    /// Snapshot of the `(cpu, comm)` lanes' statistics.
+    pub(crate) fn stats(&self) -> (ExecutorStats, ExecutorStats) {
+        let lane = |l: usize| ExecutorStats {
+            completed: self.shared.completed[l].load(Ordering::SeqCst),
+            peak_concurrency: self.shared.peak[l].load(Ordering::SeqCst),
+            aborted: 0,
+            retries: 0,
+        };
+        (lane(0), lane(1))
+    }
+
+    /// Drains outstanding tasks and joins the slot threads. Never
+    /// panics: a poisoned lock still lets the flag be set.
+    pub(crate) fn shutdown(&mut self) {
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shut = true;
+        for wake in &self.shared.wake {
+            wake.notify_one();
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
     }
 }
 
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("concurrency", &self.concurrency)
-            .field("stats", &self.stats())
-            .finish()
+impl Drop for NodeExecutor {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -181,51 +192,57 @@ mod tests {
         Arc::new(f)
     }
 
+    fn sleepy(ms: u64, tx: mpsc::Sender<()>) -> Task {
+        task(move || {
+            std::thread::sleep(Duration::from_millis(ms));
+            tx.send(()).unwrap();
+        })
+    }
+
     #[test]
-    fn runs_all_tasks() {
-        let exec = Executor::new("t", 2);
+    fn runs_all_tasks_on_both_lanes() {
+        let mut exec = NodeExecutor::new(0);
         let (tx, rx) = mpsc::channel();
         for i in 0..10 {
             let tx = tx.clone();
-            exec.submit_shared(&task(move || tx.send(i).unwrap()));
+            let lane = if i % 3 == 0 { Lane::Cpu } else { Lane::Net };
+            exec.submit(lane, &task(move || tx.send(i).unwrap()));
         }
         drop(tx);
         let mut got: Vec<i32> = rx.iter().collect();
         got.sort();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         exec.shutdown();
+        let (cpu, comm) = exec.stats();
+        assert_eq!((cpu.completed, comm.completed), (4, 6));
     }
 
     #[test]
-    fn single_thread_never_overlaps() {
-        let exec = Executor::new("cpu", 1);
+    fn comp_never_overlaps() {
+        let mut exec = NodeExecutor::new(0);
         let (tx, rx) = mpsc::channel();
-        let sleepy = task(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            tx.send(()).unwrap();
-        });
+        let comp = sleepy(2, tx);
         for _ in 0..8 {
-            exec.submit_shared(&sleepy);
+            exec.submit(Lane::Cpu, &comp);
         }
         assert_eq!(rx.iter().take(8).count(), 8);
-        let stats = exec.shutdown();
-        assert_eq!(stats.peak_concurrency, 1);
-        assert_eq!(stats.completed, 8);
+        exec.shutdown();
+        let (cpu, _) = exec.stats();
+        assert_eq!(cpu.peak_concurrency, 1);
+        assert_eq!(cpu.completed, 8);
     }
 
     #[test]
-    fn two_threads_reach_but_never_exceed_two() {
-        let exec = Executor::new("comm", 2);
+    fn comm_reaches_but_never_exceeds_two() {
+        let mut exec = NodeExecutor::new(0);
         let (tx, rx) = mpsc::channel();
-        let sleepy = task(move || {
-            std::thread::sleep(Duration::from_millis(3));
-            tx.send(()).unwrap();
-        });
+        let comm = sleepy(3, tx);
         for _ in 0..16 {
-            exec.submit_shared(&sleepy);
+            exec.submit(Lane::Net, &comm);
         }
         assert_eq!(rx.iter().take(16).count(), 16);
-        let stats = exec.shutdown();
+        exec.shutdown();
+        let (_, stats) = exec.stats();
         let peak = stats.peak_concurrency;
         assert!(peak <= 2, "peak {peak}");
         assert_eq!(peak, 2, "secondary slot never engaged");
@@ -233,21 +250,27 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_threads() {
+    fn drop_drains_queued_work() {
         let (tx, rx) = mpsc::channel();
         {
-            let exec = Executor::new("d", 1);
-            let tx = tx.clone();
-            exec.submit_shared(&task(move || tx.send(1).unwrap()));
-            // exec dropped here; drop must drain the queue first.
+            let exec = NodeExecutor::new(0);
+            let comp = sleepy(1, tx.clone());
+            let comm = sleepy(1, tx.clone());
+            for _ in 0..4 {
+                exec.submit(Lane::Cpu, &comp);
+                exec.submit(Lane::Net, &comm);
+            }
+            // exec dropped here; drop must drain the queues first.
         }
         drop(tx);
-        assert_eq!(rx.iter().count(), 1);
+        assert_eq!(rx.iter().count(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_concurrency_rejected() {
-        let _ = Executor::new("bad", 0);
+    #[should_panic(expected = "executor was shut down")]
+    fn submit_after_shutdown_panics() {
+        let mut exec = NodeExecutor::new(0);
+        exec.shutdown();
+        exec.submit(Lane::Net, &task(|| {}));
     }
 }

@@ -8,11 +8,11 @@
 //!
 //! The runtime reproduces the paper's executor discipline faithfully:
 //!
-//! - every node runs one **CPU executor** (a single thread — "a single
-//!   CPU subtask is executed at a time as \[it\] usually uses almost all
-//!   of the provided CPU resources") and one **COMM executor** with two
-//!   slots ("we schedule a secondary network subtask" to fill idle
-//!   request/response gaps);
+//! - every node runs one executor with a **COMP slot** ("a single CPU
+//!   subtask is executed at a time as \[it\] usually uses almost all of
+//!   the provided CPU resources") and primary and secondary **COMM
+//!   slots** ("we schedule a secondary network subtask" to fill idle
+//!   request/response gaps), under the simulator's `SubtaskDiscipline`;
 //! - a master-side **subtask synchronizer** barriers each job's
 //!   distributed subtasks: only when all of a job's PULL subtasks finish
 //!   does its COMP subtask become runnable, and so on (Figure 7);
@@ -62,7 +62,7 @@ pub mod subtask;
 pub use allreduce::{ring_all_reduce, AllReduceStats};
 pub use checkpoint::Checkpoint;
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use executor::{Executor, ExecutorStats};
+pub use executor::ExecutorStats;
 pub use feedback::{iteration_samples, record_report};
 pub use master::{
     JobBuilder, JobReport, MigrationRecord, PlannedMigration, PsCluster, PsConfig, PushVolume,

@@ -16,7 +16,7 @@ use harmony_metrics::{CommStats, MigrationStats, PhaseTimes};
 use harmony_ml::PsAlgorithm;
 
 use crate::clock::{Clock, WallClock};
-use crate::executor::{Executor, ExecutorStats};
+use crate::executor::{ExecutorStats, NodeExecutor};
 use crate::subtask::{SubtaskKind, SubtaskTiming};
 
 /// Configuration of an in-process PS cluster.
@@ -29,7 +29,7 @@ pub struct PsConfig {
     /// subtask sleeps `transferred_bytes / bandwidth` to emulate the
     /// paper's 1.1 Gbps network; `None` disables the delay (fast tests),
     /// and the runtime then completes PULL and PUSH on the master: the
-    /// COMM executors only see subtasks that hold the NIC, and APPLY.
+    /// COMM slots only see subtasks that hold the NIC, and APPLY.
     pub network_bytes_per_sec: Option<f64>,
     /// Ship PUSH traffic as coordinate-sparse `(index, value)` pairs
     /// when a worker's update support
@@ -505,14 +505,9 @@ pub(crate) fn finish_report(
     }
 }
 
-pub(crate) struct NodeExecutors {
-    pub(crate) cpu: Executor,
-    pub(crate) comm: Executor,
-}
-
-/// An in-process PS cluster: `nodes` pairs of (CPU, COMM) executors.
+/// An in-process PS cluster: one (CPU, COMM) executor per node.
 pub struct PsCluster {
-    pub(crate) nodes: Vec<NodeExecutors>,
+    pub(crate) nodes: Vec<NodeExecutor>,
     pub(crate) config: PsConfig,
     /// Recycles pull/update buffers across jobs and `run_jobs` calls so
     /// repeated runs on one cluster reach zero steady-state allocation.
@@ -547,12 +542,7 @@ impl PsCluster {
     /// Panics if `config.nodes` is zero.
     pub fn with_clock(config: PsConfig, clock: Arc<dyn Clock>) -> Self {
         assert!(config.nodes > 0, "cluster needs at least one node");
-        let nodes = (0..config.nodes)
-            .map(|i| NodeExecutors {
-                cpu: Executor::new(&format!("cpu-{i}"), 1),
-                comm: Executor::new(&format!("comm-{i}"), 2),
-            })
-            .collect();
+        let nodes = (0..config.nodes).map(NodeExecutor::new).collect();
         Self {
             nodes,
             config,
@@ -586,10 +576,7 @@ impl PsCluster {
 
     /// Per-node `(cpu, comm)` executor statistics.
     pub fn executor_stats(&self) -> Vec<(ExecutorStats, ExecutorStats)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.cpu.stats(), n.comm.stats()))
-            .collect()
+        self.nodes.iter().map(NodeExecutor::stats).collect()
     }
 
     /// Trains all `jobs` to completion, co-scheduling their subtasks on
@@ -677,7 +664,7 @@ mod tests {
             assert!(r.final_loss < r.initial_loss, "{} did not improve", r.name);
             assert_eq!(r.iterations, 15);
         }
-        // The CPU executor never ran two COMP subtasks at once.
+        // No node ever ran two COMP subtasks at once.
         for (cpu, comm) in cluster.executor_stats() {
             assert!(cpu.peak_concurrency <= 1);
             assert!(comm.peak_concurrency <= 2);

@@ -433,7 +433,7 @@ fn submit_comm(
     task: &SharedTask,
 ) {
     if cluster.config.network_bytes_per_sec.is_some() {
-        cluster.nodes[w].comm.submit_shared(task);
+        cluster.nodes[w].submit(kind.lane(), task);
     } else {
         let t0 = cluster.clock.now();
         let dt = cluster.clock.subtask_elapsed(t0, j, w, kind, gen);
@@ -640,7 +640,7 @@ pub(crate) fn run_jobs(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<JobRe
         });
         match run.sync.on_subtask(kind, egen) {
             SyncAction::StartCompute => {
-                cluster.nodes[node].cpu.submit_shared(&run.tasks.comp[node]);
+                cluster.nodes[node].submit(SubtaskKind::Comp.lane(), &run.tasks.comp[node]);
             }
             SyncAction::StartPush => {
                 let task = &run.tasks.push[node];
@@ -662,7 +662,7 @@ pub(crate) fn run_jobs(cluster: &PsCluster, jobs: Vec<TrainingJob>) -> Vec<JobRe
                     }
                 }
                 let (n, task) = run.tasks.apply.as_ref().expect("tasks are built");
-                cluster.nodes[*n].comm.submit_shared(task);
+                cluster.nodes[*n].submit(SubtaskKind::Apply.lane(), task);
             }
             SyncAction::IterationComplete => {
                 // The APPLY just landed, so every stage still

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use harmony_core::discipline::Lane;
+
 /// The subtask kinds of a PS iteration (Figure 1 / §IV-A).
 ///
 /// `Pull` and `Push` are the network-dominant COMM subtasks; `Comp` is
@@ -22,9 +24,12 @@ pub enum SubtaskKind {
 }
 
 impl SubtaskKind {
-    /// Whether this subtask runs on the CPU executor (vs the COMM one).
-    pub fn is_cpu(self) -> bool {
-        matches!(self, SubtaskKind::Comp)
+    /// The executor lane this subtask runs on.
+    pub fn lane(self) -> Lane {
+        match self {
+            SubtaskKind::Comp => Lane::Cpu,
+            SubtaskKind::Pull | SubtaskKind::Push | SubtaskKind::Apply => Lane::Net,
+        }
     }
 
     /// The subtask that follows this one within an iteration, wrapping
@@ -195,10 +200,10 @@ mod tests {
 
     #[test]
     fn cpu_classification() {
-        assert!(SubtaskKind::Comp.is_cpu());
-        assert!(!SubtaskKind::Pull.is_cpu());
-        assert!(!SubtaskKind::Push.is_cpu());
-        assert!(!SubtaskKind::Apply.is_cpu());
+        assert_eq!(SubtaskKind::Comp.lane(), Lane::Cpu);
+        assert_eq!(SubtaskKind::Pull.lane(), Lane::Net);
+        assert_eq!(SubtaskKind::Push.lane(), Lane::Net);
+        assert_eq!(SubtaskKind::Apply.lane(), Lane::Net);
     }
 
     #[test]

@@ -134,9 +134,10 @@ impl Driver {
         notes: &mut Vec<Notify>,
     ) {
         let j = key.job;
-        let ExecPhase::Running(phase) = self.jobs[j].exec else {
+        let ExecPhase::Running(phase, slot) = self.jobs[j].exec else {
             return; // stale completion after a pause/cancel
         };
+        grp.lanes.release(slot);
         if self.cfg.record_spans {
             self.report.spans.push(SubtaskSpan {
                 job: j,
@@ -153,22 +154,18 @@ impl Driver {
         // subtask times.
         let solo = self.jobs[j].phase_solo;
         match phase {
-            Phase::Pull => {
-                self.jobs[j].iter_tnet += solo;
-                self.jobs[j].exec = ExecPhase::Queued(Phase::Comp);
-                grp.cpu_queue.push_back(j);
-            }
+            Phase::Pull => self.jobs[j].iter_tnet += solo,
             Phase::Comp => {
                 self.jobs[j].iter_tcpu += solo;
                 self.jobs[j].last_comp_end = self.now;
-                self.jobs[j].exec = ExecPhase::Queued(Phase::Push);
-                grp.net_queue.push_back(j);
             }
             Phase::Push => {
                 self.jobs[j].iter_tnet += solo;
-                self.complete_iteration(grp, j, notes);
+                return self.complete_iteration(grp, j, notes);
             }
         }
+        self.jobs[j].exec = ExecPhase::Queued(phase.next());
+        grp.lanes.enqueue(phase.next().lane(), j);
     }
 
     pub(super) fn complete_iteration(
@@ -275,7 +272,7 @@ impl Driver {
                 }
             }
             self.jobs[j].exec = ExecPhase::Queued(Phase::Pull);
-            grp.net_queue.push_back(j);
+            grp.lanes.enqueue(Lane::Net, j);
         }
     }
 
@@ -283,7 +280,6 @@ impl Driver {
     /// where the group is taken out of `self.groups`).
     pub(super) fn detach_from(&mut self, grp: &mut GroupSim, j: usize) {
         self.finalize_prediction_of(grp);
-        grp.unqueue(j);
         grp.jobs.retain(|&x| x != j);
         if self.jobs[j].group.is_some() && self.jobs[j].is_live() {
             self.active_scheduled -= 1;
@@ -295,11 +291,11 @@ impl Driver {
     pub(super) fn dispatch(&mut self, grp: &mut GroupSim) {
         // Promote ready Idle members into the PULL queue — only while
         // some member may be Idle at all. The member list and the
-        // queue are disjoint fields, so splitting the borrow avoids
+        // lanes are disjoint fields, so splitting the borrow avoids
         // snapshotting the membership.
         let GroupSim {
             jobs: members,
-            net_queue,
+            lanes,
             loading,
             ..
         } = grp;
@@ -310,31 +306,22 @@ impl Driver {
                 if let ExecPhase::Idle { ready_at } = job.exec {
                     if ready_at <= self.now + 1e-9 && executes(job.state) {
                         job.exec = ExecPhase::Queued(Phase::Pull);
-                        net_queue.push_back(j);
+                        lanes.enqueue(Lane::Net, j);
                     } else {
                         *loading = true;
                     }
                 }
             }
         }
-        while grp.cpu.len() < grp.cpu_slots {
-            let Some(j) = grp.cpu_queue.pop_front() else {
-                break;
-            };
-            self.start_subtask(grp, j, Phase::Comp);
-        }
-        while grp.net.len() < grp.net_slots {
-            let Some(j) = grp.net_queue.pop_front() else {
-                break;
-            };
+        while let Some(Start { item: j, slot }) = grp.lanes.next_start() {
             let ExecPhase::Queued(phase) = self.jobs[j].exec else {
-                continue;
+                unreachable!("queued job {j} is not in ExecPhase::Queued");
             };
-            self.start_subtask(grp, j, phase);
+            self.start_subtask(grp, j, phase, slot);
         }
     }
 
-    pub(super) fn start_subtask(&mut self, grp: &mut GroupSim, j: usize, phase: Phase) {
+    pub(super) fn start_subtask(&mut self, grp: &mut GroupSim, j: usize, phase: Phase, slot: Slot) {
         let m = grp.machines;
         let mf = f64::from(m);
         let disk_bw = self.cfg.machine.disk_bytes_per_sec;
@@ -342,9 +329,9 @@ impl Driver {
         let spec_model = self.jobs[j].spec.model_bytes as f64;
         let alpha = self.jobs[j].alpha;
         let barrier = self.noise.barrier_factor(m);
+        self.jobs[j].exec = ExecPhase::Running(phase, slot);
         let (demand, work) = match phase {
             Phase::Comp => {
-                self.jobs[j].exec = ExecPhase::Running(Phase::Comp);
                 let mut base = self.jobs[j].spec.comp_cost / mf;
                 // Scripted workload shift: the true COMP cost changes
                 // mid-run, visible to the scheduler only through the
@@ -358,7 +345,7 @@ impl Driver {
                 // Large single-COMP groups of the coalesced mode price
                 // memory and disk from the group's cached aggregates.
                 let cached = self.coalesce_active()
-                    && grp.cpu_slots == 1
+                    && grp.lanes.slots(Lane::Cpu) == 1
                     && grp.jobs.len() >= COALESCE_BATCH_BUILD_MIN;
                 let gc = if cached {
                     // One COMP at a time: the fluid was empty when this
@@ -412,7 +399,6 @@ impl Driver {
                 (1.0, ((base + deser) * gc + blocked) * barrier)
             }
             Phase::Pull | Phase::Push => {
-                self.jobs[j].exec = ExecPhase::Running(phase);
                 if phase == Phase::Pull {
                     self.jobs[j].iter_start = self.now;
                     self.jobs[j].iter_tcpu = 0.0;
@@ -448,10 +434,9 @@ impl Driver {
             job: j,
             seq: self.jobs[j].next_seq(),
         };
-        if phase.is_cpu() {
-            grp.cpu.add(key, demand, work);
-        } else {
-            grp.net.add(key, demand, work);
+        match slot.lane {
+            Lane::Cpu => grp.cpu.add(key, demand, work),
+            Lane::Net => grp.net.add(key, demand, work),
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Fault injection and recovery (§VI): MTBF-driven machine failures
 //! and the plan-driven crash / slowdown / abort events.
 
-use super::groups::cancel_running;
 use super::*;
 use crate::fault::FaultKind;
 
@@ -79,8 +78,7 @@ impl Driver {
     fn restart_in_place(&mut self, g: usize, j: usize) -> f64 {
         self.rollback_to_checkpoint(j);
         let grp = self.groups[g].as_mut().expect("alive");
-        grp.unqueue(j);
-        cancel_running(grp, j, self.jobs[j].exec);
+        grp.evict(j, self.jobs[j].exec);
         let reload = ((1.0 - self.jobs[j].alpha) * self.jobs[j].spec.input_bytes as f64
             + self.jobs[j].spec.model_bytes as f64)
             / (f64::from(grp.machines) * self.cfg.machine.disk_bytes_per_sec);

@@ -4,38 +4,20 @@
 use super::*;
 use crate::report::{GroupingSnapshot, PredictionSample};
 
-/// Cancels the subtask of job `j` that `exec` says is running on one
-/// of `grp`'s resources, if any.
-pub(super) fn cancel_running(grp: &mut GroupSim, j: usize, exec: ExecPhase) {
-    if let ExecPhase::Running(phase) = exec {
-        if phase.is_cpu() {
-            grp.cpu.cancel_all_of(j);
-        } else {
-            grp.net.cancel_all_of(j);
-        }
-    }
-}
-
 impl Driver {
-    pub(super) fn discipline(&self) -> (usize, usize) {
-        if let Some(slots) = self.cfg.discipline_override {
-            return slots;
-        }
-        match self.cfg.scheduler {
-            SchedulerKind::Naive { .. } => (usize::MAX / 2, usize::MAX / 2),
-            _ => (1, 2),
-        }
-    }
-
     pub(super) fn create_group(&mut self, machines: u32, profiling_host: bool) -> usize {
         assert!(machines <= self.free_machines, "machine over-allocation");
         self.free_machines -= machines;
         let id = self.groups.len();
-        let (cpu_slots, net_slots) = self.discipline();
-        let beta = match self.cfg.scheduler {
-            SchedulerKind::Naive { .. } => self.cfg.interference_beta,
-            _ => 0.0,
+        // §IV-A's one COMP + two COMM slots, unbounded (and interfering)
+        // under naive co-location, or the ablation's override.
+        let (slots, beta) = match self.cfg.scheduler {
+            SchedulerKind::Naive { .. } => {
+                ((usize::MAX / 2, usize::MAX / 2), self.cfg.interference_beta)
+            }
+            _ => ((1, 2), 0.0),
         };
+        let (cpu_slots, net_slots) = self.cfg.discipline_override.unwrap_or(slots);
         let mut g = GroupSim::new(id, machines, cpu_slots, net_slots, beta, self.now);
         g.profiling_host = profiling_host;
         self.groups.push(Some(Box::new(g)));
@@ -181,8 +163,7 @@ impl Driver {
         self.finalize_prediction_of(&mut owned);
         self.groups[g] = Some(owned);
         let grp = self.groups[g].as_mut().expect("job group alive");
-        grp.unqueue(j);
-        cancel_running(grp, j, self.jobs[j].exec);
+        grp.evict(j, self.jobs[j].exec);
         grp.jobs.retain(|&x| x != j);
         self.jobs[j].exec = ExecPhase::Idle { ready_at: self.now };
         if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
@@ -259,7 +240,7 @@ impl Driver {
 
     /// Pauses and detaches every member of `g` in one sweep, then
     /// dissolves it. Equivalent to detaching member-by-member, but the
-    /// per-member `unqueue` / `jobs.retain` scans make that O(k²) for
+    /// per-member queue and `jobs.retain` scans make that O(k²) for
     /// a k-member group — coalesced full passes tear down every
     /// involved group on each flush, so they route through here.
     pub(super) fn teardown_group(&mut self, g: usize) {
@@ -268,17 +249,16 @@ impl Driver {
         };
         self.finalize_prediction_of(&mut grp);
         let members = std::mem::take(&mut grp.jobs);
+        grp.lanes.retain(|_| false);
         for &j in &members {
             if self.jobs[j].is_live() {
                 self.jobs[j].state = SimJobState::Paused;
                 self.active_scheduled -= 1;
             }
             self.jobs[j].group = None;
-            cancel_running(&mut grp, j, self.jobs[j].exec);
+            grp.evict(j, self.jobs[j].exec);
             self.jobs[j].exec = ExecPhase::Idle { ready_at: self.now };
         }
-        grp.cpu_queue.clear();
-        grp.net_queue.clear();
         self.groups[g] = Some(grp);
         self.dissolve_group(g);
     }

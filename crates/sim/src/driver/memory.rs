@@ -19,7 +19,7 @@ impl Driver {
                 model_bytes: job.spec.model_bytes,
                 alpha: job.alpha,
                 model_spilled: job.model_spilled,
-                computing: matches!(job.exec, ExecPhase::Running(Phase::Comp)),
+                computing: matches!(job.exec, ExecPhase::Running(Phase::Comp, _)),
             }
         }));
     }
@@ -71,8 +71,7 @@ impl Driver {
                 model_spilled: false,
                 computing: false,
             }));
-            let (cpu_slots, _) = self.discipline();
-            let concurrent = cpu_slots.min(members.len()).max(1);
+            let concurrent = grp.lanes.slots(Lane::Cpu).min(members.len()).max(1);
             let fit = groupmem::classify_fit_in(probe, m, &self.mem, concurrent, inner);
             let oom = match (fit, self.cfg.reload) {
                 (FitOutcome::OutOfMemory, _) => true,
@@ -227,9 +226,10 @@ impl Driver {
                 .push((self.now, self.jobs[victim].spec.name.clone()));
             self.set_terminal(victim, SimJobState::Failed, self.now);
             let grp = self.groups[g].as_mut().expect("alive");
-            grp.unqueue(victim);
+            grp.evict(victim, self.jobs[victim].exec);
             grp.jobs.retain(|&x| x != victim);
             self.jobs[victim].group = None;
+            self.jobs[victim].exec = ExecPhase::Idle { ready_at: self.now };
             if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
                 self.dissolve_group(g);
                 return;

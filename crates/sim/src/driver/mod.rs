@@ -28,6 +28,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
+use harmony_core::discipline::{Lane, Slot, Start};
 use harmony_core::group::GroupId;
 use harmony_core::job::JobId;
 use harmony_core::oracle::OracleScheduler;
@@ -482,6 +483,24 @@ impl Driver {
         })
     }
 
+    /// Debug cross-check, run after every event: in every group, each
+    /// lane's busy slots are its `Fluid`'s tasks, and the members whose
+    /// `exec` is `Running` hold exactly those slots, one each, in their
+    /// phase's lane.
+    fn slots_match_running_members(&self) -> bool {
+        self.groups.iter().flatten().all(|grp| {
+            let mut held = HashSet::new();
+            let members_hold = grp.jobs.iter().all(|&j| match self.jobs[j].exec {
+                ExecPhase::Running(phase, slot) => {
+                    phase.lane() == slot.lane && grp.lanes.is_busy(slot) && held.insert(slot)
+                }
+                _ => true,
+            });
+            let (cpu, net) = (grp.lanes.running(Lane::Cpu), grp.lanes.running(Lane::Net));
+            members_hold && (cpu, net) == (grp.cpu.len(), grp.net.len()) && held.len() == cpu + net
+        })
+    }
+
     fn live_jobs(&self) -> usize {
         // Debug cross-check of the dead-job counter (a full walk on
         // purpose: not-yet-arrived jobs are live too).
@@ -674,6 +693,11 @@ impl Driver {
         debug_assert!(
             self.ready_heaps_cover_loading_members(),
             "a loading member has no entry in its group's ready heap at t={}",
+            self.now
+        );
+        debug_assert!(
+            self.slots_match_running_members(),
+            "a group's slots disagree with its fluids or running members at t={}",
             self.now
         );
     }

@@ -198,6 +198,34 @@ fn spill_prevents_the_same_oom() {
 }
 
 #[test]
+fn an_oom_victim_stops_running() {
+    // j2's arrival regroups j0 mid-subtask into a group that cannot
+    // hold it; the kill must cancel j0's in-flight subtask too, or its
+    // completion requeues j0 and it trains on as a non-member.
+    let cfg = SimConfig {
+        machines: 4,
+        reload: ReloadPolicy::None,
+        ..small_cfg(SchedulerKind::Harmony)
+    };
+    let specs = vec![
+        spec("j0", 120.0, 39.0, 40, 3),
+        spec("j1", 140.0, 32.0, 55, 2),
+        spec("j2", 204.0, 18.0, 35, 1),
+    ];
+    let r = Driver::run(cfg, specs, vec![0.0, 1716.0, 1957.0]);
+    assert!(
+        r.oom_events
+            .iter()
+            .any(|(at, name)| *at == 1957.0 && name == "j0"),
+        "{:?}",
+        r.oom_events
+    );
+    let j0 = r.jobs.iter().find(|j| j.name == "j0").expect("j0 reported");
+    assert!(j0.failed, "OOM-killed j0 kept running: {j0:?}");
+    assert_eq!(j0.finish, None);
+}
+
+#[test]
 fn runs_are_deterministic() {
     let specs = two_complementary();
     let a = Driver::run(

@@ -1,8 +1,8 @@
 //! Simulation-time state of jobs and job groups.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
+use harmony_core::discipline::{Lane, Slot, SubtaskDiscipline};
 use harmony_core::job::JobSpec;
 use harmony_core::profile::JobProfile;
 use harmony_mem::AlphaController;
@@ -32,9 +32,12 @@ impl Phase {
         }
     }
 
-    /// Whether the phase runs on the CPU resource.
-    pub fn is_cpu(self) -> bool {
-        self == Phase::Comp
+    /// The resource the phase runs on.
+    pub fn lane(self) -> Lane {
+        match self {
+            Phase::Comp => Lane::Cpu,
+            Phase::Pull | Phase::Push => Lane::Net,
+        }
     }
 }
 
@@ -68,8 +71,8 @@ pub enum ExecPhase {
     },
     /// Sitting in the group's CPU or network queue.
     Queued(Phase),
-    /// Active in the group's CPU or network resource.
-    Running(Phase),
+    /// Active in the group's CPU or network resource, holding `Slot`.
+    Running(Phase, Slot),
 }
 
 /// One simulated job.
@@ -269,16 +272,9 @@ pub struct GroupSim {
     pub cpu: Fluid,
     /// Network resource.
     pub net: Fluid,
-    /// Jobs waiting for a CPU slot.
-    pub cpu_queue: VecDeque<usize>,
-    /// Jobs waiting for a network slot.
-    pub net_queue: VecDeque<usize>,
-    /// Max concurrent CPU subtasks (1 under Harmony's discipline,
-    /// unbounded for the naive baseline).
-    pub cpu_slots: usize,
-    /// Max concurrent network subtasks (2 under Harmony: primary +
-    /// secondary).
-    pub net_slots: usize,
+    /// Members waiting for, and holding, the group's CPU and network
+    /// slots (1 + 2 under Harmony, unbounded for the naive baseline).
+    pub lanes: SubtaskDiscipline<usize>,
     /// Last time the fluid resources were advanced.
     pub last_advance: f64,
     /// Time the group was formed (prediction-accuracy accounting).
@@ -347,7 +343,6 @@ impl GroupSim {
         now: f64,
     ) -> Self {
         assert!(machines > 0, "a group needs at least one machine");
-        assert!(cpu_slots > 0 && net_slots > 0, "slots must be non-zero");
         Self {
             id,
             gen: 0,
@@ -355,10 +350,7 @@ impl GroupSim {
             jobs: Vec::new(),
             cpu: Fluid::new(1.0, interference_beta),
             net: Fluid::new(1.0, interference_beta),
-            cpu_queue: VecDeque::new(),
-            net_queue: VecDeque::new(),
-            cpu_slots,
-            net_slots,
+            lanes: SubtaskDiscipline::new(cpu_slots, net_slots),
             last_advance: now,
             created_at: now,
             cpu_busy: 0.0,
@@ -402,10 +394,21 @@ impl GroupSim {
         }
     }
 
-    /// Removes a job from the group's queues (used when pausing).
-    pub fn unqueue(&mut self, job: usize) {
-        self.cpu_queue.retain(|&j| j != job);
-        self.net_queue.retain(|&j| j != job);
+    /// Takes job `j`, at position `exec`, off the group's resources:
+    /// out of its queue, or its running subtask cancelled and its slot
+    /// freed.
+    pub fn evict(&mut self, j: usize, exec: ExecPhase) {
+        match exec {
+            ExecPhase::Queued(_) => self.lanes.retain(|&x| x != j),
+            ExecPhase::Running(_, slot) => {
+                match slot.lane {
+                    Lane::Cpu => self.cpu.cancel_all_of(j),
+                    Lane::Net => self.net.cancel_all_of(j),
+                }
+                self.lanes.release(slot);
+            }
+            ExecPhase::Idle { .. } => {}
+        }
     }
 }
 
@@ -435,8 +438,9 @@ mod tests {
         assert_eq!(Phase::Pull.next(), Phase::Comp);
         assert_eq!(Phase::Comp.next(), Phase::Push);
         assert_eq!(Phase::Push.next(), Phase::Pull);
-        assert!(Phase::Comp.is_cpu());
-        assert!(!Phase::Pull.is_cpu());
+        assert_eq!(Phase::Comp.lane(), Lane::Cpu);
+        assert_eq!(Phase::Pull.lane(), Lane::Net);
+        assert_eq!(Phase::Push.lane(), Lane::Net);
     }
 
     #[test]
@@ -475,17 +479,6 @@ mod tests {
         g.net
             .add(crate::fluid::TaskKey { job: 1, seq: 1 }, 0.5, 1.0);
         assert_eq!(g.time_to_next_event(), Some(2.0));
-    }
-
-    #[test]
-    fn unqueue_removes_from_both_queues() {
-        let mut g = GroupSim::new(0, 1, 1, 2, 0.0, 0.0);
-        g.cpu_queue.push_back(3);
-        g.net_queue.push_back(3);
-        g.net_queue.push_back(4);
-        g.unqueue(3);
-        assert!(g.cpu_queue.is_empty());
-        assert_eq!(g.net_queue, VecDeque::from(vec![4]));
     }
 
     #[test]

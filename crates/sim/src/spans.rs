@@ -54,6 +54,7 @@ fn phase_label(phase: Phase) -> &'static str {
 pub fn to_chrome_trace(spans: &[SubtaskSpan]) -> String {
     let mut out = String::from("[\n");
     for (i, s) in spans.iter().enumerate() {
+        let cpu = s.phase == Phase::Comp;
         if i > 0 {
             out.push_str(",\n");
         }
@@ -64,7 +65,7 @@ pub fn to_chrome_trace(spans: &[SubtaskSpan]) -> String {
              \"ts\": {:.0}, \"dur\": {:.0}, \"pid\": {}, \"tid\": {}, \
              \"args\": {{\"job\": \"{}\"}}}}",
             phase_label(s.phase),
-            if s.phase.is_cpu() { "cpu" } else { "network" },
+            if cpu { "cpu" } else { "network" },
             s.start * 1e6,
             s.duration() * 1e6,
             s.group,
@@ -102,7 +103,7 @@ pub fn ascii_gantt(spans: &[SubtaskSpan], width: usize) -> String {
     for (job, name) in jobs {
         let mut row = vec!['.'; width];
         for s in spans.iter().filter(|s| s.job == job) {
-            let mark = if s.phase.is_cpu() { 'C' } else { 'n' };
+            let mark = if s.phase == Phase::Comp { 'C' } else { 'n' };
             for cell in row
                 .iter_mut()
                 .take(col(s.end).min(width - 1) + 1)

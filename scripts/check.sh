@@ -8,7 +8,8 @@
 # the workspace, so a public-API deletion that breaks it must fail
 # here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
-# profile_props, schedule_props, golden_digests, ps_goldens). The simulator's
+# profile_props, schedule_props, golden_digests, ps_goldens, the
+# harmony-ps suite, the subtask-discipline tests, ps_training). The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
@@ -74,10 +75,14 @@ cargo test --release -q -p harmony-core --test profile_props
 echo "==> Algorithm 1 scan determinism gates (release)"
 cargo test --release -q -p harmony-core --test schedule_props
 cargo test --release -q -p harmony --test golden_digests
-# The PS runtime's executor threads race at release speed too; its
-# pinned model and loss digests must hold under either build.
-echo "==> PS training digests (release)"
+# The PS runtime's slot threads race at release speed too; its
+# pinned model and loss digests, its node executors' slot bounds and
+# the subtask discipline they run must hold under either build.
+echo "==> PS training digests, node executors and subtask discipline (release)"
 cargo test --release -q -p harmony --test ps_goldens
+cargo test --release -q -p harmony-ps
+cargo test --release -q -p harmony-core discipline
+cargo test --release -q -p harmony --test ps_training
 
 if [ "$BENCH_SMOKE" = 1 ]; then
     echo "==> coalesced-pass acceptance gate (1% JCT/utilization bound + flag-off bit-identity)"
