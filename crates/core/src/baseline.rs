@@ -15,6 +15,7 @@
 
 use crate::cluster::MachineId;
 use crate::group::{GroupId, Grouping, JobGroup};
+use crate::keyed::{splitmix64, GOLDEN_GAMMA};
 use crate::profile::JobProfile;
 
 /// Dedicated-resource baseline: one group per job.
@@ -168,13 +169,10 @@ impl NaiveColocationScheduler {
 /// stream), so baseline placements are reproducible without a `rand`
 /// dependency.
 fn shuffle(order: &mut [usize], seed: u64) {
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut state = seed.wrapping_add(GOLDEN_GAMMA);
     let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(state)
     };
     for i in (1..order.len()).rev() {
         let j = (next() % (i as u64 + 1)) as usize;

@@ -26,7 +26,9 @@
 //! - [`oracle`]: the exact scheduler (a subset dynamic program over
 //!   Eq. 4) used as ground truth in §V-F;
 //! - [`baseline`]: the `Isolated` and `Naively co-located` baselines of
-//!   §V-A.
+//!   §V-A;
+//! - [`keyed`]: the one key function every keyed random draw goes
+//!   through (SplitMix64).
 //!
 //! The crate is deliberately execution-agnostic: it consumes
 //! [`profile::JobProfile`]s and produces [`group::Grouping`]s, and is
@@ -60,6 +62,7 @@ pub mod error;
 pub mod feedback;
 pub mod group;
 pub mod job;
+pub mod keyed;
 pub mod model;
 pub mod oracle;
 pub mod profile;

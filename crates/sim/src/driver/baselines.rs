@@ -2,6 +2,7 @@
 //! model-free packing (Naive).
 
 use harmony_core::baseline::IsolatedScheduler;
+use harmony_core::keyed::{splitmix64, GOLDEN_GAMMA};
 
 use super::*;
 
@@ -70,13 +71,10 @@ impl Driver {
         }
         // The seed picks one of the many possible packings (§V-A: the
         // evaluation samples placements and reports best/worst).
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut state = seed.wrapping_add(GOLDEN_GAMMA);
         let mut next_rand = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            splitmix64(state)
         };
         for i in (1..pending.len()).rev() {
             let k = (next_rand() % (i as u64 + 1)) as usize;

@@ -6,24 +6,18 @@ use harmony_mem::AlphaController;
 use super::*;
 use crate::groupmem::FitOutcome;
 
-impl Driver {
-    /// Fills `out` with the group members' current footprints (reuses
-    /// the caller's buffer — the GC model consults this on every COMP
-    /// dispatch).
-    pub(super) fn footprints_into(&self, g: &GroupSim, out: &mut Vec<JobFootprint>) {
-        out.clear();
-        out.extend(g.jobs.iter().map(|&j| {
-            let job = &self.jobs[j];
-            JobFootprint {
-                input_bytes: job.spec.input_bytes,
-                model_bytes: job.spec.model_bytes,
-                alpha: job.alpha,
-                model_spilled: job.model_spilled,
-                computing: matches!(job.exec, ExecPhase::Running(Phase::Comp, _)),
-            }
-        }));
+/// A group member's current memory footprint.
+pub(super) fn footprint(job: &JobSim) -> JobFootprint {
+    JobFootprint {
+        input_bytes: job.spec.input_bytes,
+        model_bytes: job.spec.model_bytes,
+        alpha: job.alpha,
+        model_spilled: job.model_spilled,
+        computing: matches!(job.exec, ExecPhase::Running(Phase::Comp, _)),
     }
+}
 
+impl Driver {
     /// Re-derives every member's α (and model-spill flag) for the
     /// group's current composition, killing jobs on unavoidable OOM.
     pub(super) fn recompute_group_memory(&mut self, g: usize) {
@@ -207,8 +201,9 @@ impl Driver {
                     }
                     // Fixed / None may still blow past capacity.
                     let grp = self.groups[g].as_ref().expect("alive");
-                    self.footprints_into(grp, probe);
-                    groupmem::usage_ratio(probe, m, &self.mem) > 1.0
+                    probe.clear();
+                    probe.extend(grp.jobs.iter().map(|&j| footprint(&self.jobs[j])));
+                    groupmem::usage_ratio(probe.iter(), m, &self.mem) > 1.0
                 }
             };
             if !oom {
@@ -225,11 +220,12 @@ impl Driver {
                 .oom_events
                 .push((self.now, self.jobs[victim].spec.name.clone()));
             self.set_terminal(victim, SimJobState::Failed, self.now);
+            self.touch(g);
             let grp = self.groups[g].as_mut().expect("alive");
             grp.evict(victim, self.jobs[victim].exec);
             grp.jobs.retain(|&x| x != victim);
             self.jobs[victim].group = None;
-            self.jobs[victim].exec = ExecPhase::Idle { ready_at: self.now };
+            self.jobs[victim].leave_exec(self.now);
             if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
                 self.dissolve_group(g);
                 return;

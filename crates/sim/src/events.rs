@@ -1,27 +1,26 @@
-//! The driver's event queue: a pre-sorted list of the events known
-//! before the run starts, beside one heap for the events the run
-//! itself schedules.
+//! The driver's queue of *global* events — the ones that may touch more
+//! than one group: arrivals, faults and failures, migrations,
+//! coalescing flushes and naive packing rounds. What happens inside a
+//! group (fluid completions, dispatches, input loads) never comes
+//! through here: each group runs those on its own clock
+//! (`driver::exec`), and the utilization samples are recorded by the
+//! groups as they pass them.
 //!
-//! Everything pushed before [`EventQueue::start`] — every job's
-//! `Arrival`, the fault plan, the first `Failure` — is sorted once and
-//! drained by a cursor; an open-loop run's thousands of future
-//! arrivals therefore never sit under the heap operations of the wake
-//! churn. Events pushed after the start go to one `BinaryHeap`, whose
-//! size is the number of *pending* events (about one wake per alive
-//! group); `pop` takes the smaller of the two heads.
-//!
-//! The utilization sample is not queued here: the driver keeps its one
-//! pending `(time, seq)` in a slot beside the queue and compares it
-//! with [`EventQueue::peek`].
+//! A pre-sorted list of the events known before the run starts sits
+//! beside one heap for the events the run itself schedules. Everything
+//! pushed before [`EventQueue::start`] — every job's `Arrival`, the
+//! fault plan, the first `Failure` — is sorted once and drained by a
+//! cursor, so an open-loop run's thousands of future arrivals never sit
+//! under a heap operation. Events pushed after the start go to one
+//! `BinaryHeap`, which holds a handful of pending events; `pop` takes
+//! the smaller of the two heads.
 //!
 //! **Order.** Event keys embed a strictly increasing sequence number,
 //! so the key order is a strict total order with no ties, and any
 //! correct priority queue pops the identical sequence: the pop order
-//! is a property of the keys, not of this container. The sample slot
-//! draws its `seq` from the same counter, so slot and queue together
-//! still follow that one order. `tests` below check it against a
-//! sorted reference under interleaved pre-start and post-start pushes
-//! and a re-armed periodic slot.
+//! is a property of the keys, not of this container. `tests` below
+//! check it against a sorted reference under interleaved pre-start and
+//! post-start pushes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -94,20 +93,20 @@ impl<K: Ord + Copy> EventQueue<K> {
 
 #[cfg(test)]
 mod tests {
+    use harmony_core::keyed::{splitmix64, GOLDEN_GAMMA};
+
     use super::*;
 
     /// Deterministic splitmix64 stream for randomized traffic.
     fn mix(z: &mut u64) -> u64 {
-        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = *z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        *z = z.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(*z)
     }
 
-    /// The driver's loop in miniature: the queue, a periodic slot
-    /// beside it (the utilization sample), one `seq` counter for both,
-    /// and a plain list of every pending key as the reference.
+    /// A consumer in miniature: the queue, a periodic slot beside it
+    /// drawing from the same `seq` counter (so `peek` is exercised
+    /// against a second source of keys), and a plain list of every
+    /// pending key as the reference.
     struct Loop {
         q: EventQueue<(u64, u64)>,
         reference: Vec<(u64, u64)>,

@@ -13,13 +13,12 @@
 //! of victims alive at that moment. This keeps plans valid for any
 //! workload while remaining deterministic.
 
+use harmony_core::keyed::{self, GOLDEN_GAMMA};
+
 /// Deterministic splitmix64 step shared by the generator and the
 /// victim-selection stream.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn splitmix64(z: u64) -> u64 {
+    keyed::splitmix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// What kind of fault an event injects.

@@ -12,6 +12,8 @@
 //! The resulting usage ratio feeds the GC model (compute slowdown) and
 //! the OOM check.
 
+use std::borrow::Borrow;
+
 use harmony_mem::GcModel;
 
 /// Memory-relevant footprint of one job in a group.
@@ -45,11 +47,16 @@ pub struct MemoryParams {
 /// # Panics
 ///
 /// Panics if `m` is zero.
-pub fn usage_ratio(jobs: &[JobFootprint], m: u32, p: &MemoryParams) -> f64 {
+pub fn usage_ratio<J: Borrow<JobFootprint>>(
+    jobs: impl IntoIterator<Item = J>,
+    m: u32,
+    p: &MemoryParams,
+) -> f64 {
     assert!(m > 0, "a group needs at least one machine");
     let mf = f64::from(m);
     let mut bytes = 0.0;
     for j in jobs {
+        let j = j.borrow();
         let input_per_machine = j.input_bytes as f64 / mf;
         bytes += (1.0 - j.alpha) * input_per_machine * p.expansion;
         if !j.model_spilled {
@@ -126,7 +133,7 @@ pub fn static_fit_alpha_in(
 ) -> f64 {
     let mut at = |alpha: f64| {
         probe_into(jobs, alpha, false, concurrent, scratch);
-        usage_ratio(scratch, m, p)
+        usage_ratio(scratch.iter(), m, p)
     };
     if at(0.0) <= fill_target {
         return 0.0;
@@ -177,7 +184,7 @@ pub fn classify_fit_in(
 ) -> FitOutcome {
     let mut with = |alpha: f64, model_spilled: bool| {
         probe_into(jobs, alpha, model_spilled, concurrent, scratch);
-        usage_ratio(scratch, m, p)
+        usage_ratio(scratch.iter(), m, p)
     };
     if with(0.0, false) <= 1.0 {
         FitOutcome::Fits
@@ -191,7 +198,12 @@ pub fn classify_fit_in(
 }
 
 /// GC compute-slowdown for the group's current state.
-pub fn gc_slowdown(jobs: &[JobFootprint], m: u32, p: &MemoryParams, gc: &GcModel) -> f64 {
+pub fn gc_slowdown<J: Borrow<JobFootprint>>(
+    jobs: impl IntoIterator<Item = J>,
+    m: u32,
+    p: &MemoryParams,
+    gc: &GcModel,
+) -> f64 {
     gc.slowdown(usage_ratio(jobs, m, p))
 }
 
@@ -223,17 +235,17 @@ mod tests {
     fn usage_scales_inversely_with_machines() {
         let jobs = [job(64, 8, 0.0)];
         let p = params();
-        let u4 = usage_ratio(&jobs, 4, &p);
-        let u8 = usage_ratio(&jobs, 8, &p);
+        let u4 = usage_ratio(jobs.iter(), 4, &p);
+        let u8 = usage_ratio(jobs.iter(), 8, &p);
         assert!((u4 - 2.0 * u8).abs() < 1e-12);
     }
 
     #[test]
     fn alpha_reduces_usage_linearly() {
         let p = params();
-        let u0 = usage_ratio(&[job(64, 0, 0.0)], 4, &p);
-        let u_half = usage_ratio(&[job(64, 0, 0.5)], 4, &p);
-        let u1 = usage_ratio(&[job(64, 0, 1.0)], 4, &p);
+        let u0 = usage_ratio([job(64, 0, 0.0)], 4, &p);
+        let u_half = usage_ratio([job(64, 0, 0.5)], 4, &p);
+        let u1 = usage_ratio([job(64, 0, 1.0)], 4, &p);
         assert!((u0 - 2.0 * u_half).abs() < 1e-12);
         assert_eq!(u1, 0.0);
     }
@@ -241,10 +253,10 @@ mod tests {
     #[test]
     fn computing_job_charges_workspace() {
         let p = params();
-        let idle = usage_ratio(&[job(32, 0, 0.0)], 2, &p);
+        let idle = usage_ratio([job(32, 0, 0.0)], 2, &p);
         let mut j = job(32, 0, 0.0);
         j.computing = true;
-        let busy = usage_ratio(&[j], 2, &p);
+        let busy = usage_ratio([j], 2, &p);
         assert!(busy > idle);
     }
 
@@ -252,9 +264,9 @@ mod tests {
     fn model_spill_removes_model_bytes() {
         let p = params();
         let mut j = job(0, 16, 1.0);
-        assert!(usage_ratio(&[j], 1, &p) > 0.0);
+        assert!(usage_ratio([j], 1, &p) > 0.0);
         j.model_spilled = true;
-        assert_eq!(usage_ratio(&[j], 1, &p), 0.0);
+        assert_eq!(usage_ratio([j], 1, &p), 0.0);
     }
 
     #[test]
@@ -325,8 +337,8 @@ mod tests {
     fn gc_slowdown_responds_to_pressure() {
         let p = params();
         let gc = GcModel::default();
-        let light = gc_slowdown(&[job(4, 1, 0.0)], 8, &p, &gc);
-        let heavy = gc_slowdown(&[job(64, 8, 0.0)], 2, &p, &gc);
+        let light = gc_slowdown([job(4, 1, 0.0)], 8, &p, &gc);
+        let heavy = gc_slowdown([job(64, 8, 0.0)], 2, &p, &gc);
         assert_eq!(light, 1.0);
         assert!(heavy > 1.0);
     }

@@ -44,6 +44,16 @@ impl IdSet {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.ids.iter().copied()
     }
+
+    /// How many ids the set holds.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The `i`-th smallest id.
+    pub fn get(&self, i: usize) -> usize {
+        self.ids[i]
+    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,13 @@ pub struct SubtaskSpan {
     pub start: f64,
     /// Completion time (seconds).
     pub end: f64,
+    /// The job iteration the subtask belongs to (0-based).
+    pub iteration: u64,
+    /// How many runs of its iteration were lost before this one
+    /// ([`crate::noise::DrawKey`]).
+    pub attempt: u64,
+    /// The uniform draw behind its straggler factor.
+    pub draw: f64,
 }
 
 impl SubtaskSpan {
@@ -138,6 +145,9 @@ mod tests {
             group: 0,
             start,
             end,
+            iteration: 0,
+            attempt: 0,
+            draw: 0.5,
         }
     }
 

@@ -12,9 +12,13 @@
 //! points were merged. The `tiny_*` cells were captured from the
 //! simulator's reference arms — the original event path, the
 //! whole-cluster regrouper and exhaustive candidate scans — and held on
-//! every arm before those arms were retired. A PR that does mean to
-//! change behaviour re-captures them (`GOLDEN_PRINT=1 cargo test --test
-//! golden_digests -- --nocapture`) and says why.
+//! every arm before those arms were retired. Every cell was
+//! re-captured once when straggler noise became keyed and each group
+//! began running on its own clock (DESIGN.md §7), a change of simulated
+//! behaviour; the two coalesced cells moved to seed 20 then, to keep
+//! running a release pass. A PR that does mean to change behaviour
+//! re-captures them (`GOLDEN_PRINT=1 cargo test --test golden_digests
+//! -- --nocapture`) and says why.
 //!
 //! Each scenario pins two digests. `legacy` is taken of the report in
 //! the fingerprint's first format, one `(time, value)` pair per
@@ -198,7 +202,9 @@ fn closed_batch_harmony() {
 
 /// Closed loop with coalesced reschedule passes; 64 jobs on 16
 /// machines so groups cross the batch-build floor (bulk build and
-/// teardown) and a targeted release pass runs.
+/// teardown) and a targeted release pass runs. Whether a finish frees
+/// machines while jobs wait is up to the noise: seed 20 is one where it
+/// does.
 #[test]
 fn coalesced_batch() {
     let jobs = specs(8, 64);
@@ -207,6 +213,7 @@ fn coalesced_batch() {
         SimConfig {
             coalesced_passes: true,
             coalesce_window: 200.0,
+            seed: 20,
             ..cfg(16)
         },
         jobs,
@@ -375,7 +382,7 @@ fn error_injection_exact() {
 }
 
 /// Error injection under coalesced passes: the targeted release pass
-/// gathers biased profiles too.
+/// gathers biased profiles too (seed 20, as in `coalesced_batch`).
 #[test]
 fn error_injection_coalesced() {
     let jobs = specs(8, 64);
@@ -385,6 +392,7 @@ fn error_injection_coalesced() {
             error_injection: 0.3,
             coalesced_passes: true,
             coalesce_window: 100.0,
+            seed: 20,
             ..cfg(16)
         },
         jobs,
@@ -746,126 +754,126 @@ fn tiny_random_draws() {
 }
 
 const CLOSED_BATCH_HARMONY: Golden = Golden {
-    legacy: 0x3a32_8ca9_68b8_c29e,
-    v2: 0xeab1_64ae_b7bd_a9f0,
+    legacy: 0xe984_5baf_2729_6c82,
+    v2: 0xc858_b524_f6d7_26d5,
 };
 const COALESCED_BATCH: Golden = Golden {
-    legacy: 0x51d7_4236_c1cc_0af3,
-    v2: 0x1bcf_828b_53a9_c9c9,
+    legacy: 0x8a87_6398_f16d_8d1f,
+    v2: 0xcb65_ac12_8286_0e8c,
 };
 const OPEN_LOOP_UTILITY_CHURN: Golden = Golden {
-    legacy: 0x57f3_39ff_242c_7a5d,
-    v2: 0xe728_fee9_990c_962c,
+    legacy: 0x0e90_c7d9_bc5d_7151,
+    v2: 0x6031_f4af_f0b1_d419,
 };
 const BURST_QUEUE_CAP: Golden = Golden {
-    legacy: 0xd297_018b_c655_aa8f,
-    v2: 0x78da_3d19_e48c_8fed,
+    legacy: 0xc67b_c2e4_d6e1_fbd9,
+    v2: 0xe644_762f_a886_5238,
 };
 const ABORT_BEFORE_ARRIVAL: Golden = Golden {
-    legacy: 0x6ba2_9ee8_9cc9_da77,
-    v2: 0x0f01_bced_963e_b8ac,
+    legacy: 0xf320_ec74_f133_74a8,
+    v2: 0x2249_72c1_36d5_71e2,
 };
 
 // `legacy` captured on the commit before `driver.rs` was split into
 // `driver/` and the scheduling entry points were merged.
 const ORACLE_STAGGERED: Golden = Golden {
-    legacy: 0xf5a4_adc3_f4c4_41cf,
-    v2: 0x4e55_5628_8f26_f0cd,
+    legacy: 0x008b_fe1a_7013_aeda,
+    v2: 0x2b88_2c7f_6136_7d8c,
 };
 const ISOLATED_STAGGERED: Golden = Golden {
-    legacy: 0x9828_83eb_2945_e71c,
-    v2: 0x103b_2f44_1f56_fa5f,
+    legacy: 0x054e_ad45_8627_9ea9,
+    v2: 0xfca7_c8a5_ced3_b7c2,
 };
 const NAIVE_STAGGERED: Golden = Golden {
-    legacy: 0xf177_d0fb_bab0_53f5,
-    v2: 0x3985_2d88_ea50_5da1,
+    legacy: 0x05d9_faf4_7d4c_d7f7,
+    v2: 0x1bc0_0ddd_a992_ad8a,
 };
 const ERROR_INJECTION_EXACT: Golden = Golden {
-    legacy: 0xa547_fdb9_8527_e568,
-    v2: 0xe478_0aa1_f504_3502,
+    legacy: 0x9f0a_f004_c93f_e066,
+    v2: 0x349c_8659_9eee_a785,
 };
 const ERROR_INJECTION_COALESCED: Golden = Golden {
-    legacy: 0x8936_aa74_f83f_ca21,
-    v2: 0x4731_7b79_dd24_0b32,
+    legacy: 0xecd4_d2e3_657c_99eb,
+    v2: 0xef86_0567_2859_61b1,
 };
 const ERROR_INJECTION_REFERENCE_ARMS: Golden = Golden {
-    legacy: 0xfda5_4eaf_539f_d2fa,
-    v2: 0x6cd2_331b_f931_c1ad,
+    legacy: 0xdab8_14e7_0f98_aa58,
+    v2: 0xbfbf_dc21_131d_c657,
 };
 const MTBF_FAILURES: Golden = Golden {
-    legacy: 0x0050_b617_231c_a333,
-    v2: 0x91d0_c91e_37ae_e354,
+    legacy: 0x9c07_c979_e06c_26b0,
+    v2: 0xe0af_db45_753e_a853,
 };
 const DRIFT_LIVE_MIGRATION: Golden = Golden {
-    legacy: 0x7a7f_2f13_b6ce_c2e1,
-    v2: 0xf276_fe14_f79f_3720,
+    legacy: 0x570d_3b7f_e660_cc26,
+    v2: 0x763e_2918_0969_49b3,
 };
 const STRAGGLERS_STATIC_FIT: Golden = Golden {
-    legacy: 0xe43f_4bed_b9da_0265,
-    v2: 0x14af_510e_969c_849a,
+    legacy: 0xaa7c_7ba0_9f9a_8947,
+    v2: 0x6a05_730b_abe0_b684,
 };
 const CHURN_ISOLATED: Golden = Golden {
-    legacy: 0x1150_54a9_7016_7e35,
-    v2: 0x6deb_9d57_a77b_36b7,
+    legacy: 0x802c_e5ef_0111_c5f6,
+    v2: 0x4e46_95f4_bca6_ca84,
 };
 const CHURN_NAIVE: Golden = Golden {
-    legacy: 0xd59f_7cc9_9473_d278,
-    v2: 0x140e_ba84_f3eb_1460,
+    legacy: 0x0628_3928_780e_0776,
+    v2: 0x457a_e6a7_55e7_edfe,
 };
 
 // Captured from the reference arms (original event path, whole-cluster
 // regrouper, exhaustive candidate scans), since retired.
 const TINY_BATCH: Golden = Golden {
-    legacy: 0xe392_a660_c963_0fc6,
-    v2: 0x0137_1900_2bda_2603,
+    legacy: 0xbdd5_23cd_9102_3150,
+    v2: 0x067e_20f1_629b_bbd9,
 };
 const TINY_BATCH_ORACLE: Golden = Golden {
-    legacy: 0x91c2_17e0_862f_3869,
-    v2: 0x117d_3fbb_811d_2c69,
+    legacy: 0x877a_9a71_328a_a29e,
+    v2: 0x0735_c24c_2d78_969e,
 };
 const TINY_BATCH_ISOLATED: Golden = Golden {
-    legacy: 0x0dd1_b559_71e0_0fc0,
-    v2: 0xd2ae_bc97_3dc0_e75c,
+    legacy: 0x689e_c904_fb56_2088,
+    v2: 0x6fe3_103f_6a5a_b16c,
 };
 const TINY_BATCH_NAIVE: Golden = Golden {
     legacy: 0xeea9_615d_d570_06a8,
     v2: 0x1b67_d92f_1601_9181,
 };
 const TINY_STAGGERED: Golden = Golden {
-    legacy: 0xa41a_7faa_2a5f_48db,
-    v2: 0x1fc2_ddb0_d899_014b,
+    legacy: 0xf843_53d8_ebd2_a309,
+    v2: 0xeba5_05e1_4c52_2199,
 };
 const TINY_NOISY: Golden = Golden {
-    legacy: 0xe1fe_4540_a8a7_2e97,
-    v2: 0xd45b_7188_a753_4e89,
+    legacy: 0x48ea_6e42_0d04_2cea,
+    v2: 0x0416_c962_1843_707a,
 };
 const TINY_SINGLE_CRASH: Golden = Golden {
-    legacy: 0x10da_647d_aec8_e71a,
-    v2: 0x5d5b_2d15_65c4_5945,
+    legacy: 0x92e2_25be_1252_3b62,
+    v2: 0x1754_ca76_34c0_ef69,
 };
 const TINY_CHURN: Golden = Golden {
-    legacy: 0x7be1_d1e1_9963_cf20,
-    v2: 0x018d_f099_418b_8ec6,
+    legacy: 0x54d7_e12c_bf28_439b,
+    v2: 0xabed_f45f_e9fe_67e1,
 };
 const REGROUP_HARMONY: Golden = Golden {
-    legacy: 0x271d_40e3_20df_88d5,
-    v2: 0x0a5f_35a3_3438_d41e,
+    legacy: 0x034e_3ee0_879c_6ad9,
+    v2: 0xb866_4b39_8314_95ca,
 };
 const REGROUP_ORACLE: Golden = Golden {
-    legacy: 0x79ff_b969_a4b3_d0e2,
-    v2: 0xbfce_7b2a_de25_c459,
+    legacy: 0x3d58_3a6c_375f_8879,
+    v2: 0xad75_4bab_5e0b_3c2a,
 };
 const REGROUP_ISOLATED: Golden = Golden {
-    legacy: 0x028f_19bd_865f_b38a,
-    v2: 0xea15_01eb_0d67_b85e,
+    legacy: 0x08ff_9a4c_5edb_f826,
+    v2: 0x03d9_b225_3c90_8292,
 };
 const REGROUP_NAIVE: Golden = Golden {
-    legacy: 0x209d_610d_666f_380b,
-    v2: 0x9e92_f636_3ae4_0755,
+    legacy: 0xa710_673b_3846_3b57,
+    v2: 0x99d5_647c_81aa_4239,
 };
 const REGROUP_HARMONY_CHURN: Golden = Golden {
-    legacy: 0x0f46_6e26_b700_281f,
-    v2: 0xbfeb_ea9f_830e_fa81,
+    legacy: 0xdfce_ed6d_701c_7530,
+    v2: 0xb9b1_4821_ddfa_7c06,
 };
 // The six draws `proptest!` made from the name `random_workloads_match`.
 const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
@@ -876,8 +884,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         4,
         15.616337777340226,
         Golden {
-            legacy: 0xb091_27a0_1fe7_ed82,
-            v2: 0x4cac_f428_c1bc_b8a6,
+            legacy: 0x7de7_fabf_5491_bbaf,
+            v2: 0xff27_7d81_84ce_7c8b,
         },
     ),
     (
@@ -887,8 +895,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         31.092200991272605,
         Golden {
-            legacy: 0x9b9e_2980_290b_95db,
-            v2: 0xb507_862b_b090_a033,
+            legacy: 0x4733_2461_20d6_f977,
+            v2: 0x3d9f_3db1_3c3a_640f,
         },
     ),
     (
@@ -898,8 +906,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         24.481156380830996,
         Golden {
-            legacy: 0xf60d_1e63_4287_e3dc,
-            v2: 0x7ee2_cd8a_e167_3996,
+            legacy: 0x2ca8_14d9_07e6_83dc,
+            v2: 0xd036_cb4a_fbec_c70a,
         },
     ),
     (
@@ -909,8 +917,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         1.3320362932268548,
         Golden {
-            legacy: 0x5a0a_8fd1_3c61_03e8,
-            v2: 0xa79a_fd77_a7d9_969c,
+            legacy: 0x86fd_2035_d672_1397,
+            v2: 0x0b9e_e5c7_3e48_f78b,
         },
     ),
     (
@@ -920,8 +928,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         1,
         49.65869376626082,
         Golden {
-            legacy: 0xf098_0a36_0b83_227b,
-            v2: 0xa909_4fe0_7f01_7a5d,
+            legacy: 0xf0b1_e808_af5b_c425,
+            v2: 0x8ab5_3adf_90fd_4ea3,
         },
     ),
     (
@@ -931,8 +939,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         5,
         62.288563397649376,
         Golden {
-            legacy: 0xb374_dc24_852d_a9fa,
-            v2: 0x8146_375c_d758_1d04,
+            legacy: 0x7ff2_9f3a_f228_5e2a,
+            v2: 0x3a0c_5bd7_d025_1e6c,
         },
     ),
 ];

@@ -544,9 +544,12 @@ fn utility_threshold_prices_offers_and_keeps_its_books() {
 /// machines far faster than they drain, so admit-everything
 /// over-subscribes memory and pays for it in GC stretch and a long
 /// low-parallelism drain tail, while utility-priced admission sheds
-/// load and keeps the cluster busy. The operating point and the two
-/// utilizations (0.8894 priced, 0.3336 admit-all) are the saturating
-/// rung of the retired open-loop perf sweep, measured on e58d389.
+/// load and keeps the cluster busy. The operating point is the
+/// saturating rung of the retired open-loop perf sweep (e58d389). The
+/// two utilizations (0.7305 priced, 0.3316 admit-all) were re-measured
+/// when straggler noise became keyed: the priced run is bimodal in the
+/// noise (0.73 or 0.89 across seeds, before and after), and seed 0
+/// moved from the high mode to the low one.
 #[test]
 fn utility_pricing_holds_utilization_at_the_saturating_rate() {
     const OFFERS: usize = 40;
@@ -595,9 +598,9 @@ fn utility_pricing_holds_utilization_at_the_saturating_rate() {
         p >= a,
         "utility-priced admission lost utilization to admit-everything: {p:.4} vs {a:.4}"
     );
-    assert!((p - 0.8894).abs() <= 0.05, "priced cpu util moved: {p:.4}");
+    assert!((p - 0.7305).abs() <= 0.05, "priced cpu util moved: {p:.4}");
     assert!(
-        (a - 0.3336).abs() <= 0.05,
+        (a - 0.3316).abs() <= 0.05,
         "admit-all cpu util moved: {a:.4}"
     );
 }

@@ -283,3 +283,50 @@ fn exact_arm_completes_2560_jobs_on_3200_machines() {
     let report = Driver::run(cfg, specs, vec![0.0; JOBS]);
     assert_eq!(report.completed(), JOBS);
 }
+
+/// Common random numbers: under dedicated allocation with machines to
+/// spare, one more, unrelated job changes nothing any other job sees —
+/// not even its straggler noise, which is keyed by the subtask it is
+/// for rather than drawn from a stream all jobs share.
+#[test]
+fn an_unrelated_job_leaves_every_other_jobs_subtasks_alone() {
+    let mut specs: Vec<_> = small_workload().into_iter().take(8).collect();
+    let mut arrivals: Vec<f64> = (0..specs.len()).map(|i| 30.0 * i as f64).collect();
+    let cfg = SimConfig {
+        machines: 40,
+        scheduler: SchedulerKind::Isolated,
+        fixed_dop: Some(4),
+        straggler_cv: 0.1,
+        record_spans: true,
+        ..SimConfig::default()
+    };
+    // Every job's subtasks as (phase, start, end) bits, in order.
+    let spans_of = |r: &harmony::sim::RunReport, job: usize| -> Vec<(String, u64, u64)> {
+        let mut spans: Vec<_> = r
+            .spans
+            .iter()
+            .filter(|s| s.job == job)
+            .map(|s| (format!("{:?}", s.phase), s.start.to_bits(), s.end.to_bits()))
+            .collect();
+        spans.sort_by_key(|&(_, start, _)| start);
+        spans
+    };
+    let base = Driver::run(cfg.clone(), specs.clone(), arrivals.clone());
+    assert_eq!(base.completed(), specs.len());
+    specs.push(specs[3].clone());
+    arrivals.push(75.0);
+    let more = Driver::run(cfg, specs, arrivals);
+    assert_eq!(more.completed(), 9, "the extra job runs too");
+    for job in 0..8 {
+        let spans = spans_of(&base, job);
+        assert!(
+            spans.len() > 30,
+            "job {job} ran only {} subtasks",
+            spans.len()
+        );
+        assert!(
+            spans == spans_of(&more, job),
+            "job {job}'s subtasks moved when an unrelated job joined"
+        );
+    }
+}
