@@ -9,7 +9,8 @@
 # here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
 # profile_props, schedule_props, golden_digests, ps_goldens, the
-# harmony-ps suite, the subtask-discipline tests, ps_training). The simulator's
+# harmony-ps suite, the subtask-discipline tests, ps_training), the
+# keyed-noise table spec and the group-advance order test. The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
@@ -75,6 +76,12 @@ cargo test --release -q -p harmony-core --test profile_props
 echo "==> Algorithm 1 scan determinism gates (release)"
 cargo test --release -q -p harmony-core --test schedule_props
 cargo test --release -q -p harmony --test golden_digests
+# Keyed straggler noise: the tables' spec (10^6 keys per cell against
+# the exact quantile, release only) and the group-advance order test
+# (every golden scenario with each round of group advances reversed).
+echo "==> keyed noise tables and group-advance order independence (release)"
+cargo test --release -q -p harmony-sim --lib noise::tests::tables_match_the_exact_quantile
+cargo test --release -q -p harmony-sim --lib driver::tests::group_clocks
 # The PS runtime's slot threads race at release speed too; its
 # pinned model and loss digests, its node executors' slot bounds and
 # the subtask discipline they run must hold under either build.
