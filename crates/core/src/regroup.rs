@@ -13,9 +13,11 @@
 //!   regrouper first looks for one *similar* profiled/paused job (both
 //!   iteration time and comp/comm ratio within 5%), then for a *bunch*
 //!   of jobs whose summed iteration time and summed-ratio match within
-//!   5%, and only then escalates to partial rescheduling over a growing
-//!   set of involved groups, preferring decisions that involve fewer
-//!   jobs unless a larger decision is ≥ 5% better.
+//!   5% ([`Regrouper::replace_departed`]), and only then escalates to
+//!   partial rescheduling over a growing set of involved groups,
+//!   preferring decisions that involve fewer jobs unless a larger
+//!   decision is ≥ 5% better ([`Regrouper::escalate`]). The two are
+//!   separate calls: the master decides whether the ladder runs.
 //!
 //! The decision paths run incrementally: per-group Eq. 3 terms are
 //! frozen once per call and refolded per candidate, and the escalation
@@ -239,21 +241,27 @@ impl Regrouper {
         }
     }
 
-    /// Handles a job completion (case 2 of §IV-B4). `group` is the group
-    /// the finished job belonged to; `view.grouping` must already have
-    /// the job removed.
-    pub fn on_job_finished(
-        &mut self,
+    /// Repairs the group a job just left — it finished (case 2 of
+    /// §IV-B4) or was aborted (§VI) — with waiting jobs of the departed
+    /// job's shape: first one *similar* job (iteration time and
+    /// comp/comm ratio both within 5%), then a *bunch* whose summed
+    /// iteration time and ratio-of-sums match within 5%. `group` is the
+    /// group the job left; `view.grouping` must already have the job
+    /// removed. An aborted job's shape comes from its last observed
+    /// profile rather than a converged run.
+    ///
+    /// `None` when neither exists (or the group is gone): the caller
+    /// may then escalate ([`Self::escalate`]), which is §IV-B4's third
+    /// step.
+    pub fn replace_departed(
+        &self,
         view: &ClusterView,
         profiles: &ProfileStore,
-        finished_iter_time: f64,
-        finished_ratio: f64,
+        departed_iter_time: f64,
+        departed_ratio: f64,
         group: GroupId,
-    ) -> RegroupDecision {
-        let Some(g) = view.grouping.group(group) else {
-            return RegroupDecision::NoChange;
-        };
-        let dop = g.dop().max(1);
+    ) -> Option<RegroupDecision> {
+        let dop = view.grouping.group(group)?.dop().max(1);
         let waiting: Vec<JobId> = view
             .profiled
             .iter()
@@ -261,8 +269,7 @@ impl Regrouper {
             .copied()
             .collect();
 
-        // Step 1: a single similar job (iteration time and comp/comm
-        // ratio both within 5%).
+        // Step 1: a single similar job.
         for &cand in &waiting {
             let Some(p) = profiles.get(cand) else {
                 continue;
@@ -272,80 +279,20 @@ impl Regrouper {
             }
             let it = p.iter_time_at(dop);
             let ratio = p.comp_comm_ratio_at(dop);
-            if Self::rel_diff(it, finished_iter_time) <= 0.05
-                && Self::rel_diff(ratio, finished_ratio) <= 0.05
+            if Self::rel_diff(it, departed_iter_time) <= 0.05
+                && Self::rel_diff(ratio, departed_ratio) <= 0.05
             {
-                return RegroupDecision::ReplaceFinished {
+                return Some(RegroupDecision::ReplaceFinished {
                     group,
                     add: vec![cand],
-                };
+                });
             }
         }
 
         // Step 2: a bunch of smaller jobs whose summed iteration time
-        // and ratio-of-sums approximate the finished job.
-        if let Some(bunch) =
-            self.find_bunch(&waiting, profiles, dop, finished_iter_time, finished_ratio)
-        {
-            return RegroupDecision::ReplaceFinished { group, add: bunch };
-        }
-
-        // Step 3: escalate to partial rescheduling with a growing set of
-        // involved groups, smallest-involvement first.
-        self.escalate(view, profiles, group, &waiting)
-    }
-
-    /// Handles the loss of one machine from `group` (§VI fault
-    /// tolerance). `view.grouping` must already reflect the shrunken
-    /// group — the master re-runs machine allocation over the survivors
-    /// before asking for a decision.
-    ///
-    /// The cheapest repair is *local*: keep the shrunken group running
-    /// on its surviving machines ([`RegroupDecision::NoChange`]). The
-    /// regrouper escalates to partial rescheduling over a growing set
-    /// of involved groups only when the repaired cluster's predicted
-    /// utilization can be improved past the scheduler's improvement
-    /// threshold — i.e. when the crash degraded the grouping enough
-    /// that movement pays for itself.
-    pub fn on_machine_lost(
-        &mut self,
-        view: &ClusterView,
-        profiles: &ProfileStore,
-        group: GroupId,
-    ) -> RegroupDecision {
-        if view.grouping.group(group).is_none() {
-            // The crash wiped the whole group out; the master handles
-            // re-placement of its orphaned jobs directly.
-            return RegroupDecision::NoChange;
-        }
-        let waiting: Vec<JobId> = view
-            .profiled
-            .iter()
-            .chain(view.paused.iter())
-            .copied()
-            .collect();
-        self.escalate(view, profiles, group, &waiting)
-    }
-
-    /// Handles a job abort (user kill or unrecoverable task failure,
-    /// §VI). `view.grouping` must already have the aborted job removed.
-    ///
-    /// An abort leaves the group in the same shape as a completion —
-    /// one member gone, its resource share idle — so the same minimal-
-    /// movement repair ladder applies: a single similar waiting job,
-    /// then a bunch, then escalation. The difference is semantic: the
-    /// aborted job's characteristics come from its last observed
-    /// profile rather than a converged run, and the caller must not
-    /// count it as completed.
-    pub fn on_job_aborted(
-        &mut self,
-        view: &ClusterView,
-        profiles: &ProfileStore,
-        aborted_iter_time: f64,
-        aborted_ratio: f64,
-        group: GroupId,
-    ) -> RegroupDecision {
-        self.on_job_finished(view, profiles, aborted_iter_time, aborted_ratio, group)
+        // and ratio-of-sums approximate the departed job.
+        self.find_bunch(&waiting, profiles, dop, departed_iter_time, departed_ratio)
+            .map(|add| RegroupDecision::ReplaceFinished { group, add })
     }
 
     /// Greedy subset construction for the "bunch of jobs with equivalent
@@ -398,13 +345,31 @@ impl Regrouper {
             .then_some(chosen)
     }
 
-    fn escalate(
+    /// Escalates to partial rescheduling over a growing set of involved
+    /// groups, smallest involvement first: §IV-B4's last step after a
+    /// departure the repair ([`Self::replace_departed`]) could not
+    /// back-fill, and the whole decision after the loss of one machine
+    /// from `group` (§VI fault tolerance). `view.grouping` must already
+    /// reflect the changed group — after a crash the master re-runs
+    /// machine allocation over the survivors first.
+    ///
+    /// [`RegroupDecision::NoChange`] keeps the running groups as they
+    /// are — for a crash, the *local* repair on the surviving machines.
+    /// A partial reschedule is returned only when it improves the
+    /// cluster's predicted utilization past the scheduler's improvement
+    /// threshold, i.e. when movement pays for itself. A group that is
+    /// gone (a crash wiped it out) is left to the master, which
+    /// re-places its orphaned jobs directly.
+    pub fn escalate(
         &mut self,
         view: &ClusterView,
         profiles: &ProfileStore,
         group: GroupId,
-        waiting: &[JobId],
     ) -> RegroupDecision {
+        if view.grouping.group(group).is_none() {
+            return RegroupDecision::NoChange;
+        }
+        let waiting = view.profiled.iter().chain(view.paused.iter());
         let cpu_weight = self.scheduler.config().cpu_weight;
         let threshold = self.scheduler.config().improvement_threshold;
         // Freeze every group's Eq. 3 term once; each rung of the
@@ -438,7 +403,7 @@ impl Regrouper {
             let groups = involved.iter().filter_map(|&gid| view.grouping.group(gid));
             let machine_budget = groups.clone().map(|g| g.dop()).sum();
             let moving = groups.flat_map(|g| g.jobs().iter().copied());
-            let ids = waiting.iter().copied().chain(moving);
+            let ids = waiting.clone().copied().chain(moving);
             // No machines or no warm job: an empty outcome, skipped.
             let outcome = self.schedule(ids, profiles, machine_budget);
             if outcome.grouping.is_empty() {
@@ -516,6 +481,20 @@ mod tests {
             jobs.iter().map(|&j| JobId::new(j)).collect(),
             machines.map(MachineId::new).collect(),
         )
+    }
+
+    /// A departure decided as the master composes it: the repair, then
+    /// the ladder when the repair finds nothing.
+    fn departed(
+        view: &ClusterView,
+        profiles: &ProfileStore,
+        iter_time: f64,
+        ratio: f64,
+        group: GroupId,
+    ) -> RegroupDecision {
+        let mut r = Regrouper::default();
+        r.replace_departed(view, profiles, iter_time, ratio, group)
+            .unwrap_or_else(|| r.escalate(view, profiles, group))
     }
 
     #[test]
@@ -596,7 +575,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -623,7 +602,7 @@ mod tests {
             profiled: vec![JobId::new(2), JobId::new(3)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -650,8 +629,7 @@ mod tests {
             profiled: vec![],
             paused: vec![],
         };
-        let d =
-            Regrouper::default().on_job_finished(&view, &store(&ps), 12.0, 1.0, GroupId::new(0));
+        let d = departed(&view, &store(&ps), 12.0, 1.0, GroupId::new(0));
         assert_eq!(d, RegroupDecision::NoChange);
     }
 
@@ -666,7 +644,7 @@ mod tests {
             profiled: vec![],
             paused: vec![],
         };
-        let d = Regrouper::default().on_machine_lost(&view, &store(&ps), GroupId::new(0));
+        let d = Regrouper::default().escalate(&view, &store(&ps), GroupId::new(0));
         assert_eq!(d, RegroupDecision::NoChange);
     }
 
@@ -682,7 +660,7 @@ mod tests {
             profiled: vec![],
             paused: vec![],
         };
-        let d = Regrouper::default().on_machine_lost(&view, &store(&ps), GroupId::new(0));
+        let d = Regrouper::default().escalate(&view, &store(&ps), GroupId::new(0));
         match d {
             RegroupDecision::PartialReschedule {
                 involved_groups, ..
@@ -702,7 +680,7 @@ mod tests {
             profiled: vec![],
             paused: vec![],
         };
-        let d = Regrouper::default().on_machine_lost(&view, &store(&ps), GroupId::new(9));
+        let d = Regrouper::default().escalate(&view, &store(&ps), GroupId::new(9));
         assert_eq!(d, RegroupDecision::NoChange);
     }
 
@@ -718,7 +696,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_aborted(
+        let d = departed(
             &view,
             &store(&ps),
             aborted.iter_time_at(1),
@@ -754,7 +732,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -783,7 +761,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -815,7 +793,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -843,7 +821,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d = Regrouper::default().on_job_finished(
+        let d = departed(
             &view,
             &store(&ps),
             finished.iter_time_at(1),
@@ -870,8 +848,7 @@ mod tests {
             profiled: vec![JobId::new(2)],
             paused: vec![],
         };
-        let d =
-            Regrouper::default().on_job_finished(&view, &store(&ps), 10.0, 4.0, GroupId::new(0));
+        let d = departed(&view, &store(&ps), 10.0, 4.0, GroupId::new(0));
         match d {
             RegroupDecision::PartialReschedule {
                 involved_groups,
@@ -905,8 +882,7 @@ mod tests {
             profiled: vec![],
             paused: vec![],
         };
-        let d =
-            Regrouper::default().on_job_finished(&view, &store(&ps), 21.0, 0.05, GroupId::new(0));
+        let d = departed(&view, &store(&ps), 21.0, 0.05, GroupId::new(0));
         match d {
             RegroupDecision::PartialReschedule {
                 involved_groups,

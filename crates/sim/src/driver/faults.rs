@@ -185,8 +185,8 @@ impl Driver {
             SchedulerKind::Harmony | SchedulerKind::Oracle
         );
         if harmony && self.groups.get(g).is_some_and(Option::is_some) {
-            let decision = self
-                .regroup(|r, view, store| r.on_machine_lost(view, store, GroupId::new(g as u32)));
+            let decision =
+                self.regroup(|r, view, store| r.escalate(view, store, GroupId::new(g as u32)));
             let escalated = !matches!(decision, RegroupDecision::NoChange);
             self.apply_decision(decision);
             self.report.fault_log.record(
@@ -347,8 +347,10 @@ impl Driver {
                 };
                 if self.groups.get(g).is_some_and(Option::is_some) {
                     let (it, ratio) = self.departed_shape(&profile, g);
+                    let group = GroupId::new(g as u32);
                     let decision = self.regroup(|r, view, store| {
-                        r.on_job_aborted(view, store, it, ratio, GroupId::new(g as u32))
+                        r.replace_departed(view, store, it, ratio, group)
+                            .unwrap_or_else(|| r.escalate(view, store, group))
                     });
                     let repaired = !matches!(decision, RegroupDecision::NoChange);
                     self.apply_decision(decision);

@@ -269,7 +269,7 @@ proptest! {
     ) {
         let (view, store) = cluster;
         let hit = GroupId::new(0);
-        match Regrouper::default().on_machine_lost(&view, &store, hit) {
+        match Regrouper::default().escalate(&view, &store, hit) {
             RegroupDecision::NoChange => {} // local repair: shrunken group kept
             RegroupDecision::PartialReschedule { involved_groups, outcome } => {
                 prop_assert!(involved_groups.contains(&hit));
@@ -311,8 +311,8 @@ proptest! {
         let (view, store) = cluster;
         let g = GroupId::new(0);
         let dop = view.grouping.group(g).expect("exists").dop().max(1);
-        let d = Regrouper::default().on_job_aborted(&view, &store, it, ratio, g);
-        if let RegroupDecision::ReplaceFinished { group, add } = d {
+        let d = Regrouper::default().replace_departed(&view, &store, it, ratio, g);
+        if let Some(RegroupDecision::ReplaceFinished { group, add }) = d {
             prop_assert_eq!(group, g);
             prop_assert!(!add.is_empty());
             for &j in &add {
@@ -338,7 +338,7 @@ proptest! {
         cluster in faulted_cluster_strategy(),
     ) {
         let (view, store) = cluster;
-        let d = Regrouper::default().on_machine_lost(&view, &store, GroupId::new(99));
+        let d = Regrouper::default().escalate(&view, &store, GroupId::new(99));
         prop_assert_eq!(d, RegroupDecision::NoChange);
     }
 }
