@@ -478,6 +478,77 @@ fn a_job_joining_a_second_group_starts_its_statistics_from_zero() {
     assert!(d.machines_are_conserved() && d.loading_flags_cover_idle_members());
 }
 
+/// A Harmony driver just after a finish: job 0 finished and left group
+/// `g`, which keeps one CPU-bound member; a second group runs another
+/// CPU-bound job, and `waiting` network-bound jobs wait profiled. None
+/// of them is shaped like the finished job, alone or in a bunch, so
+/// only the escalation ladder can re-form groups. Returns the driver
+/// and `g`.
+fn finish_scene(waiting: usize) -> (Driver, usize) {
+    let mut d = Driver::new(small_cfg(SchedulerKind::Harmony));
+    let warm = |d: &mut Driver, name: &str, tcpu: f64, tnet: f64| {
+        let j = d.jobs.len();
+        let s = spec(name, tcpu * 10.0, tnet * 10.0, 1, 1);
+        let mut profile = JobProfile::from_reference(JobId::new(j as u64), tcpu, tnet);
+        profile.set_memory_footprint(s.input_bytes, s.model_bytes);
+        d.jobs.push(JobSim::new(j, s, 0.0));
+        d.jobs[j].profile = profile;
+        d.jobs[j].state = SimJobState::Profiled;
+        d.arrived_live.insert(j);
+        j
+    };
+    let done = warm(&mut d, "done", 40.0, 1.0);
+    d.arrived_live.remove(done);
+    d.jobs[done].state = SimJobState::Finished;
+    let g = d.create_group(2, false);
+    for (name, home) in [("cpu-a", g), ("cpu-b", d.create_group(2, false))] {
+        let j = warm(&mut d, name, 40.0, 1.0);
+        d.jobs[j].state = SimJobState::Running;
+        assert!(d.attach_job(home, j, true));
+    }
+    for i in 0..waiting {
+        warm(&mut d, &format!("net-{i}"), 2.0, 8.0);
+    }
+    assert_eq!(d.waiting_count(), waiting);
+    (d, g)
+}
+
+/// Every alive group as `(machines, members)`.
+fn groups_of(d: &Driver) -> Vec<(u32, Vec<usize>)> {
+    d.alive_groups()
+        .map(|g| {
+            let grp = d.groups[g].as_ref().expect("alive");
+            (grp.machines, grp.jobs.clone())
+        })
+        .collect()
+}
+
+/// A finish whose backlog already mandates a full pass runs no
+/// escalation ladder: with no similar job waiting, the targeted
+/// decision leaves every group's members and machines alone (the full
+/// pass that follows rebuilds them).
+#[test]
+fn a_finish_at_the_backlog_threshold_skips_the_ladder() {
+    let (mut d, g) = finish_scene(SimConfig::default().waiting_reschedule_threshold);
+    let before = groups_of(&d);
+    d.finished_replacement_decision(0, g);
+    assert_eq!(groups_of(&d), before);
+    assert_eq!(d.report.migrations, 0);
+    assert!(d.machines_are_conserved());
+}
+
+/// One waiting job fewer and no full pass follows the finish, so the
+/// ladder still runs — and in this scene it re-forms groups.
+#[test]
+fn a_finish_below_the_backlog_threshold_still_escalates() {
+    let (mut d, g) = finish_scene(SimConfig::default().waiting_reschedule_threshold - 1);
+    let before = groups_of(&d);
+    d.finished_replacement_decision(0, g);
+    assert_ne!(groups_of(&d), before);
+    assert!(d.waiting_count() < SimConfig::default().waiting_reschedule_threshold - 1);
+    assert!(d.machines_are_conserved());
+}
+
 /// A subtask with no work — a PULL of `pull_fraction` 0, the wire of an
 /// all-reduce job at DoP 1 — completes at the instant it starts; the
 /// wake-per-subtask loop re-armed a zero-length wake there forever.
