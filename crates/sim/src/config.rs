@@ -136,7 +136,10 @@ pub struct SimConfig {
     pub utilization_sample_secs: f64,
     /// Trigger a full reschedule when at least this many profiled/paused
     /// jobs are waiting (engineering guardrail around §IV-B4's
-    /// minimal-movement rules).
+    /// minimal-movement rules). A job finish that meets it still tries
+    /// to back-fill its group with a similar waiting job or a bunch, but
+    /// skips the regrouper's escalation ladder: the full pass that
+    /// follows rebuilds every group the ladder would re-form.
     pub waiting_reschedule_threshold: usize,
     /// Force this DoP for isolated jobs and naive pools instead of the
     /// knee heuristic — used by the motivation experiments (Figures 2-4

@@ -21,8 +21,10 @@
 #                  sparse-wire and live-migration gates at tiny scale,
 #                  the PS steady-state allocation audit (counting
 #                  global allocator, `alloc-count` feature), one run
-#                  of the fig14_vs_oracle experiment binary (the exact
-#                  oracle at 10 jobs), and build, smoke-run and
+#                  each of the fig14_vs_oracle (the exact oracle at 10
+#                  jobs) and fig10_main_comparison (the Fig. 10 table
+#                  and Harmony's seed sweep) experiment binaries, and
+#                  build, smoke-run and
 #                  test the standalone benchmark package (benchmark/,
 #                  the BENCHMARK.json gate).
 #   --bench        additionally run the regression gate: a full
@@ -111,6 +113,9 @@ if [ "$BENCH_SMOKE" = 1 ]; then
 
     echo "==> Figure 14 vs the exact oracle (experiment binary, release)"
     cargo run --release -q -p harmony-bench --bin fig14_vs_oracle >/dev/null
+
+    echo "==> Figure 10 main comparison and seed sweep (experiment binary, release)"
+    cargo run --release -q -p harmony-bench --bin fig10_main_comparison >/dev/null
 
     echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
     cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
