@@ -8,8 +8,8 @@
 //! makespan and CPU utilization as median [min-max] over seeds 0-15.
 
 use harmony_bench::{
-    base_specs, harmony_config, isolated_config, naive_config, run, summary_row, RunSummary,
-    MACHINES,
+    base_specs, harmony_config, isolated_config, median_min_max, naive_config, run, summary_row,
+    RunSummary, MACHINES,
 };
 use harmony_metrics::{Cdf, TextTable};
 use harmony_sim::SimConfig;
@@ -112,12 +112,8 @@ fn main() {
         };
         RunSummary::of(&run(cfg, specs.clone()), MACHINES)
     }));
-    let spread = |pick: fn(&RunSummary) -> f64| {
-        let mut v: Vec<f64> = sweep.iter().map(pick).collect();
-        v.sort_by(f64::total_cmp);
-        let n = v.len();
-        ((v[(n - 1) / 2] + v[n / 2]) / 2.0, v[0], v[n - 1])
-    };
+    let spread =
+        |pick: fn(&RunSummary) -> f64| median_min_max(&sweep.iter().map(pick).collect::<Vec<_>>());
     let (jct, jlo, jhi) = spread(|s| s.mean_jct_min);
     let (ms, mlo, mhi) = spread(|s| s.makespan_min);
     let (cpu, clo, chi) = spread(|s| s.cpu_util * 100.0);

@@ -10,5 +10,5 @@ pub mod harness;
 
 pub use harness::{
     base_specs, comm_intensive_specs, comp_intensive_specs, harmony_config, isolated_config,
-    naive_config, run, summary_row, RunSummary, MACHINES,
+    median_min_max, naive_config, run, summary_row, RunSummary, MACHINES,
 };

@@ -8,9 +8,10 @@
 # the workspace, so a public-API deletion that breaks it must fail
 # here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
-# profile_props, schedule_props, golden_digests, ps_goldens, the
-# harmony-ps suite, the subtask-discipline tests, ps_training), the
-# keyed-noise table spec and the group-advance order test. The simulator's
+# profile_props, schedule_props, regroup_props, golden_digests,
+# ps_goldens, the harmony-ps suite, the subtask-discipline tests,
+# ps_training), the keyed-noise table spec and the group-advance order
+# test. The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
@@ -22,9 +23,10 @@
 #                  the PS steady-state allocation audit (counting
 #                  global allocator, `alloc-count` feature), one run
 #                  each of the fig14_vs_oracle (the exact oracle at 10
-#                  jobs) and fig10_main_comparison (the Fig. 10 table
-#                  and Harmony's seed sweep) experiment binaries, and
-#                  build, smoke-run and
+#                  jobs), fig10_main_comparison (the Fig. 10 table
+#                  and Harmony's seed sweep) and ablation_techniques
+#                  (the §V-C table and its seed sweep) experiment
+#                  binaries, and build, smoke-run and
 #                  test the standalone benchmark package (benchmark/,
 #                  the BENCHMARK.json gate).
 #   --bench        additionally run the regression gate: a full
@@ -74,9 +76,12 @@ cargo test --release -q -p harmony --test profile_feedback
 echo "==> Eq. 2 normalization property tests (release)"
 cargo test --release -q -p harmony-core --test profile_props
 # The scan's helper threads interleave differently at release speed;
-# thread-count independence and the pinned digests must hold there too.
+# thread-count independence and the pinned digests must hold there too
+# (regroup_props pins the regrouper's decisions and drives the helpers
+# through warm cache/scratch pairs).
 echo "==> Algorithm 1 scan determinism gates (release)"
 cargo test --release -q -p harmony-core --test schedule_props
+cargo test --release -q -p harmony-core --test regroup_props
 cargo test --release -q -p harmony --test golden_digests
 # Keyed straggler noise: the tables' spec (10^6 keys per cell against
 # the exact quantile, release only) and the group-advance order test
@@ -116,6 +121,9 @@ if [ "$BENCH_SMOKE" = 1 ]; then
 
     echo "==> Figure 10 main comparison and seed sweep (experiment binary, release)"
     cargo run --release -q -p harmony-bench --bin fig10_main_comparison >/dev/null
+
+    echo "==> §V-C technique ablation and seed sweep (experiment binary, release)"
+    cargo run --release -q -p harmony-bench --bin ablation_techniques >/dev/null
 
     echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
     cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
