@@ -32,6 +32,8 @@
 //! calling thread's (`helpers`), so a caller that carries its scratch
 //! across decisions carries theirs too.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::job::JobId;
 use crate::profile::JobProfile;
 use crate::schedule::PrefixEval;
@@ -64,10 +66,11 @@ pub struct ProfileCache {
     /// with CPU work, `0` for fully idle profiles — never NaN, so the
     /// split search is total).
     pub(crate) ratio_key: Vec<f64>,
-    /// Monotonic build stamp: bumped by every [`Self::sync`] that
-    /// changed any cached value. [`ScheduleScratch::load_prefix`] keys its loaded
-    /// prefix on this, so a decision over an unchanged cache skips the
-    /// initial prefix gather.
+    /// Build stamp, drawn afresh by every [`Self::sync`] that changed
+    /// any cached value from one process-wide counter, so no two
+    /// caches' contents ever share a stamp. [`ScheduleScratch::load_prefix`]
+    /// keys its loaded prefix on this, so a decision over an unchanged
+    /// cache skips the initial prefix gather.
     pub(crate) generation: u64,
     /// Scratch: dirty positions of the current incremental rebuild.
     dirty: Vec<u32>,
@@ -76,6 +79,15 @@ pub struct ProfileCache {
     dirty_mask: Vec<bool>,
     /// Scratch: merge output buffer for order repair.
     merged: Vec<u32>,
+}
+
+/// Source of every [`ProfileCache::generation`]; starts at 1 so that
+/// 0 can mean "never loaded".
+static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+
+/// A generation no cache has held before.
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Sanitized balance break-point `tcpu1 / tnet` (never NaN).
@@ -217,7 +229,7 @@ impl ProfileCache {
         dirty.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
         Self::repair_order(ratio_order, dirty, dirty_mask, merged, ratio_cmp);
 
-        self.generation += 1;
+        self.generation = next_generation();
     }
 
     /// The full rebuild behind [`Self::sync`]'s shape-change fallback.
@@ -252,7 +264,7 @@ impl ProfileCache {
         ratio_order.clear();
         ratio_order.extend(0..n as u32);
         ratio_order.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
-        self.generation += 1;
+        self.generation = next_generation();
     }
 
     /// Repairs one sort order after a dirty-set update: drops the
@@ -403,8 +415,8 @@ pub struct ScheduleScratch {
     /// ≥ 1). Together with `loaded_nj` this keys the loaded views, so
     /// re-loading the same prefix of an unchanged cache is free — the
     /// common case when [`ProfileCache::sync`] found nothing dirty
-    /// between decisions. A scratch must stay paired with one
-    /// cache for this key to be sound (every caller owns the pair).
+    /// between decisions. Generations are unique across caches, so a
+    /// scratch may move between caches.
     pub(crate) loaded_gen: u64,
 }
 
@@ -605,16 +617,18 @@ mod tests {
         cache.sync(&jobs);
         assert_eq!(cache.generation, g0);
 
-        // A real value change bumps it.
+        // A real value change draws a new one (other caches, in other
+        // tests' threads, may draw in between).
         jobs[1] = prof(1, 9.0, 1.0);
         cache.sync(&jobs);
-        assert_eq!(cache.generation, g0 + 1);
+        let g1 = cache.generation;
+        assert!(g1 > g0);
         assert_eq!(cache.size_order, vec![1, 0]);
 
         // So does a shape change, which rebuilds everything.
         jobs.pop();
         cache.sync(&jobs);
-        assert_eq!(cache.generation, g0 + 2);
+        assert!(cache.generation > g1);
         assert_eq!(cache.size_order, vec![0]);
     }
 

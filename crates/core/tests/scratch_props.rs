@@ -225,3 +225,40 @@ proptest! {
         }
     }
 }
+
+/// One scratch shared across caches built apart: every cache's
+/// generation is drawn from one process-wide counter, so a scratch
+/// never mistakes one cache's loaded prefix views for another's, and
+/// each price matches the one a fresh scratch gives. (When every fresh
+/// cache started at generation 1, pricing six jobs left the scratch
+/// holding their five-job prefix, and pricing five other jobs next
+/// scored them with those stale views.)
+#[test]
+fn a_scratch_shared_across_fresh_caches_prices_like_a_fresh_one() {
+    use harmony_core::schedule::Scheduler;
+    use harmony_core::scratch::ScheduleScratch;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = move |lo: f64, hi: f64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+    };
+    let scheduler = Scheduler::default();
+    let mut shared = ScheduleScratch::new();
+    for _ in 0..50 {
+        for n in [6, 5] {
+            let jobs: Vec<JobProfile> = (0..n)
+                .map(|i| {
+                    JobProfile::from_reference(JobId::new(i), draw(1.0, 100.0), draw(0.5, 40.0))
+                })
+                .collect();
+            let machines = draw(2.0, 12.0) as u32;
+            let price = |scratch: &mut ScheduleScratch| {
+                scheduler.price_candidate(&jobs, machines, &mut ProfileCache::empty(), scratch)
+            };
+            let reused = price(&mut shared);
+            assert_eq!(reused, price(&mut ScheduleScratch::new()));
+        }
+    }
+}

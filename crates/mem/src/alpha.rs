@@ -10,6 +10,50 @@
 //! its own controller, which is what lets Harmony beat any single fixed
 //! α shared by all jobs (§V-G: adaptive 44.3 s vs best-fixed 52.9 s).
 
+/// Resolution of the α grid: a disk ratio is `k / ALPHA_STEPS` for an
+/// integer `k` in `0..=ALPHA_STEPS`, so the bytes it puts on disk are
+/// `k · input / 2¹²` and the simulator keeps them as exact integers.
+/// The grid is 13× finer than the hill-climber's smallest step.
+pub const ALPHA_STEPS: u32 = 1 << 12;
+
+/// Which way [`alpha_steps`] rounds a ratio that falls between two
+/// grid points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rounding {
+    /// Up: for a floor or a fit target, which must never spill too
+    /// little.
+    Up,
+    /// To the nearest grid point, ties away from zero: for a ratio
+    /// that is a choice, not a bound (the hill-climb, a fixed α).
+    Nearest,
+}
+
+/// The grid point `k` of the disk ratio `alpha` (clamped into
+/// `[0, 1]`; NaN reads as 0): `α = k / ALPHA_STEPS`.
+///
+/// ```
+/// use harmony_mem::alpha::{alpha_steps, Rounding, ALPHA_STEPS};
+///
+/// assert_eq!(alpha_steps(0.5, Rounding::Nearest), ALPHA_STEPS / 2);
+/// assert_eq!(alpha_steps(1e-9, Rounding::Up), 1);
+/// assert_eq!(alpha_steps(1e-9, Rounding::Nearest), 0);
+/// assert_eq!(alpha_steps(7.0, Rounding::Up), ALPHA_STEPS);
+/// ```
+pub fn alpha_steps(alpha: f64, rounding: Rounding) -> u32 {
+    let x = alpha.clamp(0.0, 1.0) * f64::from(ALPHA_STEPS);
+    let k = match rounding {
+        Rounding::Up => x.ceil(),
+        Rounding::Nearest => x.round(),
+    };
+    // `as` saturates, and maps NaN to 0.
+    k as u32
+}
+
+/// The disk ratio of grid point `k`, exactly.
+pub fn alpha_of_steps(k: u32) -> f64 {
+    f64::from(k) / f64::from(ALPHA_STEPS)
+}
+
 /// Per-job hill-climbing controller for the disk-block ratio α.
 ///
 /// # Examples
@@ -208,6 +252,20 @@ mod tests {
         assert!((a - 0.5).abs() < 1e-12);
         // Zero input is a no-op.
         assert_eq!(AlphaController::initial_alpha(0, 10, 10), 0.0);
+    }
+
+    #[test]
+    fn grid_round_trips_and_rounds_each_way() {
+        for k in [0, 1, 2047, 2048, ALPHA_STEPS - 1, ALPHA_STEPS] {
+            let a = alpha_of_steps(k);
+            assert_eq!(alpha_steps(a, Rounding::Up), k);
+            assert_eq!(alpha_steps(a, Rounding::Nearest), k);
+        }
+        let between = alpha_of_steps(100) + 0.3 / f64::from(ALPHA_STEPS);
+        assert_eq!(alpha_steps(between, Rounding::Up), 101);
+        assert_eq!(alpha_steps(between, Rounding::Nearest), 100);
+        assert_eq!(alpha_steps(-0.5, Rounding::Up), 0);
+        assert_eq!(alpha_steps(f64::NAN, Rounding::Up), 0);
     }
 
     #[test]

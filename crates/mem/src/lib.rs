@@ -19,7 +19,8 @@
 //! - [`block`]: input-data blocks and their residency;
 //! - [`store`]: a per-job block store with spill/reload plumbing and
 //!   pluggable backends (pure accounting, or real temp files);
-//! - [`alpha`]: the per-job hill-climbing α controller;
+//! - [`alpha`]: the per-job hill-climbing α controller, and the
+//!   `2⁻¹²` grid every simulated α lies on;
 //! - [`gc`]: the analytic GC-pressure model shared with the cluster
 //!   simulator;
 //! - [`pool`]: a recycling pool of `f64` working buffers so the PS
@@ -31,7 +32,7 @@ pub mod gc;
 pub mod pool;
 pub mod store;
 
-pub use alpha::AlphaController;
+pub use alpha::{alpha_of_steps, alpha_steps, AlphaController, Rounding, ALPHA_STEPS};
 pub use block::{Block, BlockId, Residency};
 pub use gc::GcModel;
 pub use pool::{BufferPool, PoolStats, PooledBuffer, PooledIndexBuffer};

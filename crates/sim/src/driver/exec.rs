@@ -13,6 +13,8 @@
 //! at that instant, and the driver applies it once every group has
 //! reached the instant.
 
+use harmony_mem::{alpha_steps, Rounding};
+
 use super::*;
 use crate::noise::{BarrierTable, DrawKey};
 use crate::runtime::Crossing;
@@ -44,8 +46,6 @@ pub(super) struct ExecEnv<'a> {
     pub(super) mem: &'a MemoryParams,
     /// The straggler quantile; `None` without noise.
     pub(super) noise: Option<&'a BarrierTable>,
-    /// [`Driver::coalesce_active`].
-    pub(super) coalesce: bool,
 }
 
 /// Buffers a group's subtask loop reuses across calls.
@@ -385,19 +385,10 @@ impl GroupStep<'_> {
                 let cost = job.alpha_cost_acc / f64::from(job.alpha_cost_n);
                 job.alpha_cost_acc = 0.0;
                 job.alpha_cost_n = 0;
-                let floor = job.alpha_floor;
                 if let Some(ctl) = job.alpha_ctl.as_mut() {
-                    let a = ctl.observe(cost);
-                    let old = job.alpha;
-                    job.alpha = a.max(floor).min(1.0);
-                    // Keep the group's cached memory aggregates in
-                    // step with the climb; the next re-plan refolds
-                    // them exactly, so incremental float drift never
-                    // accumulates past one membership epoch.
-                    let delta = job.alpha - old;
-                    let input = job.spec.input_bytes as f64;
-                    grp.mem_base_bytes -= delta * input * env.mem.expansion;
-                    grp.alpha_input_bytes += delta * input;
+                    let k = alpha_steps(ctl.observe(cost), Rounding::Nearest);
+                    let spilled = job.model_spilled;
+                    job.set_memory(&mut grp.books, k.max(job.alpha_floor_k), spilled);
                 }
             }
         }
@@ -464,7 +455,7 @@ impl GroupStep<'_> {
     fn detach(&mut self, j: usize) -> Option<PredictionSample> {
         let now = self.grp.clock;
         let prediction = finalize_prediction(self.env.cfg, self.grp, self.jobs, now);
-        self.grp.jobs.retain(|&x| x != j);
+        self.grp.remove_member(j, &self.jobs[j]);
         self.jobs[j].group = None;
         self.jobs[j].exec = ExecPhase::Idle { ready_at: now };
         prediction
@@ -515,7 +506,7 @@ impl GroupStep<'_> {
         let job = &self.jobs[j];
         let spec_input = job.spec.input_bytes as f64;
         let spec_model = job.spec.model_bytes as f64;
-        let alpha = job.alpha;
+        let alpha = job.alpha();
         let draw = DrawKey {
             job: j,
             iteration: job.iterations_done,
@@ -536,29 +527,14 @@ impl GroupStep<'_> {
                     }
                 }
                 let deser = alpha * spec_input / (mf * cfg.deser_bytes_per_sec);
-                // Large single-COMP groups of the coalesced mode price
-                // memory and disk from the group's cached aggregates.
+                // The resident set comes from the group's books; the
+                // live working sets are this job's and those of the
+                // COMPs still running (none under one COMP slot).
                 let grp = &*self.grp;
-                let cached = env.coalesce
-                    && grp.lanes.slots(Lane::Cpu) == 1
-                    && grp.jobs.len() >= COALESCE_BATCH_BUILD_MIN;
-                let gc = if cached {
-                    // One COMP at a time: the fluid was empty when this
-                    // dispatch fired and every cancel path resets
-                    // `exec`, so the computing set is exactly this job.
-                    // Price the resident set from the group's cached
-                    // aggregate instead of refolding every member —
-                    // this probe runs once per COMP dispatch, and the
-                    // fold made the event path scale with
-                    // iterations × group size.
-                    let bytes = grp.mem_base_bytes
-                        + spec_input * env.mem.workspace_fraction * env.mem.expansion;
-                    cfg.gc.slowdown(bytes / (mf * env.mem.capacity as f64))
-                } else {
-                    let members = grp.jobs.iter().map(|&k| footprint(&self.jobs[k]));
-                    groupmem::gc_slowdown(members, m, env.mem, &cfg.gc)
-                };
-                let job = &self.jobs[j];
+                let computing = u128::from(job.spec.input_bytes) + grp.computing_input(self.jobs);
+                let gc = cfg
+                    .gc
+                    .slowdown(grp.books.usage_ratio(computing, m, env.mem));
                 let gap = (now - job.last_comp_end).max(0.0);
                 // Disk bandwidth is shared by the background preloads of
                 // every co-located job. Reads spread over the whole group
@@ -566,17 +542,7 @@ impl GroupStep<'_> {
                 // aggregate read demand exceeds what the disk can deliver
                 // in one round: stretch this job's read by that
                 // oversubscription ratio.
-                let total_reads: f64 = if cached {
-                    grp.alpha_input_bytes / (mf * disk_bw)
-                } else {
-                    grp.jobs
-                        .iter()
-                        .map(|&k| {
-                            self.jobs[k].alpha * self.jobs[k].spec.input_bytes as f64
-                                / (mf * disk_bw)
-                        })
-                        .sum()
-                };
+                let total_reads = grp.books.disk_bytes() / (mf * disk_bw);
                 let round_est = if job.last_iter_wall > 0.0 {
                     job.last_iter_wall
                 } else {

@@ -80,7 +80,7 @@ impl Driver {
     fn restart_in_place(&mut self, g: usize, j: usize) -> f64 {
         let grp = self.groups[g].as_mut().expect("alive");
         grp.evict(j, self.jobs[j].exec);
-        let reload = ((1.0 - self.jobs[j].alpha) * self.jobs[j].spec.input_bytes as f64
+        let reload = ((1.0 - self.jobs[j].alpha()) * self.jobs[j].spec.input_bytes as f64
             + self.jobs[j].spec.model_bytes as f64)
             / (f64::from(grp.machines) * self.cfg.machine.disk_bytes_per_sec);
         self.jobs[j].leave_exec(self.now + reload);

@@ -51,11 +51,10 @@ impl Driver {
     }
 
     /// [`Self::attach_job`] with the memory re-plan optionally
-    /// deferred. Population loops in coalesced mode attach every member
-    /// first and re-plan once ([`Self::finish_group_build`]): the
-    /// per-attach re-plan is O(members), so building a k-member group
-    /// through it costs O(k²) — the dominant event-path term once
-    /// windows let groups grow into the thousands.
+    /// deferred. A group build attaches every member first and
+    /// re-plans once ([`Self::finish_group_build`]): the re-plan is
+    /// O(members), so one per attach would make a k-member build
+    /// O(k²).
     pub(super) fn attach_job_with_replan(
         &mut self,
         g: usize,
@@ -78,7 +77,7 @@ impl Driver {
             }
             return false;
         };
-        let mut load_bytes = (1.0 - self.jobs[j].alpha) * self.jobs[j].spec.input_bytes as f64;
+        let mut load_bytes = (1.0 - self.jobs[j].alpha()) * self.jobs[j].spec.input_bytes as f64;
         // A live-migrating job reloads its model checkpoint alongside
         // its input blocks (§IV-B4).
         if self.jobs[j].migrate_mark.is_some() {
@@ -130,7 +129,7 @@ impl Driver {
         self.touch(g);
         let mut grp = self.groups[g].take().expect("alive group");
         self.finalize_prediction_of(&mut grp);
-        grp.jobs.push(j);
+        grp.add_member(j, &self.jobs[j]);
         grp.loading = true;
         if delay > 0.0 {
             grp.ready_heap
@@ -182,7 +181,7 @@ impl Driver {
         self.groups[g] = Some(owned);
         let grp = self.groups[g].as_mut().expect("job group alive");
         grp.evict(j, self.jobs[j].exec);
-        grp.jobs.retain(|&x| x != j);
+        grp.remove_member(j, &self.jobs[j]);
         self.jobs[j].leave_exec(self.now);
         if self.groups[g].as_ref().expect("alive").jobs.is_empty() {
             self.dissolve_group(g);
@@ -221,10 +220,9 @@ impl Driver {
     }
 
     /// Pauses and detaches every member of `g` in one sweep, then
-    /// dissolves it. Equivalent to detaching member-by-member, but the
-    /// per-member queue and `jobs.retain` scans make that O(k²) for
-    /// a k-member group — coalesced full passes tear down every
-    /// involved group on each flush, so they route through here.
+    /// dissolves it: no member is re-planned or re-dispatched on the
+    /// way out. Detaching member by member would re-plan the shrinking
+    /// group after each one, O(k²) for a k-member group.
     pub(super) fn teardown_group(&mut self, g: usize) {
         self.touch(g);
         let Some(mut grp) = self.groups.get_mut(g).and_then(Option::take) else {
@@ -232,6 +230,7 @@ impl Driver {
         };
         self.finalize_prediction_of(&mut grp);
         let members = std::mem::take(&mut grp.jobs);
+        grp.books = MemBooks::default();
         grp.lanes.retain(|_| false);
         for &j in &members {
             if self.jobs[j].is_live() {

@@ -42,7 +42,7 @@ use crate::admission::AdmissionPolicy;
 use crate::config::{ReloadPolicy, SchedulerKind, SimConfig};
 use crate::events::EventQueue;
 use crate::fluid::TaskKey;
-use crate::groupmem::{self, JobFootprint, MemoryParams};
+use crate::groupmem::{MemBooks, MemoryParams};
 use crate::idset::IdSet;
 use crate::noise::BarrierTable;
 use crate::report::{JobOutcome, PredictionSample, ReschedReason, RunReport};
@@ -62,17 +62,7 @@ mod tests;
 
 use exec::{ExecEnv, ExecScratch, GroupBounds, GroupStep};
 use faults::next_failure_gap;
-use memory::footprint;
 use resched::CoalesceWindow;
-
-/// Member-count floor above which coalesced mode builds and tears down
-/// groups with one batched memory re-plan instead of one per member.
-/// Below it the per-member path is cheap and keeps the coalesced arm's
-/// decision history close to the exact arm's (the tiny-workload
-/// acceptance matrix runs entirely under this floor); above it the
-/// per-member re-plans make group builds O(k²), which dominated the
-/// event wall once windows let groups grow into the hundreds.
-const COALESCE_BATCH_BUILD_MIN: usize = 32;
 
 #[cfg(test)]
 thread_local! {
@@ -206,10 +196,6 @@ pub struct Driver {
     active_scheduled: usize,
     /// Scratch arena: member snapshots taken while a group is mutated.
     scratch_members: Vec<usize>,
-    /// Scratch arena: footprint buffer for the memory model.
-    scratch_fp: Vec<JobFootprint>,
-    /// Scratch arena: second footprint buffer (probe internals).
-    scratch_fp2: Vec<JobFootprint>,
     /// Scratch arena: alive-group id snapshots for fault targeting.
     scratch_groups: Vec<usize>,
     /// Scratch arena: alive-group id snapshot of one round of group
@@ -280,8 +266,6 @@ impl Driver {
             dead_jobs: 0,
             active_scheduled: 0,
             scratch_members: Vec::new(),
-            scratch_fp: Vec::new(),
-            scratch_fp2: Vec::new(),
             scratch_groups: Vec::new(),
             scratch_round: Vec::new(),
             exec_scratch: ExecScratch::default(),
@@ -521,6 +505,15 @@ impl Driver {
         })
     }
 
+    /// Debug cross-check, run after every event: each alive group's
+    /// memory books equal a fresh integer fold over its members, so no
+    /// write of an α, a model-spill flag or a membership missed them.
+    fn group_books_match_fold(&self) -> bool {
+        self.groups.iter().flatten().all(|grp| {
+            grp.books == MemBooks::fold(grp.jobs.iter().map(|&j| self.jobs[j].holding()))
+        })
+    }
+
     fn live_jobs(&self) -> usize {
         // Debug cross-check of the dead-job counter (a full walk on
         // purpose: not-yet-arrived jobs are live too).
@@ -646,7 +639,6 @@ impl Driver {
             cfg: &self.cfg,
             mem: &self.mem,
             noise: self.noise.as_deref(),
-            coalesce: self.coalesce_active(),
         };
         let r = f(&mut GroupStep {
             env,
@@ -917,6 +909,11 @@ impl Driver {
             self.now
         );
         debug_assert!(
+            self.group_books_match_fold(),
+            "a group's memory books differ from the fold over its members at t={}",
+            self.now
+        );
+        debug_assert!(
             self.groups_are_caught_up(),
             "a group is ahead of t={}, behind on its events, or holds unapplied crossings",
             self.now
@@ -976,19 +973,6 @@ impl Driver {
         self.in_state(s).map(|j| JobId::new(j as u64)).collect()
     }
 
-    /// Whether the equivalence-relaxed coalesced machinery (windows,
-    /// batch group builds and teardowns, cached aggregates) is in
-    /// force. The flag must stay inert for schedulers whose finish
-    /// path never consults the window (Isolated, Naive), so the fast
-    /// paths gate on this, not on the raw flag.
-    fn coalesce_active(&self) -> bool {
-        self.cfg.coalesced_passes
-            && matches!(
-                self.cfg.scheduler,
-                SchedulerKind::Harmony | SchedulerKind::Oracle
-            )
-    }
-
     fn waiting_count(&self) -> usize {
         self.arrived_live
             .iter()
@@ -1031,7 +1015,7 @@ impl Driver {
                 failed: j.state == SimJobState::Failed,
                 aborted: j.aborted,
                 rejected: j.rejected,
-                final_alpha: j.alpha,
+                final_alpha: j.alpha(),
             })
             .collect();
         report.scheduler = match self.cfg.scheduler {

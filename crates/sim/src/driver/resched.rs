@@ -654,40 +654,9 @@ impl Driver {
         }
 
         // Pause and dissolve the involved groups.
-        let mut members = std::mem::take(&mut self.scratch_members);
         for &g in &involved {
-            // One O(k) sweep instead of k O(k) detaches — but only
-            // where the quadratic bites. Small groups keep the exact
-            // arm's detach-by-detach history, so the tiny-workload
-            // acceptance matrix diverges only through the window
-            // timing itself, not through teardown bookkeeping.
-            if self.coalesce_active()
-                && self
-                    .groups
-                    .get(g)
-                    .and_then(|x| x.as_ref())
-                    .is_some_and(|grp| grp.jobs.len() >= COALESCE_BATCH_BUILD_MIN)
-            {
-                self.teardown_group(g);
-                continue;
-            }
-            let Some(grp) = self.groups.get(g).and_then(|x| x.as_ref()) else {
-                continue;
-            };
-            members.clear();
-            members.extend_from_slice(&grp.jobs);
-            for &j in &members {
-                if self.jobs[j].is_live() {
-                    self.jobs[j].state = SimJobState::Paused;
-                }
-                self.detach_job(j);
-            }
-            if self.groups.get(g).is_some_and(Option::is_some) {
-                self.dissolve_group(g);
-            }
+            self.teardown_group(g);
         }
-        members.clear();
-        self.scratch_members = members;
 
         // Build the new groups.
         for (gi, core_group) in outcome.grouping.groups().iter().enumerate() {
@@ -697,11 +666,6 @@ impl Driver {
             }
             let predicted_it = outcome.predicted_iteration.get(gi).copied();
             let util = outcome.utilization;
-            // Same size floor as the teardown sweep: defer the
-            // per-attach re-plan only for groups big enough that the
-            // O(k²) build actually costs something.
-            let batch_build =
-                self.coalesce_active() && core_group.jobs().len() >= COALESCE_BATCH_BUILD_MIN;
             // Predictions are armed only after the founding members are
             // attached, so population itself does not finalize them.
             let g = self.create_group(m, false);
@@ -722,14 +686,10 @@ impl Driver {
                 if !unchanged && old_placement.contains_key(&j) {
                     self.report.migrations += 1;
                 }
-                // Coalesced mode defers the per-attach memory re-plan
-                // to one batch re-plan below; the exact mode keeps the
-                // attach-by-attach plan (and its bit-exact history).
-                self.place_in_group(g, j, !batch_build);
+                // One memory plan for the whole build, below.
+                self.place_in_group(g, j, false);
             }
-            if batch_build {
-                self.finish_group_build(g);
-            }
+            self.finish_group_build(g);
             if let Some(grp) = self.groups.get_mut(g).and_then(Option::as_mut) {
                 grp.predicted_iteration = predicted_it;
                 grp.predicted_util = Some((util.cpu, util.net));

@@ -294,6 +294,11 @@ impl Fluid {
         }
     }
 
+    /// The job of every active task, in no stated order.
+    pub fn jobs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tasks.iter().map(|t| t.key.job)
+    }
+
     /// Keys of active tasks belonging to `job`, in admission order
     /// (`seq` is monotone per job).
     pub fn tasks_of(&self, job: usize) -> Vec<TaskKey> {

@@ -10,6 +10,7 @@ use harmony_mem::AlphaController;
 use harmony_metrics::OnlineStats;
 
 use crate::fluid::Fluid;
+use crate::groupmem::{Holding, MemBooks};
 use crate::report::PredictionSample;
 use crate::spans::SubtaskSpan;
 
@@ -100,10 +101,13 @@ pub struct JobSim {
     pub profiling_left: u32,
     /// The profiled metrics (updated every iteration, §IV-B1).
     pub profile: JobProfile,
-    /// Current disk ratio α.
-    pub alpha: f64,
-    /// Never let α fall below this (the group would stop fitting).
-    pub alpha_floor: f64,
+    /// The disk ratio's grid point: `α = alpha_k / 2¹²`
+    /// ([`harmony_mem::ALPHA_STEPS`]). Written through
+    /// [`Self::set_memory`] while the job is in a group.
+    pub alpha_k: u32,
+    /// Never let `alpha_k` fall below this (the group would stop
+    /// fitting).
+    pub alpha_floor_k: u32,
     /// Hill-climbing controller (only under `ReloadPolicy::Adaptive`).
     pub alpha_ctl: Option<AlphaController>,
     /// Whether the model is spilled too (§IV-C fallback).
@@ -220,8 +224,8 @@ impl JobSim {
             total_iterations,
             profiling_left: 0,
             profile,
-            alpha: 0.0,
-            alpha_floor: 0.0,
+            alpha_k: 0,
+            alpha_floor_k: 0,
             alpha_ctl: None,
             model_spilled: false,
             group: None,
@@ -274,6 +278,30 @@ impl JobSim {
     pub fn attempt(&self) -> u64 {
         let i = self.iterations_done;
         self.lost.iter().filter(|&&(a, b)| a <= i && i <= b).count() as u64
+    }
+
+    /// Current disk ratio α.
+    pub fn alpha(&self) -> f64 {
+        harmony_mem::alpha_of_steps(self.alpha_k)
+    }
+
+    /// What the job holds in its group's memory books.
+    pub fn holding(&self) -> Holding {
+        Holding {
+            input_bytes: self.spec.input_bytes,
+            model_bytes: self.spec.model_bytes,
+            alpha_k: self.alpha_k,
+            model_spilled: self.model_spilled,
+        }
+    }
+
+    /// Moves the job's α to grid point `alpha_k` and its model-spill
+    /// flag to `model_spilled`, rebooking it in `books`, its group's.
+    pub fn set_memory(&mut self, books: &mut MemBooks, alpha_k: u32, model_spilled: bool) {
+        books.remove(self.holding());
+        self.alpha_k = alpha_k;
+        self.model_spilled = model_spilled;
+        books.add(self.holding());
     }
 
     /// Takes the job off its group's resources' books at `now`: it goes
@@ -403,16 +431,11 @@ pub struct GroupSim {
     /// per-event O(members) promotion and ready-time scans are
     /// skipped.
     pub loading: bool,
-    /// Cached Σ over members of `(1 − α)·input·expansion` plus the
-    /// unspilled model bytes — the non-workspace part of the group's
-    /// memory footprint. The driver refolds it on every membership or
-    /// memory-plan change and nudges it incrementally on α hill-climb
-    /// steps, so the GC probe on every COMP dispatch is O(1) instead
-    /// of O(members).
-    pub mem_base_bytes: f64,
-    /// Cached Σ over members of `α·input` bytes (background disk-read
-    /// pricing), maintained alongside `mem_base_bytes`.
-    pub alpha_input_bytes: f64,
+    /// The members' memory books: exact integer sums that every
+    /// membership change and every write of a member's α or model-spill
+    /// flag moves, so the GC and disk-read pricing of a COMP dispatch
+    /// reads them in O(1).
+    pub books: MemBooks,
     /// Lazy min-heap of `(ready_at bits, job)` for members still
     /// loading input, pushed wherever a member goes `Idle` with a ready
     /// time ahead (attach, restart in place). The group's next-event
@@ -461,8 +484,7 @@ impl GroupSim {
             slow_factor: 1.0,
             slow_until: 0.0,
             loading: false,
-            mem_base_bytes: 0.0,
-            alpha_input_bytes: 0.0,
+            books: MemBooks::default(),
             ready_heap: std::collections::BinaryHeap::new(),
             samples: VecDeque::new(),
             acc: GroupAcc::default(),
@@ -492,6 +514,28 @@ impl GroupSim {
             (None, Some(b)) => Some(b),
             (Some(a), Some(b)) => Some(a.min(b)),
         }
+    }
+
+    /// Makes job `j` a member and books what it holds.
+    pub fn add_member(&mut self, j: usize, job: &JobSim) {
+        self.jobs.push(j);
+        self.books.add(job.holding());
+    }
+
+    /// Takes member `j` out of the member list and its holding off the
+    /// books (its subtasks are [`Self::evict`]'s business).
+    pub fn remove_member(&mut self, j: usize, job: &JobSim) {
+        self.jobs.retain(|&x| x != j);
+        self.books.remove(job.holding());
+    }
+
+    /// Σ input bytes of the members whose COMP subtask runs now: the
+    /// working sets that are live.
+    pub fn computing_input(&self, jobs: &[JobSim]) -> u128 {
+        self.cpu
+            .jobs()
+            .map(|j| u128::from(jobs[j].spec.input_bytes))
+            .sum()
     }
 
     /// Takes job `j`, at position `exec`, off the group's resources:
