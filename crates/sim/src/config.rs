@@ -227,6 +227,11 @@ pub struct SimConfig {
     /// ([`harmony_core::schedule::Scheduler::schedule_release`]), so
     /// freed capacity never idles behind the deferral.
     ///
+    /// The flag switches only that window, and only for the Harmony
+    /// and oracle schedulers, whose finish path consults it: group
+    /// builds, teardowns and memory pricing run one path either way,
+    /// and the Isolated and Naive baselines run byte-identically.
+    ///
     /// This mode is equivalence-*relaxed*: decisions legitimately
     /// differ from the exact arm. The acceptance story is quantified
     /// instead — `tests/coalesce_acceptance.rs` holds mean JCT and
@@ -234,8 +239,7 @@ pub struct SimConfig {
     /// schedulers and faults, and `RunReport::coalesce_staleness`
     /// proves no deferred decision ever waits longer than the window.
     /// Off by default; with the flag off the event path never consults
-    /// the window machinery, so the exact arm's goldens stay
-    /// byte-identical.
+    /// the window machinery.
     pub coalesced_passes: bool,
     /// Virtual seconds a coalescing window stays open before flushing
     /// (the staleness bound on any deferred finish pass). Only

@@ -24,8 +24,10 @@
 #                  global allocator, `alloc-count` feature), one run
 #                  each of the fig14_vs_oracle (the exact oracle at 10
 #                  jobs), fig10_main_comparison (the Fig. 10 table
-#                  and Harmony's seed sweep) and ablation_techniques
-#                  (the §V-C table and its seed sweep) experiment
+#                  and Harmony's seed sweep), ablation_techniques
+#                  (the §V-C table and its seed sweep) and
+#                  microbench_reload (the §V-G row: adaptive α against
+#                  the fixed-α sweep on one pinned group) experiment
 #                  binaries, and build, smoke-run and
 #                  test the standalone benchmark package (benchmark/,
 #                  the BENCHMARK.json gate).
@@ -124,6 +126,9 @@ if [ "$BENCH_SMOKE" = 1 ]; then
 
     echo "==> §V-C technique ablation and seed sweep (experiment binary, release)"
     cargo run --release -q -p harmony-bench --bin ablation_techniques >/dev/null
+
+    echo "==> §V-G dynamic reloading micro-benchmark (experiment binary, release)"
+    cargo run --release -q -p harmony-bench --bin microbench_reload >/dev/null
 
     echo "==> benchmark package (BENCHMARK.json gate: smoke run + its tests)"
     cargo run --release -q --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
