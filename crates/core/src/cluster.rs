@@ -68,60 +68,6 @@ impl Default for MachineSpec {
     }
 }
 
-/// A homogeneous cluster: `count` machines of one [`MachineSpec`].
-///
-/// # Examples
-///
-/// ```
-/// use harmony_core::cluster::ClusterSpec;
-///
-/// let cluster = ClusterSpec::homogeneous(100);
-/// assert_eq!(cluster.len(), 100);
-/// assert_eq!(cluster.machine_ids().count(), 100);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSpec {
-    count: u32,
-    machine: MachineSpec,
-}
-
-impl ClusterSpec {
-    /// Creates a cluster of `count` default (m4.2xlarge) machines.
-    pub fn homogeneous(count: u32) -> Self {
-        Self::with_machine(count, MachineSpec::default())
-    }
-
-    /// Creates a cluster of `count` machines with the given spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn with_machine(count: u32, machine: MachineSpec) -> Self {
-        assert!(count > 0, "a cluster needs at least one machine");
-        Self { count, machine }
-    }
-
-    /// Number of machines.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether the cluster is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The per-machine hardware description.
-    pub fn machine(&self) -> &MachineSpec {
-        &self.machine
-    }
-
-    /// Iterates all machine IDs, `M0..M{count-1}`.
-    pub fn machine_ids(&self) -> impl Iterator<Item = MachineId> {
-        (0..self.count).map(MachineId::new)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,20 +79,6 @@ mod tests {
         assert_eq!(m.memory_bytes, 32 << 30);
         // 1.1 Gbps in bytes/s.
         assert!((m.network_bytes_per_sec - 137_500_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn homogeneous_cluster_enumerates_ids() {
-        let c = ClusterSpec::homogeneous(4);
-        let ids: Vec<_> = c.machine_ids().map(MachineId::index).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one machine")]
-    fn zero_machines_rejected() {
-        let _ = ClusterSpec::homogeneous(0);
     }
 
     #[test]

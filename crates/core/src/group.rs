@@ -77,16 +77,6 @@ impl JobGroup {
         debug_assert!(!self.contains(job), "job {job} already in group");
         self.jobs.push(job);
     }
-
-    /// Removes a job, returning whether it was present.
-    pub fn remove_job(&mut self, job: JobId) -> bool {
-        if let Some(pos) = self.jobs.iter().position(|&j| j == job) {
-            self.jobs.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// A complete grouping decision: the set of job groups.
@@ -243,13 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn job_add_remove() {
+    fn job_add() {
         let mut g = mk(0, &[0], &[0]);
         g.push_job(JobId::new(1));
         assert!(g.contains(JobId::new(1)));
-        assert!(g.remove_job(JobId::new(0)));
-        assert!(!g.remove_job(JobId::new(0)));
-        assert_eq!(g.jobs().len(), 1);
+        assert_eq!(g.jobs().len(), 2);
     }
 
     #[test]

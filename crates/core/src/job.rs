@@ -1,10 +1,10 @@
-//! Job identities, specifications and lifecycle states.
+//! Job identities and specifications.
 //!
 //! A *job* in Harmony is one Parameter-Server training run: distributed
 //! workers iterating PULL → COMP → PUSH mini-batches until the model
-//! converges (Figure 1 of the paper). The scheduler tracks each job
-//! through the lifecycle of §III: `waiting → profiling → profiled →
-//! running ⇄ paused → finished`.
+//! converges (Figure 1 of the paper). The simulator tracks each job
+//! through the lifecycle of §III (`waiting → profiling → profiled →
+//! running ⇄ paused → finished`) as `harmony_sim`'s `SimJobState`.
 
 use std::fmt;
 
@@ -173,12 +173,6 @@ impl JobSpec {
         self.comp_time_at(m) / self.iter_time_at(m)
     }
 
-    /// Whether an iteration has any communication at DoP `m` (an
-    /// all-reduce job on one machine does not).
-    pub fn has_comm_at(&self, m: u32) -> bool {
-        self.net_time_at(m) > 0.0
-    }
-
     /// Validates internal consistency; returns a human-readable reason
     /// when the spec is unusable.
     pub fn validate(&self) -> std::result::Result<(), String> {
@@ -201,64 +195,6 @@ impl JobSpec {
             return Err("iteration counts must be non-zero".to_string());
         }
         Ok(())
-    }
-}
-
-/// Lifecycle state of a job inside the Harmony master (§III, Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobState {
-    /// Submitted, queued, not yet assigned anywhere.
-    Waiting,
-    /// Running naively in some group while runtime metrics are collected.
-    Profiling,
-    /// Profile is ready; waiting for a grouping decision.
-    Profiled,
-    /// Member of an active job group, making progress.
-    Running,
-    /// Temporarily stopped (checkpointed) during migration/regrouping.
-    Paused,
-    /// Model converged; job left the cluster.
-    Finished,
-}
-
-impl JobState {
-    /// Whether the scheduler may include this job in a grouping decision
-    /// (Algorithm 1 observes profiled, paused and running jobs).
-    pub fn is_schedulable(self) -> bool {
-        matches!(
-            self,
-            JobState::Profiled | JobState::Paused | JobState::Running
-        )
-    }
-
-    /// Whether a transition from `self` to `next` is legal in the
-    /// lifecycle of §III.
-    pub fn can_transition_to(self, next: JobState) -> bool {
-        use JobState::*;
-        matches!(
-            (self, next),
-            (Waiting, Profiling)
-                | (Profiling, Profiled)
-                | (Profiled, Running)
-                | (Running, Paused)
-                | (Running, Finished)
-                | (Paused, Running)
-                | (Paused, Finished)
-        )
-    }
-}
-
-impl fmt::Display for JobState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JobState::Waiting => "waiting",
-            JobState::Profiling => "profiling",
-            JobState::Profiled => "profiled",
-            JobState::Running => "running",
-            JobState::Paused => "paused",
-            JobState::Finished => "finished",
-        };
-        f.write_str(s)
     }
 }
 
@@ -336,39 +272,12 @@ mod tests {
         assert_eq!(s.net_time_at(2), 10.0); // 2 * (1/2) * 10
         assert!((s.net_time_at(16) - 18.75).abs() < 1e-12);
         assert!(s.net_time_at(16) < 2.0 * s.net_cost);
-        assert!(!s.has_comm_at(1));
-        assert!(s.has_comm_at(2));
     }
 
     #[test]
     fn ps_net_time_is_dop_invariant() {
         let s = spec();
         assert_eq!(s.net_time_at(1), s.net_time_at(32));
-    }
-
-    #[test]
-    fn lifecycle_transitions() {
-        use JobState::*;
-        assert!(Waiting.can_transition_to(Profiling));
-        assert!(Profiling.can_transition_to(Profiled));
-        assert!(Profiled.can_transition_to(Running));
-        assert!(Running.can_transition_to(Paused));
-        assert!(Paused.can_transition_to(Running));
-        assert!(Running.can_transition_to(Finished));
-        // Illegal jumps.
-        assert!(!Waiting.can_transition_to(Running));
-        assert!(!Finished.can_transition_to(Running));
-        assert!(!Profiling.can_transition_to(Paused));
-    }
-
-    #[test]
-    fn schedulable_states() {
-        assert!(JobState::Profiled.is_schedulable());
-        assert!(JobState::Running.is_schedulable());
-        assert!(JobState::Paused.is_schedulable());
-        assert!(!JobState::Waiting.is_schedulable());
-        assert!(!JobState::Profiling.is_schedulable());
-        assert!(!JobState::Finished.is_schedulable());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! This crate contains everything the Harmony *master* needs to make
 //! scheduling decisions:
 //!
-//! - [`job`]: job identities, specifications and lifecycle states;
+//! - [`job`]: job identities and specifications;
 //! - [`profile`]: profiled runtime metrics `(Tcpu, Tnet, m)` per job
 //!   (§IV-B1), kept fresh with moving averages;
 //! - [`feedback`]: the closed profiling loop — measured iteration
@@ -70,11 +70,11 @@ pub mod regroup;
 pub mod schedule;
 pub mod scratch;
 
-pub use cluster::{ClusterSpec, MachineId, MachineSpec};
+pub use cluster::{MachineId, MachineSpec};
 pub use error::{Error, Result};
 pub use feedback::{FeedbackLoop, IterationSample, ProfileSink};
 pub use group::{GroupId, Grouping, JobGroup};
-pub use job::{AppKind, JobId, JobSpec, JobState, SyncKind};
+pub use job::{AppKind, JobId, JobSpec, SyncKind};
 pub use model::{cluster_utilization, group_iteration_time, group_utilization, Utilization};
 pub use profile::{JobProfile, ProfileStore};
 pub use schedule::{CandidatePrice, ScheduleOutcome, Scheduler, SchedulerConfig};

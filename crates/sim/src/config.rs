@@ -306,15 +306,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Convenience: a config running `scheduler` with everything else
-    /// default.
-    pub fn with_scheduler(scheduler: SchedulerKind) -> Self {
-        Self {
-            scheduler,
-            ..Self::default()
-        }
-    }
-
     /// Validates cross-field consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.machines == 0 {
@@ -414,10 +405,13 @@ mod tests {
         };
         assert!(c.validate().is_err());
 
-        let c = SimConfig::with_scheduler(SchedulerKind::Naive {
-            jobs_per_group: 0,
-            seed: 0,
-        });
+        let c = SimConfig {
+            scheduler: SchedulerKind::Naive {
+                jobs_per_group: 0,
+                seed: 0,
+            },
+            ..SimConfig::default()
+        };
         assert!(c.validate().is_err());
 
         let c = SimConfig {
@@ -494,12 +488,5 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn with_scheduler_sets_kind() {
-        let c = SimConfig::with_scheduler(SchedulerKind::Isolated);
-        assert_eq!(c.scheduler, SchedulerKind::Isolated);
-        assert_eq!(c.machines, 100);
     }
 }
