@@ -167,10 +167,12 @@ fn departed_shape(
 /// finds nothing) — pinned over 256 seeded views: the digest is FNV-1a
 /// over the `Debug` text of a fresh regrouper's decision on each view,
 /// and every decision kind occurs among them. It was first captured
-/// from the single call this pair replaced, and re-captured once when
+/// from the single call this pair replaced, and re-captured when
 /// Algorithm 1 kept every prefix's group counts to the L6 window
-/// (`0xd53c_913a_91c3_047e` → `0xf2ec_1531_d490_52a3`): it pins the
-/// decisions the regrouper makes now.
+/// (`0xd53c_913a_91c3_047e` → `0xf2ec_1531_d490_52a3`) and when every
+/// candidate moved onto its prefix's one seed-DoP order
+/// (→ `0xc492_2d1e_b588_e126`): it pins the decisions the regrouper
+/// makes now.
 #[test]
 fn repair_then_escalate_decides_like_the_single_completion_call() {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
@@ -198,7 +200,7 @@ fn repair_then_escalate_decides_like_the_single_completion_call() {
         }
     }
     assert!(kinds.iter().all(|&k| k > 0), "decision kinds {kinds:?}");
-    assert_eq!(digest, 0xf2ec_1531_d490_52a3, "decision kinds {kinds:?}");
+    assert_eq!(digest, 0xc492_2d1e_b588_e126, "decision kinds {kinds:?}");
 }
 
 proptest! {

@@ -504,8 +504,10 @@ fn predictions_stay_at_the_pinned_values() {
     // `(predicted_iteration, realized_iteration, predicted_util,
     // realized_util)` as `to_bits`, captured on c402cb9 — before the
     // per-group iteration-statistics table moved onto the jobs; the last
-    // sample's low bits re-captured when groups got their own clocks, and
-    // every sample's low bits when α moved onto its block grid.
+    // sample's low bits re-captured when groups got their own clocks,
+    // every sample's low bits when α moved onto its block grid, and
+    // samples 2, 3, 5 and 6 when every Algorithm 1 candidate moved onto
+    // its prefix's one seed-DoP order.
     const PINNED: [[u64; 4]; 6] = [
         [
             0x406baa7b968a81b4,
@@ -514,16 +516,16 @@ fn predictions_stay_at_the_pinned_values() {
             0x3fee6e8caa1ff8be,
         ],
         [
-            0x405b889902b6844e,
-            0x405b88627413782d,
-            0x3fefb0f9bd85b1f6,
-            0x3fef44d1bf233480,
+            0x405b8abf32a6b9d5,
+            0x405b7abddac35ff0,
+            0x3fefc068be98bb13,
+            0x3fefafdcf6e51af9,
         ],
         [
-            0x40631672b35c0519,
-            0x40633ceb24fffe75,
-            0x3fefb0f9bd85b1f6,
-            0x3fef8f5de422dcfc,
+            0x4063155f9b63ea56,
+            0x4063301e583331a8,
+            0x3fefc068be98bb13,
+            0x3fef425681869954,
         ],
         [
             0x4051800000000000,
@@ -532,16 +534,16 @@ fn predictions_stay_at_the_pinned_values() {
             0x3fedbba7e20eb799,
         ],
         [
-            0x404e035d72eb0fb1,
-            0x405071bdfd7b6872,
-            0x3fede07e0e32ec80,
-            0x3feae63762feef36,
+            0x404e0271d76d4dde,
+            0x4050702ed4b60040,
+            0x3fedbe5e599d4436,
+            0x3feafee6c577bf6e,
         ],
         [
-            0x4051844737b40d14,
-            0x405401ab59682f21,
-            0x3fed0900d3e3c910,
-            0x3fe913a8a9fafc39,
+            0x40518447500de133,
+            0x4054008afd6aff4f,
+            0x3fedbe5e599d4436,
+            0x3fe914c1d6d4aa59,
         ],
     ];
     let r = prediction_pin_run();

@@ -24,7 +24,14 @@
 //! (DESIGN.md §7 "Event-path asymptotics"). Every cell was re-captured
 //! once more when α moved onto its 2⁻¹² block grid and group memory
 //! onto exact integer books, one memory plan per group build (DESIGN.md
-//! §7 "One memory arm"). A change that does mean to change behaviour
+//! §7 "One memory arm"). Sixteen cells (both `error_injection` arms,
+//! `mtbf_failures`, `oracle_staggered`, `stragglers_static_fit`,
+//! `tiny_batch`, `tiny_batch_oracle`, `tiny_single_crash`,
+//! `tiny_churn`, `random_draw_1`–`5`, `regroup_harmony` and
+//! `regroup_harmony_churn`) were re-captured when every Algorithm 1
+//! candidate of a prefix of up to 64 jobs moved onto the prefix's one
+//! seed-DoP order (DESIGN.md §7 "One order per prefix"). A change that
+//! does mean to change behaviour
 //! re-captures them (`GOLDEN_PRINT=1 cargo test --test golden_digests
 //! -- --nocapture`) and says why.
 //!
@@ -814,8 +821,8 @@ const ABORT_BEFORE_ARRIVAL: Golden = Golden {
 // `legacy` captured on the commit before `driver.rs` was split into
 // `driver/` and the scheduling entry points were merged.
 const ORACLE_STAGGERED: Golden = Golden {
-    legacy: 0x5160_bba8_288d_143b,
-    v2: 0x28f7_ce8a_427c_53e5,
+    legacy: 0x643b_1637_1b3d_0fda,
+    v2: 0xf3a9_8cf8_4fb7_82d4,
 };
 const ISOLATED_STAGGERED: Golden = Golden {
     legacy: 0x1d08_5caf_4491_8b8f,
@@ -826,28 +833,28 @@ const NAIVE_STAGGERED: Golden = Golden {
     v2: 0x2fb2_5635_f60c_4892,
 };
 const ERROR_INJECTION_EXACT: Golden = Golden {
-    legacy: 0x425d_8269_5649_d062,
-    v2: 0xcc7c_a4dc_3ea2_2b57,
+    legacy: 0xe7ac_9f01_7b85_d569,
+    v2: 0x6985_a2d2_d7c0_64a1,
 };
 const ERROR_INJECTION_COALESCED: Golden = Golden {
     legacy: 0x008f_3da3_d8b2_c3eb,
     v2: 0xa13d_b903_26a6_d5c2,
 };
 const ERROR_INJECTION_REFERENCE_ARMS: Golden = Golden {
-    legacy: 0x8dcd_7fb3_2322_9f39,
-    v2: 0x4506_c1d1_f07f_e0ac,
+    legacy: 0x68d3_b7fb_aebc_3b05,
+    v2: 0xa498_15eb_2be7_5190,
 };
 const MTBF_FAILURES: Golden = Golden {
-    legacy: 0xebc9_ad5a_2972_a3c2,
-    v2: 0x19ee_f10f_80c0_c61a,
+    legacy: 0xefec_c1ed_1e60_6665,
+    v2: 0x2be8_005c_edb1_935d,
 };
 const DRIFT_LIVE_MIGRATION: Golden = Golden {
     legacy: 0x40b5_ee3e_d291_b5c5,
     v2: 0xbfea_5bfc_0b7f_ab80,
 };
 const STRAGGLERS_STATIC_FIT: Golden = Golden {
-    legacy: 0xaa6c_40fd_752a_4fbe,
-    v2: 0x50fe_2603_cb37_34b9,
+    legacy: 0x0c3f_6f09_a126_99cd,
+    v2: 0x973e_b2c1_03db_0cf6,
 };
 const CHURN_ISOLATED: Golden = Golden {
     legacy: 0xcad0_8d8b_7cee_0641,
@@ -861,12 +868,12 @@ const CHURN_NAIVE: Golden = Golden {
 // Captured from the reference arms (original event path, whole-cluster
 // regrouper, exhaustive candidate scans), since retired.
 const TINY_BATCH: Golden = Golden {
-    legacy: 0x2864_c09b_d4e0_e8ab,
-    v2: 0x0df1_0667_1e20_73a6,
+    legacy: 0x6423_ae4c_22fe_345d,
+    v2: 0x002d_b59d_5c0b_7b48,
 };
 const TINY_BATCH_ORACLE: Golden = Golden {
-    legacy: 0xbf02_756a_9235_4582,
-    v2: 0x7599_cbf2_1e26_b99e,
+    legacy: 0x5c99_fbff_8dd6_c9c9,
+    v2: 0x09df_5928_aa27_7f45,
 };
 const TINY_BATCH_ISOLATED: Golden = Golden {
     legacy: 0xfeff_5888_408a_0aa5,
@@ -885,16 +892,16 @@ const TINY_NOISY: Golden = Golden {
     v2: 0xa417_6287_adfb_e2b1,
 };
 const TINY_SINGLE_CRASH: Golden = Golden {
-    legacy: 0xea69_41b8_d602_d77b,
-    v2: 0x96aa_9587_de57_6b8a,
+    legacy: 0xa662_3f0d_212d_7da5,
+    v2: 0x2923_86b1_c664_2ea8,
 };
 const TINY_CHURN: Golden = Golden {
-    legacy: 0xd629_f1eb_67cb_9e8c,
-    v2: 0x033f_1d63_afe6_8e40,
+    legacy: 0x27da_5c3b_7813_540b,
+    v2: 0x7916_fbd6_4ad9_41ff,
 };
 const REGROUP_HARMONY: Golden = Golden {
-    legacy: 0x20b8_5837_38ef_71cf,
-    v2: 0x7aa3_f904_3574_3bbe,
+    legacy: 0x0b9b_342b_b50e_1084,
+    v2: 0x0888_4c14_c5e6_4295,
 };
 const REGROUP_ORACLE: Golden = Golden {
     legacy: 0xe208_bb53_802e_c986,
@@ -909,8 +916,8 @@ const REGROUP_NAIVE: Golden = Golden {
     v2: 0x589f_d2b7_c3c5_4ebf,
 };
 const REGROUP_HARMONY_CHURN: Golden = Golden {
-    legacy: 0x9dca_e398_5298_d3fe,
-    v2: 0x73e3_df6f_6590_0287,
+    legacy: 0x80cd_81eb_3f58_f864,
+    v2: 0x3d9a_21d1_98de_a145,
 };
 // The six draws `proptest!` made from the name `random_workloads_match`.
 const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
@@ -932,8 +939,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         31.092200991272605,
         Golden {
-            legacy: 0xcc7e_9839_b8d2_0faf,
-            v2: 0x0f8a_7937_671a_f942,
+            legacy: 0x9843_e7c5_b786_b5f8,
+            v2: 0x554c_5bf0_851f_cbf3,
         },
     ),
     (
@@ -943,8 +950,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         24.481156380830996,
         Golden {
-            legacy: 0x3433_6511_a013_c55d,
-            v2: 0xcdac_496a_094a_bea9,
+            legacy: 0x1456_1aa4_c531_5750,
+            v2: 0x99d7_b595_31bd_48c6,
         },
     ),
     (
@@ -954,8 +961,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         3,
         1.3320362932268548,
         Golden {
-            legacy: 0x1fb7_fb15_efd8_6f80,
-            v2: 0xefaa_1f8e_6d25_e524,
+            legacy: 0xb892_4f7a_80ad_558c,
+            v2: 0xd44f_600a_caf9_f767,
         },
     ),
     (
@@ -965,8 +972,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         1,
         49.65869376626082,
         Golden {
-            legacy: 0xe1ff_bf70_59ad_bba2,
-            v2: 0xd79f_7146_bd52_b4d4,
+            legacy: 0x13b4_54ca_6bbb_f6dc,
+            v2: 0x968b_b57a_263b_6cda,
         },
     ),
     (
@@ -976,8 +983,8 @@ const RANDOM_DRAWS: [(u64, u32, usize, usize, f64, Golden); 6] = [
         5,
         62.288563397649376,
         Golden {
-            legacy: 0xd322_2f1a_7a9d_8ebd,
-            v2: 0xb82e_d384_5d4a_4a5f,
+            legacy: 0xd63f_503a_5887_da9c,
+            v2: 0xd4f4_9cef_bac4_33de,
         },
     ),
 ];
