@@ -9,9 +9,10 @@
 # here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
 # profile_props, schedule_props, regroup_props, golden_digests,
-# ps_goldens, the harmony-ps suite, the subtask-discipline tests,
-# ps_training), the keyed-noise table spec and the group-advance order
-# test. The simulator's
+# scheduler_integration — the 2000-job sparse-mode quality and
+# decision-time bounds — ps_goldens, the harmony-ps suite, the
+# subtask-discipline tests, ps_training), the keyed-noise table spec
+# and the group-advance order test. The simulator's
 # driver lives in crates/sim/src/driver/ (one file per concern, its
 # unit tests in driver/tests.rs); tests/golden_digests.rs pins its
 # bytes across commits.
@@ -80,11 +81,14 @@ cargo test --release -q -p harmony-core --test profile_props
 # The scan's helper threads interleave differently at release speed;
 # thread-count independence and the pinned digests must hold there too
 # (regroup_props pins the regrouper's decisions and drives the helpers
-# through warm cache/scratch pairs).
+# through warm cache/scratch pairs). scheduler_integration holds the
+# sparse scan at 2000 jobs to >= 0.95x its pinned score and < 5 s a
+# decision, at the speed the bound is stated for.
 echo "==> Algorithm 1 scan determinism gates (release)"
 cargo test --release -q -p harmony-core --test schedule_props
 cargo test --release -q -p harmony-core --test regroup_props
 cargo test --release -q -p harmony --test golden_digests
+cargo test --release -q -p harmony --test scheduler_integration
 # Keyed straggler noise: the tables' spec (10^6 keys per cell against
 # the exact quantile, release only) and the group-advance order test
 # (every golden scenario with each round of group advances reversed).
