@@ -29,8 +29,9 @@
 //! allocation-free and cache-friendly:
 //!
 //! - all profile durations live in a flat [`ProfileCache`]
-//!   (struct-of-arrays), sorted **once** per decision and re-sorted once
-//!   per prefix at its L6 seed DoP; candidate groups are contiguous
+//!   (struct-of-arrays); each prefix is sorted once at its L6 seed
+//!   DoP, by extending the previous prefix's order when the DoP
+//!   repeats; candidate groups are contiguous
 //!   runs of the prefix's order and group totals come from
 //!   prefix-sum differences, so evaluating one `(prefix × group-count)`
 //!   candidate costs amortized O(groups) plus a single linear pass for
@@ -975,7 +976,7 @@ impl Scheduler {
         for gi in 0..ev.ng {
             let profs: Vec<&JobProfile> = s.members[s.bounds[gi]..s.bounds[gi + 1]]
                 .iter()
-                .map(|&p| &jobs[s.sub_size[p as usize] as usize])
+                .map(|&p| &jobs[s.order[p as usize] as usize])
                 .collect();
             let m = s.alloc[gi];
             predicted.push(group_iteration_time(&profs, m));
@@ -2119,7 +2120,7 @@ mod tests {
             let built: Vec<usize> = scratch
                 .members
                 .iter()
-                .map(|&m| scratch.sub_size[m as usize] as usize)
+                .map(|&m| scratch.order[m as usize] as usize)
                 .collect();
             assert_eq!(
                 (built, &scratch.bounds),

@@ -10,16 +10,15 @@
 //! state in a [`ScheduleScratch`] that is reused (never reallocated)
 //! across the whole scan:
 //!
-//! - `tcpu1[]` / `tnet[]`: struct-of-arrays copies of the profile
-//!   durations, so the hot loops read flat `f64` slices instead of
-//!   chasing `JobProfile → Ewma → Option<f64>` per access;
-//! - `size_order[]`: job positions sorted once by single-machine
-//!   iteration time (descending). Each prefix re-sorts its share of
-//!   this nearly sorted order once, at its L6 seed DoP, and candidate
-//!   groups are contiguous runs of that, so per-candidate grouping
-//!   needs no sort at all;
-//! - `ratio_order[]` + prefix sums: job positions sorted once by the
-//!   balance break-point `tcpu1/tnet`. The Algorithm 1 L6 objective
+//! - `tcpu1[]` / `tnet[]` / `ratio_key[]`: struct-of-arrays copies of
+//!   the profile durations and their balance break-points, so the hot
+//!   loops read flat `f64` slices instead of chasing
+//!   `JobProfile → Ewma → Option<f64>` per access;
+//! - `order[]`: the prefix's positions sorted by iteration time at its
+//!   L6 seed DoP (descending). Candidate groups are contiguous runs of
+//!   it, so per-candidate grouping needs no sort at all;
+//! - `sub_ratio[]` + prefix sums: the prefix's positions sorted by the
+//!   break-point `tcpu1/tnet`. The Algorithm 1 L6 objective
 //!   `Σ_j |Tcpu_j(m) − Tnet_j|` becomes two prefix-sum differences
 //!   around a binary-searched split, i.e. O(log n) per grid point
 //!   instead of O(n);
@@ -28,12 +27,17 @@
 //!   evaluated in amortized O(groups) plus one linear pass for the
 //!   job-bound term of Eq. 1.
 //!
+//! A scan thread claims prefixes in ascending order, so each prefix's
+//! views extend the previous prefix's: only the new positions are
+//! sorted, merged in, and summed from the first index they moved.
+//!
 //! Each scan worker owns one `ScheduleScratch`; the buffers grow to the
 //! high-water mark of the largest prefix and stay allocated for the
 //! rest of the decision. The helper threads' scratches live inside the
 //! calling thread's (`helpers`), so a caller that carries its scratch
 //! across decisions carries theirs too.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::job::JobId;
@@ -54,33 +58,17 @@ pub struct ProfileCache {
     pub(crate) tnet: Vec<f64>,
     /// `JobId` per position (sort tie-breaker).
     pub(crate) id: Vec<JobId>,
-    /// Job positions sorted by `Tcpu(1) + Tnet` descending (single-
-    /// machine iteration time), ties broken by `JobId`. Per-prefix
-    /// orders re-sort this at the prefix's seed DoP, starting from an
-    /// already nearly sorted list.
-    pub(crate) size_order: Vec<u32>,
-    /// Job positions sorted by balance break-point `tcpu1/tnet`
-    /// descending. A job is computation-bound at DoP `m` iff its
-    /// break-point exceeds `m`, so the L6 objective splits this order
-    /// at a binary-searched point.
-    pub(crate) ratio_order: Vec<u32>,
     /// Sanitized break-point key per position (`+inf` for `tnet == 0`
     /// with CPU work, `0` for fully idle profiles — never NaN, so the
-    /// split search is total).
+    /// split search is total). A job is computation-bound at DoP `m`
+    /// iff its break-point exceeds `m`.
     pub(crate) ratio_key: Vec<f64>,
     /// Build stamp, drawn afresh by every [`Self::sync`] that changed
     /// any cached value from one process-wide counter, so no two
-    /// caches' contents ever share a stamp. [`ScheduleScratch::load_prefix`]
-    /// keys its loaded prefix on this, so a decision over an unchanged
-    /// cache skips the initial prefix gather.
+    /// caches' contents ever share a stamp. [`ScheduleScratch`] keys
+    /// its prefix views on this, so a decision over an unchanged cache
+    /// extends or keeps the views the previous decision left.
     pub(crate) generation: u64,
-    /// Scratch: dirty positions of the current incremental rebuild.
-    dirty: Vec<u32>,
-    /// Scratch: per-position dirty mask of the current incremental
-    /// rebuild.
-    dirty_mask: Vec<bool>,
-    /// Scratch: merge output buffer for order repair.
-    merged: Vec<u32>,
 }
 
 /// Source of every [`ProfileCache::generation`]; starts at 1 so that
@@ -103,38 +91,65 @@ fn ratio_key_of(tcpu1: f64, tnet: f64) -> f64 {
     }
 }
 
-/// The size order: `Tcpu(1) + Tnet` descending, ties by `JobId` — a
-/// strict total order over positions (ids are distinct).
-fn by_size<'a>(
-    tcpu1: &'a [f64],
-    tnet: &'a [f64],
-    id: &'a [JobId],
-) -> impl Fn(u32, u32) -> std::cmp::Ordering + 'a {
+/// Both prefix orders: `key` descending, ties by `JobId` — a strict
+/// total order over positions (ids are distinct).
+fn descending<'a>(key: &'a [f64], id: &'a [JobId]) -> impl Fn(u32, u32) -> CmpOrdering + 'a {
     move |a, b| {
-        let ta = tcpu1[a as usize] + tnet[a as usize];
-        let tb = tcpu1[b as usize] + tnet[b as usize];
-        tb.total_cmp(&ta)
+        key[b as usize]
+            .total_cmp(&key[a as usize])
             .then_with(|| id[a as usize].cmp(&id[b as usize]))
     }
 }
 
-/// The ratio order: break-point key descending, ties by `JobId` — a
-/// strict total order over positions.
-fn by_ratio<'a>(
-    ratio_key: &'a [f64],
-    id: &'a [JobId],
-) -> impl Fn(u32, u32) -> std::cmp::Ordering + 'a {
-    move |a, b| {
-        ratio_key[b as usize]
-            .total_cmp(&ratio_key[a as usize])
-            .then_with(|| id[a as usize].cmp(&id[b as usize]))
+/// Brings `order`, a permutation of the positions `0..order.len()`, to
+/// the sorted permutation of `0..nj` under `cmp`, and returns the first
+/// index whose entry may have changed.
+///
+/// When `sorted` says `order` is already sorted under `cmp` and `nj`
+/// extends it, only the new positions are sorted, then merged in from
+/// the back in place, so the head before the first new entry keeps its
+/// place. Otherwise the positions `< nj` it holds are kept, the missing
+/// ones appended, and the whole re-sorted — a nearly sorted start when
+/// `order` came from the same values or a nearby DoP.
+///
+/// `cmp` is a strict total order, so the sorted permutation is unique
+/// and both paths (and any starting permutation) reach the same one.
+fn resort(
+    order: &mut Vec<u32>,
+    fresh: &mut Vec<u32>,
+    nj: usize,
+    sorted: bool,
+    cmp: impl Fn(u32, u32) -> CmpOrdering,
+) -> usize {
+    let old = order.len();
+    if !sorted || nj < old {
+        order.retain(|&p| (p as usize) < nj);
+        order.extend(order.len() as u32..nj as u32);
+        order.sort_unstable_by(|&a, &b| cmp(a, b));
+        return 0;
     }
+    fresh.clear();
+    fresh.extend(old as u32..nj as u32);
+    fresh.sort_unstable_by(|&a, &b| cmp(a, b));
+    order.resize(nj, 0);
+    let (mut i, mut k) = (old, nj);
+    while let Some(&f) = fresh.last() {
+        k -= 1;
+        if i > 0 && cmp(order[i - 1], f).is_gt() {
+            i -= 1;
+            order[k] = order[i];
+        } else {
+            order[k] = f;
+            fresh.pop();
+        }
+    }
+    k
 }
 
 impl ProfileCache {
     /// Builds the cache with priced COMM seconds
-    /// ([`JobProfile::priced_tnet`]): two O(n log n) sorts and three
-    /// linear passes.
+    /// ([`JobProfile::priced_tnet`]): one linear pass, no sort — the
+    /// orders are per prefix, in [`ScheduleScratch`].
     ///
     /// # Panics
     ///
@@ -152,30 +167,21 @@ impl ProfileCache {
     }
 
     /// Brings the cache in step with `jobs`, in place and reusing every
-    /// buffer's capacity, deciding itself how much work that takes.
+    /// buffer's capacity: one linear pass that re-derives each position
+    /// whose durations changed.
     ///
-    /// When the job list has the same shape as the cached one (same
-    /// length, same `JobId` at every position), only positions whose
-    /// cached durations actually changed are re-derived, and the two
-    /// sort orders are repaired by merging the re-sorted dirty
-    /// positions into the retained clean ones — O(n + k log k) for `k`
-    /// dirty jobs instead of two O(n log n) sorts; with nothing dirty
-    /// the cache keeps its generation, so a paired scratch skips its
-    /// prefix gathers too. A shape change rebuilds everything.
+    /// Values are compared by `to_bits`, so even a `-0.0 → 0.0` change
+    /// counts. A changed value, or a shape change (a different length,
+    /// or a different `JobId` at some position), draws a new
+    /// generation; with nothing changed the cache keeps its generation,
+    /// so a paired scratch keeps or extends its prefix views.
     ///
     /// Each job's cached `Tnet` is [`JobProfile::priced_tnet`], so a
     /// density crossing the trust threshold between calls is a value
-    /// change like any other.
-    ///
-    /// **Byte-identity:** both comparators are strict total orders
-    /// (`total_cmp` on the key, `JobId` tie-break — ids are distinct),
-    /// so the sorted permutation is unique; merging two sorted
-    /// subsequences under the same order reproduces exactly the
-    /// permutation a full sort would. Values are compared by
-    /// `to_bits`, so even a `-0.0 → 0.0` change (which `total_cmp`
-    /// orders) marks the position dirty. The property tests in
-    /// `crates/core/tests/` assert state equality against a fresh
-    /// cache over arbitrary dirty subsets and shape changes.
+    /// change like any other. The property tests in
+    /// `crates/core/tests/` assert state equality
+    /// ([`Self::state_bytes`]) against a fresh cache over arbitrary
+    /// value and shape changes.
     ///
     /// # Panics
     ///
@@ -183,125 +189,38 @@ impl ProfileCache {
     /// [`JobProfile::tcpu_at`]).
     pub fn sync(&mut self, jobs: &[JobProfile]) {
         let n = jobs.len();
-        if n != self.len() || jobs.iter().zip(&self.id).any(|(p, &id)| p.job() != id) {
-            self.rebuild(jobs);
-            return;
+        let reshaped = n != self.len() || jobs.iter().zip(&self.id).any(|(p, &id)| p.job() != id);
+        if reshaped {
+            self.id.clear();
+            self.id.extend(jobs.iter().map(JobProfile::job));
+            self.tcpu1.resize(n, 0.0);
+            self.tnet.resize(n, 0.0);
+            self.ratio_key.resize(n, 0.0);
         }
-
-        self.dirty.clear();
+        let mut changed = reshaped;
         for (i, p) in jobs.iter().enumerate() {
             let tcpu1 = p.tcpu_at(1);
             let tnet = p.priced_tnet();
-            if tcpu1.to_bits() != self.tcpu1[i].to_bits()
+            if reshaped
+                || tcpu1.to_bits() != self.tcpu1[i].to_bits()
                 || tnet.to_bits() != self.tnet[i].to_bits()
             {
                 self.tcpu1[i] = tcpu1;
                 self.tnet[i] = tnet;
                 self.ratio_key[i] = ratio_key_of(tcpu1, tnet);
-                self.dirty.push(i as u32);
+                changed = true;
             }
         }
-        if self.dirty.is_empty() {
-            return;
+        if changed {
+            self.generation = next_generation();
         }
-
-        self.dirty_mask.clear();
-        self.dirty_mask.resize(n, false);
-        for &p in &self.dirty {
-            self.dirty_mask[p as usize] = true;
-        }
-
-        let Self {
-            tcpu1,
-            tnet,
-            id,
-            size_order,
-            ratio_order,
-            ratio_key,
-            dirty,
-            dirty_mask,
-            merged,
-            ..
-        } = self;
-        let size_cmp = by_size(tcpu1, tnet, id);
-        dirty.sort_unstable_by(|&a, &b| size_cmp(a, b));
-        Self::repair_order(size_order, dirty, dirty_mask, merged, size_cmp);
-
-        let ratio_cmp = by_ratio(ratio_key, id);
-        dirty.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
-        Self::repair_order(ratio_order, dirty, dirty_mask, merged, ratio_cmp);
-
-        self.generation = next_generation();
-    }
-
-    /// The full rebuild behind [`Self::sync`]'s shape-change fallback.
-    fn rebuild(&mut self, jobs: &[JobProfile]) {
-        let n = jobs.len();
-        self.tcpu1.clear();
-        self.tnet.clear();
-        self.id.clear();
-        for p in jobs {
-            self.tcpu1.push(p.tcpu_at(1));
-            self.tnet.push(p.priced_tnet());
-            self.id.push(p.job());
-        }
-
-        let Self {
-            tcpu1,
-            tnet,
-            id,
-            size_order,
-            ratio_order,
-            ratio_key,
-            ..
-        } = self;
-        let size_cmp = by_size(tcpu1, tnet, id);
-        size_order.clear();
-        size_order.extend(0..n as u32);
-        size_order.sort_unstable_by(|&a, &b| size_cmp(a, b));
-
-        ratio_key.clear();
-        ratio_key.extend((0..n).map(|i| ratio_key_of(tcpu1[i], tnet[i])));
-        let ratio_cmp = by_ratio(ratio_key, id);
-        ratio_order.clear();
-        ratio_order.extend(0..n as u32);
-        ratio_order.sort_unstable_by(|&a, &b| ratio_cmp(a, b));
-        self.generation = next_generation();
-    }
-
-    /// Repairs one sort order after a dirty-set update: drops the
-    /// dirty positions (the retained ones stay sorted — their keys are
-    /// unchanged) and merges the re-sorted dirty positions back in.
-    fn repair_order(
-        order: &mut Vec<u32>,
-        dirty: &[u32],
-        dirty_mask: &[bool],
-        merged: &mut Vec<u32>,
-        cmp: impl Fn(u32, u32) -> std::cmp::Ordering,
-    ) {
-        order.retain(|&p| !dirty_mask[p as usize]);
-        merged.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < order.len() && j < dirty.len() {
-            if cmp(order[i], dirty[j]).is_lt() {
-                merged.push(order[i]);
-                i += 1;
-            } else {
-                merged.push(dirty[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&order[i..]);
-        merged.extend_from_slice(&dirty[j..]);
-        std::mem::swap(order, merged);
     }
 
     /// Canonical little-endian byte serialization of the cache's
-    /// semantic state (durations, ids, orders, keys — not scratch
-    /// buffers or the build stamp). Two caches with equal bytes are
-    /// interchangeable for every scheduling decision; the dirty-set
-    /// property tests compare incremental and full rebuilds through
-    /// this.
+    /// semantic state (durations, ids, break-point keys — not the
+    /// build stamp). Two caches with equal bytes are interchangeable
+    /// for every scheduling decision; the property tests compare
+    /// in-place syncs and fresh builds through this.
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
@@ -313,12 +232,6 @@ impl ProfileCache {
         }
         for v in &self.id {
             out.extend_from_slice(&v.index().to_le_bytes());
-        }
-        for v in &self.size_order {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.ratio_order {
-            out.extend_from_slice(&v.to_le_bytes());
         }
         for v in &self.ratio_key {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -344,32 +257,38 @@ impl ProfileCache {
 /// candidates it scans.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
-    /// `size_order` restricted to positions `< nj` (the current
-    /// prefix), still in descending size order.
-    pub(crate) sub_size: Vec<u32>,
-    /// `tcpu1` gathered in `sub_size` order. The candidate loops index
-    /// by *prefix position*, so their accesses are sequential over this
+    /// The prefix's positions `0..nj` by iteration time at the DoP of
+    /// the last [`Self::sort_prefix_by_dop`] (descending, ties by
+    /// `JobId`).
+    pub(crate) order: Vec<u32>,
+    /// `tcpu1` gathered in `order`. The candidate loops index by
+    /// *prefix position*, so their accesses are sequential over this
     /// small contiguous array instead of scattered over the whole
     /// cluster's profile cache.
     pub(crate) pcpu: Vec<f64>,
-    /// `tnet` gathered in `sub_size` order.
+    /// `tnet` gathered in `order`.
     pub(crate) pnet: Vec<f64>,
-    /// Prefix sums of `tcpu1` over `sub_size` (length `nj + 1`).
+    /// Prefix sums of `tcpu1` over `order` (length `nj + 1`).
     pub(crate) ps_cpu: Vec<f64>,
-    /// Prefix sums of `tnet` over `sub_size`.
+    /// Prefix sums of `tnet` over `order`.
     pub(crate) ps_net: Vec<f64>,
-    /// Sort-key scratch for [`Self::sort_prefix_by_dop`], indexed by
-    /// cache position (prefix positions are always `< nj`).
+    /// `order`'s sort key per cache position (prefix positions are
+    /// always `< nj`), at the DoP `order_dop`.
     pub(crate) sort_key: Vec<f64>,
-    /// Break-point keys of the prefix, descending (for the L6 split
+    /// The prefix's positions by break-point key, descending, ties by
+    /// `JobId`.
+    pub(crate) sub_ratio: Vec<u32>,
+    /// Break-point keys gathered in `sub_ratio` (for the L6 split
     /// search).
     pub(crate) sub_ratio_key: Vec<f64>,
-    /// Prefix sums of `tcpu1` over the prefix's ratio order.
+    /// Prefix sums of `tcpu1` over `sub_ratio`.
     pub(crate) rs_cpu: Vec<f64>,
-    /// Prefix sums of `tnet` over the prefix's ratio order.
+    /// Prefix sums of `tnet` over `sub_ratio`.
     pub(crate) rs_net: Vec<f64>,
+    /// Scratch: an extension's new positions, sorted before the merge.
+    fresh: Vec<u32>,
     /// Working membership as *prefix positions* (indices into
-    /// `pcpu`/`pnet`/`sub_size`); swap fine-tuning mutates it in
+    /// `pcpu`/`pnet`/`order`); swap fine-tuning mutates it in
     /// place. Group `g` owns `members[bounds[g]..bounds[g+1]]`. It
     /// starts as the identity permutation and deviates only at swapped
     /// positions, so the per-group loops stream nearly sequentially.
@@ -408,12 +327,39 @@ pub struct ScheduleScratch {
     pub(crate) loaded_nj: usize,
     /// [`ProfileCache::generation`] at the last [`Self::load_prefix`]
     /// (`0` = never loaded; a built cache's generation is always
-    /// ≥ 1). Together with `loaded_nj` this keys the loaded views, so
-    /// re-loading the same prefix of an unchanged cache is free — the
-    /// common case when [`ProfileCache::sync`] found nothing dirty
-    /// between decisions. Generations are unique across caches, so a
-    /// scratch may move between caches.
+    /// ≥ 1). While it matches, `sub_ratio` is sorted under the cache's
+    /// values, so a longer prefix extends it and the same prefix is
+    /// free. Generations are unique across caches, so a scratch may
+    /// move between caches.
     pub(crate) loaded_gen: u64,
+    /// [`ProfileCache::generation`] at the last
+    /// [`Self::sort_prefix_by_dop`] (`0` = never sorted).
+    pub(crate) order_gen: u64,
+    /// `to_bits` of the DoP of the last [`Self::sort_prefix_by_dop`].
+    pub(crate) order_dop: u64,
+}
+
+/// Re-gathers `out` (`vals` in `order`) from index `from` on.
+fn gather(out: &mut Vec<f64>, vals: &[f64], order: &[u32], from: usize) {
+    out.truncate(from);
+    out.extend(order[from..].iter().map(|&p| vals[p as usize]));
+}
+
+/// Re-folds `sums` (prefix sums of `vals` over `order`, length
+/// `order.len() + 1`) from index `from` on, left to right, so the head
+/// keeps its bits and the tail gets the bits a full fold gives.
+fn refold(sums: &mut Vec<f64>, vals: &[f64], order: &[u32], from: usize) {
+    if from == 0 {
+        sums.clear();
+        sums.push(0.0);
+    } else {
+        sums.truncate(from + 1);
+    }
+    let mut acc = sums[from];
+    sums.extend(order[from..].iter().map(|&p| {
+        acc += vals[p as usize];
+        acc
+    }));
 }
 
 impl ScheduleScratch {
@@ -423,100 +369,67 @@ impl ScheduleScratch {
     }
 
     /// Loads the first `nj` jobs (the caller's priority prefix) into
-    /// the per-prefix views: the size order and the ratio order
-    /// restricted to the prefix, with the ratio order's prefix sums.
-    /// The duration views follow from [`Self::sort_prefix_by_dop`],
-    /// which every prefix runs next. O(n) time, allocation-free after
-    /// warm-up.
+    /// the ratio views: the prefix's break-point order, its keys and
+    /// its prefix sums. The duration views follow from
+    /// [`Self::sort_prefix_by_dop`], which every prefix runs next.
+    ///
+    /// Over an unchanged cache a longer prefix extends the loaded one
+    /// (its `nj − loaded_nj` new positions are sorted and merged in,
+    /// and the keys and sums redone from the first moved index) and
+    /// the same prefix costs nothing; otherwise the views are rebuilt
+    /// in O(nj log nj). Allocation-free after warm-up.
     pub(crate) fn load_prefix(&mut self, cache: &ProfileCache, nj: usize) {
         debug_assert!(nj <= cache.len());
-
-        // Same prefix of the same build: every loaded view is already
-        // exact. `sub_size` may sit in a DoP-sorted permutation from a
-        // later `sort_prefix_by_dop` call, but that call re-sorts it
-        // under a strict total order, so its result does not depend on
-        // the starting permutation; everything else loaded here is
-        // determined by the *set* of prefix positions, not their order.
-        if nj == self.loaded_nj && self.loaded_gen == cache.generation && self.loaded_gen != 0 {
-            return;
-        }
-
-        self.sub_size.clear();
-        for &p in &cache.size_order {
-            if (p as usize) < nj {
-                self.sub_size.push(p);
-                if self.sub_size.len() == nj {
-                    break;
-                }
-            }
-        }
-
-        self.sub_ratio_key.clear();
-        self.rs_cpu.clear();
-        self.rs_net.clear();
-        self.rs_cpu.push(0.0);
-        self.rs_net.push(0.0);
-        let (mut c, mut t) = (0.0f64, 0.0f64);
-        let mut taken = 0usize;
-        for &p in &cache.ratio_order {
-            if (p as usize) < nj {
-                self.sub_ratio_key.push(cache.ratio_key[p as usize]);
-                c += cache.tcpu1[p as usize];
-                t += cache.tnet[p as usize];
-                self.rs_cpu.push(c);
-                self.rs_net.push(t);
-                taken += 1;
-                if taken == nj {
-                    break;
-                }
-            }
-        }
-
+        let sorted = self.loaded_gen == cache.generation && self.loaded_gen != 0;
+        let cmp = descending(&cache.ratio_key, &cache.id);
+        let from = resort(&mut self.sub_ratio, &mut self.fresh, nj, sorted, cmp);
+        gather(
+            &mut self.sub_ratio_key,
+            &cache.ratio_key,
+            &self.sub_ratio,
+            from,
+        );
+        refold(&mut self.rs_cpu, &cache.tcpu1, &self.sub_ratio, from);
+        refold(&mut self.rs_net, &cache.tnet, &self.sub_ratio, from);
         self.loaded_nj = nj;
         self.loaded_gen = cache.generation;
     }
 
-    /// Re-sorts the loaded prefix by iteration time at uniform DoP
-    /// `dop` (`tcpu1/dop + tnet`, descending, ties by `JobId`) and
-    /// builds the gathered duration views and their prefix sums in that
-    /// order. Called once per prefix with the L6 seed DoP, so every
-    /// group-count candidate of the prefix shares the order — the
-    /// per-candidate sort of the naive formulation is gone. The input
-    /// is the canonical size order (iteration time at DoP 1), which is
-    /// already nearly sorted for this key, so the sort runs well below
-    /// its O(n log n) bound.
+    /// Sorts the loaded prefix by iteration time at uniform DoP `dop`
+    /// (`tcpu1/dop + tnet`, descending, ties by `JobId`) into `order`
+    /// and builds the gathered duration views and their prefix sums in
+    /// that order. Called once per prefix with the L6 seed DoP, so
+    /// every group-count candidate of the prefix shares the order —
+    /// the per-candidate sort of the naive formulation is gone.
+    ///
+    /// The order is keyed on `(nj, generation, dop)`: the same key
+    /// costs nothing, and a longer prefix at the same generation and
+    /// DoP keys, sorts and merges only its new positions. Otherwise the
+    /// previous order's positions `< nj` are kept and the rest
+    /// appended, a nearly sorted start for a nearby DoP.
     pub(crate) fn sort_prefix_by_dop(&mut self, cache: &ProfileCache, dop: f64) {
+        let nj = self.loaded_nj;
+        let sorted = self.order_gen == cache.generation
+            && self.order_gen != 0
+            && self.order_dop == dop.to_bits();
         // Jobs in the prefix sit at cache positions < nj, so the key
         // table is prefix-sized and filled sequentially.
-        self.sort_key.clear();
-        self.sort_key.resize(self.sub_size.len(), 0.0);
-        for &p in &self.sub_size {
-            self.sort_key[p as usize] = cache.tcpu1[p as usize] / dop + cache.tnet[p as usize];
-        }
-        let key = &self.sort_key;
-        let id = &cache.id;
-        self.sub_size.sort_unstable_by(|&a, &b| {
-            key[b as usize]
-                .total_cmp(&key[a as usize])
-                .then_with(|| id[a as usize].cmp(&id[b as usize]))
-        });
-
-        self.pcpu.clear();
-        self.pnet.clear();
-        self.ps_cpu.clear();
-        self.ps_net.clear();
-        self.ps_cpu.push(0.0);
-        self.ps_net.push(0.0);
-        let (mut c, mut t) = (0.0f64, 0.0f64);
-        for &p in &self.sub_size {
-            let (c0, t0) = (cache.tcpu1[p as usize], cache.tnet[p as usize]);
-            self.pcpu.push(c0);
-            self.pnet.push(t0);
-            c += c0;
-            t += t0;
-            self.ps_cpu.push(c);
-            self.ps_net.push(t);
-        }
+        let valid = if sorted {
+            self.sort_key.len().min(nj)
+        } else {
+            0
+        };
+        self.sort_key.truncate(valid);
+        self.sort_key
+            .extend((valid..nj).map(|p| cache.tcpu1[p] / dop + cache.tnet[p]));
+        let cmp = descending(&self.sort_key, &cache.id);
+        let from = resort(&mut self.order, &mut self.fresh, nj, sorted, cmp);
+        gather(&mut self.pcpu, &cache.tcpu1, &self.order, from);
+        gather(&mut self.pnet, &cache.tnet, &self.order, from);
+        refold(&mut self.ps_cpu, &cache.tcpu1, &self.order, from);
+        refold(&mut self.ps_net, &cache.tnet, &self.order, from);
+        self.order_gen = cache.generation;
+        self.order_dop = dop.to_bits();
     }
 
     /// Algorithm 1 L6 objective `Σ_j |Tcpu_j(m) − Tnet_j|` for the
@@ -536,16 +449,25 @@ impl ScheduleScratch {
 mod tests {
     use super::*;
     use crate::job::JobId;
+    use proptest::prelude::*;
 
     fn prof(i: u64, tcpu1: f64, tnet: f64) -> JobProfile {
         JobProfile::from_reference(JobId::new(i), tcpu1, tnet)
     }
 
+    /// The scratch after `load_prefix(nj)` and `sort_prefix_by_dop(dop)`.
+    fn prepared(cache: &ProfileCache, nj: usize, dop: f64) -> ScheduleScratch {
+        let mut s = ScheduleScratch::new();
+        s.load_prefix(cache, nj);
+        s.sort_prefix_by_dop(cache, dop);
+        s
+    }
+
     #[test]
-    fn size_order_is_descending_iteration_time() {
+    fn order_at_dop_one_is_descending_iteration_time() {
         let jobs = vec![prof(0, 1.0, 1.0), prof(1, 9.0, 3.0), prof(2, 4.0, 4.0)];
         let cache = ProfileCache::build(&jobs);
-        assert_eq!(cache.size_order, vec![1, 2, 0]);
+        assert_eq!(prepared(&cache, 3, 1.0).order, vec![1, 2, 0]);
     }
 
     #[test]
@@ -554,21 +476,19 @@ mod tests {
         // profiles sort last. No NaN keys survive sanitization.
         let jobs = vec![prof(0, 4.0, 2.0), prof(1, 3.0, 0.0), prof(2, 0.0, 0.0)];
         let cache = ProfileCache::build(&jobs);
-        assert_eq!(cache.ratio_order, vec![1, 0, 2]);
-        assert!(cache.ratio_key.iter().all(|k| !k.is_nan()));
+        let s = prepared(&cache, 3, 1.0);
+        assert_eq!(s.sub_ratio, vec![1, 0, 2]);
+        assert!(s.sub_ratio_key.iter().all(|k| !k.is_nan()));
     }
 
     #[test]
     fn prefix_load_restricts_to_first_jobs() {
         let jobs = vec![prof(0, 1.0, 1.0), prof(1, 9.0, 3.0), prof(2, 4.0, 4.0)];
         let cache = ProfileCache::build(&jobs);
-        let mut s = ScheduleScratch::new();
-        s.load_prefix(&cache, 2);
-        // Only positions 0 and 1 participate, still size-ordered, and
-        // at DoP 1 the iteration-time order is the size order.
-        assert_eq!(s.sub_size, vec![1, 0]);
-        s.sort_prefix_by_dop(&cache, 1.0);
-        assert_eq!(s.sub_size, vec![1, 0]);
+        // Only positions 0 and 1 participate.
+        let s = prepared(&cache, 2, 1.0);
+        assert_eq!(s.order, vec![1, 0]);
+        assert_eq!(s.sub_ratio, vec![1, 0]);
         assert_eq!(s.ps_cpu, vec![0.0, 9.0, 10.0]);
         assert_eq!(s.ps_net, vec![0.0, 3.0, 4.0]);
     }
@@ -606,7 +526,7 @@ mod tests {
         let g0 = cache.generation;
 
         // Nothing changed: the cache keeps its generation, so a scratch
-        // whose `loaded_gen` matches can skip `load_prefix` entirely.
+        // whose `loaded_gen` matches keeps its prefix views.
         cache.sync(&jobs);
         assert_eq!(cache.generation, g0);
 
@@ -616,13 +536,16 @@ mod tests {
         cache.sync(&jobs);
         let g1 = cache.generation;
         assert!(g1 > g0);
-        assert_eq!(cache.size_order, vec![1, 0]);
+        assert_eq!(cache.tcpu1, vec![4.0, 9.0]);
 
-        // So does a shape change, which rebuilds everything.
+        // So does a shape change, which re-derives every position.
         jobs.pop();
         cache.sync(&jobs);
         assert!(cache.generation > g1);
-        assert_eq!(cache.size_order, vec![0]);
+        assert_eq!(
+            cache.state_bytes(),
+            ProfileCache::build(&jobs).state_bytes()
+        );
     }
 
     #[test]
@@ -642,5 +565,133 @@ mod tests {
         // A different prefix length reloads for real.
         s.load_prefix(&cache, 2);
         assert_eq!(s.rs_cpu[0], 0.0);
+    }
+
+    #[test]
+    fn extension_leaves_the_head_untouched() {
+        // Break-points 10, 5, 1 and, at DoP 1, iteration times 11, 6,
+        // 2: job 2 sorts last in both orders, so extending the 2-job
+        // prefix to 3 jobs only appends.
+        let jobs = vec![prof(0, 10.0, 1.0), prof(1, 5.0, 1.0), prof(2, 1.0, 1.0)];
+        let cache = ProfileCache::build(&jobs);
+        let mut s = prepared(&cache, 2, 1.0);
+        // Poison the heads of every view. A rebuild would overwrite
+        // them; an extension re-folds only from the first moved index.
+        s.sub_ratio_key[0] = f64::NAN;
+        s.rs_cpu[1] = f64::NAN;
+        s.pcpu[0] = f64::NAN;
+        s.ps_net[1] = f64::NAN;
+        s.load_prefix(&cache, 3);
+        s.sort_prefix_by_dop(&cache, 1.0);
+        assert!(s.sub_ratio_key[0].is_nan() && s.rs_cpu[1].is_nan());
+        assert!(s.pcpu[0].is_nan() && s.ps_net[1].is_nan());
+        // The tail is folded from the (clean) last head sum.
+        assert_eq!((s.rs_cpu[3], s.ps_cpu[3]), (16.0, 16.0));
+        // Another DoP re-sorts the whole prefix and clears the poison
+        // of the DoP views.
+        s.sort_prefix_by_dop(&cache, 2.0);
+        assert_eq!(s.pcpu, vec![10.0, 5.0, 1.0]);
+        assert_eq!(s.ps_net, vec![0.0, 1.0, 2.0, 3.0]);
+        // A new position that sorts first moves every entry.
+        let jobs = vec![prof(0, 1.0, 1.0), prof(1, 5.0, 1.0), prof(2, 10.0, 1.0)];
+        let cache = ProfileCache::build(&jobs);
+        let mut s = prepared(&cache, 2, 1.0);
+        s.rs_net[1] = f64::NAN;
+        s.load_prefix(&cache, 3);
+        assert_eq!(s.sub_ratio, vec![2, 1, 0]);
+        assert_eq!(s.rs_net, vec![0.0, 1.0, 2.0, 3.0]);
+    }
+
+    /// Every view, as bits.
+    fn views(s: &ScheduleScratch) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let ints = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
+        vec![
+            vec![s.loaded_nj as u64],
+            ints(&s.order),
+            bits(&s.pcpu),
+            bits(&s.pnet),
+            bits(&s.ps_cpu),
+            bits(&s.ps_net),
+            ints(&s.sub_ratio),
+            bits(&s.sub_ratio_key),
+            bits(&s.rs_cpu),
+            bits(&s.rs_net),
+        ]
+    }
+
+    /// Durations from a small set, so keys collide across distinct ids,
+    /// with `tnet == 0` and idle `(0, 0)` profiles among them.
+    fn drawn(id: u64, c: u8, t: u8) -> JobProfile {
+        const CPU: [f64; 5] = [0.0, 1.0, 2.0, 4.0, 7.5];
+        const NET: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+        prof(id, CPU[usize::from(c) % 5], NET[usize::from(t) % 4])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A scratch walked through any sequence of prefixes, DoPs and
+        /// syncs holds, after every step, exactly the views a fresh
+        /// scratch builds for the same prefix and DoP: ascending runs
+        /// (the extension path), shrinks, repeats, and value or shape
+        /// changes of the cache in between.
+        #[test]
+        fn walked_views_match_a_fresh_scratch(
+            seeds in prop::collection::vec((0u8..5, 0u8..4), 1..24),
+            steps in prop::collection::vec((0u8..6, 0usize..64, 0usize..4), 1..40),
+        ) {
+            const DOPS: [f64; 4] = [1.0, 2.0, 3.5, 8.0];
+            let mut jobs: Vec<JobProfile> = seeds
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, t))| drawn(i as u64, c, t))
+                .collect();
+            let mut next_id = jobs.len() as u64;
+            let mut cache = ProfileCache::build(&jobs);
+            let mut s = ScheduleScratch::new();
+            let mut nj = 0;
+            for (step, &(kind, a, d)) in steps.iter().enumerate() {
+                match kind {
+                    // Extend: the next prefix of an ascending run.
+                    0 | 1 => nj += 1 + a % 4,
+                    // Any prefix: a shrink, a repeat or a jump.
+                    2 => nj = a,
+                    // Repeat the prefix (at a drawn DoP).
+                    3 => {}
+                    // New values for one job.
+                    4 => {
+                        let at = a % jobs.len();
+                        let id = jobs[at].job().index();
+                        jobs[at] = drawn(id, a as u8, d as u8 + 1);
+                        cache.sync(&jobs);
+                    }
+                    // A new shape: a job leaves or arrives.
+                    _ => {
+                        if a % 2 == 0 && jobs.len() > 1 {
+                            jobs.remove(a % jobs.len());
+                        } else {
+                            jobs.push(drawn(next_id, a as u8, d as u8));
+                            next_id += 1;
+                        }
+                        cache.sync(&jobs);
+                    }
+                }
+                nj = nj.clamp(1, jobs.len());
+                let dop = DOPS[d];
+                s.load_prefix(&cache, nj);
+                s.sort_prefix_by_dop(&cache, dop);
+                prop_assert_eq!(
+                    views(&s),
+                    views(&prepared(&cache, nj, dop)),
+                    "step {} ({:?}): nj {} of {} at DoP {}",
+                    step,
+                    (kind, a, d),
+                    nj,
+                    jobs.len(),
+                    dop
+                );
+            }
+        }
     }
 }

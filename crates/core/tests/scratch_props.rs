@@ -1,15 +1,18 @@
 //! Property tests for the profile cache's in-place update
-//! ([`ProfileCache::sync`]): over *arbitrary* dirty subsets —
+//! ([`ProfileCache::sync`]): over *arbitrary* touched subsets —
 //! any number of jobs re-observed with any new durations, densities
-//! and DoPs, in any order — the incrementally repaired cache must be
-//! byte-identical ([`ProfileCache::state_bytes`]) to a cache built
-//! from scratch over the same profiles. This is the load-bearing
-//! guarantee behind every decision made through a reused cache
-//! (`Scheduler::schedule_reusing`, the release pass, admission
+//! and DoPs, in any order — the synced cache must be byte-identical
+//! ([`ProfileCache::state_bytes`]: durations, ids and break-point keys)
+//! to a cache built from scratch over the same profiles. This is the
+//! load-bearing guarantee behind every decision made through a reused
+//! cache (`Scheduler::schedule_reusing`, the release pass, admission
 //! pricing): the simulator's golden digests only prove end-to-end
-//! runs; these tests pin the cache layer in isolation, including the
-//! shape-change fallback and a PUSH density crossing the trust
-//! threshold, which moves a job's priced `Tnet`.
+//! runs; these tests pin the cache layer in isolation, including
+//! shape changes and a PUSH density crossing the trust threshold,
+//! which moves a job's priced `Tnet`. The per-prefix sort orders live
+//! in `ScheduleScratch`; its unit tests hold a walked scratch to a
+//! fresh one, and the release-pass property below holds whole
+//! decisions through a reused pair to fresh ones.
 
 use harmony_core::job::JobId;
 use harmony_core::profile::JobProfile;
@@ -101,15 +104,15 @@ proptest! {
         prop_assert_eq!(
             cache.state_bytes(),
             fresh.state_bytes(),
-            "incremental repair diverged from a full build \
+            "in-place sync diverged from a full build \
              ({} jobs, {} touches)",
             jobs.len(),
             touches.len(),
         );
     }
 
-    /// Repeated incremental rounds never drift: the same cache is
-    /// repaired through several touch batches in sequence (the
+    /// Repeated in-place rounds never drift: the same cache is
+    /// synced through several touch batches in sequence (the
     /// simulator's steady state) and must still match a fresh build
     /// after every round.
     #[test]
