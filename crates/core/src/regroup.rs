@@ -34,7 +34,7 @@ use crate::job::JobId;
 use crate::model::{cluster_utilization_from_terms, group_utilization, Utilization};
 use crate::profile::{JobProfile, ProfileStore};
 use crate::schedule::{ScheduleOutcome, Scheduler, SCORE_CEILING};
-use crate::scratch::{ProfileCache, ScheduleScratch};
+use crate::scratch::ScheduleScratch;
 
 /// The master's view of cluster state handed to the regrouper.
 #[derive(Debug, Clone)]
@@ -88,17 +88,16 @@ type GroupTerms = Vec<Option<(Utilization, u32)>>;
 /// Regrouping policy around a [`Scheduler`].
 ///
 /// Its decisions depend on their arguments alone. What it keeps across
-/// calls is Algorithm 1's working set — the job list, [`ProfileCache`]
-/// and [`ScheduleScratch`] every ladder rung and every empty-grouping
-/// placement runs through ([`Scheduler::schedule_reusing`]) — so a
-/// repeated decision regrows no buffer; [`ProfileCache::sync`] makes
-/// the reused buffers decide exactly as fresh ones would.
+/// calls is the job list and the [`ScheduleScratch`] every ladder rung
+/// and every empty-grouping placement runs through
+/// ([`Scheduler::schedule_reusing`]), so a repeated decision regrows no
+/// buffer; [`ProfileCache::sync`](crate::scratch::ProfileCache::sync)
+/// makes the reused scratch decide exactly as a fresh one would.
 #[derive(Debug, Clone, Default)]
 pub struct Regrouper {
     scheduler: Scheduler,
     /// Profiles of the job set being scheduled.
     jobs: Vec<JobProfile>,
-    cache: ProfileCache,
     scratch: ScheduleScratch,
 }
 
@@ -124,7 +123,7 @@ impl Regrouper {
         self.jobs
             .extend(ids.into_iter().filter_map(|j| profiles.get(j).cloned()));
         self.scheduler
-            .schedule_reusing(&self.jobs, machines, &mut self.cache, &mut self.scratch)
+            .schedule_reusing(&self.jobs, machines, &mut self.scratch)
     }
 
     /// Whether no proposal can clear the acceptance gate over `base`:

@@ -6,9 +6,9 @@
 //! every candidate and allocates a fresh `Vec` per group — at 8K jobs /
 //! 10K machines that is the dominant cost of a decision. This module
 //! hoists everything candidate-independent into a [`ProfileCache`]
-//! built once per decision, and keeps all candidate-dependent working
-//! state in a [`ScheduleScratch`] that is reused (never reallocated)
-//! across the whole scan:
+//! synced once per decision, and keeps all candidate-dependent working
+//! state in per-thread prefix views that are reused (never
+//! reallocated) across the whole scan:
 //!
 //! - `tcpu1[]` / `tnet[]` / `ratio_key[]`: struct-of-arrays copies of
 //!   the profile durations and their balance break-points, so the hot
@@ -31,14 +31,13 @@
 //! views extend the previous prefix's: only the new positions are
 //! sorted, merged in, and summed from the first index they moved.
 //!
-//! Each scan worker owns one `ScheduleScratch`; the buffers grow to the
-//! high-water mark of the largest prefix and stay allocated for the
-//! rest of the decision. The helper threads' scratches live inside the
-//! calling thread's (`helpers`), so a caller that carries its scratch
-//! across decisions carries theirs too.
+//! A [`ScheduleScratch`] is Algorithm 1's whole working set: the cache,
+//! the calling thread's views, the scan helpers' views and the scan's
+//! prefix list and result slots. The buffers grow to the high-water
+//! mark of the largest prefix and stay allocated, so a caller that
+//! carries one scratch across decisions regrows nothing once warm.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::job::JobId;
 use crate::profile::JobProfile;
@@ -63,21 +62,12 @@ pub struct ProfileCache {
     /// split search is total). A job is computation-bound at DoP `m`
     /// iff its break-point exceeds `m`.
     pub(crate) ratio_key: Vec<f64>,
-    /// Build stamp, drawn afresh by every [`Self::sync`] that changed
-    /// any cached value from one process-wide counter, so no two
-    /// caches' contents ever share a stamp. [`ScheduleScratch`] keys
-    /// its prefix views on this, so a decision over an unchanged cache
-    /// extends or keeps the views the previous decision left.
+    /// Build stamp, bumped by every [`Self::sync`] that changed any
+    /// cached value (`0` until the first one). The prefix views of the
+    /// [`ScheduleScratch`] that owns the cache are keyed on it, so a
+    /// decision over an unchanged cache extends or keeps the views the
+    /// previous decision left.
     pub(crate) generation: u64,
-}
-
-/// Source of every [`ProfileCache::generation`]; starts at 1 so that
-/// 0 can mean "never loaded".
-static GENERATIONS: AtomicU64 = AtomicU64::new(1);
-
-/// A generation no cache has held before.
-fn next_generation() -> u64 {
-    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Sanitized balance break-point `tcpu1 / tnet` (never NaN).
@@ -149,7 +139,7 @@ fn resort(
 impl ProfileCache {
     /// Builds the cache with priced COMM seconds
     /// ([`JobProfile::priced_tnet`]): one linear pass, no sort — the
-    /// orders are per prefix, in [`ScheduleScratch`].
+    /// orders are per prefix, in the views of a [`ScheduleScratch`].
     ///
     /// # Panics
     ///
@@ -174,7 +164,7 @@ impl ProfileCache {
     /// counts. A changed value, or a shape change (a different length,
     /// or a different `JobId` at some position), draws a new
     /// generation; with nothing changed the cache keeps its generation,
-    /// so a paired scratch keeps or extends its prefix views.
+    /// so the owning scratch keeps or extends its prefix views.
     ///
     /// Each job's cached `Tnet` is [`JobProfile::priced_tnet`], so a
     /// density crossing the trust threshold between calls is a value
@@ -212,7 +202,7 @@ impl ProfileCache {
             }
         }
         if changed {
-            self.generation = next_generation();
+            self.generation += 1;
         }
     }
 
@@ -250,13 +240,41 @@ impl ProfileCache {
     }
 }
 
-/// Reusable working buffers for one candidate-scan worker.
+/// Algorithm 1's working set, reused from decision to decision: the
+/// [`ProfileCache`], the calling thread's prefix views, the scan
+/// helpers' views, and the scan's prefix list and result slots.
 ///
-/// All vectors keep their capacity between candidates; a full decision
-/// performs a bounded number of allocations regardless of how many
-/// candidates it scans.
+/// The views only ever see this scratch's own cache, so they are keyed
+/// on its generation alone. All vectors keep their capacity between
+/// candidates and decisions; a full decision performs a bounded number
+/// of allocations regardless of how many candidates it scans, and
+/// [`Self::new`] performs none.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
+    /// The profiles of the current decision, synced at its start.
+    pub(crate) cache: ProfileCache,
+    /// The calling thread's prefix views.
+    pub(crate) views: PrefixViews,
+    /// Views of the scan's helper threads, kept across decisions.
+    pub(crate) helpers: Vec<PrefixViews>,
+    /// Candidate prefix sizes for the current decision.
+    pub(crate) prefixes: Vec<usize>,
+    /// One result slot per entry of `prefixes`, filled by whichever
+    /// scan thread evaluated that prefix.
+    pub(crate) slots: Vec<Option<PrefixEval>>,
+}
+
+impl ScheduleScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// One scan thread's views of the loaded prefix and its candidate
+/// buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrefixViews {
     /// The prefix's positions `0..nj` by iteration time at the DoP of
     /// the last [`Self::sort_prefix_by_dop`] (descending, ties by
     /// `JobId`).
@@ -302,15 +320,6 @@ pub struct ScheduleScratch {
     /// Per-position swap deltas `tcpu1/dop − tnet` for the current
     /// candidate's uniform DoP.
     pub(crate) delta: Vec<f64>,
-    /// Candidate prefix sizes for the current decision.
-    pub(crate) prefixes: Vec<usize>,
-    /// One result slot per entry of `prefixes`, filled by whichever
-    /// scan thread evaluated that prefix.
-    pub(crate) slots: Vec<Option<PrefixEval>>,
-    /// Scratches of the scan's helper threads. They see only the cache
-    /// this scratch is paired with, so their `loaded_gen` keys hold
-    /// for the same reason this scratch's does.
-    pub(crate) helpers: Vec<ScheduleScratch>,
     /// Per-group imbalance for the current swap pass.
     pub(crate) imbs: Vec<f64>,
     /// Machines allocated per group.
@@ -326,11 +335,10 @@ pub struct ScheduleScratch {
     /// Loaded prefix length (guards against stale reuse).
     pub(crate) loaded_nj: usize,
     /// [`ProfileCache::generation`] at the last [`Self::load_prefix`]
-    /// (`0` = never loaded; a built cache's generation is always
+    /// (`0` = never loaded; a cache that has held a job has generation
     /// ≥ 1). While it matches, `sub_ratio` is sorted under the cache's
     /// values, so a longer prefix extends it and the same prefix is
-    /// free. Generations are unique across caches, so a scratch may
-    /// move between caches.
+    /// free.
     pub(crate) loaded_gen: u64,
     /// [`ProfileCache::generation`] at the last
     /// [`Self::sort_prefix_by_dop`] (`0` = never sorted).
@@ -362,12 +370,7 @@ fn refold(sums: &mut Vec<f64>, vals: &[f64], order: &[u32], from: usize) {
     }));
 }
 
-impl ScheduleScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl PrefixViews {
     /// Loads the first `nj` jobs (the caller's priority prefix) into
     /// the ratio views: the prefix's break-point order, its keys and
     /// its prefix sums. The duration views follow from
@@ -455,9 +458,9 @@ mod tests {
         JobProfile::from_reference(JobId::new(i), tcpu1, tnet)
     }
 
-    /// The scratch after `load_prefix(nj)` and `sort_prefix_by_dop(dop)`.
-    fn prepared(cache: &ProfileCache, nj: usize, dop: f64) -> ScheduleScratch {
-        let mut s = ScheduleScratch::new();
+    /// Fresh views after `load_prefix(nj)` and `sort_prefix_by_dop(dop)`.
+    fn prepared(cache: &ProfileCache, nj: usize, dop: f64) -> PrefixViews {
+        let mut s = PrefixViews::default();
         s.load_prefix(cache, nj);
         s.sort_prefix_by_dop(cache, dop);
         s
@@ -502,7 +505,7 @@ mod tests {
             prof(3, 30.0, 1.0),
         ];
         let cache = ProfileCache::build(&jobs);
-        let mut s = ScheduleScratch::new();
+        let mut s = PrefixViews::default();
         for nj in 1..=jobs.len() {
             s.load_prefix(&cache, nj);
             for m in [0.5f64, 1.0, 2.0, 3.0, 7.5, 40.0] {
@@ -523,25 +526,23 @@ mod tests {
     fn sync_generation_tracks_changes() {
         let mut jobs = vec![prof(0, 4.0, 2.0), prof(1, 3.0, 1.0)];
         let mut cache = ProfileCache::build(&jobs);
-        let g0 = cache.generation;
+        assert_eq!(cache.generation, 1, "the first sync changes everything");
 
-        // Nothing changed: the cache keeps its generation, so a scratch
-        // whose `loaded_gen` matches keeps its prefix views.
+        // Nothing changed: the cache keeps its generation, so views
+        // whose `loaded_gen` matches keep their prefix.
         cache.sync(&jobs);
-        assert_eq!(cache.generation, g0);
+        assert_eq!(cache.generation, 1);
 
-        // A real value change draws a new one (other caches, in other
-        // tests' threads, may draw in between).
+        // A real value change bumps it.
         jobs[1] = prof(1, 9.0, 1.0);
         cache.sync(&jobs);
-        let g1 = cache.generation;
-        assert!(g1 > g0);
+        assert_eq!(cache.generation, 2);
         assert_eq!(cache.tcpu1, vec![4.0, 9.0]);
 
         // So does a shape change, which re-derives every position.
         jobs.pop();
         cache.sync(&jobs);
-        assert!(cache.generation > g1);
+        assert_eq!(cache.generation, 3);
         assert_eq!(
             cache.state_bytes(),
             ProfileCache::build(&jobs).state_bytes()
@@ -552,7 +553,7 @@ mod tests {
     fn load_prefix_generation_guard_skips_clean_reload() {
         let jobs = vec![prof(0, 1.0, 1.0), prof(1, 9.0, 3.0), prof(2, 4.0, 4.0)];
         let cache = ProfileCache::build(&jobs);
-        let mut s = ScheduleScratch::new();
+        let mut s = PrefixViews::default();
         s.load_prefix(&cache, 3);
         let gen = s.loaded_gen;
         assert_eq!(gen, cache.generation);
@@ -603,7 +604,7 @@ mod tests {
     }
 
     /// Every view, as bits.
-    fn views(s: &ScheduleScratch) -> Vec<Vec<u64>> {
+    fn views(s: &PrefixViews) -> Vec<Vec<u64>> {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         let ints = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
         vec![
@@ -631,9 +632,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A scratch walked through any sequence of prefixes, DoPs and
-        /// syncs holds, after every step, exactly the views a fresh
-        /// scratch builds for the same prefix and DoP: ascending runs
+        /// Views walked through any sequence of prefixes, DoPs and syncs
+        /// hold, after every step, exactly the views fresh ones build
+        /// for the same prefix and DoP: ascending runs
         /// (the extension path), shrinks, repeats, and value or shape
         /// changes of the cache in between.
         #[test]
@@ -649,7 +650,7 @@ mod tests {
                 .collect();
             let mut next_id = jobs.len() as u64;
             let mut cache = ProfileCache::build(&jobs);
-            let mut s = ScheduleScratch::new();
+            let mut s = PrefixViews::default();
             let mut nj = 0;
             for (step, &(kind, a, d)) in steps.iter().enumerate() {
                 match kind {

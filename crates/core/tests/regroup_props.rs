@@ -1,13 +1,13 @@
 //! Property tests for decisions made through warm buffers: a
-//! [`Regrouper`] keeps one job list, [`ProfileCache`] and
-//! [`ScheduleScratch`] across all its calls, and every ladder rung and
-//! empty-grouping placement runs Algorithm 1 through them
-//! ([`Scheduler::schedule_reusing`]). Whatever ran through the buffers
-//! before — longer or shorter job lists, other budgets, the same list
-//! again — each answer must be the one fresh buffers give: the
-//! scheduler pair is held to a fresh [`Scheduler::schedule`] per call,
-//! and a long-lived regrouper to a fresh regrouper per call, with every
-//! rescheduled outcome also recomputed by a fresh `schedule`.
+//! [`Regrouper`] keeps one job list and [`ScheduleScratch`] across all
+//! its calls, and every ladder rung and empty-grouping placement runs
+//! Algorithm 1 through them ([`Scheduler::schedule_reusing`]). Whatever
+//! ran through the buffers before — longer or shorter job lists, other
+//! budgets, the same list again — each answer must be the one fresh
+//! buffers give: a warm scratch is held to a fresh
+//! [`Scheduler::schedule`] per call, and a long-lived regrouper to a
+//! fresh regrouper per call, with every rescheduled outcome also
+//! recomputed by a fresh `schedule`.
 
 use harmony_core::cluster::MachineId;
 use harmony_core::group::{GroupId, Grouping, JobGroup};
@@ -15,7 +15,7 @@ use harmony_core::job::JobId;
 use harmony_core::profile::{JobProfile, ProfileStore};
 use harmony_core::regroup::{ClusterView, RegroupDecision, Regrouper};
 use harmony_core::schedule::{Scheduler, SchedulerConfig};
-use harmony_core::scratch::{ProfileCache, ScheduleScratch};
+use harmony_core::scratch::ScheduleScratch;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,7 +206,7 @@ fn repair_then_escalate_decides_like_the_single_completion_call() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One cache/scratch pair carried through a ladder's worth of job
+    /// One scratch carried through a ladder's worth of job
     /// lists — growing rungs, shrinking ones, the same list under
     /// another budget, unrelated lists, an empty one — decides every
     /// call exactly as a fresh `Scheduler::schedule` does.
@@ -220,7 +220,7 @@ proptest! {
             .map(|id| profile(&mut rng, id))
             .collect();
         let scheduler = Scheduler::new(SchedulerConfig::default());
-        let (mut cache, mut scratch) = (ProfileCache::empty(), ScheduleScratch::new());
+        let mut scratch = ScheduleScratch::new();
         let mut len = rng.gen_range(0..=population.len());
         let mut start = 0;
         let mut machines = rng.gen_range(0u32..200);
@@ -244,7 +244,7 @@ proptest! {
                 _ => {}
             }
             let jobs = &population[start..start + len];
-            let warm = scheduler.schedule_reusing(jobs, machines, &mut cache, &mut scratch);
+            let warm = scheduler.schedule_reusing(jobs, machines, &mut scratch);
             let fresh = scheduler.schedule(jobs, machines);
             prop_assert_eq!(warm, fresh, "rung {} ({} jobs, {} machines)", rung, len, machines);
         }

@@ -10,9 +10,9 @@
 //! runs; these tests pin the cache layer in isolation, including
 //! shape changes and a PUSH density crossing the trust threshold,
 //! which moves a job's priced `Tnet`. The per-prefix sort orders live
-//! in `ScheduleScratch`; its unit tests hold a walked scratch to a
-//! fresh one, and the release-pass property below holds whole
-//! decisions through a reused pair to fresh ones.
+//! in the prefix views of a `ScheduleScratch`; their unit tests hold
+//! walked views to fresh ones, and the properties below hold whole
+//! decisions through a reused scratch to fresh ones.
 
 use harmony_core::job::JobId;
 use harmony_core::profile::JobProfile;
@@ -189,10 +189,9 @@ proptest! {
     /// The targeted release pass
     /// ([`harmony_core::schedule::Scheduler::schedule_release`]) rides
     /// the same [`ProfileCache::sync`] pipeline as the full pass: a
-    /// persistent cache/scratch pair carried across arbitrary touch
-    /// batches — with full passes interleaved to churn the shared
-    /// scratch views — must reproduce the decision a fresh pair makes
-    /// from scratch, round after round.
+    /// persistent scratch carried across arbitrary touch batches — with
+    /// full passes interleaved to churn its views — must reproduce the
+    /// decision a fresh scratch makes, round after round.
     #[test]
     fn release_pass_rides_the_dirty_set_cleanly(
         seeds in seeds(),
@@ -204,15 +203,11 @@ proptest! {
 
         let mut jobs = seeded(&seeds);
         let sched = Scheduler::default();
-        let mut cache = ProfileCache::empty();
         let mut scratch = ScheduleScratch::new();
         for (round, batch) in rounds.iter().enumerate() {
             apply_touches(&mut jobs, batch);
-            let warm = sched.schedule_release(&jobs, machines, &mut cache, &mut scratch);
-            let mut fresh_cache = ProfileCache::empty();
-            let mut fresh_scratch = ScheduleScratch::new();
-            let fresh =
-                sched.schedule_release(&jobs, machines, &mut fresh_cache, &mut fresh_scratch);
+            let warm = sched.schedule_release(&jobs, machines, &mut scratch);
+            let fresh = sched.schedule_release(&jobs, machines, &mut ScheduleScratch::new());
             prop_assert_eq!(
                 format!("{}", warm.grouping),
                 format!("{}", fresh.grouping),
@@ -221,23 +216,26 @@ proptest! {
             );
             prop_assert_eq!(warm.utilization, fresh.utilization);
             prop_assert_eq!(warm.unscheduled, fresh.unscheduled);
-            // A full pass over the same buffers churns the shared
-            // scratch views between release rounds, exactly like the
-            // simulator's steady state.
-            let _ = sched.schedule_reusing(&jobs, machines, &mut cache, &mut scratch);
+            // A full pass over the same scratch churns its views
+            // between release rounds, exactly like the simulator's
+            // steady state.
+            let _ = sched.schedule_reusing(&jobs, machines, &mut scratch);
         }
     }
 }
 
-/// One scratch shared across caches built apart: every cache's
-/// generation is drawn from one process-wide counter, so a scratch
-/// never mistakes one cache's loaded prefix views for another's, and
-/// each price matches the one a fresh scratch gives. (When every fresh
-/// cache started at generation 1, pricing six jobs left the scratch
-/// holding their five-job prefix, and pricing five other jobs next
-/// scored them with those stale views.)
+/// One scratch carried across unrelated populations: six jobs, then
+/// five with the same ids, each size twice in a row and every
+/// population with freshly drawn durations, fifty times over, through
+/// all three reusing entries. A new shape, and new values under equal
+/// ids, must each bump the cache's generation, so the views kept from
+/// the last population are never read as this one's, and every answer
+/// matches a fresh scratch's. (When every fresh cache started at the
+/// same generation, pricing six jobs left a scratch holding their
+/// five-job prefix, and pricing five other jobs next scored them with
+/// those stale views.)
 #[test]
-fn a_scratch_shared_across_fresh_caches_prices_like_a_fresh_one() {
+fn a_scratch_carried_across_populations_decides_like_a_fresh_one() {
     use harmony_core::schedule::Scheduler;
     use harmony_core::scratch::ScheduleScratch;
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -248,20 +246,30 @@ fn a_scratch_shared_across_fresh_caches_prices_like_a_fresh_one() {
         lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
     };
     let scheduler = Scheduler::default();
-    let mut shared = ScheduleScratch::new();
-    for _ in 0..50 {
-        for n in [6, 5] {
+    let mut carried = ScheduleScratch::new();
+    for round in 0..50 {
+        for n in [6, 6, 5, 5] {
             let jobs: Vec<JobProfile> = (0..n)
                 .map(|i| {
                     JobProfile::from_reference(JobId::new(i), draw(1.0, 100.0), draw(0.5, 40.0))
                 })
                 .collect();
             let machines = draw(2.0, 12.0) as u32;
-            let price = |scratch: &mut ScheduleScratch| {
-                scheduler.price_candidate(&jobs, machines, &mut ProfileCache::empty(), scratch)
-            };
-            let reused = price(&mut shared);
-            assert_eq!(reused, price(&mut ScheduleScratch::new()));
+            assert_eq!(
+                scheduler.price_candidate(&jobs, machines, &mut carried),
+                scheduler.price_candidate(&jobs, machines, &mut ScheduleScratch::new()),
+                "price, round {round}, {n} jobs"
+            );
+            assert_eq!(
+                scheduler.schedule_release(&jobs, machines, &mut carried),
+                scheduler.schedule_release(&jobs, machines, &mut ScheduleScratch::new()),
+                "release pass, round {round}, {n} jobs"
+            );
+            assert_eq!(
+                scheduler.schedule_reusing(&jobs, machines, &mut carried),
+                scheduler.schedule_reusing(&jobs, machines, &mut ScheduleScratch::new()),
+                "full pass, round {round}, {n} jobs"
+            );
         }
     }
 }

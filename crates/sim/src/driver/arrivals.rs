@@ -136,8 +136,8 @@ impl Driver {
     /// profiles of live jobs plus an a-priori profile built from the
     /// candidate's spec ([`JobProfile::from_reference`] — the same
     /// construction the isolated baseline uses before profiling).
-    /// Accounted as scheduler wall time but not as an invocation
-    /// ([`Self::timed_query`]).
+    /// Booked as [`RunReport::pricing_wall`], not as a scheduler
+    /// invocation ([`Self::timed_query`]).
     pub(super) fn price_arrival(&mut self, j: usize) -> f64 {
         let machines = self.available_machines();
         if machines == 0 {
@@ -160,12 +160,9 @@ impl Driver {
             // The candidate goes last: `price_candidate` scores the job
             // sequence with and without its final profile.
             buf.profiles.push(cand);
-            let price = d.scheduler.price_candidate(
-                &buf.profiles,
-                machines,
-                &mut buf.cache,
-                &mut buf.scratch,
-            );
+            let price = d
+                .scheduler
+                .price_candidate(&buf.profiles, machines, &mut buf.scratch);
             d.sched_scratch = ss;
             price.marginal()
         })

@@ -601,9 +601,12 @@ impl Driver {
             self.debug_check_state();
         }
         self.scratch_notes = notes;
-        // Everything the loop spent outside scheduling decisions is
-        // event-path time (fluid advancement, queue churn, memory).
-        self.report.event_wall = loop_t0.elapsed().saturating_sub(self.report.sched_wall);
+        // Everything the loop spent outside scheduling decisions and
+        // admission pricing is event-path time (fluid advancement,
+        // queue churn, memory).
+        self.report.event_wall = loop_t0
+            .elapsed()
+            .saturating_sub(self.report.sched_wall + self.report.pricing_wall);
     }
 
     fn on_event(&mut self, kind: EventKind) {

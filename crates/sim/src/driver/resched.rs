@@ -116,10 +116,12 @@ pub(super) fn running_grouping<'a>(alive: impl Iterator<Item = &'a GroupSim>) ->
 
 impl Driver {
     /// The one place scheduler work is timed and counted: runs `query`
-    /// and books its wall time as [`RunReport::sched_wall`]; a query
-    /// that `decides` placement also counts as an invocation (pricing
-    /// an arrival places nothing, so the canonical decision count stays
-    /// comparable across admission arms).
+    /// and books its wall time. A query that `decides` placement books
+    /// into [`RunReport::sched_wall`] and counts as an invocation;
+    /// pricing an arrival places nothing and books into
+    /// [`RunReport::pricing_wall`] alone, so the canonical decision
+    /// count stays comparable across admission arms and `sched_wall`
+    /// per invocation is the cost of a deciding pass.
     pub(super) fn timed_query<T>(
         &mut self,
         decides: bool,
@@ -127,8 +129,13 @@ impl Driver {
     ) -> T {
         let t0 = Instant::now();
         let answer = query(self);
-        self.report.sched_wall += t0.elapsed();
-        self.report.sched_invocations += usize::from(decides);
+        let wall = t0.elapsed();
+        if decides {
+            self.report.sched_wall += wall;
+            self.report.sched_invocations += 1;
+        } else {
+            self.report.pricing_wall += wall;
+        }
         answer
     }
 
@@ -576,12 +583,9 @@ impl Driver {
                 );
                 d.oracle.schedule(&buf.profiles, machines)
             }
-            _ => d.scheduler.schedule_reusing(
-                &buf.profiles,
-                machines,
-                &mut buf.cache,
-                &mut buf.scratch,
-            ),
+            _ => d
+                .scheduler
+                .schedule_reusing(&buf.profiles, machines, &mut buf.scratch),
         });
         self.sched_scratch = ss;
         let involved: Vec<usize> = self
@@ -619,7 +623,7 @@ impl Driver {
         let buf = &mut ss.release;
         let outcome = self.timed_query(true, |d| {
             d.scheduler
-                .schedule_release(&buf.profiles, machines, &mut buf.cache, &mut buf.scratch)
+                .schedule_release(&buf.profiles, machines, &mut buf.scratch)
         });
         self.report.release_passes += 1;
         self.sched_scratch = ss;

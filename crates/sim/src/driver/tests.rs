@@ -463,6 +463,29 @@ fn sched_wall_clock_is_tracked() {
     );
     assert!(r.sched_invocations > 0);
     assert!(r.sched_wall > std::time::Duration::ZERO);
+    // A closed loop prices no arrival.
+    assert_eq!(r.pricing_wall, std::time::Duration::ZERO);
+
+    // An open loop whose policy prices every offer books that time
+    // apart from the deciding passes.
+    let gen = WorkloadGen::new(
+        crate::workload::WorkloadGenConfig {
+            seed: 3,
+            mean_interarrival_secs: 60.0,
+            horizon_secs: 2_000.0,
+            max_jobs: 4,
+        },
+        two_complementary(),
+    )
+    .expect("valid generator");
+    let policy = Box::new(crate::admission::UtilityThreshold {
+        threshold: 0.02,
+        reject_after: Some(4),
+    });
+    let r =
+        Driver::run_open_loop(small_cfg(SchedulerKind::Harmony), gen, policy).expect("valid run");
+    assert!(r.admission.admitted > 0);
+    assert!(r.pricing_wall > std::time::Duration::ZERO);
 }
 
 #[test]

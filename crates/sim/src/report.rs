@@ -177,13 +177,18 @@ pub struct RunReport {
     pub predictions: Vec<PredictionSample>,
     /// Number of scheduling-algorithm invocations.
     pub sched_invocations: usize,
-    /// Total wall-clock spent inside the scheduling algorithm (the
-    /// decision half of the run's host cost).
+    /// Total wall-clock spent inside the scheduling algorithm's
+    /// deciding passes (the decision half of the run's host cost), the
+    /// passes [`Self::sched_invocations`] counts.
     pub sched_wall: std::time::Duration,
-    /// Wall-clock spent in the event loop *outside* the scheduling
-    /// algorithm — fluid advancement, queue churn, the memory model
-    /// (the run's total host wall minus `sched_wall`). Together the
-    /// two halves show which side a perf change moved. Excluded from
+    /// Wall-clock spent pricing arrivals for admission (open-loop runs
+    /// whose policy prices; zero otherwise). Kept apart from
+    /// `sched_wall`, which it would otherwise inflate per invocation.
+    pub pricing_wall: std::time::Duration,
+    /// Wall-clock spent in the event loop *outside* the scheduler —
+    /// fluid advancement, queue churn, the memory model (the run's
+    /// total host wall minus `sched_wall` and `pricing_wall`). Together
+    /// the three show which side a perf change moved. Excluded from
     /// [`Self::canonical_bytes`] like every wall-clock field.
     pub event_wall: std::time::Duration,
     /// Full reschedule passes by trigger reason. Diagnostics only:
@@ -327,7 +332,8 @@ impl RunReport {
 
     /// A canonical byte serialization of everything *deterministic* in
     /// the report: two runs of the same config and seeds must produce
-    /// identical bytes. Wall-clock fields (`sched_wall`) are excluded;
+    /// identical bytes. Wall-clock fields (`sched_wall`, `pricing_wall`,
+    /// `event_wall`) are excluded;
     /// floats are encoded bit-exactly via [`f64::to_bits`].
     ///
     /// The encoding is lossless. A utilization timeline whose samples
@@ -485,6 +491,7 @@ mod tests {
             predictions: Vec::new(),
             sched_invocations: 0,
             sched_wall: std::time::Duration::ZERO,
+            pricing_wall: std::time::Duration::ZERO,
             event_wall: std::time::Duration::ZERO,
             resched_reasons: ReschedCounters::default(),
             migrations: 0,
@@ -570,6 +577,7 @@ mod tests {
         let mut a = report(vec![outcome(Some(10.0)), outcome(None)]);
         let mut b = a.clone();
         b.sched_wall = std::time::Duration::from_secs(42);
+        b.pricing_wall = std::time::Duration::from_secs(3);
         b.event_wall = std::time::Duration::from_secs(7);
         b.resched_reasons.bump(ReschedReason::Bootstrap);
         b.coalesce_windows = 3;

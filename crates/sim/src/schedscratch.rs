@@ -10,28 +10,17 @@
 //! to Algorithm 1 is byte-identical to the store-backed path.
 
 use harmony_core::profile::JobProfile;
-use harmony_core::scratch::{ProfileCache, ScheduleScratch};
+use harmony_core::scratch::ScheduleScratch;
 
 /// What one kind of scheduler query carries from call to call: the
-/// profile list it is asked over and the core scheduler's cache and
-/// scan scratch, which must stay paired (`ScheduleScratch::loaded_gen`).
+/// profile list it is asked over and the core scheduler's working set.
+#[derive(Default)]
 pub(crate) struct PassBuffers {
     /// Profiles in decision order; flat copies, capacity reused.
     pub profiles: Vec<JobProfile>,
-    /// Per-profile derived arrays, synced to `profiles` by each query.
-    pub cache: ProfileCache,
-    /// Candidate-scan scratch paired with `cache`.
+    /// Algorithm 1's cache and scan buffers, synced to `profiles` by
+    /// each query.
     pub scratch: ScheduleScratch,
-}
-
-impl Default for PassBuffers {
-    fn default() -> Self {
-        Self {
-            profiles: Vec::new(),
-            cache: ProfileCache::empty(),
-            scratch: ScheduleScratch::new(),
-        }
-    }
 }
 
 /// Reused buffers for [`crate::driver::Driver`]'s scheduler queries.

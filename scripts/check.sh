@@ -8,8 +8,10 @@
 # the workspace, so a public-API deletion that breaks it must fail
 # here, not only under --bench-smoke), the whole test suite, then release
 # reruns of the thread-timing-sensitive gates (profile_feedback,
-# profile_props, schedule_props, regroup_props, scratch_props and the
-# scratch unit tests — a walked prefix scratch against a fresh one —
+# profile_props, the schedule unit and property tests — scan helpers
+# against the scan alone, the pruned scan against the exhaustive one,
+# the pinned release passes — regroup_props, scratch_props and the
+# scratch unit tests — walked prefix views against fresh ones —
 # golden_digests, scheduler_integration — the 2000-job sparse-mode
 # quality and decision-time bounds — ps_goldens, the harmony-ps suite, the
 # subtask-discipline tests, ps_training), the keyed-noise table spec
@@ -81,14 +83,16 @@ echo "==> Eq. 2 normalization property tests (release)"
 cargo test --release -q -p harmony-core --test profile_props
 # The scan's helper threads interleave differently at release speed;
 # thread-count independence and the pinned digests must hold there too
-# (regroup_props pins the regrouper's decisions and drives the helpers
-# through warm cache/scratch pairs; scratch_props and the scratch unit
-# tests hold a synced cache and a prefix scratch walked through
-# extensions, shrinks and syncs to fresh ones). scheduler_integration
+# (the schedule unit tests reach the scan's worker count and its
+# exhaustive arm, which only the library's own tests can; regroup_props
+# pins the regrouper's decisions and drives the helpers through warm
+# scratches; scratch_props and the scratch unit tests hold a synced
+# cache and prefix views walked through extensions, shrinks and syncs
+# to fresh ones). scheduler_integration
 # holds the sparse scan at 2000 jobs to >= 0.95x its pinned score and
 # < 5 s a decision, at the speed the bound is stated for.
 echo "==> Algorithm 1 scan determinism gates (release)"
-cargo test --release -q -p harmony-core --test schedule_props
+cargo test --release -q -p harmony-core --lib schedule::
 cargo test --release -q -p harmony-core --test regroup_props
 cargo test --release -q -p harmony-core --test scratch_props
 cargo test --release -q -p harmony-core --lib scratch::
